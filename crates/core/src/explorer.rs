@@ -137,8 +137,8 @@ pub fn run_explorer(
         ..Default::default()
     };
 
-    workload.for_each_access(first..end, |a| {
-        let line = a.line();
+    // The scan reads only each access's line and index: no PCs.
+    workload.for_each_line(first..end, |k, line| {
         let interesting = if functional {
             filter.contains_line(line)
         } else {
@@ -162,14 +162,14 @@ pub fn run_explorer(
             }
             // Key tracking: remember the latest access to each pending key.
             if let Some(seen) = keys.get_mut(line) {
-                *seen = a.index;
+                *seen = k;
             }
             // Vicinity: resolve an armed sample on reuse. The key
             // watchpoint (if any) on the same line stays armed: watch
             // references are refcounted, so disarming the vicinity side
             // never drops a key that must live for the whole window.
             if let Some(set_at) = vicinity_pending.remove(line) {
-                vicinity.record(a.index - set_at - 1, 1.0);
+                vicinity.record(k - set_at - 1, 1.0);
                 vicinity_count += 1;
                 if functional {
                     filter.remove_line(line);
@@ -180,9 +180,8 @@ pub fn run_explorer(
             }
         }
         // Arm new vicinity samples at the configured rate.
-        if rng.chance_one_in(a.index, vicinity_period_accesses) && !vicinity_pending.contains(line)
-        {
-            vicinity_pending.insert(line, a.index);
+        if rng.chance_one_in(k, vicinity_period_accesses) && !vicinity_pending.contains(line) {
+            vicinity_pending.insert(line, k);
             if functional {
                 filter.insert_line(line);
             } else {

@@ -67,10 +67,10 @@ pub fn scout_region(
     let region_first = workload.access_index_at_instr(region.detailed.start);
     let region_end = workload.access_index_at_instr(region.detailed.end);
 
-    // Warm the replica.
-    workload.for_each_access(warm_first..region_first, |a| {
-        if !l1.lookup(a.line()) && mshr.on_miss(a.line(), a.index) == MshrOutcome::Allocated {
-            l1.fill(a.line());
+    // Warm the replica (lines only: no PCs are read here).
+    workload.for_each_line(warm_first..region_first, |k, line| {
+        if !l1.lookup(line) && mshr.on_miss(line, k) == MshrOutcome::Allocated {
+            l1.fill(line);
         }
     });
     // Walk the region: first access per line decides key-ness.

@@ -172,17 +172,18 @@ impl CoolSimRunner {
 
             // The interval runs under VFF (charged at represented
             // magnitude); traps are charged per event at face value. The
-            // scan consumes cursor-filled slices directly — the watch
-            // classification is the whole loop body, so there is no
-            // per-access closure boundary left.
+            // scan consumes cursor-filled line slices directly — the
+            // watch classification is the whole loop body, so there is
+            // no per-access closure boundary left — and reads a PC only
+            // for a resolved sample, through `access_at`.
             driver.charge_work(WorkKind::Vff, len * p * mult);
             let mut cursor = workload.cursor(first..last);
             let mut batch = Vec::with_capacity(CURSOR_BATCH);
-            while cursor.fill(&mut batch, CURSOR_BATCH) > 0 {
-                for a in &batch {
-                    let k = a.index;
-                    if filter.contains_page(a.page()) {
-                        match watch.classify(a) {
+            let mut k = first;
+            while cursor.fill_lines(&mut batch, CURSOR_BATCH) > 0 {
+                for &line in &batch {
+                    if filter.contains_page(line.page()) {
+                        match watch.classify_line(line) {
                             Trap::None => {}
                             Trap::FalsePositive => driver.charge_seconds(trap_seconds),
                             Trap::Hit(line) => {
@@ -191,7 +192,8 @@ impl CoolSimRunner {
                                     // Reuse found: distance is the accesses
                                     // strictly between; attributed to the
                                     // reusing PC.
-                                    profiles.record(a.pc, k - set_at - 1, 1.0);
+                                    let pc = workload.access_at(k).pc;
+                                    profiles.record(pc, k - set_at - 1, 1.0);
                                     driver.record_collected(1);
                                     watch.unwatch_line(line);
                                     filter.remove_page(line.page());
@@ -202,11 +204,12 @@ impl CoolSimRunner {
                     // Random sampling decision at the schedule's current
                     // rate.
                     let period = self.config.period_at(k - first, len, p);
-                    if rng.chance_one_in(k, period) && !pending.contains(a.line()) {
-                        pending.insert(a.line(), k);
-                        watch.watch_line(a.line());
-                        filter.insert_page(a.page());
+                    if rng.chance_one_in(k, period) && !pending.contains(line) {
+                        pending.insert(line, k);
+                        watch.watch_line(line);
+                        filter.insert_page(line.page());
                     }
+                    k += 1;
                 }
             }
             // Unresolved samples: reuse longer than the remaining interval.

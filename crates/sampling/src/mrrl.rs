@@ -81,9 +81,9 @@ impl MrrlRunner {
         let start = around_access.saturating_sub(self.profile_accesses);
         let mut hist = LogHistogram::new();
         let mut last: LineMap<u64> = LineMap::new();
-        workload.for_each_access(start..around_access, |a| {
-            if let Some(prev) = last.insert(a.line(), a.index) {
-                hist.add((a.index - prev) * p, 1.0);
+        workload.for_each_line(start..around_access, |k, line| {
+            if let Some(prev) = last.insert(line, k) {
+                hist.add((k - prev) * p, 1.0);
             }
         });
         if hist.is_empty() {

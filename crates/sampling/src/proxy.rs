@@ -18,7 +18,7 @@
 
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_statmodel::plan_warm_window;
-use delorean_trace::{LineAddr, Pc, Workload, WorkloadExt};
+use delorean_trace::{LineAddr, Pc, Workload};
 use delorean_virt::{CostModel, SpecUnit, WorkKind};
 
 /// Accesses probed per LLC line when sizing a statmodel-directed window.
@@ -100,8 +100,10 @@ impl ProxyStateSource {
             ProxyStateSource::StatModel => {
                 let llc_lines = machine.hierarchy.llc.lines();
                 let probe_len = (llc_lines * STATMODEL_PROBE_PER_LINE).min(pos);
-                let mut probe: Vec<LineAddr> = Vec::with_capacity(probe_len as usize);
-                workload.for_each_access(pos - probe_len..pos, |a| probe.push(a.line()));
+                let mut probe: Vec<LineAddr> = Vec::new();
+                workload
+                    .cursor(pos - probe_len..pos)
+                    .fill_lines(&mut probe, delorean_trace::cast::idx(probe_len));
                 let plan = plan_warm_window(&probe, llc_lines, pos, STATMODEL_MARGIN);
                 h.warm_range(workload, pos - plan.window..pos);
                 // The probe is a near-native scan (watchpoint-style);

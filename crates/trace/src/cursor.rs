@@ -16,6 +16,44 @@
 //! records to `access_at(k)` for every `k` in `range`
 //! (`tests/properties.rs` pins this for every workload in the suite).
 //!
+//! # Two outputs
+//!
+//! A cursor fills one of two buffers, and both advance the same
+//! position:
+//!
+//! * [`fill`](AccessCursor::fill) produces full [`MemAccess`] records:
+//!   index, instruction count, PC, address and load/store kind.
+//! * [`fill_lines`](AccessCursor::fill_lines) produces only the
+//!   [`LineAddr`] of each access; the index is implied by position
+//!   (the `i`-th line of a batch starting at `position()` belongs to
+//!   access `position() + i`). Its output is **byte-identical** to
+//!   `fill` mapped through [`MemAccess::line`].
+//!
+//! The line-only form exists because most of the time-traveling scans
+//! ask each access only which cacheline it touches, and building the
+//! rest of the record is much of the cost of generating it: a
+//! [`PhasedCursor`](crate::PhasedCursor) skips two hashes per access
+//! (PC and kind), a [`TiledCursor`](crate::TiledCursor) reads one 8-byte
+//! word of each 17-byte record, and a
+//! [`RecordedCursor`](crate::RecordedCursor) maps its slice. Other
+//! cursors inherit a default that derives the lines from `fill`. A
+//! caller may mix the two calls on one cursor freely.
+//!
+//! Which scan uses which:
+//!
+//! | Scan | Reads | Output |
+//! |---|---|---|
+//! | Explorer-1 and the VDP explorers (`run_explorer`) | index, line | `fill_lines` |
+//! | Scout lukewarm-replica warm loop | index, line | `fill_lines` |
+//! | CoolSim watchpoint interval | index, line (PC via `access_at` on a resolved sample) | `fill_lines` |
+//! | MRRL reuse-latency profile | index, line | `fill_lines` |
+//! | Speculative-lane statmodel probe | line | `fill_lines` |
+//! | Scout region walk, Analyst, `warm_range`, `simulate_detailed` | PC, line, index | `fill` |
+//!
+//! [`WorkloadExt::for_each_line`](crate::WorkloadExt::for_each_line) and
+//! [`WorkloadExt::for_each_access`](crate::WorkloadExt::for_each_access)
+//! wrap the two outputs in the canonical batched loop.
+//!
 //! Workloads get a cursor for free through [`IndexedCursor`] (the default
 //! [`Workload::cursor`](crate::Workload::cursor) implementation simply
 //! calls `access_at` per element). Implementors should override
@@ -23,18 +61,21 @@
 //! generation can share work between neighbouring indices — see
 //! [`PhasedWorkload`](crate::PhasedWorkload) (incremental phase/slot/
 //! pattern state) and [`RecordedTrace`](crate::RecordedTrace) (direct
-//! slice replay) for the two in-tree examples.
+//! slice replay) for the two in-tree examples — and override
+//! `fill_lines` too when the line costs less than the full record.
 
-use crate::types::MemAccess;
+use crate::types::{LineAddr, MemAccess};
 use crate::Workload;
 use std::ops::Range;
 
 /// Batch size used by the cursor-driven helpers ([`AccessIter`]
-/// refills and [`WorkloadExt::for_each_access`]). Large enough to
-/// amortize the virtual `fill` call, small enough to stay in L1.
+/// refills, [`WorkloadExt::for_each_access`] and
+/// [`WorkloadExt::for_each_line`]). Large enough to amortize the
+/// virtual `fill` call, small enough to stay in L1.
 ///
 /// [`AccessIter`]: crate::AccessIter
 /// [`WorkloadExt::for_each_access`]: crate::WorkloadExt::for_each_access
+/// [`WorkloadExt::for_each_line`]: crate::WorkloadExt::for_each_line
 pub const CURSOR_BATCH: usize = 1024;
 
 /// A streaming generator over a contiguous range of workload accesses.
@@ -76,6 +117,41 @@ pub trait AccessCursor {
     /// assert_eq!(cursor.position(), cursor.end());
     /// ```
     fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize;
+
+    /// Clear `out` and refill it with the cachelines of up to `max`
+    /// consecutive accesses, advancing the cursor exactly as
+    /// [`fill`](AccessCursor::fill) would. Returns the number produced.
+    ///
+    /// The output is byte-identical to `fill` mapped through
+    /// [`MemAccess::line`]; the access index of `out[i]` is the
+    /// cursor's [`position`](AccessCursor::position) before the call
+    /// plus `i`. The default derives the lines from `fill`; cursors
+    /// that can produce a line without the rest of the record override
+    /// it.
+    ///
+    /// ```
+    /// use delorean_trace::{spec_workload, AccessCursor, Scale, Workload, CURSOR_BATCH};
+    ///
+    /// let w = spec_workload("mcf", Scale::tiny(), 1).unwrap();
+    /// let mut cursor = w.cursor(100..2_600);
+    /// let mut lines = Vec::with_capacity(CURSOR_BATCH);
+    /// let mut k = cursor.position();
+    /// while cursor.fill_lines(&mut lines, CURSOR_BATCH) > 0 {
+    ///     for &line in &lines {
+    ///         assert_eq!(line, w.access_at(k).line()); // lines ≡ records
+    ///         k += 1;
+    ///     }
+    /// }
+    /// assert_eq!(k, 2_600);
+    /// ```
+    fn fill_lines(&mut self, out: &mut Vec<LineAddr>, max: usize) -> usize {
+        out.clear();
+        let mut batch = Vec::with_capacity(max.min(CURSOR_BATCH));
+        while out.len() < max && self.fill(&mut batch, (max - out.len()).min(CURSOR_BATCH)) > 0 {
+            out.extend(batch.iter().map(MemAccess::line));
+        }
+        out.len()
+    }
 
     /// Accesses left before exhaustion.
     fn remaining(&self) -> u64 {

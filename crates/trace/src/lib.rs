@@ -29,8 +29,12 @@
 //!   sequential generation that hoists per-range work (phase lookup,
 //!   permutation setup) out of the loop and advances stream-local state
 //!   incrementally. Every warm loop (functional warming, watchpoint
-//!   scans, profiling windows) runs on this path, via
-//!   [`WorkloadExt::for_each_access`] or [`WorkloadExt::iter_range`].
+//!   scans, profiling windows) runs on this path. Loops that need PCs
+//!   take full records ([`AccessCursor::fill`], via
+//!   [`WorkloadExt::for_each_access`] or [`WorkloadExt::iter_range`]);
+//!   scans that ask only which cacheline each access touches take
+//!   lines ([`AccessCursor::fill_lines`], via
+//!   [`WorkloadExt::for_each_line`]), which skips generating the rest.
 //! * **Tiled ingest** — [`TiledTrace`] over an on-disk [`tile`] file:
 //!   a memory-mapped binary trace whose fixed-size tiles decode
 //!   straight into [`MemAccess`] batches (optionally on a background
@@ -248,6 +252,33 @@ pub trait WorkloadExt: Workload {
         while cursor.fill(&mut buf, CURSOR_BATCH) > 0 {
             for a in &buf {
                 f(a);
+            }
+        }
+    }
+
+    /// Visit the `(index, line)` of every access with index in `range`,
+    /// in order, through [`AccessCursor::fill_lines`] in batches of
+    /// [`CURSOR_BATCH`].
+    ///
+    /// The form for scans that never read a PC or load/store kind
+    /// (Explorer windows, the Scout's lukewarm replica, reuse-latency
+    /// profiles): cursors that can skip generating the rest of the
+    /// record do.
+    ///
+    /// ```
+    /// use delorean_trace::{spec_workload, Scale, Workload, WorkloadExt};
+    ///
+    /// let w = spec_workload("bwaves", Scale::tiny(), 1).unwrap();
+    /// w.for_each_line(0..100, |k, line| assert_eq!(line, w.access_at(k).line()));
+    /// ```
+    fn for_each_line<F: FnMut(u64, LineAddr)>(&self, range: Range<u64>, mut f: F) {
+        let mut cursor = self.cursor(range);
+        let mut buf = Vec::with_capacity(CURSOR_BATCH);
+        let mut k = cursor.position();
+        while cursor.fill_lines(&mut buf, CURSOR_BATCH) > 0 {
+            for &line in &buf {
+                f(k, line);
+                k += 1;
             }
         }
     }

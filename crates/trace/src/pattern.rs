@@ -120,8 +120,9 @@ impl Pattern {
 
     /// Line offset (within the footprint) of stream-local access `j`.
     ///
-    /// Pure in `(self, seed, j)`.
-    #[inline]
+    /// Pure in `(self, seed, j)`. Forced inline for the same reason as
+    /// [`PatternCursor::next_line`], whose hash-driven patterns call it.
+    #[inline(always)]
     pub fn line_at(&self, seed: u64, j: u64) -> u64 {
         match *self {
             Pattern::Stream {
@@ -303,7 +304,11 @@ pub struct PatternCursor {
 impl PatternCursor {
     /// The line offset of the current stream-local index, advancing the
     /// cursor by one. Byte-identical to `pattern.line_at(seed, j)`.
-    #[inline]
+    ///
+    /// Forced inline: it is the body of both `PhasedCursor` outputs'
+    /// loops, and left to the inliner's budget it is outlined once it
+    /// has two callers.
+    #[inline(always)]
     pub fn next_line(&mut self) -> u64 {
         let j = self.j;
         self.j += 1;

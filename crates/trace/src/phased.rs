@@ -17,7 +17,7 @@ use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
 use crate::pattern::{Pattern, PatternCursor};
 use crate::rng::{mix64, CounterRng};
-use crate::types::{AccessKind, Addr, MemAccess, Pc, LINE_BYTES, PAGE_BYTES};
+use crate::types::{AccessKind, Addr, LineAddr, MemAccess, Pc, LINE_BYTES, PAGE_BYTES};
 use crate::Workload;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -265,6 +265,31 @@ struct CompiledStream {
     seed: u64,
 }
 
+impl CompiledStream {
+    /// The full record of stream-local access `j`, at global index `k`,
+    /// touching cacheline `line`: PC and kind are hashed from `j`.
+    #[inline(always)]
+    fn access(&self, j: u64, k: u64, line: u64, mem_period: u64) -> MemAccess {
+        let pc_idx = if self.pcs == 1 {
+            0
+        } else {
+            mix64(self.seed ^ 0x9c, j) % self.pcs as u64
+        };
+        let kind = if mix64(self.seed ^ 0x3f, j) % 1000 < self.write_permille as u64 {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        MemAccess {
+            index: k,
+            icount: k * mem_period,
+            pc: Pc(self.pc_base + pc_idx * 4),
+            addr: Addr(line * LINE_BYTES),
+            kind,
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct CompiledPhase {
     weight_sum: u64,
@@ -344,24 +369,12 @@ impl Workload for PhasedWorkload {
         // Stream-local index: this stream sees `weight` accesses per period,
         // `periods_per_rep` periods per cycle repetition.
         let j = (rep * phase.periods_per_rep + period_idx) * s.weight + slot.occ as u64;
-        let line = s.base_line + s.pattern.line_at(s.seed, j);
-        let pc_idx = if s.pcs == 1 {
-            0
-        } else {
-            mix64(s.seed ^ 0x9c, j) % s.pcs as u64
-        };
-        let kind = if mix64(s.seed ^ 0x3f, j) % 1000 < s.write_permille as u64 {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        MemAccess {
-            index: k,
-            icount: k * self.mem_period,
-            pc: Pc(s.pc_base + pc_idx * 4),
-            addr: Addr(line * LINE_BYTES),
-            kind,
-        }
+        s.access(
+            j,
+            k,
+            s.base_line + s.pattern.line_at(s.seed, j),
+            self.mem_period,
+        )
     }
 
     fn cursor<'a>(&'a self, range: Range<u64>) -> Box<dyn AccessCursor + 'a> {
@@ -461,19 +474,22 @@ impl<'w> PhasedCursor<'w> {
     }
 }
 
-impl AccessCursor for PhasedCursor<'_> {
-    fn position(&self) -> u64 {
-        self.next
-    }
-
-    fn end(&self) -> u64 {
-        self.end
-    }
-
-    fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize {
+impl PhasedCursor<'_> {
+    /// The shared generation loop of both outputs: walks the slot table
+    /// and advances slot and pattern state, then pushes `emit(stream,
+    /// j, k, line)` per access (`j` stream-local, `k` global, `line` the
+    /// cacheline). Inlined into each caller, so an `emit` that
+    /// ignores the stream and `j` compiles to a loop without the PC and
+    /// kind hashes.
+    #[inline(always)]
+    fn generate<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        max: usize,
+        emit: impl Fn(&CompiledStream, u64, u64, u64) -> T,
+    ) -> usize {
         out.clear();
         let w = self.w;
-        let p = w.mem_period;
         while out.len() < max && self.next < self.end {
             if self.next == self.segment_end {
                 self.seek(self.next);
@@ -492,23 +508,7 @@ impl AccessCursor for PhasedCursor<'_> {
                 let j = st.j;
                 st.j += 1;
                 let line = s.base_line + st.pattern.next_line();
-                let pc_idx = if s.pcs == 1 {
-                    0
-                } else {
-                    mix64(s.seed ^ 0x9c, j) % s.pcs as u64
-                };
-                let kind = if mix64(s.seed ^ 0x3f, j) % 1000 < s.write_permille as u64 {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                out.push(MemAccess {
-                    index: self.next,
-                    icount: self.next * p,
-                    pc: Pc(s.pc_base + pc_idx * 4),
-                    addr: Addr(line * LINE_BYTES),
-                    kind,
-                });
+                out.push(emit(s, j, self.next, line));
                 self.next += 1;
                 self.slot_pos += 1;
                 if self.slot_pos == phase.slots.len() {
@@ -517,6 +517,26 @@ impl AccessCursor for PhasedCursor<'_> {
             }
         }
         out.len()
+    }
+}
+
+impl AccessCursor for PhasedCursor<'_> {
+    fn position(&self) -> u64 {
+        self.next
+    }
+
+    fn end(&self) -> u64 {
+        self.end
+    }
+
+    fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize {
+        let p = self.w.mem_period;
+        self.generate(out, max, |s, j, k, line| s.access(j, k, line, p))
+    }
+
+    /// Advances only slot and pattern state: no PC or kind hashes.
+    fn fill_lines(&mut self, out: &mut Vec<LineAddr>, max: usize) -> usize {
+        self.generate(out, max, |_, _, _, line| LineAddr(line))
     }
 }
 

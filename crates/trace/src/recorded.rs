@@ -22,7 +22,7 @@
 
 use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
-use crate::types::{AccessKind, Addr, MemAccess, Pc};
+use crate::types::{AccessKind, Addr, LineAddr, MemAccess, Pc};
 use crate::Workload;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -192,6 +192,32 @@ impl<'w> RecordedCursor<'w> {
     }
 }
 
+impl RecordedCursor<'_> {
+    /// The replay loop shared by both outputs: pushes `emit(k, record)`
+    /// for each access, wrapping at the recorded length.
+    #[inline(always)]
+    fn replay<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        max: usize,
+        emit: impl Fn(u64, &RecordedAccess) -> T,
+    ) -> usize {
+        out.clear();
+        let records = &self.trace.accesses;
+        let n = (self.end - self.next).min(max as u64) as usize;
+        out.reserve(n);
+        for _ in 0..n {
+            out.push(emit(self.next, &records[self.offset]));
+            self.next += 1;
+            self.offset += 1;
+            if self.offset == records.len() {
+                self.offset = 0;
+            }
+        }
+        n
+    }
+}
+
 impl AccessCursor for RecordedCursor<'_> {
     fn position(&self) -> u64 {
         self.next
@@ -202,27 +228,18 @@ impl AccessCursor for RecordedCursor<'_> {
     }
 
     fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize {
-        out.clear();
-        let records = &self.trace.accesses;
         let p = self.trace.mem_period;
-        let n = (self.end - self.next).min(max as u64) as usize;
-        out.reserve(n);
-        for _ in 0..n {
-            let r = &records[self.offset];
-            out.push(MemAccess {
-                index: self.next,
-                icount: self.next * p,
-                pc: r.pc,
-                addr: r.addr,
-                kind: r.kind,
-            });
-            self.next += 1;
-            self.offset += 1;
-            if self.offset == records.len() {
-                self.offset = 0;
-            }
-        }
-        n
+        self.replay(out, max, |k, r| MemAccess {
+            index: k,
+            icount: k * p,
+            pc: r.pc,
+            addr: r.addr,
+            kind: r.kind,
+        })
+    }
+
+    fn fill_lines(&mut self, out: &mut Vec<LineAddr>, max: usize) -> usize {
+        self.replay(out, max, |_, r| r.addr.line())
     }
 }
 

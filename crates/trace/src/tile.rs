@@ -85,7 +85,7 @@
 use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
 use crate::rng::mix64;
-use crate::types::{AccessKind, Addr, MemAccess, Pc};
+use crate::types::{AccessKind, Addr, LineAddr, MemAccess, Pc};
 use crate::Workload;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use memmap2::Mmap;
@@ -793,12 +793,9 @@ impl TileFile {
     /// [`check_tile`]: TileFile::check_tile
     #[inline]
     fn decode_span(&self, tile: u32, within: usize, n: usize, base: u64, out: &mut Vec<MemAccess>) {
-        debug_assert!(within + n <= self.tile_len(tile) as usize);
-        let at = self.tile_offset(tile) + TILE_HEADER_BYTES + within * RECORD_BYTES;
-        let bytes = &self.map[at..at + n * RECORD_BYTES];
         let period = self.mem_period;
         out.reserve(n);
-        for (i, rec) in bytes.chunks_exact(RECORD_BYTES).enumerate() {
+        for (i, rec) in self.span_records(tile, within, n).enumerate() {
             let k = base + i as u64;
             out.push(MemAccess {
                 index: k,
@@ -812,6 +809,24 @@ impl TileFile {
                 },
             });
         }
+    }
+
+    /// Like [`decode_span`](TileFile::decode_span), but appends only the
+    /// cacheline of each record: one 8-byte `addr` read per record.
+    #[inline]
+    fn decode_span_lines(&self, tile: u32, within: usize, n: usize, out: &mut Vec<LineAddr>) {
+        out.extend(
+            self.span_records(tile, within, n)
+                .map(|rec| Addr(read_u64(rec, 8)).line()),
+        );
+    }
+
+    /// The raw records `within..within + n` of a validated `tile`.
+    #[inline]
+    fn span_records(&self, tile: u32, within: usize, n: usize) -> std::slice::ChunksExact<'_, u8> {
+        debug_assert!(within + n <= self.tile_len(tile) as usize);
+        let at = self.tile_offset(tile) + TILE_HEADER_BYTES + within * RECORD_BYTES;
+        self.map[at..at + n * RECORD_BYTES].chunks_exact(RECORD_BYTES)
     }
 
     /// Decode `tile` into `out` (cleared first) and return the global
@@ -1089,6 +1104,32 @@ impl AccessCursor for TiledCursor {
     }
 
     fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize {
+        // Decode rebases index/icount from `next` directly, so the
+        // cyclic wrap needs no separate fix-up pass.
+        self.walk(out, max, |file, tile, within, take, base, out| {
+            file.decode_span(tile, within, take, base, out)
+        })
+    }
+
+    /// Reads only the `addr` word of each 17-byte record.
+    fn fill_lines(&mut self, out: &mut Vec<LineAddr>, max: usize) -> usize {
+        self.walk(out, max, |file, tile, within, take, _, out| {
+            file.decode_span_lines(tile, within, take, out)
+        })
+    }
+}
+
+impl TiledCursor {
+    /// The tile walk shared by both outputs: validates each tile on
+    /// first touch (unless the file is verified) and hands each
+    /// in-tile span to `decode(file, tile, within, take, base, out)`.
+    #[inline(always)]
+    fn walk<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        max: usize,
+        decode: impl Fn(&TileFile, u32, usize, usize, u64, &mut Vec<T>),
+    ) -> usize {
         out.clear();
         if self.error.is_some() {
             return 0;
@@ -1111,9 +1152,7 @@ impl AccessCursor for TiledCursor {
             let take = (self.file.tile_len(tile) as usize - within)
                 .min(max - produced)
                 .min((self.end - self.next).min(usize::MAX as u64) as usize);
-            // Decode rebases index/icount from `next` directly, so the
-            // cyclic wrap needs no separate fix-up pass.
-            self.file.decode_span(tile, within, take, self.next, out);
+            decode(&self.file, tile, within, take, self.next, out);
             produced += take;
             self.next += take as u64;
         }

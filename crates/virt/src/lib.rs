@@ -6,17 +6,19 @@
 //! available to a trace-driven reproduction, so this crate provides the
 //! closest synthetic equivalents:
 //!
-//! * [`fast_forward`] — an O(1) skip over the position-addressable trace
-//!   (the workload needs no warm state besides its position), charged at
-//!   near-native MIPS in the [`CostModel`];
-//! * [`functional_scan`] — access-by-access functional simulation at
-//!   gem5-atomic-like speed (used for functional warming and Explorer-1's
-//!   directed profiling);
-//! * [`WatchSet`] + [`watchpoint_scan`] — virtualized directed profiling:
-//!   watchpoints are registered per *line* but trap per *page*, so false
-//!   positives (a trap on a watched page whose line is not watched) are an
-//!   emergent property of workload layout, exactly the effect that makes
-//!   povray expensive in the paper;
+//! * [`CostModel`] — per-instruction rates for each [`WorkKind`]: a
+//!   fast-forward over the position-addressable trace is free to execute
+//!   (the workload needs no warm state besides its position) and is
+//!   charged at near-native VFF MIPS, while functional simulation (used
+//!   for functional warming and Explorer-1's directed profiling) is
+//!   charged at gem5-atomic-like speed;
+//! * [`WatchSet`] — virtualized directed profiling: watchpoints are
+//!   registered per *line* but trap per *page*, so false positives (a
+//!   trap on a watched page whose line is not watched) are an emergent
+//!   property of workload layout, exactly the effect that makes povray
+//!   expensive in the paper. The scans that drive it (the Explorers and
+//!   CoolSim's interval) live in the strategy crates, read cachelines
+//!   through `AccessCursor::fill_lines`, and report [`WatchScanStats`];
 //! * [`HostClock`] / [`RunCost`] — seconds-based cost accounting, with
 //!   pipelined wall-clock estimation for the multi-pass TT pipeline and
 //!   per-worker wall-clock modeling for the region-parallel runtime:
@@ -37,12 +39,8 @@
 
 mod clock;
 mod cost;
-mod engines;
 mod watch;
 
 pub use clock::{HostClock, PassCost, RunCost, SpecUnit, UnitCost};
 pub use cost::{mips, CostModel, WorkKind};
-pub use engines::{
-    fast_forward, functional_scan, functional_scan_batched, watchpoint_scan, WatchScanStats,
-};
-pub use watch::{Trap, WatchSet};
+pub use watch::{Trap, WatchScanStats, WatchSet};

@@ -18,6 +18,32 @@
 //! faithful when the two overlap.
 
 use delorean_trace::{LineAddr, MemAccess, PageAddr, PageMap};
+use serde::{Deserialize, Serialize};
+
+/// Statistics of one watchpoint (VDP) scan.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WatchScanStats {
+    /// Accesses inspected by the scan.
+    pub accesses_scanned: u64,
+    /// Traps where the page was watched but not the line.
+    pub false_positives: u64,
+    /// Traps on watched lines.
+    pub true_hits: u64,
+}
+
+impl WatchScanStats {
+    /// All traps taken.
+    pub fn traps(&self) -> u64 {
+        self.false_positives + self.true_hits
+    }
+
+    /// Accumulate another scan's statistics.
+    pub fn merge(&mut self, other: &WatchScanStats) {
+        self.accesses_scanned += other.accesses_scanned;
+        self.false_positives += other.false_positives;
+        self.true_hits += other.true_hits;
+    }
+}
 
 /// Classification of one access against a [`WatchSet`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -249,6 +275,22 @@ mod tests {
         assert_eq!(w.classify_line(LineAddr(5)), Trap::None);
         assert!(w.is_empty());
         assert!(!w.unwatch_line(LineAddr(1)), "double unwatch");
+    }
+
+    #[test]
+    fn scan_stats_merge() {
+        let mut a = WatchScanStats {
+            accesses_scanned: 10,
+            false_positives: 2,
+            true_hits: 1,
+        };
+        a.merge(&WatchScanStats {
+            accesses_scanned: 5,
+            false_positives: 1,
+            true_hits: 4,
+        });
+        assert_eq!(a.accesses_scanned, 15);
+        assert_eq!(a.traps(), 8);
     }
 
     #[test]

@@ -8,7 +8,11 @@
 
 use delorean::prelude::*;
 use delorean::statmodel::exact::ExactStackProcessor;
-use delorean::trace::{mix64, Pattern, PhasedWorkloadBuilder, RecordedTrace, StreamSpec};
+use delorean::trace::{
+    mix64, AccessCursor, BranchModel, IndexedCursor, LineAddr, MemAccess, Pattern,
+    PhasedWorkloadBuilder, RecordedTrace, StreamSpec,
+};
+use std::ops::Range;
 
 /// Deterministically generate a small but structurally diverse workload
 /// composition for case `case`: a seed plus 1–3 streams of
@@ -147,6 +151,117 @@ fn assert_cursor_matches_access_at(
     {
         assert_eq!(a, workload.access_at(range.start + i as u64), "{ctx}: iter");
     }
+    assert_fill_lines_matches_fill(workload.cursor(range.clone()), &range, batch, ctx, |k| {
+        workload.access_at(k).line()
+    });
+}
+
+/// The `fill_lines` contract on one fresh `cursor` over `range`: drained
+/// while alternating `fill_lines` and `fill` (batch sizes `batch` and
+/// `batch + 2`, so refills land mid-period), every produced line equals
+/// `line_at(k)` in order (for `fill` calls, the records' lines), and
+/// `position()`/`remaining()` track the accesses produced after every
+/// call, whichever call produced them.
+fn assert_fill_lines_matches_fill(
+    mut cursor: Box<dyn AccessCursor + '_>,
+    range: &Range<u64>,
+    batch: usize,
+    ctx: &str,
+    line_at: impl Fn(u64) -> LineAddr,
+) {
+    let end = range.end.max(range.start);
+    let (mut lines, mut records) = (Vec::new(), Vec::<MemAccess>::new());
+    let mut k = range.start;
+    for call in 0.. {
+        let n = if call % 2 == 0 {
+            cursor.fill_lines(&mut lines, batch)
+        } else {
+            let n = cursor.fill(&mut records, batch + 2);
+            lines.clear();
+            lines.extend(records.iter().map(MemAccess::line));
+            n
+        };
+        assert_eq!(n, lines.len(), "{ctx}: call {call} count");
+        if n == 0 {
+            break;
+        }
+        for &line in &lines {
+            assert_eq!(line, line_at(k), "{ctx}: call {call} index {k}");
+            k += 1;
+        }
+        assert_eq!(cursor.position(), k, "{ctx}: call {call} position");
+        assert_eq!(cursor.remaining(), end - k, "{ctx}: call {call} remaining");
+    }
+    assert_eq!(k, end, "{ctx}: fill_lines range coverage");
+}
+
+/// A workload that implements only the required trait methods, so its
+/// cursor is the default [`IndexedCursor`] and `fill_lines` takes the
+/// trait's default (derived from `fill`).
+struct IndexedOnly<W>(W);
+
+impl<W: Workload> Workload for IndexedOnly<W> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn mem_period(&self) -> u64 {
+        self.0.mem_period()
+    }
+
+    fn access_at(&self, k: u64) -> MemAccess {
+        self.0.access_at(k)
+    }
+
+    fn branch_model(&self) -> BranchModel {
+        self.0.branch_model()
+    }
+}
+
+/// `fill_lines` on the default path (`IndexedCursor`, through the
+/// trait's default method) and on every overriding in-tree cursor, over
+/// empty, one-element, phase-boundary and cycle-wrap ranges with odd
+/// batch sizes.
+#[test]
+fn fill_lines_matches_fill_on_every_cursor_type() {
+    let w = spec_workload("GemsFDTD", Scale::tiny(), 42).unwrap();
+    let cycle = w.cycle_len_accesses();
+    let recorded = RecordedTrace::capture(&w, 2_000..2_137);
+    let indexed = IndexedOnly(w.clone());
+    let sources: [&dyn Workload; 3] = [&w, &recorded, &indexed];
+    for (si, src) in sources.into_iter().enumerate() {
+        for range in [
+            5..5,
+            7..8,
+            cycle - 1..cycle,
+            cycle - 1_000..cycle + 1_000,
+            3_000_001..3_003_000,
+        ] {
+            for batch in [1, 7, 333, 4_096] {
+                assert_fill_lines_matches_fill(
+                    src.cursor(range.clone()),
+                    &range,
+                    batch,
+                    &format!("source {si} {range:?} batch {batch}"),
+                    |k| src.access_at(k).line(),
+                );
+            }
+        }
+    }
+    // An `IndexedCursor` built directly, and an inverted range.
+    let mut direct = IndexedCursor::new(&w, 100..1_100);
+    let mut lines = Vec::new();
+    assert_eq!(direct.fill_lines(&mut lines, 999), 999);
+    assert_eq!(lines[998], w.access_at(1_098).line());
+    assert_eq!(direct.remaining(), 1);
+    #[allow(clippy::reversed_empty_ranges)]
+    let mut inverted = IndexedCursor::new(&w, 9..3);
+    assert_eq!(inverted.fill_lines(&mut lines, 16), 0);
+    assert!(lines.is_empty());
+    // `max == 0` produces nothing and leaves the cursor where it was.
+    let mut cur = w.cursor(10..20);
+    assert_eq!(cur.fill_lines(&mut lines, 0), 0);
+    assert_eq!(cur.position(), 10);
 }
 
 /// Tentpole contract: streaming cursors are byte-identical to `access_at`

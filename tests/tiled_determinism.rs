@@ -86,3 +86,70 @@ fn tiled_sources_keep_the_worker_count_determinism_contract() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// Drain `cursor` alternating `fill_lines` (batch `batch`) and `fill`
+/// (batch `batch + 2`); return every produced line in order, checking
+/// `position()`/`remaining()` after each call.
+fn drain_mixed(
+    mut cursor: Box<dyn delorean::trace::AccessCursor + '_>,
+    batch: usize,
+    ctx: &str,
+) -> Vec<delorean::trace::LineAddr> {
+    let start = cursor.position();
+    let end = cursor.end();
+    let (mut lines, mut records, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    for call in 0.. {
+        let n = if call % 2 == 0 {
+            let n = cursor.fill_lines(&mut lines, batch);
+            out.extend_from_slice(&lines);
+            n
+        } else {
+            let n = cursor.fill(&mut records, batch + 2);
+            out.extend(records.iter().map(|a| a.line()));
+            n
+        };
+        let produced = out.len() as u64;
+        assert_eq!(cursor.position(), start + produced, "{ctx}: position");
+        assert_eq!(
+            cursor.remaining(),
+            end - start - produced,
+            "{ctx}: remaining"
+        );
+        if n == 0 {
+            break;
+        }
+    }
+    out
+}
+
+/// `fill_lines` on tiled sources: `TiledCursor` (its own override) and
+/// `StreamingTileCursor` (the trait default), on verified and lazily
+/// checked files, yield the source's lines while mixing `fill` calls.
+#[test]
+fn tiled_cursors_fill_lines_match_fill() {
+    // Small tiles so spans cross tile boundaries; ranges past the
+    // recorded length exercise the cyclic wrap.
+    let w = spec_workload("mcf", Scale::tiny(), 42).unwrap();
+    let n = 3_000u64;
+    let path = std::env::temp_dir().join(format!(
+        "delorean-tiled-determinism-{}-lines.dlt",
+        std::process::id()
+    ));
+    delorean::trace::pack_workload_with(&w, 0..n, &path, 256).expect("pack");
+    let verified = TiledTrace::open(&path).unwrap();
+    let lazy = TiledTrace::open_unverified(&path).unwrap();
+    for (tag, t) in [("verified", &verified), ("lazy", &lazy)] {
+        for range in [5..5, 7..8, 250..262, n - 100..2 * n + 100, 0..n] {
+            let expect: Vec<_> = range.clone().map(|k| w.access_at(k % n).line()).collect();
+            for batch in [1, 7, 333] {
+                let ctx = format!("{tag} {range:?} batch {batch}");
+                let sync = drain_mixed(t.cursor(range.clone()), batch, &ctx);
+                assert_eq!(sync, expect, "{ctx}: TiledCursor");
+                let streaming =
+                    drain_mixed(Box::new(t.streaming_cursor(range.clone())), batch, &ctx);
+                assert_eq!(streaming, expect, "{ctx}: StreamingTileCursor");
+            }
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
