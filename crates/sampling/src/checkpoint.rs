@@ -92,11 +92,14 @@ impl CheckpointWarmingRunner {
         self
     }
 
-    /// Set the region-scheduler worker count evaluation runs use.
+    /// Set the region-scheduler worker count [`run`] uses.
     /// Checkpoint **evaluation** is embarrassingly region-parallel —
-    /// each unit restores its own snapshot — while the preparation pass
-    /// stays a sequential warm chain; results are byte-identical for
-    /// every value.
+    /// each unit restores its own snapshot — and above one worker the
+    /// preparation pass goes through the speculative warm lane
+    /// ([`prepare_speculative`](Self::prepare_speculative) with the
+    /// statmodel proxy); results are byte-identical for every value.
+    ///
+    /// [`run`]: SamplingStrategy::run
     pub fn with_region_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -329,16 +332,29 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         self.run_with_workers(workload, plan, self.workers)
     }
 
-    /// Prepare (sequential warm chain) and evaluate (region-parallel at
-    /// `workers`) in one call; see [`SamplingStrategy::run`] for the
-    /// report/extras split.
+    /// Prepare and evaluate (region-parallel at `workers`) in one call;
+    /// see [`SamplingStrategy::run`] for the report/extras split.
+    ///
+    /// At one worker preparation is the sequential warm chain
+    /// ([`prepare`](CheckpointWarmingRunner::prepare)). Above one it is
+    /// [`prepare_speculative`](CheckpointWarmingRunner::prepare_speculative)
+    /// with the [`ProxyStateSource::StatModel`] proxy, whose spec tasks
+    /// warm the spans between snapshots on every worker. Its
+    /// `preparation_seconds`, storage and evaluation report equal
+    /// sequential preparation's, so the [`CheckpointExtras`] and the
+    /// report are the same at every worker count.
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        let checkpoints = self.prepare(workload, plan);
+        let checkpoints = if workers > 1 {
+            self.prepare_speculative(workload, plan, ProxyStateSource::StatModel, workers)
+                .0
+        } else {
+            self.prepare(workload, plan)
+        };
         let report = self.run_with_at(&checkpoints, workload, plan, workers);
         StrategyReport::new(report).with_extras(CheckpointExtras {
             storage_bytes: checkpoints.storage_bytes(),
@@ -463,6 +479,23 @@ mod tests {
         let extras = via_trait.extras::<CheckpointExtras>().expect("extras");
         assert_eq!(extras.storage_bytes, checkpoints.storage_bytes());
         assert_eq!(extras.preparation_seconds, checkpoints.preparation_seconds);
+    }
+
+    #[test]
+    fn extras_and_report_do_not_depend_on_the_worker_count() {
+        let (w, machine, plan) = setup();
+        let runner = CheckpointWarmingRunner::new(machine);
+        let sequential = runner.run_with_workers(&w, &plan, 1);
+        let extras = sequential.extras::<CheckpointExtras>().expect("extras");
+        for workers in [2usize, 4] {
+            let parallel = runner.run_with_workers(&w, &plan, workers);
+            assert_eq!(parallel.report, sequential.report, "workers {workers}");
+            assert_eq!(
+                parallel.extras::<CheckpointExtras>(),
+                Some(extras),
+                "workers {workers}"
+            );
+        }
     }
 
     #[test]

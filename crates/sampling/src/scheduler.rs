@@ -11,7 +11,7 @@
 //! strategy's reduction (and hence its [`StrategyReport`]) is
 //! byte-identical for every worker count.
 //!
-//! Two unit shapes cover all five strategies:
+//! Three unit shapes cover all five strategies:
 //!
 //! * [`run_units`](RegionScheduler::run_units) — fully independent
 //!   units. CoolSim (per-region watchpoint profiling), MRRL (per-region
@@ -19,17 +19,25 @@
 //!   and DeLorean (Scout → Explorers → Analyst per region) each own
 //!   their cursor slices and per-region state outright, so every region
 //!   is one independent unit.
+//! * [`run_speculative`](RegionScheduler::run_speculative) — the
+//!   speculative warm lane for warm chains. SMARTS-style functional
+//!   warming cannot decouple regions by construction: the hierarchy
+//!   state at a region's warming boundary depends on every access
+//!   before it. Instead every region becomes an independent speculation
+//!   from a proxy of that state, run on every worker (the calling
+//!   thread included), and a plan-order reconciler on the calling
+//!   thread commits the ones whose proxy matched the true chain and
+//!   redoes the rest. SMARTS and checkpoint preparation take this lane
+//!   above one worker.
 //! * [`run_seeded`](RegionScheduler::run_seeded) — units seeded by a
-//!   sequential carried-state lane. SMARTS-style functional warming
-//!   *cannot* decouple regions completely: the hierarchy state at a
-//!   region's warming boundary depends on every access before it. The
-//!   seed pass runs in plan order on a producer lane (cumulatively
-//!   warming one hierarchy and handing each unit a
-//!   [`fork`](delorean_cache::Hierarchy::fork) of it), while the
-//!   measure bodies fan out across the remaining workers as their seeds
+//!   sequential carried-state lane. The seed pass runs in plan order on
+//!   a producer lane (cumulatively warming one hierarchy and handing
+//!   each unit a [`fork`](delorean_cache::Hierarchy::fork) of it), while
+//!   the bodies fan out across the remaining workers as their seeds
 //!   become available — a producer/consumer pipeline over the bounded
 //!   channel shim, mirroring the paper's OS-pipe pass pipeline at region
-//!   granularity.
+//!   granularity. SMARTS's fault-isolated path uses it, because a forked
+//!   body can be retried from a cloned seed.
 //!
 //! Determinism contract: unit bodies must be pure functions of
 //! `(unit index, region, seed)`. The scheduler never lets the worker
@@ -45,6 +53,7 @@ use crossbeam::channel::bounded;
 use delorean_trace::fault::{self, FaultPolicy, FaultSite, UnitFailure, UnitFault};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -256,10 +265,16 @@ impl RegionScheduler {
     /// Evaluate **speculative** units: `spec` bodies are fully
     /// independent (each builds its own proxy state — no chain
     /// dependency, which is the entire point of the speculative warm
-    /// lane) and fan out across `workers − 1` workers immediately, while
-    /// `reconcile` runs on the calling thread **in plan order**, folding
-    /// the sequential carried state and deciding commit vs re-measure
-    /// for each unit as its speculation arrives.
+    /// lane), while `reconcile` runs on the calling thread **in plan
+    /// order**, folding the sequential carried state and deciding
+    /// commit vs re-measure for each unit as its speculation arrives.
+    ///
+    /// Every worker speculates: `workers − 1` spawned helpers claim
+    /// `spec` tasks from a shared counter, and the calling thread claims
+    /// them too whenever it has nothing to reconcile (see
+    /// [`dispatch_speculative`](Self::dispatch_speculative)). So at two
+    /// workers two speculations run at once instead of one helper
+    /// speculating every region serially while the reconciler idles.
     ///
     /// Out-of-order speculation results are buffered until the
     /// reconciler catches up, so `reconcile(i, …)` always observes units
@@ -274,26 +289,60 @@ impl RegionScheduler {
         &self,
         regions: &[Region],
         spec: impl Fn(u32, &Region) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, S) -> R + Send,
+        mut reconcile: impl FnMut(u32, &Region, S) -> R,
     ) -> Vec<R> {
+        let mut out = Vec::with_capacity(regions.len());
+        self.dispatch_speculative(regions, spec, |i, r, s| {
+            out.push(reconcile(i, r, s));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The speculative lanes' shared dispatch loop. Returns how many
+    /// units were reconciled: all of them, unless `reconcile` broke the
+    /// chain.
+    ///
+    /// With one worker (or one unit) it interleaves spec(0),
+    /// reconcile(0), spec(1), … on the calling thread. Otherwise it
+    /// spawns `workers − 1` helpers (never more than `n − 1`) that claim
+    /// and run `spec` tasks in claim order, and the calling thread loops:
+    ///
+    /// 1. reconcile the ready plan-order prefix;
+    /// 2. take any arrived results without blocking;
+    /// 3. otherwise claim the next unclaimed `spec` task and run it;
+    /// 4. only when nothing is left to claim, block on the channel.
+    ///
+    /// Which thread runs a `spec` task is timing-dependent, but `spec`
+    /// is a pure function of `(index, region)` and reconciliation stays
+    /// in plan order, so nothing `reconcile` observes depends on the
+    /// worker count. When `reconcile` returns [`ControlFlow::Break`]
+    /// the loop stops claiming and returns once the helpers drain. The
+    /// helpers keep claiming, so above one worker every unit's `spec`
+    /// runs exactly once whether or not the chain broke.
+    fn dispatch_speculative<S: Send>(
+        &self,
+        regions: &[Region],
+        spec: impl Fn(u32, &Region) -> S + Sync,
+        mut reconcile: impl FnMut(u32, &Region, S) -> ControlFlow<()>,
+    ) -> usize {
         let n = regions.len();
         if self.workers <= 1 || n <= 1 {
-            return regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let s = spec(i as u32, r);
-                    reconcile(i as u32, r, s)
-                })
-                .collect();
+            for (i, r) in regions.iter().enumerate() {
+                let s = spec(i as u32, r);
+                if reconcile(i as u32, r, s).is_break() {
+                    return i + 1;
+                }
+            }
+            return n;
         }
-        let pool = (self.workers - 1).min(n);
+        let helpers = (self.workers - 1).min(n - 1);
         let next = AtomicUsize::new(0);
         let (done_tx, done_rx) = bounded::<(u32, S)>(n);
         let spec = &spec;
         let next = &next;
         std::thread::scope(|scope| {
-            for _ in 0..pool {
+            for _ in 0..helpers {
                 let done_tx = done_tx.clone();
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -308,21 +357,38 @@ impl RegionScheduler {
             }
             drop(done_tx);
             let mut pending: Vec<Option<S>> = (0..n).map(|_| None).collect();
-            let mut out = Vec::with_capacity(n);
-            for (i, s) in done_rx.iter() {
-                pending[i as usize] = Some(s);
-                while out.len() < n {
-                    match pending[out.len()].take() {
-                        Some(s) => {
-                            let i = out.len() as u32;
-                            out.push(reconcile(i, &regions[i as usize], s));
-                        }
-                        None => break,
+            let mut reconciled = 0;
+            loop {
+                while let Some(s) = pending.get_mut(reconciled).and_then(Option::take) {
+                    let flow = reconcile(reconciled as u32, &regions[reconciled], s);
+                    reconciled += 1;
+                    if flow.is_break() {
+                        return reconciled;
                     }
                 }
+                if reconciled == n {
+                    return n;
+                }
+                if let Ok((i, s)) = done_rx.try_recv() {
+                    pending[i as usize] = Some(s);
+                    continue;
+                }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i < n {
+                    pending[i] = Some(spec(i as u32, &regions[i]));
+                    continue;
+                }
+                match done_rx.recv() {
+                    Ok((i, s)) => pending[i as usize] = Some(s),
+                    // Every helper is gone with a claimed unit unsent.
+                    Err(_) => std::panic::panic_any(LostUnits {
+                        units: (reconciled..n)
+                            .filter(|&k| pending[k].is_none())
+                            .map(|k| k as u32)
+                            .collect(),
+                    }),
+                }
             }
-            assert_eq!(out.len(), n, "every speculation must arrive");
-            out
         })
     }
 
@@ -548,7 +614,7 @@ impl RegionScheduler {
         regions: &[Region],
         policy: &FaultPolicy,
         spec: impl Fn(u32, &Region) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R + Send,
+        mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
         let n = regions.len();
         let reconcile_once = FaultPolicy { retry_budget: 0 };
@@ -571,89 +637,34 @@ impl RegionScheduler {
                 reconcile(i, r, slot.take().flatten())
             })
         };
-        if self.workers <= 1 || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut poisoned: Option<u32> = None;
-            for (i, r) in regions.iter().enumerate() {
-                let iu = i as u32;
-                if let Some(upstream) = poisoned {
+        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
+        let mut failures = Vec::new();
+        let reconciled = self.dispatch_speculative(regions, guarded_spec, |i, r, s| {
+            match guarded_reconcile(i, r, s) {
+                Ok(v) => {
+                    out.push(Some(v));
+                    ControlFlow::Continue(())
+                }
+                Err(f) => {
                     out.push(None);
-                    failures.push(UnitFailure {
-                        unit: iu,
-                        attempts: 0,
-                        fault: UnitFault::ChainPoisoned { upstream },
-                    });
-                    continue;
-                }
-                let s = guarded_spec(iu, r);
-                match guarded_reconcile(iu, r, s) {
-                    Ok(v) => out.push(Some(v)),
-                    Err(f) => {
-                        out.push(None);
-                        failures.push(f);
-                        poisoned = Some(iu);
-                    }
+                    failures.push(f);
+                    ControlFlow::Break(())
                 }
             }
-            return (out, failures);
+        });
+        // A dead reconciler broke the chain at unit `reconciled − 1`:
+        // every later unit is poisoned and never reconciled.
+        for iu in reconciled as u32..n as u32 {
+            out.push(None);
+            failures.push(UnitFailure {
+                unit: iu,
+                attempts: 0,
+                fault: UnitFault::ChainPoisoned {
+                    upstream: reconciled as u32 - 1,
+                },
+            });
         }
-        let pool = (self.workers - 1).min(n);
-        let next = AtomicUsize::new(0);
-        let (done_tx, done_rx) = bounded::<(u32, Option<S>)>(n);
-        let guarded_spec = &guarded_spec;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..pool {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    let s = guarded_spec(i as u32, &regions[i]);
-                    if done_tx.send((i as u32, s)).is_err() {
-                        return;
-                    }
-                });
-            }
-            drop(done_tx);
-            let mut pending: Vec<Option<Option<S>>> = (0..n).map(|_| None).collect();
-            let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut poisoned: Option<u32> = None;
-            for (i, s) in done_rx.iter() {
-                pending[i as usize] = Some(s);
-                while out.len() < n {
-                    let k = out.len();
-                    match pending[k].take() {
-                        Some(sopt) => {
-                            let iu = k as u32;
-                            if let Some(upstream) = poisoned {
-                                out.push(None);
-                                failures.push(UnitFailure {
-                                    unit: iu,
-                                    attempts: 0,
-                                    fault: UnitFault::ChainPoisoned { upstream },
-                                });
-                                continue;
-                            }
-                            match guarded_reconcile(iu, &regions[k], sopt) {
-                                Ok(v) => out.push(Some(v)),
-                                Err(f) => {
-                                    out.push(None);
-                                    failures.push(f);
-                                    poisoned = Some(iu);
-                                }
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            assert_eq!(out.len(), n, "every speculation must arrive");
-            (out, failures)
-        })
+        (out, failures)
     }
 }
 
@@ -671,6 +682,8 @@ mod tests {
     use super::*;
     use crate::SamplingConfig;
     use delorean_trace::Scale;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn regions(n: u32) -> Vec<Region> {
         SamplingConfig::for_scale(Scale::tiny())
@@ -924,7 +937,7 @@ mod tests {
     fn a_dead_reconciler_poisons_downstream_units() {
         let rs = regions(5);
         let policy = FaultPolicy::default();
-        for workers in [1, 3] {
+        for workers in [1, 2, 8] {
             let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
                 &rs,
                 &policy,
@@ -941,13 +954,102 @@ mod tests {
                 [true, true, false, false, false],
                 "workers={workers}"
             );
-            assert_eq!(failures.len(), 3);
+            assert_eq!(failures.len(), 3, "workers={workers}");
             assert_eq!(failures[0].unit, 2);
             assert_eq!(failures[0].attempts, 1);
-            assert!(matches!(
-                failures[2].fault,
-                UnitFault::ChainPoisoned { upstream: 2 }
-            ));
+            for (f, unit) in failures[1..].iter().zip([3u32, 4]) {
+                assert_eq!(f.unit, unit);
+                assert_eq!(f.attempts, 0);
+                assert!(matches!(f.fault, UnitFault::ChainPoisoned { upstream: 2 }));
+            }
+        }
+    }
+
+    /// Poll `flag` for about ten seconds; `true` once it holds. The
+    /// bound turns a schedule that never overlaps the two bodies into a
+    /// failure instead of a hang.
+    fn wait_for(flag: impl Fn() -> bool) -> bool {
+        for _ in 0..10_000 {
+            if flag() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        flag()
+    }
+
+    #[test]
+    fn two_workers_run_two_speculations_at_once() {
+        let rs = regions(2);
+        // Each spec body checks in, then waits for the other one. A
+        // schedule that speculates on one thread at two workers would
+        // leave the first body waiting out its deadline alone.
+        let arrived = AtomicUsize::new(0);
+        let got = RegionScheduler::new(2).run_speculative(
+            &rs,
+            |_, _| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                wait_for(|| arrived.load(Ordering::SeqCst) == 2)
+            },
+            |_, _, met| met,
+        );
+        assert_eq!(got, [true, true], "the two spec bodies never overlapped");
+    }
+
+    #[test]
+    fn reconcile_stays_in_plan_order_while_the_caller_speculates() {
+        let rs = regions(6);
+        let reference: Vec<u64> = {
+            let mut acc = 0u64;
+            rs.iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    acc = acc.wrapping_mul(31).wrapping_add(r.start_instr + i as u64);
+                    acc
+                })
+                .collect()
+        };
+        for workers in [2, 3, 8] {
+            // Spec 0 finishes only after spec 1 has, so results arrive
+            // out of plan order; the reconciler must still fold 0, 1, …
+            let spec1_done = AtomicBool::new(false);
+            let spec_threads = Mutex::new(Vec::new());
+            let caller = std::thread::current().id();
+            let mut order = Vec::new();
+            let mut acc = 0u64;
+            let got = RegionScheduler::new(workers).run_speculative(
+                &rs,
+                |i, r| {
+                    if i == 0 {
+                        assert!(
+                            wait_for(|| spec1_done.load(Ordering::SeqCst)),
+                            "spec 1 never ran beside spec 0"
+                        );
+                    }
+                    spec_threads
+                        .lock()
+                        .expect("spec thread log")
+                        .push(std::thread::current().id());
+                    if i == 1 {
+                        spec1_done.store(true, Ordering::SeqCst);
+                    }
+                    r.start_instr + u64::from(i)
+                },
+                |i, _, s| {
+                    order.push(i);
+                    acc = acc.wrapping_mul(31).wrapping_add(s);
+                    acc
+                },
+            );
+            assert_eq!(got, reference, "workers={workers}");
+            assert_eq!(order, (0..rs.len() as u32).collect::<Vec<_>>());
+            // At two workers the lone helper blocks in whichever of
+            // spec 0 and spec 1 it claimed first, so the caller must run
+            // the other; above that, helpers may claim everything.
+            let threads = spec_threads.into_inner().expect("spec thread log");
+            if workers == 2 {
+                assert!(threads.contains(&caller), "the caller never speculated");
+            }
         }
     }
 

@@ -82,10 +82,12 @@ impl SmartsRunner {
     /// proxy of the chain state at the region's boundary (see
     /// [`ProxyStateSource`]), record its digest, then warm and measure
     /// in place from it — no chain dependency, so tasks fan out across
-    /// `workers − 1` workers at once. The reconciler advances the true
-    /// carried state in plan order: when its digest equals the proxy's,
-    /// the worker's start state was behaviourally identical to the
-    /// chain's, so its measurement *and its end state* are adopted
+    /// all `workers` workers at once (the reconciling caller claims
+    /// spec tasks too whenever it has nothing to reconcile; see
+    /// [`RegionScheduler::run_speculative`]). The reconciler advances
+    /// the true carried state in plan order: when its digest equals the
+    /// proxy's, the worker's start state was behaviourally identical to
+    /// the chain's, so its measurement *and its end state* are adopted
     /// verbatim (the chain skips the region's warm work entirely — the
     /// source of the modeled speedup); otherwise the region is
     /// re-warmed and re-measured from the true state.
@@ -290,27 +292,24 @@ impl SamplingStrategy for SmartsRunner {
         self.run_with_workers(workload, plan, self.workers)
     }
 
-    /// SMARTS under the region scheduler: functional warming is the
-    /// **chained lane** — the hierarchy at a region's warming boundary
-    /// depends on every access before it, so the warm pass runs in plan
-    /// order on the seed lane — while the measure bodies (detailed
-    /// warming + measured region, each on a [`Hierarchy::fork`] of the
-    /// boundary state) fan out across workers.
+    /// SMARTS under the region scheduler.
     ///
-    /// To keep the carried state exact, the seed lane *replays* each
-    /// measured span functionally after forking: `simulate_detailed`
-    /// issues precisely the data accesses `(pc, line, index)` of the
-    /// span through the shared access core, so the functional replay
-    /// leaves the chain hierarchy bit-identical to what the classic
-    /// sequential driver's in-place measurement left behind (the PR 4
-    /// oracle in `bench_pr5` pins this). The replay is charged to the
-    /// chained lane at functional speed, face value — the honest price
-    /// a region-parallel SMARTS pays for decoupling.
+    /// At one worker the warm chain runs in place: functional warming
+    /// up to each region's detailed-warming boundary, then detailed
+    /// warming and the measured region on the same hierarchy, which
+    /// leaves it at the next boundary's state.
     ///
-    /// At one worker the fork and replay would be pure overhead, so the
-    /// sequential path measures in place on the chain hierarchy — with
-    /// the *same* charge structure, so the report stays byte-identical
-    /// to every parallel execution (asserted by `tests/determinism.rs`).
+    /// Above one worker the chain itself is the bottleneck — the warm
+    /// span dominates every region, so decoupling only the measure
+    /// bodies buys no overlap. The run therefore goes through the
+    /// speculative warm lane with the [`ProxyStateSource::StatModel`]
+    /// proxy (see
+    /// [`run_speculative_with_workers`](SmartsRunner::run_speculative_with_workers)),
+    /// whose spec tasks warm and measure whole regions on every worker.
+    /// Its report is bitwise identical to the in-place path's, and its
+    /// [`SpeculationExtras`] are dropped, so a plain SMARTS
+    /// [`StrategyReport`] is the same at every worker count (asserted
+    /// by `tests/determinism.rs` and `tests/golden_reports.rs`).
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
@@ -320,73 +319,53 @@ impl SamplingStrategy for SmartsRunner {
         if let Some(proxy) = self.proxy {
             return self.run_speculative_with_workers(workload, plan, proxy, workers);
         }
+        if workers > 1 {
+            let spec = self.run_speculative_with_workers(
+                workload,
+                plan,
+                ProxyStateSource::StatModel,
+                workers,
+            );
+            return spec.into_report().into();
+        }
         let p = workload.mem_period();
         let mult = plan.config.work_multiplier();
         let mut hierarchy = Hierarchy::new(&self.machine);
         let mut pos_access: u64 = 0;
-
-        if workers <= 1 {
-            // In-place sequential path: identical access sequence, state
-            // evolution and cost charges as the decomposed path below —
-            // measuring on the chain mutates it exactly as the replay
-            // would (one shared access core) — minus the per-region
-            // hierarchy copy and the second traversal of the measured
-            // span. The replay seconds are still charged so the cost
-            // accounting does not depend on the worker count.
-            let mut chained = Vec::with_capacity(plan.regions.len());
-            let mut units = Vec::with_capacity(plan.regions.len());
-            for region in &plan.regions {
-                let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-                hierarchy.warm_range(workload, step.warm);
-                pos_access = step.next_pos;
-                chained.push(step.seconds);
-
-                let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-                let mut source =
-                    |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-                units.push(driver.measure_region(region, &mut source));
-            }
-            return reduce_units(workload, plan, self.name(), &chained, units).into();
-        }
-
-        let seed = move |_i: u32, region: &Region| {
-            // Functional warming: simulate every access up to the start
-            // of detailed warming, batched slice-at-a-time straight into
-            // the hierarchy, then fork the boundary state for the unit
-            // and replay the measured span so the next region's warm
-            // state matches the sequential driver exactly.
+        // The replay seconds in each chain step are still charged, so
+        // the cost accounting matches the fork-and-replay isolated path
+        // and the speculative lane.
+        let mut chained = Vec::with_capacity(plan.regions.len());
+        let mut units = Vec::with_capacity(plan.regions.len());
+        for region in &plan.regions {
             let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
             hierarchy.warm_range(workload, step.warm);
-            let unit_state = hierarchy.fork();
-            hierarchy.warm_range(workload, step.measured);
             pos_access = step.next_pos;
-            (unit_state, step.seconds)
-        };
+            chained.push(step.seconds);
 
-        let body = |_i: u32, region: &Region, (mut warm, chain_seconds): (Hierarchy, f64)| {
-            // Detailed warming + detailed region on the (fully warm)
-            // forked hierarchy.
             let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-            let mut source = |a: &MemAccess, now: u64| warm.access_data(a.pc, a.line(), now);
-            (chain_seconds, driver.measure_region(region, &mut source))
-        };
-
-        let outputs = RegionScheduler::new(workers).run_seeded(&plan.regions, seed, body);
-        let (chained, units): (Vec<f64>, Vec<_>) = outputs.into_iter().unzip();
+            let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
+            units.push(driver.measure_region(region, &mut source));
+        }
         reduce_units(workload, plan, self.name(), &chained, units).into()
     }
 
     /// SMARTS with per-unit panic isolation.
     ///
-    /// Always takes the **fork-based seeded path** — even at one worker,
-    /// where the plain run measures in place on the chain hierarchy. An
-    /// in-place measurement mutates the carried state as it goes, so a
-    /// mid-flight fault would leave the chain unrecoverable; the fork
-    /// path hands each body its own [`Hierarchy::fork`], making bodies
-    /// retryable from a cloned seed and keeping the chain pristine. The
-    /// two paths charge identical costs by construction (see
-    /// [`run_with_workers`](SamplingStrategy::run_with_workers)), so a
-    /// clean isolated run is still bitwise identical to the plain run.
+    /// Always takes the **fork-based seeded path**: functional warming
+    /// is the chained seed lane, and each measure body (detailed warming
+    /// and the measured region) runs on its own [`Hierarchy::fork`] of the
+    /// boundary state, fanned out across workers. To keep the carried
+    /// state exact the seed lane *replays* each measured span
+    /// functionally after forking: `simulate_detailed` issues precisely
+    /// the data accesses of the span through the shared access core, so
+    /// the replay leaves the chain bit-identical to an in-place
+    /// measurement. An in-place measurement mutates the carried state as
+    /// it goes, so a mid-flight fault would leave the chain
+    /// unrecoverable; the fork path makes bodies retryable from a cloned
+    /// seed and keeps the chain pristine. Every path takes its
+    /// boundaries and charges from one `chain_step`, so a clean isolated
+    /// run is still bitwise identical to the plain run.
     ///
     /// With speculation enabled the run goes through
     /// [`run_speculative_isolated_with_workers`](SmartsRunner::run_speculative_isolated_with_workers)
@@ -463,10 +442,11 @@ struct ChainStep {
     seconds: f64,
 }
 
-/// Compute one region's chain step. Both SMARTS paths (in-place
-/// sequential and fork-and-replay decomposed) take their boundaries and
-/// charges from this one function, which is what keeps their reports
-/// byte-identical by construction.
+/// Compute one region's chain step. Every SMARTS path (in-place
+/// sequential, the speculative lane's reconciler and the isolated
+/// fork-and-replay seed lane) takes its boundaries and charges from this
+/// one function, which is what keeps their reports byte-identical by
+/// construction.
 fn chain_step(
     cost: &CostModel,
     workload: &dyn Workload,
@@ -621,6 +601,19 @@ mod tests {
             report.report,
             SmartsRunner::new(machine).run(&w, &plan).report
         );
+    }
+
+    #[test]
+    fn plain_runs_above_one_worker_carry_no_speculation_extras() {
+        let w = spec_workload("mcf", Scale::tiny(), 1).unwrap();
+        let plan = quick_plan();
+        let runner = SmartsRunner::new(MachineConfig::for_scale(Scale::tiny()));
+        let sequential = runner.run(&w, &plan);
+        for workers in [2usize, 3] {
+            let parallel = runner.run_with_workers(&w, &plan, workers);
+            assert!(parallel.extras::<SpeculationExtras>().is_none());
+            assert_eq!(parallel.report, sequential.report, "workers {workers}");
+        }
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! table printed, so an intended re-baseline is one reviewable diff of
 //! [`GOLDEN`].
 //!
-//! The strategies are the ones whose access scans read only cachelines:
-//! DeLorean (Scout and Explorers), a design-space exploration over the
-//! 10-point LLC sweep (one digest over all ten analyst reports), CoolSim
-//! (watchpoint interval), MRRL (reuse-latency profile) and SMARTS through
-//! the speculative lane with the statmodel proxy (its probe scan).
+//! The strategies are DeLorean (Scout and Explorers), a design-space
+//! exploration over the 10-point LLC sweep (one digest over all ten
+//! analyst reports), CoolSim (watchpoint interval), MRRL (reuse-latency
+//! profile), SMARTS through the speculative lane with the statmodel proxy
+//! (its probe scan), and plain SMARTS and checkpointed warming, whose
+//! warm chains run in place at one worker and through the speculative
+//! lane above it, so their 1- and 2-worker rows pin the two schedules
+//! against each other.
 
 use delorean::bench::journal::encode_cell;
 use delorean::prelude::*;
@@ -40,6 +43,12 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("smarts-spec", "mcf", 0x89406631eb1ac366),
     ("smarts-spec", "povray", 0xe119b85dd0a5984d),
     ("smarts-spec", "soplex", 0x5c7db490092a9772),
+    ("smarts", "mcf", 0x89406631eb1ac366),
+    ("smarts", "povray", 0xe119b85dd0a5984d),
+    ("smarts", "soplex", 0x5c7db490092a9772),
+    ("checkpoint", "mcf", 0x2c2ff2cb605b59c3),
+    ("checkpoint", "povray", 0xea5b58209fe5c39e),
+    ("checkpoint", "soplex", 0x1ec34d83db5124bb),
 ];
 
 fn digest(reports: &[SimulationReport]) -> u64 {
@@ -86,6 +95,8 @@ fn run(strategy: &str, w: &dyn Workload, workers: usize) -> Vec<SimulationReport
             ProxyStateSource::StatModel,
             workers,
         ),
+        "smarts" => SmartsRunner::new(machine).run_with_workers(w, &plan, workers),
+        "checkpoint" => CheckpointWarmingRunner::new(machine).run_with_workers(w, &plan, workers),
         other => panic!("unknown strategy {other}"),
     };
     vec![report.into_report()]
@@ -141,4 +152,14 @@ fn mrrl_reports_match_golden() {
 #[test]
 fn speculative_smarts_reports_match_golden() {
     check("smarts-spec");
+}
+
+#[test]
+fn smarts_reports_match_golden() {
+    check("smarts");
+}
+
+#[test]
+fn checkpoint_reports_match_golden() {
+    check("checkpoint");
 }
