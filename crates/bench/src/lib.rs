@@ -19,10 +19,12 @@
 //! | [`experiments::fig14`] | Fig. 14 — CPI vs LLC size from one shared warm-up (+ §6.4.2 costs) |
 //! | [`experiments::ablation`] | design-choice ablations called out in DESIGN.md |
 //!
-//! One binary per figure lives in `src/bin/`; `run_all` executes
-//! everything and emits the EXPERIMENTS.md payload. `cargo bench` runs
-//! criterion microbenchmarks of the substrates (`benches/substrates.rs`)
-//! and regenerates every figure (`benches/figures.rs`).
+//! One binary per figure lives in `src/bin/`, next to `trace-pack`
+//! (pack, inspect and verify tile files); `run_all` executes everything
+//! and emits the EXPERIMENTS.md payload. `cargo bench` runs criterion
+//! microbenchmarks of the substrates (`benches/substrates.rs`) and
+//! regenerates every figure (`benches/figures.rs`). Performance is
+//! measured by the separate `simbench` package, not by this crate.
 //!
 //! Every experiment funnels its strategy runs through [`BatchExecutor`],
 //! which fans `Box<dyn SamplingStrategy>` × workload matrices out across
@@ -32,15 +34,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod hierloop;
 pub mod journal;
 mod options;
-pub mod probeloop;
 mod runs;
-pub mod seqdriver;
 mod table;
-pub mod tileloop;
-pub mod warmloop;
 
 pub use options::ExpOptions;
 pub use runs::{

@@ -1,6 +1,6 @@
 //! Experiment options and a dependency-free CLI argument parser.
 
-use delorean_trace::Scale;
+use delorean_trace::{Scale, SPEC2006_NAMES};
 
 /// Options shared by every experiment binary.
 #[derive(Clone, Debug)]
@@ -9,9 +9,10 @@ pub struct ExpOptions {
     pub scale: Scale,
     /// Workload suite seed.
     pub seed: u64,
-    /// Restrict the suite to names containing this substring.
+    /// Restrict the suite to names containing this substring (it must
+    /// match at least one suite workload).
     pub filter: Option<String>,
-    /// Override the region count.
+    /// Override the region count (at least 1).
     pub regions: Option<u32>,
 }
 
@@ -42,7 +43,8 @@ impl ExpOptions {
     ///
     /// # Errors
     ///
-    /// Returns a usage message on unknown flags or malformed values.
+    /// Returns a usage message on unknown flags, malformed values, a
+    /// zero region count, or a filter that selects no workload.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = ExpOptions::default();
         let mut it = args.into_iter();
@@ -63,13 +65,21 @@ impl ExpOptions {
                         .parse()
                         .map_err(|e| format!("bad seed: {e}"))?;
                 }
-                "--filter" => opts.filter = Some(value("--filter")?),
+                "--filter" => {
+                    let filter = value("--filter")?;
+                    if !SPEC2006_NAMES.iter().any(|n| n.contains(filter.as_str())) {
+                        return Err(format!("filter '{filter}' matches no workload"));
+                    }
+                    opts.filter = Some(filter);
+                }
                 "--regions" => {
-                    opts.regions = Some(
-                        value("--regions")?
-                            .parse()
-                            .map_err(|e| format!("bad region count: {e}"))?,
-                    );
+                    let regions: u32 = value("--regions")?
+                        .parse()
+                        .map_err(|e| format!("bad region count: {e}"))?;
+                    if regions == 0 {
+                        return Err("bad region count: must be at least 1".to_string());
+                    }
+                    opts.regions = Some(regions);
                 }
                 other => {
                     return Err(format!(
@@ -144,5 +154,7 @@ mod tests {
         assert!(parse(&["--scale", "giant"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "abc"]).is_err());
+        assert!(parse(&["--regions", "0"]).is_err());
+        assert!(parse(&["--filter", "zzz"]).is_err());
     }
 }

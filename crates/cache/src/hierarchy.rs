@@ -17,8 +17,7 @@
 //!
 //! Both paths run the **same** inlined access core, so they are
 //! bit-identical in cache state, MSHR state and statistics — pinned by
-//! the `batched_equivalence` property tests and re-checked by the
-//! `bench_pr4` oracle.
+//! the `batched_equivalence` property tests.
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;

@@ -271,8 +271,8 @@ impl RegionScheduler {
     ///
     /// Every worker speculates: `workers − 1` spawned helpers claim
     /// `spec` tasks from a shared counter, and the calling thread claims
-    /// them too whenever it has nothing to reconcile (see
-    /// [`dispatch_speculative`](Self::dispatch_speculative)). So at two
+    /// them too whenever it has nothing to reconcile (see the private
+    /// `dispatch_speculative` loop). So at two
     /// workers two speculations run at once instead of one helper
     /// speculating every region serially while the reconciler idles.
     ///

@@ -170,8 +170,7 @@ impl std::fmt::Debug for dyn AccessCursor + '_ {
 
 /// The indexed fallback cursor: regenerates each access through
 /// [`Workload::access_at`]. Correct for every workload; used by the
-/// default [`Workload::cursor`](crate::Workload::cursor) implementation
-/// and as the baseline in the `warmloop` benchmarks.
+/// default [`Workload::cursor`](crate::Workload::cursor) implementation.
 #[derive(Debug)]
 pub struct IndexedCursor<'w, W: Workload + ?Sized> {
     workload: &'w W,

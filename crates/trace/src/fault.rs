@@ -2,7 +2,7 @@
 //!
 //! The fault-tolerant sweep runtime (PR 9) treats every unit of work —
 //! a region unit in the scheduler, a strategy×workload cell in the
-//! batch executor, a decoded tile batch, a journal append — as a
+//! batch executor, a journal append — as a
 //! *fault domain*: a failure inside it is caught, classified, retried
 //! against a bounded budget, and quarantined when the budget is
 //! exhausted, instead of tearing down the whole run. This module owns
@@ -57,27 +57,25 @@ pub enum FaultSite {
     /// Entry of one reconciler commit step in the speculative warm
     /// lane, before the carried state advances.
     ReconcilerCommit,
-    /// Inside the streaming tile decoder thread, before a batch is
-    /// sent — kills the decoder mid-stream.
-    DecoderThread,
     /// A journal append; surfaces as a typed error, never a panic.
     JournalWrite,
 }
 
 impl FaultSite {
     /// Every site, in a fixed order.
-    pub const ALL: [FaultSite; 4] = [
+    pub const ALL: [FaultSite; 3] = [
         FaultSite::UnitEntry,
         FaultSite::ReconcilerCommit,
-        FaultSite::DecoderThread,
         FaultSite::JournalWrite,
     ];
 
+    // `index`, `bit` and `salt` are stable identifiers: renumbering a
+    // site would change which units an existing plan strikes, so the
+    // unused slot 2 / bit 4 stays a gap.
     fn index(self) -> u64 {
         match self {
             FaultSite::UnitEntry => 0,
             FaultSite::ReconcilerCommit => 1,
-            FaultSite::DecoderThread => 2,
             FaultSite::JournalWrite => 3,
         }
     }
@@ -86,7 +84,6 @@ impl FaultSite {
         match self {
             FaultSite::UnitEntry => 1,
             FaultSite::ReconcilerCommit => 2,
-            FaultSite::DecoderThread => 4,
             FaultSite::JournalWrite => 8,
         }
     }
@@ -97,7 +94,6 @@ impl FaultSite {
         match self {
             FaultSite::UnitEntry => 0x5175_17e0_u64,
             FaultSite::ReconcilerCommit => 0x0c03_3317,
-            FaultSite::DecoderThread => 0xdec0_de00,
             FaultSite::JournalWrite => 0x10fa_11ed,
         }
     }
@@ -275,7 +271,7 @@ pub struct InjectedTimeout;
 
 /// Panic payload of an injected opaque panic (kept as a dedicated type
 /// so the quiet hook can recognize it on threads outside a guarded
-/// unit, e.g. the tile decoder thread).
+/// unit).
 #[derive(Clone, Debug)]
 pub struct InjectedPanic(pub String);
 
@@ -586,14 +582,14 @@ mod tests {
     use super::*;
 
     // NOTE: tests here never `arm()` — the registry is process-global
-    // and other trace unit tests (tile decoding) run concurrently.
+    // and other trace unit tests run concurrently.
     // Arming tests live in the dedicated `crates/trace/tests` binaries.
 
     #[test]
     fn plans_are_pure_functions() {
         let plan = FaultPlan::new(99)
             .at(FaultSite::UnitEntry)
-            .at(FaultSite::DecoderThread)
+            .at(FaultSite::ReconcilerCommit)
             .every(3)
             .strikes(2);
         for site in FaultSite::ALL {

@@ -102,8 +102,8 @@ pub use rng::{mix64, CounterRng};
 pub use scale::Scale;
 pub use spec::{spec2006, spec_workload, SPEC2006_NAMES};
 pub use tile::{
-    pack_workload, pack_workload_with, PackSummary, StreamingTileCursor, TileError, TileFile,
-    TileFileWriter, TiledCursor, TiledTrace,
+    pack_workload, pack_workload_with, PackSummary, TileError, TileFile, TileFileWriter,
+    TiledCursor, TiledTrace,
 };
 pub use types::{AccessKind, Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
 

@@ -42,19 +42,14 @@
 //! cursor slice a [`RegionScheduler`] unit asks for — is O(1) pointer
 //! arithmetic into the map.
 //!
-//! # Three consumers
+//! # Two consumers
 //!
 //! * [`TiledTrace::access_at`] — random access: decode one record in
 //!   place (DSW key probes, tests).
-//! * [`TiledCursor`] — the default sequential cursor: decodes record
-//!   spans straight out of the memory map into the caller's `fill`
-//!   buffer, with zero validation in the loop once the file has been
-//!   eagerly verified.
-//! * [`StreamingTileCursor`] — a background decoder thread streams
-//!   decoded tiles over a bounded channel (the crossbeam shim), so
-//!   decode overlaps simulation and backpressure caps memory at a few
-//!   tiles; `fill` is again a `memcpy`. Spent batches are recycled back
-//!   to the decoder to keep the steady state allocation-free.
+//! * [`TiledCursor`] — the sequential cursor: decodes record spans
+//!   straight out of the memory map into the caller's `fill` buffer,
+//!   with zero validation in the loop once the file has been eagerly
+//!   verified.
 //!
 //! Corrupt or truncated files surface as typed [`TileError`]s — at
 //! [`TileFile::open`] for structural damage, at decode time for payload
@@ -62,7 +57,7 @@
 //! infallible [`Workload`] surface can never observe a bad tile;
 //! [`TiledTrace::open_unverified`] defers the cost, and then a decode
 //! error ends the cursor stream early and is reported through
-//! [`TiledCursor::error`] / [`StreamingTileCursor::error`].
+//! [`TiledCursor::error`].
 //!
 //! [`RegionScheduler`]: crate::AccessCursor
 //!
@@ -87,7 +82,6 @@ use crate::cursor::AccessCursor;
 use crate::rng::mix64;
 use crate::types::{AccessKind, Addr, LineAddr, MemAccess, Pc};
 use crate::Workload;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use memmap2::Mmap;
 use std::fmt;
 use std::fs::File;
@@ -96,7 +90,6 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// File magic: the first 8 bytes of every tile file.
 pub const FILE_MAGIC: [u8; 8] = *b"DLRNTILE";
@@ -111,8 +104,8 @@ pub const TILE_HEADER_BYTES: usize = 40;
 /// Packed record width: pc (8) + addr (8) + kind (1).
 pub const RECORD_BYTES: usize = 17;
 /// Default records per tile (~68 KiB of payload: big enough to amortize
-/// the header + checksum, small enough that a decoded tile stays cache-
-/// and channel-friendly).
+/// the header + checksum, small enough that a decoded tile stays
+/// cache-friendly).
 pub const DEFAULT_TILE_RECORDS: u32 = 4096;
 /// Maximum workload-name length storable in the header.
 pub const NAME_BYTES: usize = 32;
@@ -163,11 +156,12 @@ pub enum TileError {
         /// Checksum computed over the payload.
         computed: u64,
     },
-    /// The background decoder thread of a streaming cursor died
-    /// (panicked or exited early) before producing every record its
-    /// range promised.
+    /// A trace error raised on another process, carried across the
+    /// shard wire as its display text (see
+    /// `delorean_shard::wire::WireFault`): the remote error's variant
+    /// does not survive the trip, only its description.
     DecoderFailed {
-        /// Best-effort description of how the decoder died.
+        /// The remote error's description.
         detail: String,
     },
     /// The file (or the range being packed) contains no records.
@@ -905,20 +899,14 @@ impl TileFile {
 ///
 /// Like [`RecordedTrace`](crate::RecordedTrace), the trace extends
 /// cyclically past its recorded length so longer region plans stay
-/// valid. Sequential consumers get [`TiledCursor`] by default;
-/// [`with_streaming`](TiledTrace::with_streaming) switches multi-tile
-/// ranges to the background-decoder [`StreamingTileCursor`] — both are
-/// byte-identical to [`access_at`](Workload::access_at), so strategies
-/// and [`RegionScheduler`] units consume either transparently.
+/// valid. Sequential consumers get a [`TiledCursor`], byte-identical to
+/// [`access_at`](Workload::access_at), so strategies and
+/// [`RegionScheduler`] units consume it transparently.
 ///
 /// [`RegionScheduler`]: crate::AccessCursor
 #[derive(Clone, Debug)]
 pub struct TiledTrace {
     file: Arc<TileFile>,
-    streaming: bool,
-    channel_tiles: usize,
-    batch_len: usize,
-    decoder_retry: crate::fault::FaultPolicy,
 }
 
 impl TiledTrace {
@@ -937,9 +925,8 @@ impl TiledTrace {
 
     /// Open without the eager checksum pass. Payload corruption then
     /// surfaces at decode time: cursors end their stream early and
-    /// report the error through [`TiledCursor::error`] /
-    /// [`StreamingTileCursor::error`], and [`Workload::access_at`]
-    /// decodes without checksumming.
+    /// report the error through [`TiledCursor::error`], and
+    /// [`Workload::access_at`] decodes without checksumming.
     ///
     /// # Errors
     ///
@@ -953,49 +940,7 @@ impl TiledTrace {
     pub fn from_file(file: TileFile) -> Self {
         TiledTrace {
             file: Arc::new(file),
-            streaming: false,
-            channel_tiles: 4,
-            batch_len: usize::MAX,
-            decoder_retry: crate::fault::FaultPolicy { retry_budget: 0 },
         }
-    }
-
-    /// Toggle the background-decoder streaming cursor for sequential
-    /// ranges spanning more than one tile (default: off — the in-place
-    /// [`TiledCursor`] wins whenever decode is cheaper than a thread
-    /// handoff, which is the common case on few-core hosts).
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Bound (in tiles) of the streaming cursor's channel: the decoder
-    /// runs at most this many tiles ahead of the consumer.
-    pub fn with_channel_tiles(mut self, tiles: usize) -> Self {
-        self.channel_tiles = tiles.max(1);
-        self
-    }
-
-    /// Cap (in records) on each batch the streaming decoder hands over
-    /// the channel (default: a whole tile span). Smaller batches trade
-    /// handoff frequency for lower first-record latency and a smaller
-    /// per-batch footprint; `records` is clamped to at least 1.
-    pub fn with_batch_len(mut self, records: usize) -> Self {
-        self.batch_len = records.max(1);
-        self
-    }
-
-    /// Retry budget for **decoder-thread deaths** on streaming cursors
-    /// handed out by this trace (default: no retries). Within the
-    /// budget a cursor whose background decoder dies respawns a fresh
-    /// decoder from its exact consumer position and the stream
-    /// continues byte-identically; past it the death surfaces as
-    /// [`TileError::DecoderFailed`] through
-    /// [`StreamingTileCursor::error`] as before. Decode *errors*
-    /// (corrupt tiles) are deterministic and are never retried.
-    pub fn with_decoder_retry(mut self, policy: crate::fault::FaultPolicy) -> Self {
-        self.decoder_retry = policy;
-        self
     }
 
     /// The underlying tile file.
@@ -1006,18 +951,6 @@ impl TiledTrace {
     /// Number of recorded accesses before the cyclic extension.
     pub fn recorded_len(&self) -> u64 {
         self.file.record_count()
-    }
-
-    /// A streaming cursor with its own background decoder thread,
-    /// regardless of the [`with_streaming`](Self::with_streaming) mode.
-    pub fn streaming_cursor(&self, range: Range<u64>) -> StreamingTileCursor {
-        StreamingTileCursor::with_batch_len(
-            Arc::clone(&self.file),
-            range,
-            self.channel_tiles,
-            self.batch_len,
-        )
-        .with_retry(self.decoder_retry)
     }
 }
 
@@ -1045,16 +978,11 @@ impl Workload for TiledTrace {
     }
 
     fn cursor<'a>(&'a self, range: Range<u64>) -> Box<dyn AccessCursor + 'a> {
-        let len = range.end.saturating_sub(range.start);
-        if self.streaming && len > self.file.tile_records() as u64 {
-            Box::new(self.streaming_cursor(range))
-        } else {
-            Box::new(TiledCursor::new(Arc::clone(&self.file), range))
-        }
+        Box::new(TiledCursor::new(Arc::clone(&self.file), range))
     }
 }
 
-/// The default sequential cursor over a [`TiledTrace`]: serves
+/// The sequential cursor over a [`TiledTrace`]: serves
 /// [`fill`](AccessCursor::fill) by decoding record spans straight out
 /// of the memory map into the caller's buffer — no intermediate copy,
 /// and on a [verified](TileFile::is_verified) file no validation in the
@@ -1160,269 +1088,6 @@ impl TiledCursor {
     }
 }
 
-/// A sequential cursor whose tiles are decoded by a background thread
-/// and streamed over a bounded channel, so decode overlaps simulation.
-///
-/// The channel bound (see [`TiledTrace::with_channel_tiles`]) is the
-/// backpressure: the decoder blocks once it runs that many tiles ahead.
-/// Spent batches are recycled back to the decoder, making the steady
-/// state allocation-free. Decode errors arrive in-band: the stream ends
-/// early and [`error`](StreamingTileCursor::error) reports the cause.
-#[derive(Debug)]
-pub struct StreamingTileCursor {
-    file: Arc<TileFile>,
-    channel_tiles: usize,
-    batch_len: usize,
-    retry: crate::fault::FaultPolicy,
-    retries_used: u32,
-    next: u64,
-    end: u64,
-    rx: Option<Receiver<Result<Vec<MemAccess>, TileError>>>,
-    recycle_tx: Option<Sender<Vec<MemAccess>>>,
-    cur: Vec<MemAccess>,
-    cur_pos: usize,
-    error: Option<TileError>,
-    decoder: Option<JoinHandle<()>>,
-}
-
-/// The decoder half of a streaming cursor: a background thread feeding
-/// decoded batches over a bounded channel, recycling spent buffers. A
-/// standalone function so the consumer can respawn it from any position
-/// after a decoder death ([`StreamingTileCursor::with_retry`]).
-#[allow(clippy::type_complexity)]
-fn spawn_stream_decoder(
-    file: Arc<TileFile>,
-    start: u64,
-    end: u64,
-    channel_tiles: usize,
-    batch_len: usize,
-) -> (
-    Receiver<Result<Vec<MemAccess>, TileError>>,
-    Sender<Vec<MemAccess>>,
-    JoinHandle<()>,
-) {
-    let cap = channel_tiles.max(1);
-    let (tx, rx) = bounded::<Result<Vec<MemAccess>, TileError>>(cap);
-    let (recycle_tx, recycle_rx) = bounded::<Vec<MemAccess>>(cap + 2);
-    let decoder = std::thread::spawn(move || {
-        let count = file.record_count();
-        let tile_records = file.tile_records() as u64;
-        let mut pos = start;
-        while pos < end {
-            let rec = pos % count;
-            let tile = (rec / tile_records) as u32;
-            // Named fault-injection site: an armed plan can kill
-            // the decoder here, exercising the cursor's
-            // truncation-detection path below.
-            crate::fault::hit(crate::fault::FaultSite::DecoderThread, tile as u64);
-            // `check_tile` is a no-op on eagerly-verified files;
-            // otherwise errors propagate in-band: the cursor ends
-            // its stream and surfaces them.
-            if let Err(e) = file.check_tile(tile) {
-                let _ = tx.send(Err(e));
-                return;
-            }
-            let within = crate::cast::idx(rec - tile as u64 * tile_records);
-            let take = (file.tile_len(tile) as usize - within)
-                .min(batch_len)
-                .min((end - pos).min(usize::MAX as u64) as usize);
-            let mut batch = recycle_rx.try_recv().unwrap_or_default();
-            batch.clear();
-            file.decode_span(tile, within, take, pos, &mut batch);
-            pos += take as u64;
-            if tx.send(Ok(batch)).is_err() {
-                return; // cursor dropped mid-stream
-            }
-        }
-    });
-    (rx, recycle_tx, decoder)
-}
-
-impl StreamingTileCursor {
-    /// A streaming cursor over `file` accesses with `index ∈ range`,
-    /// with the decoder at most `channel_tiles` tiles ahead and whole
-    /// tile spans per batch.
-    pub fn new(file: Arc<TileFile>, range: Range<u64>, channel_tiles: usize) -> Self {
-        Self::with_batch_len(file, range, channel_tiles, usize::MAX)
-    }
-
-    /// Like [`new`](Self::new), but each decoded batch is capped at
-    /// `batch_len` records (clamped to at least 1), so consumers see
-    /// their first records before a whole tile has decoded.
-    pub fn with_batch_len(
-        file: Arc<TileFile>,
-        range: Range<u64>,
-        channel_tiles: usize,
-        batch_len: usize,
-    ) -> Self {
-        let batch_len = batch_len.max(1);
-        let start = range.start;
-        let end = range.end.max(range.start);
-        let (rx, recycle_tx, decoder) = if start < end {
-            let (rx, recycle_tx, decoder) =
-                spawn_stream_decoder(Arc::clone(&file), start, end, channel_tiles, batch_len);
-            (Some(rx), Some(recycle_tx), Some(decoder))
-        } else {
-            (None, None, None)
-        };
-        StreamingTileCursor {
-            file,
-            channel_tiles,
-            batch_len,
-            retry: crate::fault::FaultPolicy { retry_budget: 0 },
-            retries_used: 0,
-            next: start,
-            end,
-            rx,
-            recycle_tx,
-            cur: Vec::new(),
-            cur_pos: 0,
-            error: None,
-            decoder,
-        }
-    }
-
-    /// Consumer-side auto-retry for **decoder-thread deaths**: within
-    /// `policy`'s budget, a dead decoder (the channel disconnects with
-    /// records still due) is replaced by a fresh one spawned from the
-    /// cursor's exact position, and the stream continues
-    /// byte-identically; the budget exhausted, the death surfaces as
-    /// [`TileError::DecoderFailed`] exactly as with no retries.
-    /// In-band decode *errors* (corrupt tiles) are deterministic —
-    /// retrying cannot help — and always surface immediately.
-    pub fn with_retry(mut self, policy: crate::fault::FaultPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Decoder respawns consumed so far recovering from decoder
-    /// deaths.
-    pub fn retries_used(&self) -> u32 {
-        self.retries_used
-    }
-
-    /// The decode error that ended this cursor's stream early, if any.
-    pub fn error(&self) -> Option<&TileError> {
-        self.error.as_ref()
-    }
-
-    /// Take the decode error, leaving the cursor exhausted.
-    pub fn take_error(&mut self) -> Option<TileError> {
-        self.error.take()
-    }
-}
-
-impl AccessCursor for StreamingTileCursor {
-    fn position(&self) -> u64 {
-        self.next
-    }
-
-    fn end(&self) -> u64 {
-        self.end
-    }
-
-    fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize {
-        out.clear();
-        if self.error.is_some() {
-            return 0;
-        }
-        let mut produced = 0usize;
-        while produced < max && self.next < self.end {
-            if self.cur_pos == self.cur.len() {
-                // Recycle the spent batch (best-effort) and take the
-                // next decoded one; `recv` blocks only when the decoder
-                // is genuinely behind.
-                if !self.cur.is_empty() {
-                    let spent = std::mem::take(&mut self.cur);
-                    if let Some(tx) = &self.recycle_tx {
-                        let _ = tx.try_send(spent);
-                    }
-                }
-                self.cur_pos = 0;
-                match self.rx.as_ref().map(|rx| rx.recv()) {
-                    Some(Ok(Ok(batch))) => self.cur = batch,
-                    Some(Ok(Err(e))) => {
-                        self.error = Some(e);
-                        break;
-                    }
-                    // Disconnected or no decoder. With records still
-                    // due (`next < end`) this is NOT a clean
-                    // end-of-stream: the decoder died before finishing
-                    // (it only returns early on a send to a dropped
-                    // cursor, which we are not). Join it, then either
-                    // respawn from the exact consumer position (within
-                    // the retry budget) or surface a typed error
-                    // instead of silently truncating.
-                    Some(Err(_)) | None => {
-                        if self.next < self.end {
-                            let detail = match self.decoder.take() {
-                                Some(handle) => match handle.join() {
-                                    Ok(()) => "decoder thread exited early".to_string(),
-                                    Err(payload) => decoder_panic_detail(payload.as_ref()),
-                                },
-                                None => "decoder thread missing".to_string(),
-                            };
-                            if self.retries_used < self.retry.retry_budget {
-                                self.retries_used += 1;
-                                let (rx, recycle_tx, decoder) = spawn_stream_decoder(
-                                    Arc::clone(&self.file),
-                                    self.next,
-                                    self.end,
-                                    self.channel_tiles,
-                                    self.batch_len,
-                                );
-                                self.rx = Some(rx);
-                                self.recycle_tx = Some(recycle_tx);
-                                self.decoder = Some(decoder);
-                                continue;
-                            }
-                            self.error = Some(TileError::DecoderFailed { detail });
-                        }
-                        break;
-                    }
-                }
-            }
-            let take = (self.cur.len() - self.cur_pos)
-                .min(max - produced)
-                .min((self.end - self.next).min(usize::MAX as u64) as usize);
-            out.extend_from_slice(&self.cur[self.cur_pos..self.cur_pos + take]);
-            self.cur_pos += take;
-            produced += take;
-            self.next += take as u64;
-        }
-        produced
-    }
-}
-
-/// Best-effort description of a joined decoder thread's panic payload.
-fn decoder_panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(e) = payload.downcast_ref::<TileError>() {
-        return format!("decoder thread panicked: {e}");
-    }
-    if let Some(p) = payload.downcast_ref::<crate::fault::InjectedPanic>() {
-        return format!("decoder thread panicked: {}", p.0);
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return format!("decoder thread panicked: {s}");
-    }
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        return format!("decoder thread panicked: {s}");
-    }
-    "decoder thread panicked".to_string()
-}
-
-impl Drop for StreamingTileCursor {
-    fn drop(&mut self) {
-        // Dropping the receiver unblocks a decoder stuck in `send`;
-        // join afterwards so no thread outlives the cursor.
-        self.rx = None;
-        self.recycle_tx = None;
-        if let Some(handle) = self.decoder.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1462,69 +1127,18 @@ mod tests {
         pack_workload_with(&w, 0..1_000, &path, 128).unwrap();
         let t = TiledTrace::open(&path).unwrap();
         for range in [0..1_000u64, 100..137, 120..130, 900..2_300, 5..5] {
-            for streaming in [false, true] {
-                let t = t.clone().with_streaming(streaming);
-                let mut cur = t.cursor(range.clone());
-                let mut buf = Vec::new();
-                let mut k = range.start;
-                while cur.fill(&mut buf, 97) > 0 {
-                    for a in &buf {
-                        assert_eq!(*a, t.access_at(k), "index {k} streaming={streaming}");
-                        k += 1;
-                    }
-                }
-                assert_eq!(k, range.end.max(range.start));
-                assert_eq!(cur.position(), cur.end());
-            }
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn decoder_batch_len_is_clamped_and_byte_identical() {
-        let w = spec_workload("hmmer", Scale::tiny(), 5).unwrap();
-        let path = temp("batchlen");
-        pack_workload_with(&w, 0..1_000, &path, 128).unwrap();
-        let t = TiledTrace::open(&path).unwrap();
-        // Degenerate (0 → clamped to 1), sub-tile, non-divisor and
-        // beyond-tile caps must all reproduce access_at byte for byte,
-        // including across the cyclic wrap.
-        for batch_len in [0usize, 1, 7, 128, 100_000] {
-            let t = t.clone().with_streaming(true).with_batch_len(batch_len);
-            let mut cur = t.cursor(900..1_400);
+            let mut cur = t.cursor(range.clone());
             let mut buf = Vec::new();
-            let mut k = 900u64;
+            let mut k = range.start;
             while cur.fill(&mut buf, 97) > 0 {
                 for a in &buf {
-                    assert_eq!(*a, t.access_at(k), "index {k} batch_len={batch_len}");
+                    assert_eq!(*a, t.access_at(k), "index {k}");
                     k += 1;
                 }
             }
-            assert_eq!(k, 1_400, "batch_len={batch_len}");
+            assert_eq!(k, range.end.max(range.start));
+            assert_eq!(cur.position(), cur.end());
         }
-        // The direct constructor applies the same clamp.
-        let file = Arc::new(TileFile::open(&path).unwrap());
-        let mut cur = StreamingTileCursor::with_batch_len(file, 0..10, 2, 0);
-        let mut buf = Vec::new();
-        let mut seen = 0u64;
-        while cur.fill(&mut buf, 3) > 0 {
-            seen += buf.len() as u64;
-        }
-        assert_eq!(seen, 10);
-        assert!(cur.error().is_none());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn streaming_cursor_can_be_dropped_mid_stream() {
-        let w = spec_workload("mcf", Scale::tiny(), 9).unwrap();
-        let path = temp("dropped");
-        pack_workload_with(&w, 0..5_000, &path, 64).unwrap();
-        let t = TiledTrace::open(&path).unwrap();
-        let mut cur = t.streaming_cursor(0..5_000);
-        let mut buf = Vec::new();
-        assert!(cur.fill(&mut buf, 10) > 0);
-        drop(cur); // must not hang on the blocked decoder
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1591,9 +1205,9 @@ mod tests {
             Err(TileError::ChecksumMismatch { tile: 2, .. })
         ));
 
-        // Unverified open succeeds; both cursors surface the error at
+        // Unverified open succeeds; the cursor surfaces the error at
         // decode time instead of panicking, ending the stream early.
-        let t = TiledTrace::open_unverified(&path).unwrap();
+        assert!(TiledTrace::open_unverified(&path).is_ok());
         let mut sync = TiledCursor::new(Arc::new(TileFile::open(&path).unwrap()), 0..500);
         let mut buf = Vec::new();
         let mut seen = 0u64;
@@ -1603,17 +1217,6 @@ mod tests {
         assert_eq!(seen, 128, "tiles 0..2 stream, tile 2 stops the cursor");
         assert!(matches!(
             sync.take_error(),
-            Some(TileError::ChecksumMismatch { tile: 2, .. })
-        ));
-
-        let mut streaming = t.streaming_cursor(0..500);
-        let mut seen = 0u64;
-        while streaming.fill(&mut buf, 100) > 0 {
-            seen += buf.len() as u64;
-        }
-        assert_eq!(seen, 128);
-        assert!(matches!(
-            streaming.error(),
             Some(TileError::ChecksumMismatch { tile: 2, .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -1648,7 +1251,7 @@ mod tests {
         let w = spec_workload("povray", Scale::tiny(), 4).unwrap();
         let path = temp("warmloop");
         pack_workload_with(&w, 0..3_000, &path, 100).unwrap();
-        let t = TiledTrace::open(&path).unwrap().with_streaming(true);
+        let t = TiledTrace::open(&path).unwrap();
         let mut source = Vec::new();
         w.for_each_access(50..2_950, |a| source.push(*a));
         let mut tiled = Vec::new();

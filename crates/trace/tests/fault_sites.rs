@@ -1,5 +1,5 @@
-//! Armed fault-injection tests for the trace-level sites: the
-//! streaming decoder thread and journal appends.
+//! Armed fault-injection tests for the trace-level sites: journal
+//! appends and the guarded unit runner.
 //!
 //! These tests live in their own integration binary on purpose: the
 //! fault registry is process-global, and [`delorean_trace::fault::arm`]
@@ -9,148 +9,10 @@
 
 use delorean_trace::fault::{self, FaultKind, FaultPlan, FaultPolicy, FaultSite, UnitFault};
 use delorean_trace::journal::{JournalError, JournalReader, JournalWriter};
-use delorean_trace::{
-    pack_workload_with, spec_workload, AccessCursor, Scale, TileError, TiledTrace, Workload,
-};
 use std::path::PathBuf;
 
 fn temp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("delorean-fault-{}-{tag}", std::process::id()))
-}
-
-#[test]
-fn decoder_kill_surfaces_decoder_failed_not_clean_eos() {
-    let w = spec_workload("hmmer", Scale::tiny(), 3).unwrap();
-    let path = temp("decoder.dlt");
-    pack_workload_with(&w, 0..4_000, &path, 256).unwrap();
-    let t = TiledTrace::open(&path).unwrap();
-
-    let _guard = fault::arm(
-        FaultPlan::new(7)
-            .at(FaultSite::DecoderThread)
-            .every(1)
-            .strikes(u32::MAX)
-            .kinds(&[FaultKind::Panic]),
-    );
-    let mut cur = t.streaming_cursor(0..4_000);
-    let mut buf = Vec::new();
-    let mut produced = 0u64;
-    while cur.fill(&mut buf, 512) > 0 {
-        produced += buf.len() as u64;
-    }
-    assert!(
-        produced < 4_000,
-        "a killed decoder cannot deliver the full range"
-    );
-    match cur.error() {
-        Some(TileError::DecoderFailed { detail }) => {
-            assert!(detail.contains("panicked"), "detail: {detail}");
-        }
-        other => panic!("expected DecoderFailed, got {other:?}"),
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn decoder_retry_recovers_the_full_stream_byte_identically() {
-    let w = spec_workload("hmmer", Scale::tiny(), 3).unwrap();
-    let path = temp("decoder-retry.dlt");
-    pack_workload_with(&w, 0..4_000, &path, 256).unwrap();
-    // 16 tiles; every(2) arms a seed-chosen subset, strikes(1) kills
-    // the decoder on each armed tile's first visit only — so each
-    // armed tile costs exactly one respawn and the respawned decoder
-    // (occurrence 1) sails past it.
-    let plan = FaultPlan::new(7)
-        .at(FaultSite::DecoderThread)
-        .every(2)
-        .strikes(1)
-        .kinds(&[FaultKind::Panic]);
-    let armed: Vec<u64> = (0..16u64)
-        .filter(|&tile| plan.fault_for(FaultSite::DecoderThread, tile, 0).is_some())
-        .collect();
-    assert!(!armed.is_empty(), "seed 7 must arm at least one tile");
-    let _guard = fault::arm(plan);
-    let t = TiledTrace::open(&path)
-        .unwrap()
-        .with_decoder_retry(FaultPolicy { retry_budget: 16 });
-    let mut cur = t.streaming_cursor(0..4_000);
-    let mut buf = Vec::new();
-    let mut got = Vec::new();
-    while cur.fill(&mut buf, 512) > 0 {
-        got.extend_from_slice(&buf);
-    }
-    assert!(cur.error().is_none(), "retries must absorb decoder deaths");
-    assert_eq!(
-        cur.retries_used() as usize,
-        armed.len(),
-        "one respawn per armed tile, no more"
-    );
-    assert_eq!(got.len(), 4_000);
-    // Byte-identical to the random-access path: the respawned decoder
-    // resumed from the exact consumer position.
-    for (k, a) in got.iter().enumerate() {
-        assert_eq!(*a, t.access_at(k as u64), "index {k}");
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn decoder_retry_budget_exhaustion_still_surfaces_decoder_failed() {
-    let w = spec_workload("hmmer", Scale::tiny(), 3).unwrap();
-    let path = temp("decoder-exhaust.dlt");
-    pack_workload_with(&w, 0..4_000, &path, 256).unwrap();
-    // Unbounded strikes: tile 0 faults on every visit, so every
-    // respawn dies again and the bounded budget must give up with the
-    // same typed error the no-retry path surfaces.
-    let _guard = fault::arm(
-        FaultPlan::new(7)
-            .at(FaultSite::DecoderThread)
-            .every(1)
-            .strikes(u32::MAX)
-            .kinds(&[FaultKind::Panic]),
-    );
-    let t = TiledTrace::open(&path)
-        .unwrap()
-        .with_decoder_retry(FaultPolicy { retry_budget: 2 });
-    let mut cur = t.streaming_cursor(0..4_000);
-    let mut buf = Vec::new();
-    let mut produced = 0u64;
-    while cur.fill(&mut buf, 512) > 0 {
-        produced += buf.len() as u64;
-    }
-    assert!(produced < 4_000);
-    assert_eq!(
-        cur.retries_used(),
-        2,
-        "budget must be spent before giving up"
-    );
-    match cur.error() {
-        Some(TileError::DecoderFailed { detail }) => {
-            assert!(detail.contains("panicked"), "detail: {detail}");
-        }
-        other => panic!("expected DecoderFailed, got {other:?}"),
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn disarmed_decoder_streams_cleanly_under_a_siteless_plan() {
-    let w = spec_workload("mcf", Scale::tiny(), 5).unwrap();
-    let path = temp("clean.dlt");
-    pack_workload_with(&w, 0..2_000, &path, 128).unwrap();
-    let t = TiledTrace::open(&path).unwrap();
-
-    // Armed plan with NO sites: every hit must be a no-op.
-    let _guard = fault::arm(FaultPlan::new(3));
-    let mut cur = t.streaming_cursor(0..2_000);
-    let mut buf = Vec::new();
-    let mut produced = 0u64;
-    while cur.fill(&mut buf, 512) > 0 {
-        produced += buf.len() as u64;
-    }
-    assert_eq!(produced, 2_000);
-    assert!(cur.error().is_none());
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

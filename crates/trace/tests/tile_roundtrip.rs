@@ -1,15 +1,16 @@
 //! Tile-file property tests: encode→decode round-trips are byte-identical
-//! for record counts straddling tile boundaries, through every cursor
-//! flavour, and corruption anywhere in the file surfaces as a typed
+//! for record counts straddling tile boundaries, through the cursor and
+//! random access, and corruption anywhere in the file surfaces as a typed
 //! [`TileError`] rather than a panic or silent bad data.
 
 use delorean_trace::tile::{FILE_HEADER_BYTES, RECORD_BYTES, TILE_HEADER_BYTES};
 use delorean_trace::{
-    pack_workload_with, spec_workload, AccessCursor, Scale, TileError, TileFile, TiledTrace,
-    Workload, WorkloadExt,
+    pack_workload_with, spec_workload, AccessCursor, Scale, TileError, TileFile, TiledCursor,
+    TiledTrace, Workload, WorkloadExt,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -76,9 +77,9 @@ fn packing_a_nonzero_start_rebases_like_recorded_trace() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Both cursor flavours must equal `access_at` for ranges that start
-/// mid-tile, end mid-tile, and extend past the recorded length (cyclic
-/// wrap), at awkward fill sizes.
+/// The cursor must equal `access_at` for ranges that start mid-tile,
+/// end mid-tile, and extend past the recorded length (cyclic wrap), at
+/// awkward fill sizes.
 #[test]
 fn cursors_are_equivalent_to_random_access_everywhere() {
     let w = spec_workload("omnetpp", Scale::tiny(), 5).unwrap();
@@ -86,19 +87,16 @@ fn cursors_are_equivalent_to_random_access_everywhere() {
     pack_workload_with(&w, 0..700, &path, 64).unwrap();
     let t = TiledTrace::open(&path).unwrap();
     for range in [0..700u64, 63..65, 100..612, 650..1_500, 1_400..1_402] {
-        for streaming in [false, true] {
-            let source = t.clone().with_streaming(streaming);
-            let mut cur = source.cursor(range.clone());
-            let mut buf = Vec::new();
-            let mut k = range.start;
-            while cur.fill(&mut buf, 61) > 0 {
-                for a in &buf {
-                    assert_eq!(*a, t.access_at(k), "k={k} streaming={streaming}");
-                    k += 1;
-                }
+        let mut cur = t.cursor(range.clone());
+        let mut buf = Vec::new();
+        let mut k = range.start;
+        while cur.fill(&mut buf, 61) > 0 {
+            for a in &buf {
+                assert_eq!(*a, t.access_at(k), "k={k}");
+                k += 1;
             }
-            assert_eq!(k, range.end, "range {range:?} streaming={streaming}");
         }
+        assert_eq!(k, range.end, "range {range:?}");
     }
     std::fs::remove_file(&path).unwrap();
 }
@@ -163,10 +161,10 @@ fn every_corruption_site_yields_a_typed_error() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The decoder thread propagates errors through the channel: the stream
+/// A lazily checked file propagates payload damage in band: the stream
 /// ends at the corrupt tile and the error is surfaced, not panicked.
 #[test]
-fn streaming_decoder_propagates_corruption_in_band() {
+fn tiled_cursor_propagates_corruption_in_band() {
     let w = spec_workload("sjeng", Scale::tiny(), 13).unwrap();
     let path = temp("streamerr");
     pack_workload_with(&w, 0..300, &path, 64).unwrap();
@@ -176,8 +174,7 @@ fn streaming_decoder_propagates_corruption_in_band() {
     bytes[tile1_payload + 10] ^= 0x80;
     std::fs::write(&path, &bytes).unwrap();
 
-    let t = TiledTrace::open_unverified(&path).unwrap();
-    let mut cur = t.streaming_cursor(0..300);
+    let mut cur = TiledCursor::new(Arc::new(TileFile::open(&path).unwrap()), 0..300);
     let mut buf = Vec::new();
     let mut seen = 0u64;
     while cur.fill(&mut buf, 50) > 0 {
@@ -190,6 +187,8 @@ fn streaming_decoder_propagates_corruption_in_band() {
     ));
     // After the error the cursor stays exhausted and quiet.
     assert_eq!(cur.fill(&mut buf, 50), 0);
+    assert!(buf.is_empty());
+    assert_eq!(cur.position(), 64);
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -200,7 +199,7 @@ fn warm_loop_streams_match_the_source_workload() {
     let w = spec_workload("libquantum", Scale::tiny(), 21).unwrap();
     let path = temp("warmstream");
     pack_workload_with(&w, 0..2_000, &path, 256).unwrap();
-    let t = TiledTrace::open(&path).unwrap().with_streaming(true);
+    let t = TiledTrace::open(&path).unwrap();
     let mut expect = Vec::new();
     w.for_each_access(10..1_990, |a| expect.push(*a));
     let mut got = Vec::new();

@@ -60,12 +60,5 @@ fn main() {
         tiled_wall,
     );
 
-    // The streaming cursor decodes tiles on a background thread with a
-    // bounded channel; same records, overlap instead of interleaving.
-    let streaming = tiled.clone().with_streaming(true);
-    let from_stream = runner.run(&streaming, &plan);
-    assert_eq!(in_memory.report, from_stream.report);
-    println!("streaming decoder run: also bit-identical");
-
     std::fs::remove_file(&path).ok();
 }

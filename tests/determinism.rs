@@ -94,6 +94,7 @@ fn region_scheduler_reports_are_identical_at_any_worker_count() {
             DeLoreanConfig::for_scale(scale),
         )),
     ];
+    let mut log_speedup_4w = 0.0f64;
     for s in &strategies {
         let sequential = s.run_with_workers(&w, &plan, 1);
         for workers in [2, 4, 8] {
@@ -107,7 +108,17 @@ fn region_scheduler_reports_are_identical_at_any_worker_count() {
         }
         // The runner's default `run` is the same decomposition.
         assert_eq!(sequential.report, s.run(&w, &plan).report, "{}", s.name());
+        let cost = &sequential.report.cost;
+        log_speedup_4w +=
+            (cost.region_parallel_wallclock(1) / cost.region_parallel_wallclock(4)).ln();
     }
+    // The region-parallel runtime's modeled bar: a geomean speedup of
+    // at least 1.7x at 4 workers across the strategies.
+    let geomean_4w = (log_speedup_4w / strategies.len() as f64).exp();
+    assert!(
+        geomean_4w >= 1.7,
+        "modeled region-parallel geomean speedup {geomean_4w:.2}x at 4 workers is below 1.7x"
+    );
 
     // DeLorean extras (TT statistics, DSW counts) obey the same contract.
     let runner = DeLoreanRunner::new(machine, DeLoreanConfig::for_scale(scale));
@@ -164,6 +175,20 @@ fn speculative_warm_lane_reports_are_bitwise_sequential_for_every_proxy() {
                 "{}: outcomes changed at {workers} workers",
                 proxy.name()
             );
+            // The speculative lane's modeled bar: the statmodel proxy
+            // speeds hmmer up by at least 1.15x at 4 workers.
+            if proxy == ProxyStateSource::StatModel && workers == 4 {
+                let extras = spec
+                    .extras::<SpeculationExtras>()
+                    .expect("speculative runs carry extras");
+                let cost = &sequential.report.cost;
+                let speedup = cost.region_parallel_wallclock(1)
+                    / spec.report.cost.speculative_wallclock(4, &extras.outcomes);
+                assert!(
+                    speedup >= 1.15,
+                    "modeled statmodel speedup {speedup:.2}x at 4 workers is below 1.15x"
+                );
+            }
         }
     }
 }

@@ -12,9 +12,11 @@
 //!    classified fault, the same set at every worker count, and the
 //!    partial report covers exactly the surviving units.
 //! 3. **The journal restores what it recorded, verbatim** — a killed
-//!    sweep resumes to the uninterrupted matrix; damaged journals are
-//!    truncated to their valid prefix (lost cells re-execute); a
-//!    journal from a different sweep configuration is a hard error.
+//!    sweep resumes to the uninterrupted matrix; failed appends never
+//!    fail a cell, and a resume re-executes exactly the cells they
+//!    dropped; damaged journals are truncated to their valid prefix
+//!    (lost cells re-execute); a journal from a different sweep
+//!    configuration is a hard error.
 //!
 //! These tests live in their own integration binary on purpose: the
 //! fault registry is process-global and [`fault::arm`] serializes armed
@@ -318,6 +320,69 @@ fn killed_journaled_sweep_resumes_to_the_uninterrupted_matrix() {
             );
         }
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn lossy_journal_appends_never_fail_cells_and_resume_reexecutes_exactly_them() {
+    // Journal-append faults at executor level: every cell still
+    // completes with the clean report, the dropped appends are counted,
+    // and a resume re-executes exactly the cells that never became
+    // durable.
+    let scale = Scale::tiny();
+    let machine = MachineConfig::for_scale(scale);
+    let plan = SamplingConfig::for_scale(scale).with_regions(3).plan();
+    let workloads: Vec<_> = ["hmmer", "mcf"]
+        .iter()
+        .map(|n| spec_workload(n, scale, 42).unwrap())
+        .collect();
+    let strategies = headline_strategies(scale, machine);
+    let cells = workloads.len() * strategies.len();
+    let exec = BatchExecutor::with_threads(2);
+    let policy = FaultPolicy::default();
+    let path = temp("lossy.dlj");
+    let _ = std::fs::remove_file(&path);
+
+    let clean = exec.run_matrix(&strategies, &workloads, &plan);
+    let matches_clean = |run: &MatrixRun, label: &str| {
+        for (crow, rrow) in clean.iter().zip(&run.matrix) {
+            for (c, r) in crow.iter().zip(rrow) {
+                let r = r.as_ref().expect("complete run");
+                assert_eq!(
+                    c.report, r.report,
+                    "{label}: {}/{} diverged from the clean run",
+                    c.workload, c.strategy
+                );
+            }
+        }
+    };
+
+    let seed = seed_hitting_subset(FaultSite::JournalWrite, cells as u64, cells as u64);
+    let guard = fault::arm(
+        FaultPlan::new(seed)
+            .at(FaultSite::JournalWrite)
+            .every(2)
+            .strikes(1),
+    );
+    let lossy = exec
+        .run_matrix_journaled(&strategies, &workloads, &plan, &policy, &path)
+        .unwrap();
+    drop(guard);
+    assert!(lossy.is_complete(), "append faults must never fail cells");
+    matches_clean(&lossy, "lossy-journal");
+    assert!(
+        lossy.journal_faults > 0,
+        "the append-fault plan never fired"
+    );
+
+    let _guard = fault::arm(FaultPlan::new(0));
+    let rewrite = exec
+        .run_matrix_journaled(&strategies, &workloads, &plan, &policy, &path)
+        .unwrap();
+    assert!(rewrite.is_complete());
+    assert_eq!(rewrite.executed_cells, lossy.journal_faults);
+    assert_eq!(rewrite.resumed_cells, cells - lossy.journal_faults);
+    matches_clean(&rewrite, "lossy-resume");
     std::fs::remove_file(&path).unwrap();
 }
 

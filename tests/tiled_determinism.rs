@@ -1,8 +1,8 @@
 //! Tiled-ingest determinism: every sampling strategy must produce a
 //! bit-identical report whether its accesses come from the synthetic
-//! workload or from the packed on-disk tile file — through the sync and
-//! streaming cursors, at any region-scheduler worker count. This is the
-//! PR 6 counterpart of the worker-count determinism contract.
+//! workload or from the packed on-disk tile file, at any
+//! region-scheduler worker count. This is the PR 6 counterpart of the
+//! worker-count determinism contract.
 
 use delorean::prelude::*;
 use std::path::PathBuf;
@@ -38,22 +38,14 @@ fn all_five_strategies_match_in_memory_runs_bit_for_bit() {
     let w = spec_workload("hmmer", scale, 42).unwrap();
     let path = pack_span(&w, &plan, "strategies");
     let tiled = TiledTrace::open(&path).unwrap();
-    let tiled_streaming = tiled.clone().with_streaming(true);
 
     for s in strategies(machine, scale) {
         let reference = s.run(&w, &plan);
         let from_tiles = s.run(&tiled, &plan);
-        let from_stream = s.run(&tiled_streaming, &plan);
         assert_eq!(
             reference.report,
             from_tiles.report,
             "{}: tiled run diverged from in-memory",
-            s.name()
-        );
-        assert_eq!(
-            reference.report,
-            from_stream.report,
-            "{}: streaming tiled run diverged from in-memory",
             s.name()
         );
     }
@@ -122,9 +114,9 @@ fn drain_mixed(
     out
 }
 
-/// `fill_lines` on tiled sources: `TiledCursor` (its own override) and
-/// `StreamingTileCursor` (the trait default), on verified and lazily
-/// checked files, yield the source's lines while mixing `fill` calls.
+/// `fill_lines` on tiled sources: `TiledCursor`'s own override, on
+/// verified and lazily checked files, yields the source's lines while
+/// mixing `fill` calls.
 #[test]
 fn tiled_cursors_fill_lines_match_fill() {
     // Small tiles so spans cross tile boundaries; ranges past the
@@ -145,9 +137,6 @@ fn tiled_cursors_fill_lines_match_fill() {
                 let ctx = format!("{tag} {range:?} batch {batch}");
                 let sync = drain_mixed(t.cursor(range.clone()), batch, &ctx);
                 assert_eq!(sync, expect, "{ctx}: TiledCursor");
-                let streaming =
-                    drain_mixed(Box::new(t.streaming_cursor(range.clone())), batch, &ctx);
-                assert_eq!(streaming, expect, "{ctx}: StreamingTileCursor");
             }
         }
     }
