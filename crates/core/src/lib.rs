@@ -22,9 +22,10 @@
 //!   access is found (Explorer-1 via functional simulation, the rest via
 //!   virtualized directed profiling with page-granularity watchpoints);
 //!   the [`analyst`] finally evaluates the detailed region with DSW.
-//!   Passes run pipelined across regions ([`pipeline`]), mirroring the
-//!   paper's one-process-per-pass design over OS pipes with threads over
-//!   crossbeam channels.
+//!   The paper runs the passes as one process each over OS pipes; here
+//!   each region's Scout → Explorers → Analyst chain is one independent
+//!   unit on the region scheduler ([`DeLoreanRunner::run_at`]), which
+//!   gives the same overlap across regions.
 //!
 //! * **Design-space exploration** ([`dse`]) — a single Scout + Explorer
 //!   set feeds many parallel Analysts with different cache
@@ -40,7 +41,6 @@ pub mod dse;
 pub mod dsw;
 pub mod explorer;
 mod keyset;
-pub mod pipeline;
 mod runner;
 pub mod scout;
 mod stats;

@@ -259,10 +259,8 @@ impl DeLoreanRunner {
     }
 
     /// Run all passes serially in one thread: the region scheduler at
-    /// one worker, and the reference execution every other mode —
-    /// region-parallel at any worker count, pass-pipelined
-    /// ([`run_pipelined`](crate::pipeline::run_pipelined)) — must
-    /// reproduce.
+    /// one worker, and the reference execution every region-parallel
+    /// run must reproduce at any worker count.
     pub fn run_serial(&self, workload: &dyn Workload, plan: &RegionPlan) -> DeLoreanOutput {
         self.run_at(workload, plan, 1)
     }
@@ -444,9 +442,7 @@ impl SamplingStrategy for DeLoreanRunner {
     /// [`DeLoreanRunner::with_region_workers`]). The time-traveling
     /// statistics and DSW counters ride along as [`DeLoreanExtras`];
     /// recover the full [`DeLoreanOutput`] with
-    /// `TryFrom<StrategyReport>`. The §3.2-faithful pass pipeline is
-    /// still available as
-    /// [`run_pipelined`](crate::pipeline::run_pipelined).
+    /// `TryFrom<StrategyReport>`.
     fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
         self.run_at(workload, plan, self.workers).into()
     }

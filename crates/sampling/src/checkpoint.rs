@@ -109,29 +109,11 @@ impl CheckpointWarmingRunner {
     /// snapshotting the hierarchy at each region's warming start.
     ///
     /// This costs as much as one SMARTS run minus the detailed regions —
-    /// checkpointing only pays off when the snapshots are reused.
+    /// checkpointing only pays off when the snapshots are reused. It is
+    /// the speculative lane with no proxy: every step takes the
+    /// reconciler's miss path, one worker warming the chain in place.
     pub fn prepare(&self, workload: &dyn Workload, plan: &RegionPlan) -> CheckpointSet {
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut clock = HostClock::new();
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut pos_access = 0u64;
-        let mut snapshots = Vec::with_capacity(plan.regions.len());
-        for region in &plan.regions {
-            let warm_end_access = region.warming.start / p;
-            let span = warm_end_access.saturating_sub(pos_access);
-            clock.charge(
-                self.cost
-                    .instr_seconds(WorkKind::Functional, span * p * mult),
-            );
-            hierarchy.warm_range(workload, pos_access..warm_end_access);
-            snapshots.push(hierarchy.snapshot());
-            pos_access = warm_end_access;
-        }
-        CheckpointSet {
-            snapshots,
-            preparation_seconds: clock.seconds(),
-        }
+        self.prepare_chain(workload, plan, None, 1).0
     }
 
     /// The preparation run through the **speculative warm lane**: the
@@ -161,6 +143,21 @@ impl CheckpointWarmingRunner {
         proxy: ProxyStateSource,
         workers: usize,
     ) -> (CheckpointSet, SpeculationExtras) {
+        let (set, outcomes) = self.prepare_chain(workload, plan, Some(proxy), workers);
+        (set, SpeculationExtras { proxy, outcomes })
+    }
+
+    /// The one preparation chain: spec tasks speculate from `proxy`
+    /// (or return `None` without doing work when there is none), and
+    /// the reconciler's step either adopts a matching speculation or
+    /// warms the span from the true state.
+    fn prepare_chain(
+        &self,
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        proxy: Option<ProxyStateSource>,
+        workers: usize,
+    ) -> (CheckpointSet, Vec<SpecUnit>) {
         let p = workload.mem_period();
         let mult = plan.config.work_multiplier();
         let mut positions = Vec::with_capacity(plan.regions.len());
@@ -170,6 +167,10 @@ impl CheckpointWarmingRunner {
             pos = region.warming.start / p;
         }
         let positions = &positions;
+        let warm_seconds = |from: u64, to: u64| {
+            self.cost
+                .instr_seconds(WorkKind::Functional, to.saturating_sub(from) * p * mult)
+        };
 
         struct Speculation {
             digest: u64,
@@ -186,27 +187,23 @@ impl CheckpointWarmingRunner {
             p,
             mult,
         };
-        let spec = |i: u32, region: &crate::config::Region| -> Speculation {
+        let spec = |i: u32, region: &Region| {
+            let proxy = proxy?;
             let at = positions[i as usize];
-            let prev = if i == 0 { 0 } else { positions[i as usize - 1] };
-            let (mut h, proxy_seconds) = proxy.build(&ctx, at, prev);
+            let (mut h, proxy_seconds) = proxy.build(&ctx, at);
             // The chain drained its MSHRs when it snapshotted at `at`.
             h.drain_mshrs();
             let digest = h.state_digest();
             let warm_end = region.warming.start / p;
-            let span = warm_end.saturating_sub(at);
-            let warm_seconds = self
-                .cost
-                .instr_seconds(WorkKind::Functional, span * p * mult);
             h.warm_range(workload, at..warm_end);
             let snapshot = h.snapshot();
-            Speculation {
+            Some(Speculation {
                 digest,
                 end_state: h,
                 snapshot,
                 proxy_seconds,
-                total_seconds: proxy_seconds + warm_seconds,
-            }
+                total_seconds: proxy_seconds + warm_seconds(at, warm_end),
+            })
         };
 
         let mut hierarchy = Hierarchy::new(&self.machine);
@@ -216,43 +213,38 @@ impl CheckpointWarmingRunner {
         let snapshots = RegionScheduler::new(workers).run_speculative(
             &plan.regions,
             spec,
-            |i: u32, region: &crate::config::Region, s: Speculation| -> HierarchySnapshot {
+            |i: u32, region: &Region, s: Option<Speculation>| -> HierarchySnapshot {
                 debug_assert_eq!(pos_access, positions[i as usize]);
                 let warm_end = region.warming.start / p;
-                let span = warm_end.saturating_sub(pos_access);
-                clock.charge(
-                    self.cost
-                        .instr_seconds(WorkKind::Functional, span * p * mult),
-                );
-                // drain_mshrs is idempotent on the already-drained chain
-                // (and a no-op on the cold start), so digesting after it
-                // matches the spec worker's comparison point exactly.
-                hierarchy.drain_mshrs();
-                let committed = hierarchy.state_digest() == s.digest;
-                let snapshot = if committed {
-                    hierarchy.copy_state_from(&s.end_state);
-                    s.snapshot
-                } else {
-                    hierarchy.warm_range(workload, pos_access..warm_end);
-                    hierarchy.snapshot()
-                };
+                clock.charge(warm_seconds(pos_access, warm_end));
+                let from = pos_access;
                 pos_access = warm_end;
-                outcomes.push(SpecUnit {
-                    unit: i,
-                    committed,
-                    proxy_seconds: s.proxy_seconds,
-                    speculative_seconds: s.total_seconds,
-                });
-                snapshot
+                if let Some(s) = s {
+                    // drain_mshrs is idempotent on the already-drained
+                    // chain (and a no-op on the cold start), so digesting
+                    // after it matches the spec worker's comparison point.
+                    hierarchy.drain_mshrs();
+                    let committed = hierarchy.state_digest() == s.digest;
+                    outcomes.push(SpecUnit {
+                        unit: i,
+                        committed,
+                        proxy_seconds: s.proxy_seconds,
+                        speculative_seconds: s.total_seconds,
+                    });
+                    if committed {
+                        hierarchy.copy_state_from(&s.end_state);
+                        return s.snapshot;
+                    }
+                }
+                hierarchy.warm_range(workload, from..warm_end);
+                hierarchy.snapshot()
             },
         );
-        (
-            CheckpointSet {
-                snapshots,
-                preparation_seconds: clock.seconds(),
-            },
-            SpeculationExtras { proxy, outcomes },
-        )
+        let set = CheckpointSet {
+            snapshots,
+            preparation_seconds: clock.seconds(),
+        };
+        (set, outcomes)
     }
 
     /// An evaluation run from existing checkpoints: load, detailed-warm,
@@ -336,10 +328,10 @@ impl SamplingStrategy for CheckpointWarmingRunner {
     /// see [`SamplingStrategy::run`] for the report/extras split.
     ///
     /// At one worker preparation is the sequential warm chain
-    /// ([`prepare`](CheckpointWarmingRunner::prepare)). Above one it is
-    /// [`prepare_speculative`](CheckpointWarmingRunner::prepare_speculative)
-    /// with the [`ProxyStateSource::StatModel`] proxy, whose spec tasks
-    /// warm the spans between snapshots on every worker. Its
+    /// ([`prepare`](CheckpointWarmingRunner::prepare)). Above one it
+    /// speculates from the [`ProxyStateSource::StatModel`] proxy (see
+    /// [`prepare_speculative`](CheckpointWarmingRunner::prepare_speculative)),
+    /// whose spec tasks warm the spans between snapshots on every worker. Its
     /// `preparation_seconds`, storage and evaluation report equal
     /// sequential preparation's, so the [`CheckpointExtras`] and the
     /// report are the same at every worker count.
@@ -349,12 +341,8 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        let checkpoints = if workers > 1 {
-            self.prepare_speculative(workload, plan, ProxyStateSource::StatModel, workers)
-                .0
-        } else {
-            self.prepare(workload, plan)
-        };
+        let proxy = (workers > 1).then_some(ProxyStateSource::StatModel);
+        let (checkpoints, _) = self.prepare_chain(workload, plan, proxy, workers);
         let report = self.run_with_at(&checkpoints, workload, plan, workers);
         StrategyReport::new(report).with_extras(CheckpointExtras {
             storage_bytes: checkpoints.storage_bytes(),
@@ -366,9 +354,11 @@ impl SamplingStrategy for CheckpointWarmingRunner {
     ///
     /// Preparation is a sequential warm chain over a locally owned
     /// hierarchy — a pure function of the workload and plan — so the
-    /// *whole* prepare step is one guarded, retryable unit. Once the
-    /// checkpoint set exists, evaluation units restore independent
-    /// snapshots and are retried/quarantined individually.
+    /// *whole* prepare step is one guarded, retryable unit; if it runs
+    /// out of retries, unit 0 carries its fault and every later unit is
+    /// chain-poisoned. Once the checkpoint set exists, evaluation units
+    /// restore independent snapshots and are retried/quarantined
+    /// individually.
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -379,18 +369,10 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         let checkpoints = match fault::run_unit_guarded(0, policy, || self.prepare(workload, plan))
         {
             Ok(set) => set,
+            // Preparation never completed: no region has a snapshot, so
+            // the whole sweep is quarantined behind unit 0.
             Err(failure) => {
-                // Preparation never completed: no region has a snapshot,
-                // so the whole sweep is quarantined behind unit 0.
-                let report = SimulationReport {
-                    workload: workload.name().to_string(),
-                    strategy: self.name().to_string(),
-                    ..Default::default()
-                };
-                return PartialReport {
-                    report,
-                    quarantined: vec![failure],
-                };
+                return PartialReport::failed_whole(workload, plan, self.name(), failure)
             }
         };
         let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
@@ -504,11 +486,7 @@ mod tests {
         let runner = CheckpointWarmingRunner::new(machine);
         let sequential = runner.prepare(&w, &plan);
         let seq_eval = runner.run_with(&sequential, &w, &plan);
-        for proxy in [
-            ProxyStateSource::Cold,
-            ProxyStateSource::StatModel,
-            ProxyStateSource::Poisoned,
-        ] {
+        for proxy in [ProxyStateSource::StatModel, ProxyStateSource::Poisoned] {
             for workers in [1usize, 4] {
                 let (set, extras) = runner.prepare_speculative(&w, &plan, proxy, workers);
                 assert_eq!(set.len(), sequential.len());

@@ -39,14 +39,6 @@ const POISON_LINE: u64 = u64::MAX - 1;
 /// Where a speculative worker gets its starting hierarchy state.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ProxyStateSource {
-    /// A cold hierarchy. Free to build; commits exactly the regions
-    /// whose true boundary state happens to be cold (always region 0).
-    Cold,
-    /// Warm from cold over the span since the nearest preceding region
-    /// boundary — a deterministic stand-in for "resume from the nearest
-    /// completed true state" that keeps the commit pattern independent
-    /// of runtime completion order.
-    NearestBoundary,
     /// Statmodel-directed window: probe the reuse behaviour just before
     /// the boundary, invert it into the critical reuse distance for the
     /// LLC ([`delorean_statmodel::plan_warm_window`]), and warm only
@@ -64,24 +56,17 @@ impl ProxyStateSource {
     /// Stable lowercase identifier for reports and bench JSON.
     pub fn name(&self) -> &'static str {
         match self {
-            ProxyStateSource::Cold => "cold",
-            ProxyStateSource::NearestBoundary => "nearest-boundary",
             ProxyStateSource::StatModel => "statmodel",
             ProxyStateSource::Poisoned => "poisoned",
         }
     }
 
     /// Build the proxy hierarchy approximating the warm chain at access
-    /// position `pos`, with `prev_pos` the nearest preceding region
-    /// boundary. Returns the hierarchy plus the modeled host seconds of
-    /// building it (the context's `p`/`mult` convert spans to
-    /// represented instructions, exactly like the chain's own charges).
-    pub(crate) fn build(
-        &self,
-        ctx: &ProxyContext<'_>,
-        pos: u64,
-        prev_pos: u64,
-    ) -> (Hierarchy, f64) {
+    /// position `pos`. Returns the hierarchy plus the modeled host
+    /// seconds of building it (the context's `p`/`mult` convert spans
+    /// to represented instructions, exactly like the chain's own
+    /// charges).
+    pub(crate) fn build(&self, ctx: &ProxyContext<'_>, pos: u64) -> (Hierarchy, f64) {
         let ProxyContext {
             machine,
             cost,
@@ -91,12 +76,6 @@ impl ProxyStateSource {
         } = *ctx;
         let mut h = Hierarchy::new(machine);
         match self {
-            ProxyStateSource::Cold => (h, 0.0),
-            ProxyStateSource::NearestBoundary => {
-                let span = pos.saturating_sub(prev_pos);
-                h.warm_range(workload, prev_pos..pos);
-                (h, cost.instr_seconds(WorkKind::Functional, span * p * mult))
-            }
             ProxyStateSource::StatModel => {
                 let llc_lines = machine.hierarchy.llc.lines();
                 let probe_len = (llc_lines * STATMODEL_PROBE_PER_LINE).min(pos);
@@ -169,8 +148,6 @@ mod tests {
 
     #[test]
     fn proxy_sources_have_stable_names() {
-        assert_eq!(ProxyStateSource::Cold.name(), "cold");
-        assert_eq!(ProxyStateSource::NearestBoundary.name(), "nearest-boundary");
         assert_eq!(ProxyStateSource::StatModel.name(), "statmodel");
         assert_eq!(ProxyStateSource::Poisoned.name(), "poisoned");
     }
@@ -191,32 +168,11 @@ mod tests {
             p: 3,
             mult: 4000,
         };
-        let (proxy, seconds) = ProxyStateSource::StatModel.build(&ctx, pos, 30_000);
+        let (proxy, seconds) = ProxyStateSource::StatModel.build(&ctx, pos);
         assert_eq!(proxy.state_digest(), chain.state_digest());
         // The directed window is a small fraction of the blind prefix.
         let blind = cost.instr_seconds(WorkKind::Functional, pos * 3 * 4000);
         assert!(seconds < blind / 2.0, "directed {seconds} vs blind {blind}");
-    }
-
-    #[test]
-    fn cold_proxy_is_free_and_cold() {
-        let scale = Scale::tiny();
-        let w = spec_workload("mcf", scale, 1).unwrap();
-        let machine = MachineConfig::for_scale(scale);
-        let cost = CostModel::paper_host();
-        let ctx = ProxyContext {
-            machine: &machine,
-            cost: &cost,
-            workload: &w,
-            p: 3,
-            mult: 1,
-        };
-        let (proxy, seconds) = ProxyStateSource::Cold.build(&ctx, 50_000, 0);
-        assert_eq!(seconds, 0.0);
-        assert_eq!(
-            proxy.state_digest(),
-            Hierarchy::new(&machine).state_digest()
-        );
     }
 
     #[test]
@@ -232,7 +188,7 @@ mod tests {
             p: 3,
             mult: 1,
         };
-        let (proxy, _) = ProxyStateSource::Poisoned.build(&ctx, 0, 0);
+        let (proxy, _) = ProxyStateSource::Poisoned.build(&ctx, 0);
         assert_ne!(
             proxy.state_digest(),
             Hierarchy::new(&machine).state_digest(),
@@ -260,7 +216,7 @@ mod tests {
             },
         ];
         let e = SpeculationExtras {
-            proxy: ProxyStateSource::Cold,
+            proxy: ProxyStateSource::StatModel,
             outcomes,
         };
         assert_eq!(e.hits(), 1);

@@ -11,7 +11,8 @@
 //! strategy's reduction (and hence its [`StrategyReport`]) is
 //! byte-identical for every worker count.
 //!
-//! Three unit shapes cover all five strategies:
+//! Two unit shapes cover all five strategies, plus a third kept for
+//! measurement:
 //!
 //! * [`run_units`](RegionScheduler::run_units) — fully independent
 //!   units. CoolSim (per-region watchpoint profiling), MRRL (per-region
@@ -27,17 +28,16 @@
 //!   from a proxy of that state, run on every worker (the calling
 //!   thread included), and a plan-order reconciler on the calling
 //!   thread commits the ones whose proxy matched the true chain and
-//!   redoes the rest. SMARTS and checkpoint preparation take this lane
-//!   above one worker.
+//!   redoes the rest. SMARTS and checkpoint preparation run every warm
+//!   chain through this lane: with no proxy (one worker, no
+//!   speculation) every unit takes the reconciler's miss path, which is
+//!   the in-place sequential chain step for step.
 //! * [`run_seeded`](RegionScheduler::run_seeded) — units seeded by a
 //!   sequential carried-state lane. The seed pass runs in plan order on
-//!   a producer lane (cumulatively warming one hierarchy and handing
-//!   each unit a [`fork`](delorean_cache::Hierarchy::fork) of it), while
-//!   the bodies fan out across the remaining workers as their seeds
-//!   become available — a producer/consumer pipeline over the bounded
-//!   channel shim, mirroring the paper's OS-pipe pass pipeline at region
-//!   granularity. SMARTS's fault-isolated path uses it, because a forked
-//!   body can be retried from a cloned seed.
+//!   a producer lane, while the bodies fan out across the remaining
+//!   workers as their seeds become available — a producer/consumer
+//!   pipeline over the bounded channel shim. No strategy calls it; it
+//!   stays as the seed-lane handoff primitive `simbench` times.
 //!
 //! Determinism contract: unit bodies must be pure functions of
 //! `(unit index, region, seed)`. The scheduler never lets the worker
@@ -392,7 +392,7 @@ impl RegionScheduler {
         })
     }
 
-    /// [`run_units`](Self::run_units) with **panic isolation**: each
+    /// [`run_units`](Self::run_units) over **guarded** units: each
     /// unit body runs inside
     /// [`fault::run_unit_guarded`] — a panic (or injected fault at the
     /// [`FaultSite::UnitEntry`] site) is caught and classified, the
@@ -414,180 +414,12 @@ impl RegionScheduler {
         policy: &FaultPolicy,
         unit: impl Fn(u32, &Region) -> R + Sync,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let guarded = |i: u32, r: &Region| -> Result<R, UnitFailure> {
+        split_results(self.run_units(regions, |i, r| {
             fault::run_unit_guarded(i, policy, || {
                 fault::hit(FaultSite::UnitEntry, u64::from(i));
                 unit(i, r)
             })
-        };
-        let results: Vec<Result<R, UnitFailure>> = if self.workers <= 1 || regions.len() <= 1 {
-            regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| guarded(i as u32, r))
-                .collect()
-        } else {
-            let jobs: Vec<(u32, &Region)> = regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, r))
-                .collect();
-            ThreadPoolBuilder::new()
-                .num_threads(self.workers)
-                .build()
-                // lint:allow(no-unwrap): the offline rayon shim's pool build is infallible; with registry rayon a failure here is unrecoverable
-                .expect("region worker pool")
-                .install(|| jobs.par_iter().map(|&(i, r)| guarded(i, r)).collect())
-        };
-        split_results(results)
-    }
-
-    /// [`run_seeded`](Self::run_seeded) with **panic isolation**.
-    ///
-    /// The two lanes fail differently:
-    ///
-    /// * **Body** failures are local. Each body runs guarded with a
-    ///   [`FaultSite::UnitEntry`] injection site and retries from a
-    ///   fresh [`Clone`] of its seed (which is why `S: Clone` here);
-    ///   exhaustion quarantines that unit alone — the seed lane has
-    ///   already moved past it.
-    /// * **Seed** failures poison the chain. A failed seed call leaves
-    ///   the carried state (the cumulative warm hierarchy) half-mutated,
-    ///   so it is *not* retried: unit *i* is quarantined with its
-    ///   classified fault and every unit after it with
-    ///   [`UnitFault::ChainPoisoned`]. Seeds carry no injection site for
-    ///   the same reason — injected faults must stay recoverable.
-    ///
-    /// A fully clean run's results are bitwise identical to
-    /// [`run_seeded`](Self::run_seeded) at every worker count.
-    pub fn run_seeded_isolated<S: Send + Clone, R: Send>(
-        &self,
-        regions: &[Region],
-        policy: &FaultPolicy,
-        mut seed: impl FnMut(u32, &Region) -> S + Send,
-        body: impl Fn(u32, &Region, S) -> R + Sync,
-    ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let n = regions.len();
-        let seed_once = FaultPolicy { retry_budget: 0 };
-        let guarded_body = |i: u32, r: &Region, s: &S| -> Result<R, UnitFailure> {
-            fault::run_unit_guarded(i, policy, || {
-                fault::hit(FaultSite::UnitEntry, u64::from(i));
-                body(i, r, s.clone())
-            })
-        };
-        if self.workers <= 1 || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut poisoned: Option<u32> = None;
-            for (i, r) in regions.iter().enumerate() {
-                let iu = i as u32;
-                if let Some(upstream) = poisoned {
-                    out.push(None);
-                    failures.push(UnitFailure {
-                        unit: iu,
-                        attempts: 0,
-                        fault: UnitFault::ChainPoisoned { upstream },
-                    });
-                    continue;
-                }
-                match fault::run_unit_guarded(iu, &seed_once, || seed(iu, r)) {
-                    Ok(s) => match guarded_body(iu, r, &s) {
-                        Ok(v) => out.push(Some(v)),
-                        Err(f) => {
-                            out.push(None);
-                            failures.push(f);
-                        }
-                    },
-                    Err(f) => {
-                        out.push(None);
-                        failures.push(f);
-                        poisoned = Some(iu);
-                    }
-                }
-            }
-            return (out, failures);
-        }
-        let consumers = (self.workers - 1).min(n);
-        let (seed_tx, seed_rx) = bounded::<(u32, S)>(consumers.max(2));
-        let (done_tx, done_rx) = bounded::<(u32, Result<R, UnitFailure>)>(n);
-        let seed_rx = Mutex::new(seed_rx);
-        let guarded_body = &guarded_body;
-        std::thread::scope(|scope| {
-            let producer = scope.spawn(move || -> Option<(u32, UnitFailure)> {
-                for (i, r) in regions.iter().enumerate() {
-                    let iu = i as u32;
-                    match fault::run_unit_guarded(iu, &seed_once, || seed(iu, r)) {
-                        Ok(s) => {
-                            if seed_tx.send((iu, s)).is_err() {
-                                return None; // consumers gone
-                            }
-                        }
-                        // The chain cannot continue past a dead seed.
-                        Err(f) => return Some((iu, f)),
-                    }
-                }
-                None
-            });
-            for _ in 0..consumers {
-                let done_tx = done_tx.clone();
-                let seed_rx = &seed_rx;
-                scope.spawn(move || loop {
-                    // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
-                    let msg = seed_rx.lock().expect("seed channel lock").recv();
-                    match msg {
-                        Ok((i, s)) => {
-                            let res = guarded_body(i, &regions[i as usize], &s);
-                            if done_tx.send((i, res)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                });
-            }
-            drop(done_tx);
-            let mut slots: Vec<Option<Result<R, UnitFailure>>> = (0..n).map(|_| None).collect();
-            for (i, res) in done_rx.iter() {
-                slots[i as usize] = Some(res);
-            }
-            let (poisoned_at, mut seed_fault) = match producer.join() {
-                Ok(Some((u, f))) => (Some(u), Some(f)),
-                _ => (None, None),
-            };
-            let mut out = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut lost = Vec::new();
-            for (i, slot) in slots.into_iter().enumerate() {
-                let iu = i as u32;
-                match slot {
-                    Some(Ok(r)) => out.push(Some(r)),
-                    Some(Err(f)) => {
-                        out.push(None);
-                        failures.push(f);
-                    }
-                    None => {
-                        out.push(None);
-                        match poisoned_at {
-                            Some(u) if iu == u => {
-                                if let Some(f) = seed_fault.take() {
-                                    failures.push(f);
-                                }
-                            }
-                            Some(u) if iu > u => failures.push(UnitFailure {
-                                unit: iu,
-                                attempts: 0,
-                                fault: UnitFault::ChainPoisoned { upstream: u },
-                            }),
-                            _ => lost.push(iu),
-                        }
-                    }
-                }
-            }
-            if !lost.is_empty() {
-                std::panic::panic_any(LostUnits { units: lost });
-            }
-            (out, failures)
-        })
+        }))
     }
 
     /// [`run_speculative`](Self::run_speculative) with **panic
@@ -805,95 +637,6 @@ mod tests {
                 failures[0].fault,
                 UnitFault::Panicked { ref message } if message.contains("unit 2")
             ));
-        }
-    }
-
-    #[test]
-    fn seeded_isolation_keeps_the_sequential_fold_when_clean() {
-        let rs = regions(6);
-        let reference: Vec<u64> = {
-            let mut acc = 0u64;
-            rs.iter()
-                .map(|r| {
-                    acc += r.start_instr;
-                    acc
-                })
-                .collect()
-        };
-        let policy = FaultPolicy::default();
-        for workers in [1, 2, 3, 8] {
-            let mut acc = 0u64;
-            let (got, failures) = RegionScheduler::new(workers).run_seeded_isolated(
-                &rs,
-                &policy,
-                move |_, r| {
-                    acc += r.start_instr;
-                    acc
-                },
-                |_, _, s| s,
-            );
-            assert!(failures.is_empty(), "workers={workers}");
-            let got: Vec<u64> = got.into_iter().flatten().collect();
-            assert_eq!(got, reference, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn a_dead_seed_poisons_the_rest_of_the_chain() {
-        let rs = regions(5);
-        let policy = FaultPolicy::default();
-        for workers in [1, 3] {
-            let (got, failures) = RegionScheduler::new(workers).run_seeded_isolated(
-                &rs,
-                &policy,
-                |i, _| {
-                    if i == 2 {
-                        std::panic::panic_any("seed 2 dies".to_string());
-                    }
-                    u64::from(i)
-                },
-                |_, _, s| s,
-            );
-            assert_eq!(
-                got.iter().map(|s| s.is_some()).collect::<Vec<_>>(),
-                [true, true, false, false, false],
-                "workers={workers}"
-            );
-            assert_eq!(failures.len(), 3, "workers={workers}");
-            assert_eq!(failures[0].unit, 2);
-            // Seeds are never retried: the chain state is unusable.
-            assert_eq!(failures[0].attempts, 1);
-            for (f, unit) in failures[1..].iter().zip([3u32, 4]) {
-                assert_eq!(f.unit, unit);
-                assert_eq!(f.attempts, 0);
-                assert!(matches!(f.fault, UnitFault::ChainPoisoned { upstream: 2 }));
-            }
-        }
-    }
-
-    #[test]
-    fn a_dead_body_quarantines_only_its_own_unit() {
-        let rs = regions(5);
-        let policy = FaultPolicy { retry_budget: 0 };
-        for workers in [1, 3] {
-            let (got, failures) = RegionScheduler::new(workers).run_seeded_isolated(
-                &rs,
-                &policy,
-                |i, _| u64::from(i),
-                |i, _, s| {
-                    if i == 1 {
-                        std::panic::panic_any("body 1 dies".to_string());
-                    }
-                    s
-                },
-            );
-            assert_eq!(
-                got.iter().map(|s| s.is_some()).collect::<Vec<_>>(),
-                [true, false, true, true, true],
-                "workers={workers}"
-            );
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].unit, 1);
         }
     }
 

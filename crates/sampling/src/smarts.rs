@@ -8,13 +8,14 @@
 //! measures SMARTS at 1.3 MIPS.
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
+use crate::driver::{reduce_units_partial, RegionUnit, UnitDriver};
 use crate::proxy::{ProxyStateSource, SpeculationExtras};
+use crate::report::SimulationReport;
 use crate::scheduler::RegionScheduler;
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_cpu::TimingConfig;
-use delorean_trace::fault::FaultPolicy;
+use delorean_trace::fault::{FaultPolicy, UnitFailure};
 use delorean_trace::{MemAccess, Workload};
 use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
 
@@ -93,8 +94,8 @@ impl SmartsRunner {
     /// re-warmed and re-measured from the true state.
     ///
     /// Either way every unit's chained charge is
-    /// `chain_step`'s — identical arithmetic to the sequential path —
-    /// so the [`SimulationReport`](crate::SimulationReport) is bitwise
+    /// `chain_step`'s — identical arithmetic on every path — so the
+    /// [`SimulationReport`](crate::SimulationReport) is bitwise
     /// identical to sequential SMARTS at every worker count and for
     /// every proxy source (pinned by `tests/determinism.rs`). The
     /// speculation outcomes ride along as [`SpeculationExtras`], from
@@ -108,54 +109,96 @@ impl SmartsRunner {
         proxy: ProxyStateSource,
         workers: usize,
     ) -> StrategyReport {
+        let run = self.run_chain(workload, plan, Some(proxy), workers, None);
+        StrategyReport::new(run.report).with_extras(SpeculationExtras {
+            proxy,
+            outcomes: run.outcomes,
+        })
+    }
+
+    /// The proxy a run at `workers` speculates from: the configured one,
+    /// else [`ProxyStateSource::StatModel`] above one worker, else none
+    /// (every unit takes the reconciler's miss path).
+    fn proxy_at(&self, workers: usize) -> Option<ProxyStateSource> {
+        self.proxy
+            .or((workers > 1).then_some(ProxyStateSource::StatModel))
+    }
+
+    /// Drive the warm chain over `plan` through the speculative lane —
+    /// [`RegionScheduler::run_speculative`], or
+    /// [`RegionScheduler::run_speculative_isolated`] under `policy`.
+    /// Every SMARTS entry point comes here, so its `step` closure is the
+    /// one warm-chain body. With `proxy = None` the spec tasks return `None`
+    /// without doing any work and every unit takes the miss path: the
+    /// in-place sequential chain, with no digest computed.
+    fn run_chain(
+        &self,
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        proxy: Option<ProxyStateSource>,
+        workers: usize,
+        policy: Option<&FaultPolicy>,
+    ) -> ChainRun {
         let p = workload.mem_period();
         let mult = plan.config.work_multiplier();
         let positions = &chain_positions(plan, p);
         let spec = |i: u32, region: &Region| {
-            self.speculate(workload, positions, proxy, p, mult, i, region)
+            proxy.map(|proxy| self.speculate(workload, positions, proxy, p, mult, i, region))
         };
-
         let mut hierarchy = Hierarchy::new(&self.machine);
         let mut pos_access = 0u64;
         let mut chained = Vec::with_capacity(plan.regions.len());
-        let mut outcomes: Vec<SpecUnit> = Vec::with_capacity(plan.regions.len());
-        let units = RegionScheduler::new(workers).run_speculative(
-            &plan.regions,
-            spec,
-            |i: u32, region: &Region, s: Speculation| -> RegionUnit {
-                debug_assert_eq!(pos_access, positions[i as usize]);
-                let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-                chained.push(step.seconds);
+        let mut outcomes = Vec::with_capacity(plan.regions.len());
+        // The one warm-chain step. A speculation whose digest matches
+        // the true state is adopted with its end state; otherwise (a
+        // digest mismatch, a faulted-out speculation, or no proxy at
+        // all) the step warms the span and measures in place. The
+        // chained charge is the same either way, which is why neither
+        // the proxy nor a spec fault can move the report.
+        let mut step = |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
+            debug_assert_eq!(pos_access, positions[i as usize]);
+            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
+            chained.push(step.seconds);
+            pos_access = step.next_pos;
+            if let Some(s) = s {
                 let committed = hierarchy.state_digest() == s.digest;
-                let unit = if committed {
-                    hierarchy.copy_state_from(&s.end_state);
-                    s.unit
-                } else {
-                    hierarchy.warm_range(workload, step.warm);
-                    let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-                    let mut source =
-                        |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-                    driver.measure_region(region, &mut source)
-                };
-                pos_access = step.next_pos;
                 outcomes.push(SpecUnit {
                     unit: i,
                     committed,
                     proxy_seconds: s.proxy_seconds,
                     speculative_seconds: s.total_seconds,
                 });
-                unit
-            },
-        );
-        let report = reduce_units(workload, plan, self.name(), &chained, units);
-        StrategyReport::new(report).with_extras(SpeculationExtras { proxy, outcomes })
+                if committed {
+                    hierarchy.copy_state_from(&s.end_state);
+                    return s.unit;
+                }
+            }
+            hierarchy.warm_range(workload, step.warm);
+            self.measure(workload, region, &mut hierarchy)
+        };
+        let scheduler = RegionScheduler::new(workers);
+        let (units, quarantined) = match policy {
+            None => {
+                let units = scheduler.run_speculative(&plan.regions, spec, &mut step);
+                (units.into_iter().map(Some).collect(), Vec::new())
+            }
+            Some(policy) => {
+                scheduler.run_speculative_isolated(&plan.regions, policy, spec, |i, region, s| {
+                    step(i, region, s.flatten())
+                })
+            }
+        };
+        ChainRun {
+            report: reduce_units_partial(workload, plan, self.name(), &chained, units),
+            quarantined,
+            outcomes,
+        }
     }
 
     /// One speculation task: build the proxy state for region `i`'s
-    /// boundary, record its digest, then warm and measure in place.
-    /// Shared verbatim by the plain and fault-isolated speculative
-    /// lanes — a pure function of `(i, region)`, which is what makes it
-    /// safe for the isolated lane to retry from the top.
+    /// boundary, record its digest, then warm and measure in place — a
+    /// pure function of `(i, region)`, which is what makes it safe for
+    /// the isolated lane to retry from the top.
     #[allow(clippy::too_many_arguments)] // mirrors the chain-step tuple one-for-one
     fn speculate(
         &self,
@@ -175,18 +218,14 @@ impl SmartsRunner {
             mult,
         };
         let at = positions[i as usize];
-        let prev = if i == 0 { 0 } else { positions[i as usize - 1] };
-        let (mut h, proxy_seconds) = proxy.build(&ctx, at, prev);
+        let (mut h, proxy_seconds) = proxy.build(&ctx, at);
         let digest = h.state_digest();
         let step = chain_step(&self.cost, workload, region, at, p, mult);
         h.warm_range(workload, step.warm);
         // Measure in place: the shared access core mutates the
-        // hierarchy through the measured span exactly as the
-        // chain's functional replay would, so `h` ends at the next
-        // boundary's state.
-        let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-        let mut source = |a: &MemAccess, now: u64| h.access_data(a.pc, a.line(), now);
-        let unit = driver.measure_region(region, &mut source);
+        // hierarchy through the measured span exactly as the chain's
+        // own miss path would, so `h` ends at the next boundary's state.
+        let unit = self.measure(workload, region, &mut h);
         let total_seconds = proxy_seconds + step.seconds + unit.seconds;
         Speculation {
             digest,
@@ -197,66 +236,16 @@ impl SmartsRunner {
         }
     }
 
-    /// The speculative warm lane under **panic isolation**: spec tasks
-    /// whose retries are exhausted degrade to the reconciler's miss
-    /// path (full redo from the true chain state — never a quarantine),
-    /// while reconciler-commit faults are retried at the injection gate
-    /// and genuine reconciler deaths poison the rest of the chain. A
-    /// clean run's report is bitwise identical to
-    /// [`run_speculative_with_workers`](Self::run_speculative_with_workers)'s
-    /// (speculation extras are not carried by partial reports).
-    pub fn run_speculative_isolated_with_workers(
+    /// Detailed warming and the measured region on `hierarchy`, in place.
+    fn measure(
         &self,
         workload: &dyn Workload,
-        plan: &RegionPlan,
-        proxy: ProxyStateSource,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region| {
-            self.speculate(workload, positions, proxy, p, mult, i, region)
-        };
-
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access = 0u64;
-        let mut chained = Vec::with_capacity(plan.regions.len());
-        let (outputs, quarantined) = RegionScheduler::new(workers).run_speculative_isolated(
-            &plan.regions,
-            policy,
-            spec,
-            |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
-                debug_assert_eq!(pos_access, positions[i as usize]);
-                let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-                chained.push(step.seconds);
-                let unit = match s {
-                    Some(sp) if hierarchy.state_digest() == sp.digest => {
-                        hierarchy.copy_state_from(&sp.end_state);
-                        sp.unit
-                    }
-                    _ => {
-                        // Miss path — taken both for a digest mismatch
-                        // and for a degraded (faulted-out) speculation:
-                        // identical chain arithmetic either way, which
-                        // is why spec faults cannot move the report.
-                        hierarchy.warm_range(workload, step.warm);
-                        let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-                        let mut source =
-                            |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-                        driver.measure_region(region, &mut source)
-                    }
-                };
-                pos_access = step.next_pos;
-                unit
-            },
-        );
-        let report = reduce_units_partial(workload, plan, self.name(), &chained, outputs);
-        PartialReport {
-            report,
-            quarantined,
-        }
+        region: &Region,
+        hierarchy: &mut Hierarchy,
+    ) -> RegionUnit {
+        let driver = UnitDriver::new(workload, &self.timing, &self.cost);
+        let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
+        driver.measure_region(region, &mut source)
     }
 }
 
@@ -268,6 +257,13 @@ struct Speculation {
     unit: RegionUnit,
     proxy_seconds: f64,
     total_seconds: f64,
+}
+
+/// What [`SmartsRunner::run_chain`] hands back to its entry points.
+struct ChainRun {
+    report: SimulationReport,
+    quarantined: Vec<UnitFailure>,
+    outcomes: Vec<SpecUnit>,
 }
 
 /// Chain access positions at each region boundary — pure plan
@@ -294,22 +290,25 @@ impl SamplingStrategy for SmartsRunner {
 
     /// SMARTS under the region scheduler.
     ///
-    /// At one worker the warm chain runs in place: functional warming
-    /// up to each region's detailed-warming boundary, then detailed
-    /// warming and the measured region on the same hierarchy, which
-    /// leaves it at the next boundary's state.
+    /// The warm chain always runs through the speculative lane's
+    /// reconciler. At one worker there is no proxy, so every step is
+    /// the in-place chain: functional warming up to the region's
+    /// detailed-warming boundary, then detailed warming and the
+    /// measured region on the same hierarchy, which leaves it at the
+    /// next boundary's state.
     ///
     /// Above one worker the chain itself is the bottleneck — the warm
     /// span dominates every region, so decoupling only the measure
-    /// bodies buys no overlap. The run therefore goes through the
-    /// speculative warm lane with the [`ProxyStateSource::StatModel`]
-    /// proxy (see
+    /// bodies buys no overlap. The run therefore speculates from the
+    /// [`ProxyStateSource::StatModel`] proxy (see
     /// [`run_speculative_with_workers`](SmartsRunner::run_speculative_with_workers)),
     /// whose spec tasks warm and measure whole regions on every worker.
-    /// Its report is bitwise identical to the in-place path's, and its
-    /// [`SpeculationExtras`] are dropped, so a plain SMARTS
-    /// [`StrategyReport`] is the same at every worker count (asserted
-    /// by `tests/determinism.rs` and `tests/golden_reports.rs`).
+    /// Its report is bitwise identical to the one-worker run's, and no
+    /// [`SpeculationExtras`] are attached unless
+    /// [`with_speculation`](SmartsRunner::with_speculation) chose the
+    /// proxy, so a plain SMARTS [`StrategyReport`] is the same at every
+    /// worker count (asserted by `tests/determinism.rs` and
+    /// `tests/golden_reports.rs`).
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
@@ -319,57 +318,26 @@ impl SamplingStrategy for SmartsRunner {
         if let Some(proxy) = self.proxy {
             return self.run_speculative_with_workers(workload, plan, proxy, workers);
         }
-        if workers > 1 {
-            let spec = self.run_speculative_with_workers(
-                workload,
-                plan,
-                ProxyStateSource::StatModel,
-                workers,
-            );
-            return spec.into_report().into();
-        }
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access: u64 = 0;
-        // The replay seconds in each chain step are still charged, so
-        // the cost accounting matches the fork-and-replay isolated path
-        // and the speculative lane.
-        let mut chained = Vec::with_capacity(plan.regions.len());
-        let mut units = Vec::with_capacity(plan.regions.len());
-        for region in &plan.regions {
-            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-            hierarchy.warm_range(workload, step.warm);
-            pos_access = step.next_pos;
-            chained.push(step.seconds);
-
-            let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-            let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-            units.push(driver.measure_region(region, &mut source));
-        }
-        reduce_units(workload, plan, self.name(), &chained, units).into()
+        let proxy = self.proxy_at(workers);
+        self.run_chain(workload, plan, proxy, workers, None)
+            .report
+            .into()
     }
 
-    /// SMARTS with per-unit panic isolation.
+    /// SMARTS with per-unit panic isolation: the same chain through
+    /// [`RegionScheduler::run_speculative_isolated`], with the same
+    /// proxy choice as [`run_with_workers`](SamplingStrategy::run_with_workers).
     ///
-    /// Always takes the **fork-based seeded path**: functional warming
-    /// is the chained seed lane, and each measure body (detailed warming
-    /// and the measured region) runs on its own [`Hierarchy::fork`] of the
-    /// boundary state, fanned out across workers. To keep the carried
-    /// state exact the seed lane *replays* each measured span
-    /// functionally after forking: `simulate_detailed` issues precisely
-    /// the data accesses of the span through the shared access core, so
-    /// the replay leaves the chain bit-identical to an in-place
-    /// measurement. An in-place measurement mutates the carried state as
-    /// it goes, so a mid-flight fault would leave the chain
-    /// unrecoverable; the fork path makes bodies retryable from a cloned
-    /// seed and keeps the chain pristine. Every path takes its
-    /// boundaries and charges from one `chain_step`, so a clean isolated
-    /// run is still bitwise identical to the plain run.
-    ///
-    /// With speculation enabled the run goes through
-    /// [`run_speculative_isolated_with_workers`](SmartsRunner::run_speculative_isolated_with_workers)
-    /// instead.
+    /// The chain has one failure domain. Injected faults at the
+    /// [`FaultSite::ReconcilerCommit`](delorean_trace::fault::FaultSite::ReconcilerCommit)
+    /// gate fire before the step mutates anything, so they are retried.
+    /// A genuine panic inside a step may leave the carried hierarchy
+    /// half-mutated, so it quarantines that unit after one attempt and
+    /// poisons every later unit. Spec tasks whose retries at
+    /// [`FaultSite::UnitEntry`](delorean_trace::fault::FaultSite::UnitEntry)
+    /// run out degrade to the miss path — they never quarantine. A
+    /// clean run's report is bitwise identical to the plain run's
+    /// (speculation extras are not carried by partial reports).
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -377,47 +345,16 @@ impl SamplingStrategy for SmartsRunner {
         workers: usize,
         policy: &FaultPolicy,
     ) -> PartialReport {
-        if let Some(proxy) = self.proxy {
-            return self
-                .run_speculative_isolated_with_workers(workload, plan, proxy, workers, policy);
-        }
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access: u64 = 0;
-
-        let seed = move |_i: u32, region: &Region| {
-            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-            hierarchy.warm_range(workload, step.warm);
-            let unit_state = hierarchy.fork();
-            hierarchy.warm_range(workload, step.measured);
-            pos_access = step.next_pos;
-            (unit_state, step.seconds)
-        };
-
-        let body = |_i: u32, region: &Region, (mut warm, chain_seconds): (Hierarchy, f64)| {
-            let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-            let mut source = |a: &MemAccess, now: u64| warm.access_data(a.pc, a.line(), now);
-            (chain_seconds, driver.measure_region(region, &mut source))
-        };
-
-        let (outputs, quarantined) =
-            RegionScheduler::new(workers).run_seeded_isolated(&plan.regions, policy, seed, body);
-        let mut chained = vec![0.0; outputs.len()];
-        let mut units = Vec::with_capacity(outputs.len());
-        for (i, o) in outputs.into_iter().enumerate() {
-            match o {
-                Some((c, u)) => {
-                    chained[i] = c;
-                    units.push(Some(u));
-                }
-                None => units.push(None),
-            }
-        }
-        let report = reduce_units_partial(workload, plan, self.name(), &chained, units);
+        let run = self.run_chain(
+            workload,
+            plan,
+            self.proxy_at(workers),
+            workers,
+            Some(policy),
+        );
         PartialReport {
-            report,
-            quarantined,
+            report: run.report,
+            quarantined: run.quarantined,
         }
     }
 
@@ -431,22 +368,21 @@ struct ChainStep {
     /// Access range of the functional warm span (chain position up to
     /// the detailed-warming boundary).
     warm: std::ops::Range<u64>,
-    /// Access range the detailed simulator will issue for this region
-    /// (detailed warming + measured region) — the span the decomposed
-    /// chain replays functionally.
-    measured: std::ops::Range<u64>,
     /// Chain position after this region.
     next_pos: u64,
     /// Chained-lane seconds: the warm span at represented magnitude
-    /// plus the replay at face value.
+    /// plus a functional replay of the measured span at face value.
     seconds: f64,
 }
 
-/// Compute one region's chain step. Every SMARTS path (in-place
-/// sequential, the speculative lane's reconciler and the isolated
-/// fork-and-replay seed lane) takes its boundaries and charges from this
-/// one function, which is what keeps their reports byte-identical by
+/// Compute one region's chain step. Every SMARTS path — the spec tasks
+/// and the reconciler's step — takes its boundaries and charges from
+/// this one function, which keeps their reports byte-identical by
 /// construction.
+///
+/// No path replays the measured span functionally any more (the chain
+/// measures in place); the replay charge stays only so reports stay
+/// byte-identical to the recorded digests.
 fn chain_step(
     cost: &CostModel,
     workload: &dyn Workload,
@@ -459,15 +395,12 @@ fn chain_step(
     let warm_end_access = region.warming.start / p;
     let span = warm_end_access.saturating_sub(pos_access);
     chain.charge(cost.instr_seconds(WorkKind::Functional, span * p * mult));
-    let measured = workload.access_index_at_instr(region.warming.start)
-        ..workload.access_index_at_instr(region.detailed.end);
-    chain.charge(cost.instr_seconds(
-        WorkKind::Functional,
-        measured.end.saturating_sub(measured.start) * p,
-    ));
+    let measured = workload
+        .access_index_at_instr(region.detailed.end)
+        .saturating_sub(workload.access_index_at_instr(region.warming.start));
+    chain.charge(cost.instr_seconds(WorkKind::Functional, measured * p));
     ChainStep {
         warm: pos_access..warm_end_access,
-        measured,
         next_pos: region.detailed.end / p,
         seconds: chain.seconds(),
     }
@@ -531,12 +464,7 @@ mod tests {
         let machine = MachineConfig::for_scale(Scale::tiny());
         let runner = SmartsRunner::new(machine);
         let sequential = runner.run(&w, &plan);
-        for proxy in [
-            ProxyStateSource::Cold,
-            ProxyStateSource::NearestBoundary,
-            ProxyStateSource::StatModel,
-            ProxyStateSource::Poisoned,
-        ] {
+        for proxy in [ProxyStateSource::StatModel, ProxyStateSource::Poisoned] {
             for workers in [1usize, 4] {
                 let spec = runner.run_speculative_with_workers(&w, &plan, proxy, workers);
                 assert_eq!(
@@ -593,7 +521,7 @@ mod tests {
         let plan = quick_plan();
         let machine = MachineConfig::for_scale(Scale::tiny());
         let runner = SmartsRunner::new(machine)
-            .with_speculation(ProxyStateSource::Cold)
+            .with_speculation(ProxyStateSource::Poisoned)
             .with_region_workers(2);
         let report = runner.run(&w, &plan);
         assert!(report.extras::<SpeculationExtras>().is_some());

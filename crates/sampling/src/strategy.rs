@@ -16,9 +16,9 @@
 //! [`StrategyReport::extras`] or [`StrategyReport::split`].
 
 use crate::config::RegionPlan;
-use crate::driver::RegionUnit;
+use crate::driver::{reduce_units_partial, RegionUnit};
 use crate::report::SimulationReport;
-use delorean_trace::fault::{self, FaultPolicy, UnitFailure};
+use delorean_trace::fault::{self, FaultPolicy, UnitFailure, UnitFault};
 use delorean_trace::Workload;
 use std::any::Any;
 use std::fmt;
@@ -103,8 +103,9 @@ pub trait SamplingStrategy: Send + Sync {
     /// isolation through the `RegionScheduler`'s `*_isolated` runners;
     /// the default guards the whole run as a single unit (one retryable
     /// fault domain — sound because strategies are pure functions of
-    /// their inputs). Strategy extras are not carried by partial
-    /// reports.
+    /// their inputs). If that unit runs out of retries, unit 0 carries
+    /// the fault and every later unit is chain-poisoned by it. Strategy
+    /// extras are not carried by partial reports.
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -119,14 +120,7 @@ pub trait SamplingStrategy: Send + Sync {
                 report,
                 quarantined: Vec::new(),
             },
-            Err(failure) => PartialReport {
-                report: SimulationReport {
-                    workload: workload.name().to_string(),
-                    strategy: self.name().to_string(),
-                    ..Default::default()
-                },
-                quarantined: vec![failure],
-            },
+            Err(failure) => PartialReport::failed_whole(workload, plan, self.name(), failure),
         }
     }
 
@@ -195,6 +189,30 @@ impl PartialReport {
     /// The report, discarding the quarantine list.
     pub fn into_report(self) -> SimulationReport {
         self.report
+    }
+
+    /// The outcome of a run guarded as **one whole unit** that ran out
+    /// of retries: no region completed, unit 0 carries `failure`, and
+    /// every later unit of `plan` is [`UnitFault::ChainPoisoned`] by
+    /// it — so the report's regions plus the quarantine list still
+    /// cover the plan.
+    pub(crate) fn failed_whole(
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        strategy: &str,
+        failure: UnitFailure,
+    ) -> Self {
+        let n = plan.regions.len() as u32;
+        let poisoned = (1..n).map(|unit| UnitFailure {
+            unit,
+            attempts: 0,
+            fault: UnitFault::ChainPoisoned { upstream: 0 },
+        });
+        let units = (0..n).map(|_| None).collect();
+        PartialReport {
+            report: reduce_units_partial(workload, plan, strategy, &[], units),
+            quarantined: std::iter::once(failure).chain(poisoned).collect(),
+        }
     }
 }
 

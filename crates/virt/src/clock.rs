@@ -244,75 +244,6 @@ impl RunCost {
         }
     }
 
-    /// Estimated wall-clock of the region-parallel run when some units
-    /// needed **retries** under the fault-isolated runtime.
-    ///
-    /// `attempts[i]` is the number of times unit *i*'s body executed
-    /// (1 = clean first try; quarantined units still count every
-    /// attempt). Retries happen in place on the worker that claimed the
-    /// unit — the guarded runner re-invokes the body before the worker
-    /// moves on — so the model charges the unit's parallel lane
-    /// `attempts` times while the chained lane (seed production, done
-    /// once upstream of the guarded body) is charged once.
-    ///
-    /// With every attempt count at 1 (or an empty slice) this is
-    /// exactly [`Self::region_parallel_wallclock`], preserving the
-    /// clean-run cost model bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is non-empty and not aligned one-to-one
-    /// with the recorded units.
-    pub fn retry_aware_wallclock(&self, workers: usize, attempts: &[u32]) -> f64 {
-        if attempts.is_empty() || self.units.is_empty() {
-            return self.region_parallel_wallclock(workers);
-        }
-        assert_eq!(
-            attempts.len(),
-            self.units.len(),
-            "attempt counts must align with recorded units"
-        );
-        if workers <= 1 {
-            return self
-                .units
-                .iter()
-                .zip(attempts)
-                .map(|(u, &a)| u.chained_seconds + u.parallel_seconds * f64::from(a.max(1)))
-                .sum();
-        }
-        let has_chain = self.units.iter().any(|u| u.chained_seconds > 0.0);
-        let pool = if has_chain { workers - 1 } else { workers }.max(1);
-        let mut chain_done = 0.0f64;
-        let mut free = vec![0.0f64; pool.min(self.units.len())];
-        let mut end = 0.0f64;
-        for (u, &a) in self.units.iter().zip(attempts) {
-            // lint:allow(float-accum): units iterate in plan order regardless of worker count, so this fold is worker-count-invariant
-            chain_done += u.chained_seconds;
-            let mut w = 0usize;
-            for i in 1..free.len() {
-                if free[i] < free[w] {
-                    w = i;
-                }
-            }
-            let start = free[w].max(chain_done);
-            free[w] = start + u.parallel_seconds * f64::from(a.max(1));
-            end = end.max(free[w]).max(chain_done);
-        }
-        end
-    }
-
-    /// Modeled fractional overhead of the retried run over the clean one
-    /// at `workers` workers: 0.0 means the retries were absorbed by idle
-    /// workers, 0.05 means the run got 5% slower. Returns 0.0 when the
-    /// clean run has no cost to compare against.
-    pub fn retry_overhead(&self, workers: usize, attempts: &[u32]) -> f64 {
-        let clean = self.region_parallel_wallclock(workers);
-        if clean <= 0.0 {
-            return 0.0;
-        }
-        (self.retry_aware_wallclock(workers, attempts) - clean) / clean
-    }
-
     /// Estimated wall-clock of the run executed by the **speculative warm
     /// lane** on `workers` host workers, given the per-unit speculation
     /// outcomes recorded by the scheduler.
@@ -595,72 +526,6 @@ mod tests {
             d,
             RunCost::from_parts(d.passes().to_vec(), d.regions(), d.units().to_vec())
         );
-    }
-
-    #[test]
-    fn clean_attempts_match_the_plain_model() {
-        let mut r = RunCost::new(8);
-        for u in 0..8 {
-            r.push_unit(u, 0.25, 1.0);
-        }
-        let ones = vec![1u32; 8];
-        for w in [1usize, 2, 4, 8] {
-            assert_eq!(
-                r.retry_aware_wallclock(w, &ones),
-                r.region_parallel_wallclock(w)
-            );
-            assert_eq!(
-                r.retry_aware_wallclock(w, &[]),
-                r.region_parallel_wallclock(w)
-            );
-            assert_eq!(r.retry_overhead(w, &ones), 0.0);
-        }
-    }
-
-    #[test]
-    fn retries_charge_the_parallel_lane_per_attempt() {
-        let mut r = RunCost::new(4);
-        for u in 0..4 {
-            r.push_unit(u, 0.0, 1.0);
-        }
-        // Serial: unit 2 runs three times → 3 + 3×1 = 6.
-        let attempts = [1u32, 1, 3, 1];
-        assert!((r.retry_aware_wallclock(1, &attempts) - 6.0).abs() < 1e-12);
-        // 4 workers, no chain: each unit has its own worker, the retried
-        // unit gates the makespan at 3.0 → overhead 200% over clean 1.0.
-        assert!((r.retry_aware_wallclock(4, &attempts) - 3.0).abs() < 1e-12);
-        assert!((r.retry_overhead(4, &attempts) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn idle_workers_absorb_retries_of_short_units() {
-        let mut r = RunCost::new(2);
-        r.push_unit(0, 0.0, 4.0);
-        r.push_unit(1, 0.0, 1.0);
-        // Two workers: unit 0 (4 s) gates the clean makespan; unit 1 can
-        // retry twice on its own worker without moving the wallclock.
-        let attempts = [1u32, 3];
-        assert!((r.retry_aware_wallclock(2, &attempts) - 4.0).abs() < 1e-12);
-        assert_eq!(r.retry_overhead(2, &attempts), 0.0);
-    }
-
-    #[test]
-    fn retries_do_not_recharge_the_chained_lane() {
-        let mut r = RunCost::new(2);
-        r.push_unit(0, 5.0, 1.0);
-        r.push_unit(1, 5.0, 1.0);
-        // Serial with a doubled attempt on unit 1: chain once, body twice
-        // → 5 + 1 + 5 + 2×1 = 13.
-        assert!((r.retry_aware_wallclock(1, &[1, 2]) - 13.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "align with recorded units")]
-    fn misaligned_attempts_panic() {
-        let mut r = RunCost::new(2);
-        r.push_unit(0, 1.0, 1.0);
-        r.push_unit(1, 1.0, 1.0);
-        let _ = r.retry_aware_wallclock(4, &[1]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use delorean::bench::headline_strategies;
 use delorean::prelude::*;
 use delorean::trace::fault::{self, FaultKind, FaultPlan, FaultSite};
-use delorean::trace::JournalError;
+use delorean::trace::{AccessCursor, BranchModel, JournalError, MemAccess};
 use std::path::PathBuf;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -36,8 +36,9 @@ fn temp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("delorean-fij-{}-{tag}", std::process::id()))
 }
 
-/// Every strategy, including SMARTS's speculative warm lane (whose
-/// isolated path adds the `ReconcilerCommit` site to `UnitEntry`).
+/// Every strategy, including SMARTS's speculative warm lane. Both
+/// SMARTS runners' isolated paths add the `ReconcilerCommit` site to
+/// `UnitEntry`.
 fn all_strategies(scale: Scale, machine: MachineConfig) -> Vec<Box<dyn SamplingStrategy>> {
     vec![
         Box::new(SmartsRunner::new(machine)),
@@ -214,7 +215,12 @@ fn reconciler_exhaustion_poisons_the_downstream_chain() {
     let n_units = plan.regions.len() as u64;
     let w = spec_workload("hmmer", scale, 42).unwrap();
     let policy = FaultPolicy::default();
-    let runner = SmartsRunner::new(machine).with_speculation(ProxyStateSource::StatModel);
+    // Plain SMARTS runs the same reconciled chain (with no proxy at one
+    // worker), so it has the same failure domain as the speculative lane.
+    let runners = [
+        SmartsRunner::new(machine).with_speculation(ProxyStateSource::StatModel),
+        SmartsRunner::new(machine),
+    ];
 
     // First struck unit strictly before the last, so there is a chain
     // to poison downstream of it.
@@ -225,7 +231,10 @@ fn reconciler_exhaustion_poisons_the_downstream_chain() {
         .strikes(u32::MAX)
         .kinds(&[FaultKind::Panic]);
     let mut reference: Option<Vec<u32>> = None;
-    for workers in [1, 2, 4] {
+    for (runner, workers) in runners
+        .iter()
+        .flat_map(|r| [1, 2, 4].map(|workers| (r, workers)))
+    {
         let guard = fault::arm(kill_plan);
         let iso = runner.run_isolated(&w, &plan, workers, &policy);
         drop(guard);
@@ -262,6 +271,90 @@ fn reconciler_exhaustion_poisons_the_downstream_chain() {
         match &reference {
             None => reference = Some(units),
             Some(r) => assert_eq!(r, &units, "poison set changed at {workers} workers"),
+        }
+    }
+}
+
+/// A workload whose access cursor always panics: any run that warms or
+/// measures through it dies, so a strategy guarded as one whole unit
+/// fails as a whole.
+struct PanickingCursor<W>(W);
+
+impl<W: Workload> Workload for PanickingCursor<W> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn mem_period(&self) -> u64 {
+        self.0.mem_period()
+    }
+
+    fn access_at(&self, k: u64) -> MemAccess {
+        self.0.access_at(k)
+    }
+
+    fn branch_model(&self) -> BranchModel {
+        self.0.branch_model()
+    }
+
+    fn cursor<'a>(&'a self, _range: std::ops::Range<u64>) -> Box<dyn AccessCursor + 'a> {
+        std::panic::panic_any("cursor unavailable".to_string())
+    }
+}
+
+/// A strategy that keeps the trait's default `run_isolated`, which
+/// guards the whole run as one unit.
+struct WholeRun(CheckpointWarmingRunner);
+
+impl SamplingStrategy for WholeRun {
+    fn name(&self) -> &str {
+        "whole-run"
+    }
+
+    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
+        self.0.run(workload, plan)
+    }
+}
+
+#[test]
+fn a_failed_whole_run_guard_quarantines_every_unit_of_the_plan() {
+    let scale = Scale::tiny();
+    let machine = MachineConfig::for_scale(scale);
+    let plan = SamplingConfig::for_scale(scale).with_regions(4).plan();
+    let w = PanickingCursor(spec_workload("mcf", scale, 42).unwrap());
+    let policy = FaultPolicy::default();
+    let strategies: Vec<Box<dyn SamplingStrategy>> = vec![
+        // Checkpoint preparation is one guarded unit.
+        Box::new(CheckpointWarmingRunner::new(machine)),
+        Box::new(WholeRun(CheckpointWarmingRunner::new(machine))),
+    ];
+
+    let _guard = fault::arm(FaultPlan::new(0));
+    for s in &strategies {
+        let iso = s.run_isolated(&w, &plan, 2, &policy);
+        assert!(iso.report.regions.is_empty(), "{}", s.name());
+        assert_eq!(
+            iso.report.regions.len() + iso.quarantined.len(),
+            plan.regions.len(),
+            "{}: the partial report must still cover the plan",
+            s.name()
+        );
+        let head = &iso.quarantined[0];
+        assert_eq!((head.unit, head.attempts), (0, policy.max_attempts()));
+        assert!(
+            matches!(head.fault, UnitFault::Panicked { ref message } if message.contains("cursor unavailable")),
+            "{}: got {}",
+            s.name(),
+            head.fault
+        );
+        for (f, unit) in iso.quarantined[1..].iter().zip(1u32..) {
+            assert_eq!((f.unit, f.attempts), (unit, 0), "{}", s.name());
+            assert!(
+                matches!(f.fault, UnitFault::ChainPoisoned { upstream: 0 }),
+                "{}: unit {unit} got {}",
+                s.name(),
+                f.fault
+            );
         }
     }
 }
