@@ -21,10 +21,8 @@
 //!
 //! One binary per figure lives in `src/bin/`, next to `trace-pack`
 //! (pack, inspect and verify tile files); `run_all` executes everything
-//! and emits the EXPERIMENTS.md payload. `cargo bench` runs criterion
-//! microbenchmarks of the substrates (`benches/substrates.rs`) and
-//! regenerates every figure (`benches/figures.rs`). Performance is
-//! measured by the separate `simbench` package, not by this crate.
+//! and emits the EXPERIMENTS.md payload. Performance is measured by the
+//! separate `simbench` package, not by this crate.
 //!
 //! Every experiment funnels its strategy runs through [`BatchExecutor`],
 //! which fans `Box<dyn SamplingStrategy>` × workload matrices out across

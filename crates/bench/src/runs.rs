@@ -26,25 +26,21 @@ use std::sync::{Mutex, PoisonError};
 
 /// Executes (strategy × workload) batches on a worker pool.
 ///
-/// The default executor sizes its pool to the machine divided by the
-/// batch's maximum [`internal_parallelism`] — a scheduler-backed cell
-/// fans its regions across its own workers, so running one cell per
-/// core would oversubscribe the host. [`with_threads`] bounds the pool
-/// explicitly (1 = serial reference execution, used by the determinism
-/// tests), and [`with_region_workers`] composes **region parallelism
-/// under the cell fan-out**: every cell runs its plan's region units on
-/// `n` workers via [`SamplingStrategy::run_with_workers`], and the cell
-/// pool shrinks by the same factor so `cells × region workers` never
-/// exceeds the budget. Both knobs are pure scheduling — results are
-/// byte-identical whatever the composition.
+/// Every cell runs through [`SamplingStrategy::run`], so it fans its
+/// regions across the strategy's own
+/// [`internal_parallelism`] workers. The default executor sizes its
+/// pool to the machine divided by the batch's maximum
+/// `internal_parallelism`, so running one cell per core does not
+/// oversubscribe the host; [`with_threads`] bounds the pool explicitly
+/// (1 = serial reference execution, used by the determinism tests).
+/// The pool size is pure scheduling — results are byte-identical for
+/// every value.
 ///
 /// [`internal_parallelism`]: SamplingStrategy::internal_parallelism
 /// [`with_threads`]: BatchExecutor::with_threads
-/// [`with_region_workers`]: BatchExecutor::with_region_workers
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchExecutor {
     threads: Option<usize>,
-    region_workers: Option<usize>,
 }
 
 impl BatchExecutor {
@@ -57,16 +53,7 @@ impl BatchExecutor {
     pub fn with_threads(threads: usize) -> Self {
         BatchExecutor {
             threads: Some(threads.max(1)),
-            region_workers: None,
         }
-    }
-
-    /// Run every cell's region units on `workers` region-scheduler
-    /// workers (overriding each strategy's own configuration); the cell
-    /// pool divides by the same factor to avoid oversubscription.
-    pub fn with_region_workers(mut self, workers: usize) -> Self {
-        self.region_workers = Some(workers.max(1));
-        self
     }
 
     /// Run every strategy over every workload; `result[w][s]` is strategy
@@ -113,31 +100,19 @@ impl BatchExecutor {
     }
 
     /// Run every strategy over every workload with **per-cell panic
-    /// isolation**: each cell is guarded, retried within `policy`'s
-    /// budget, and quarantined (a `None` slot plus a typed failure) on
-    /// exhaustion — a faulting cell never takes the sweep down with it.
+    /// isolation** and a **durable journal**: each cell is guarded,
+    /// retried within `policy`'s budget, and quarantined (a `None` slot
+    /// plus a typed failure) on exhaustion — a faulting cell never
+    /// takes the sweep down with it — and each completed cell's reduced
+    /// report is appended (checksummed) to `journal` the moment it
+    /// finishes, so a killed sweep loses at most the cells in flight.
     /// On a clean run every slot is `Some` and each report is bitwise
     /// identical to [`run_matrix`](BatchExecutor::run_matrix)'s.
-    pub fn run_matrix_isolated<W: Workload>(
-        &self,
-        strategies: &[Box<dyn SamplingStrategy>],
-        workloads: &[W],
-        plan: &RegionPlan,
-        policy: &FaultPolicy,
-    ) -> MatrixRun {
-        // lint:allow(no-unwrap): None journal path cannot produce a journal error
-        self.run_matrix_durable(strategies, workloads, plan, policy, None)
-            .expect("isolated run without a journal cannot fail to open one")
-    }
-
-    /// Like [`run_matrix_isolated`](BatchExecutor::run_matrix_isolated),
-    /// with a **durable journal**: each completed cell's reduced report
-    /// is appended (checksummed) to `journal` the moment it finishes, so
-    /// a killed sweep loses at most the cells in flight. If `journal`
-    /// already exists it is *resumed*: its valid prefix (torn tails are
-    /// truncated) restores completed cells verbatim and only missing
-    /// cells execute, so a resumed sweep's matrix is `==` an
-    /// uninterrupted one's. The journal is bound to the sweep's
+    ///
+    /// If `journal` already exists it is *resumed*: its valid prefix
+    /// (torn tails are truncated) restores completed cells verbatim and
+    /// only missing cells execute, so a resumed sweep's matrix is `==`
+    /// an uninterrupted one's. The journal is bound to the sweep's
     /// configuration by tag ([`sweep_tag`](crate::journal::sweep_tag));
     /// resuming with a different strategy set, workload list or plan is
     /// a hard [`JournalError::TagMismatch`].
@@ -152,18 +127,6 @@ impl BatchExecutor {
         policy: &FaultPolicy,
         journal: &Path,
     ) -> Result<MatrixRun, JournalError> {
-        self.run_matrix_durable(strategies, workloads, plan, policy, Some(journal))
-    }
-
-    /// The shared isolated/durable matrix engine.
-    fn run_matrix_durable<W: Workload>(
-        &self,
-        strategies: &[Box<dyn SamplingStrategy>],
-        workloads: &[W],
-        plan: &RegionPlan,
-        policy: &FaultPolicy,
-        journal: Option<&Path>,
-    ) -> Result<MatrixRun, JournalError> {
         // Flat cell list, workload-major: cell = w * strategies + s.
         let jobs: Vec<(&dyn SamplingStrategy, &W)> = workloads
             .iter()
@@ -172,30 +135,25 @@ impl BatchExecutor {
 
         // Restore journaled cells (resume) or start a fresh journal.
         let mut restored: Vec<Option<SimulationReport>> = (0..jobs.len()).map(|_| None).collect();
-        let writer = match journal {
-            Some(path) => {
-                let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
-                let tag = sweep_tag(strategies, &names, plan);
-                let writer = if path.exists() {
-                    let (writer, prefix) = JournalWriter::resume(path, tag)?;
-                    for entry in prefix {
-                        if entry.kind != CELL_ENTRY_KIND {
-                            continue;
-                        }
-                        if let Some((cell, report)) = decode_cell(&entry.payload) {
-                            if let Some(slot) = restored.get_mut(cell as usize) {
-                                *slot = Some(report);
-                            }
-                        }
+        let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
+        let tag = sweep_tag(strategies, &names, plan);
+        let writer = if journal.exists() {
+            let (writer, prefix) = JournalWriter::resume(journal, tag)?;
+            for entry in prefix {
+                if entry.kind != CELL_ENTRY_KIND {
+                    continue;
+                }
+                if let Some((cell, report)) = decode_cell(&entry.payload) {
+                    if let Some(slot) = restored.get_mut(cell as usize) {
+                        *slot = Some(report);
                     }
-                    writer
-                } else {
-                    JournalWriter::create(path, tag)?
-                };
-                Some(Mutex::new(writer))
+                }
             }
-            None => None,
+            writer
+        } else {
+            JournalWriter::create(journal, tag)?
         };
+        let writer = Mutex::new(writer);
         let resumed_cells = restored.iter().filter(|r| r.is_some()).count();
 
         // Execute the missing cells, each as one guarded, retryable
@@ -209,7 +167,6 @@ impl BatchExecutor {
             .map(|(cell, &(s, w))| (cell as u32, s, w))
             .collect();
         let executed_cells = pending.len();
-        let region_workers = self.region_workers;
         let journal_faults = AtomicUsize::new(0);
         let executed: Vec<(u32, Result<StrategyReport, UnitFailure>)> =
             self.pool_for(&jobs).install(|| {
@@ -218,12 +175,9 @@ impl BatchExecutor {
                     .map(|&(cell, strategy, workload)| {
                         let result = fault::run_unit_guarded(cell, policy, || {
                             fault::hit(FaultSite::UnitEntry, u64::from(cell));
-                            match region_workers {
-                                Some(n) => strategy.run_with_workers(workload, plan, n),
-                                None => strategy.run(workload, plan),
-                            }
+                            strategy.run(workload, plan)
                         });
-                        if let (Some(writer), Ok(report)) = (writer.as_ref(), result.as_ref()) {
+                        if let Ok(report) = result.as_ref() {
                             // A failed append must never unwind through
                             // the run it records: the cell's result
                             // stays in memory, it is just not durable.
@@ -271,28 +225,22 @@ impl BatchExecutor {
         jobs: Vec<(&dyn SamplingStrategy, &W)>,
         plan: &RegionPlan,
     ) -> Vec<StrategyReport> {
-        let region_workers = self.region_workers;
         self.pool_for(&jobs).install(|| {
             jobs.par_iter()
-                .map(|&(strategy, workload)| match region_workers {
-                    Some(n) => strategy.run_with_workers(workload, plan, n),
-                    None => strategy.run(workload, plan),
-                })
+                .map(|&(strategy, workload)| strategy.run(workload, plan))
                 .collect()
         })
     }
 
     /// The worker pool for a cell list, leaving room for each cell's own
-    /// threads (its region-scheduler workers, or whatever nested
-    /// parallelism it reports).
+    /// region-scheduler workers (its strategy's `internal_parallelism`).
     fn pool_for<W: Workload>(&self, jobs: &[(&dyn SamplingStrategy, &W)]) -> rayon::ThreadPool {
         let workers = self.threads.unwrap_or_else(|| {
-            let nested = self.region_workers.unwrap_or_else(|| {
-                jobs.iter()
-                    .map(|&(s, _)| s.internal_parallelism())
-                    .max()
-                    .unwrap_or(1)
-            });
+            let nested = jobs
+                .iter()
+                .map(|&(s, _)| s.internal_parallelism())
+                .max()
+                .unwrap_or(1);
             (rayon::current_num_threads() / nested).max(1)
         });
         ThreadPoolBuilder::new()
@@ -302,7 +250,8 @@ impl BatchExecutor {
     }
 }
 
-/// The outcome of a fault-isolated (optionally journaled) matrix run.
+/// The outcome of a fault-isolated matrix run:
+/// [`BatchExecutor::run_matrix_journaled`]'s, or a shard broker's.
 ///
 /// `matrix[w][s]` mirrors [`BatchExecutor::run_matrix`]'s layout with
 /// `None` marking quarantined cells. The counters distinguish where
@@ -469,36 +418,6 @@ mod tests {
         let rows = compare_all(&opts, 8 << 20);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "lbm");
-    }
-
-    #[test]
-    fn region_workers_compose_without_changing_results() {
-        let opts = ExpOptions {
-            filter: Some("bwaves".into()),
-            ..ExpOptions::tiny()
-        };
-        let plan = plan_for(&opts);
-        let machine = MachineConfig::for_scale(opts.scale);
-        let strategies = headline_strategies(opts.scale, machine);
-        let workloads: Vec<_> = spec2006(opts.scale, opts.seed)
-            .into_iter()
-            .filter(|w| opts.selected(w.name()))
-            .collect();
-        let reference = BatchExecutor::with_threads(1).run_matrix(&strategies, &workloads, &plan);
-        for (threads, region_workers) in [(1, 4), (2, 2), (4, 1)] {
-            let composed = BatchExecutor::with_threads(threads)
-                .with_region_workers(region_workers)
-                .run_matrix(&strategies, &workloads, &plan);
-            for (rrow, crow) in reference.iter().zip(&composed) {
-                for (r, c) in rrow.iter().zip(crow) {
-                    assert_eq!(
-                        r.report, c.report,
-                        "{}×{} changed {}/{}",
-                        threads, region_workers, r.workload, r.strategy
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   the [`analyst`] finally evaluates the detailed region with DSW.
 //!   The paper runs the passes as one process each over OS pipes; here
 //!   each region's Scout → Explorers → Analyst chain is one independent
-//!   unit on the region scheduler ([`DeLoreanRunner::run_at`]), which
-//!   gives the same overlap across regions.
+//!   unit on the region scheduler ([`DeLoreanRunner`]'s
+//!   `SamplingStrategy::execute`), which gives the same overlap across
+//!   regions.
 //!
 //! * **Design-space exploration** ([`dse`]) — a single Scout + Explorer
 //!   set feeds many parallel Analysts with different cache

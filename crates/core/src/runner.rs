@@ -10,8 +10,8 @@ use crate::MAX_EXPLORERS;
 use delorean_cache::MachineConfig;
 use delorean_cpu::TimingConfig;
 use delorean_sampling::{
-    FaultPolicy, PartialReport, Region, RegionPlan, RegionReport, RegionScheduler,
-    SamplingStrategy, SimulationReport, StrategyReport, UnitFailure,
+    FaultPolicy, Region, RegionPlan, RegionReport, RegionScheduler, SamplingStrategy,
+    SimulationReport, StrategyReport,
 };
 use delorean_trace::Workload;
 use delorean_virt::{CostModel, HostClock, RunCost, WorkKind};
@@ -188,7 +188,9 @@ pub struct DeLoreanRunner {
 }
 
 impl DeLoreanRunner {
-    /// A runner with Table 1 timing and paper-host costs.
+    /// A runner with Table 1 timing and paper-host costs. Its
+    /// [`SamplingStrategy::run`] uses the host's available parallelism,
+    /// capped at the pass-pipeline footprint of explorers + 2.
     ///
     /// # Panics
     ///
@@ -213,17 +215,6 @@ impl DeLoreanRunner {
             config,
             workers,
         }
-    }
-
-    /// Set the region-scheduler worker count [`SamplingStrategy::run`]
-    /// uses (default: the host's available parallelism, capped at the
-    /// pass-pipeline footprint of explorers + 2). Time-traveling makes
-    /// every region's Scout → Explorers → Analyst chain an independent
-    /// unit (the paper's core claim), so the whole plan fans out;
-    /// results are byte-identical for every value.
-    pub fn with_region_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Override the timing configuration.
@@ -258,59 +249,12 @@ impl DeLoreanRunner {
         &self.cost
     }
 
-    /// Run all passes serially in one thread: the region scheduler at
-    /// one worker, and the reference execution every region-parallel
-    /// run must reproduce at any worker count.
-    pub fn run_serial(&self, workload: &dyn Workload, plan: &RegionPlan) -> DeLoreanOutput {
-        self.run_at(workload, plan, 1)
-    }
-
-    /// Run region-parallel at an explicit worker count. Time-traveling
-    /// makes each region's Scout → Explorer chain → Analyst an
-    /// independent unit (`prev_end` — the previous region's detailed
-    /// end — comes from the *plan*, not from execution state), so units
-    /// fan out across workers and reduce in plan order. The report,
-    /// statistics and DSW counts are byte-identical for every
-    /// `workers` value.
-    pub fn run_at(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-    ) -> DeLoreanOutput {
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.region_output(workload, plan));
-        self.reduce_outputs(workload, plan, units.into_iter().map(Some).collect())
-    }
-
-    /// Run region-parallel with per-unit panic isolation: each region's
-    /// Scout → Explorers → Analyst chain is guarded, retried from the
-    /// top (it is a pure function of `(index, region)` — `prev_end`
-    /// comes from the plan) and quarantined on budget exhaustion. A
-    /// clean run reduces exactly the same unit sequence as [`run_at`],
-    /// so its output is byte-identical.
-    ///
-    /// [`run_at`]: DeLoreanRunner::run_at
-    pub fn run_at_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> (DeLoreanOutput, Vec<UnitFailure>) {
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
-            &plan.regions,
-            policy,
-            self.region_output(workload, plan),
-        );
-        (self.reduce_outputs(workload, plan, units), quarantined)
-    }
-
-    /// The per-region unit body shared by the plain and fault-isolated
-    /// paths: Scout → Explorer chain → Analyst over one region, with all
-    /// pass clocks local to the unit. A pure function of
-    /// `(index, region)`, so the isolated path may retry it from the
-    /// top.
+    /// The per-region unit body: Scout → Explorer chain → Analyst over
+    /// one region, with all pass clocks local to the unit. A pure
+    /// function of `(index, region)` — `prev_end`, the previous
+    /// region's detailed end, comes from the *plan*, not from execution
+    /// state — so units fan out across workers, and a guarded run may
+    /// retry one from the top.
     fn region_output<'a>(
         &'a self,
         workload: &'a dyn Workload,
@@ -423,7 +367,7 @@ impl DeLoreanRunner {
 }
 
 /// One region unit's complete output, reduced in plan order by
-/// [`DeLoreanRunner::run_at`].
+/// [`DeLoreanRunner`]'s [`SamplingStrategy::execute`].
 struct RegionOutput {
     report: RegionReport,
     artifacts: RegionArtifacts,
@@ -438,43 +382,33 @@ impl SamplingStrategy for DeLoreanRunner {
         "delorean"
     }
 
-    /// Run region-parallel at the configured worker count (see
-    /// [`DeLoreanRunner::with_region_workers`]). The time-traveling
-    /// statistics and DSW counters ride along as [`DeLoreanExtras`];
-    /// recover the full [`DeLoreanOutput`] with
-    /// `TryFrom<StrategyReport>`.
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_at(workload, plan, self.workers).into()
-    }
-
-    fn run_with_workers(
+    /// Run region-parallel: time-traveling makes each region's Scout →
+    /// Explorer chain → Analyst an independent unit (the paper's core
+    /// claim), so units fan out across `workers` and reduce in plan
+    /// order. The report, statistics and DSW counts are byte-identical
+    /// for every `workers` value. The time-traveling statistics and DSW
+    /// counters ride along as [`DeLoreanExtras`] — over the completed
+    /// units, under a fault policy — and `TryFrom<StrategyReport>`
+    /// recovers the full [`DeLoreanOutput`].
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
+        policy: Option<&FaultPolicy>,
     ) -> StrategyReport {
-        self.run_at(workload, plan, workers).into()
+        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
+            &plan.regions,
+            policy,
+            self.region_output(workload, plan),
+        );
+        let mut report = StrategyReport::from(self.reduce_outputs(workload, plan, units));
+        report.quarantined = quarantined;
+        report
     }
 
-    /// Region-parallel with per-unit panic isolation (see
-    /// [`DeLoreanRunner::run_at_isolated`]); the time-traveling extras
-    /// are dropped here — harness code that needs partial statistics
-    /// should call `run_at_isolated` directly.
-    fn run_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let (out, quarantined) = self.run_at_isolated(workload, plan, workers, policy);
-        PartialReport {
-            report: out.report,
-            quarantined,
-        }
-    }
-
-    /// The configured region-scheduler worker count.
+    /// The host-derived default worker count (see
+    /// [`DeLoreanRunner::new`]).
     fn internal_parallelism(&self) -> usize {
         self.workers
     }
@@ -517,10 +451,14 @@ mod tests {
         )
     }
 
+    fn serial(runner: &DeLoreanRunner, w: &dyn Workload, plan: &RegionPlan) -> DeLoreanOutput {
+        runner.run_with_workers(w, plan, 1).try_into().unwrap()
+    }
+
     #[test]
     fn serial_run_produces_complete_output() {
         let w = spec_workload("hmmer", Scale::tiny(), 1).unwrap();
-        let out = runner().run_serial(&w, &quick_plan());
+        let out = serial(&runner(), &w, &quick_plan());
         assert_eq!(out.report.regions.len(), 3);
         assert_eq!(out.stats.regions, 3);
         assert!(out.report.cpi() > 0.0);
@@ -534,7 +472,7 @@ mod tests {
     fn accuracy_close_to_smarts_reference() {
         let w = spec_workload("bwaves", Scale::tiny(), 1).unwrap();
         let plan = quick_plan();
-        let delorean = runner().run_serial(&w, &plan);
+        let delorean = serial(&runner(), &w, &plan);
         let smarts = SmartsRunner::new(MachineConfig::for_scale(Scale::tiny())).run(&w, &plan);
         let err = delorean.report.cpi_error_vs(&smarts);
         assert!(
@@ -549,7 +487,7 @@ mod tests {
     fn faster_than_smarts() {
         let w = spec_workload("hmmer", Scale::tiny(), 1).unwrap();
         let plan = quick_plan();
-        let delorean = runner().run_serial(&w, &plan);
+        let delorean = serial(&runner(), &w, &plan);
         let smarts = SmartsRunner::new(MachineConfig::for_scale(Scale::tiny())).run(&w, &plan);
         let speedup = delorean.report.speedup_vs(&smarts);
         assert!(speedup > 5.0, "speedup {speedup}");
@@ -558,7 +496,7 @@ mod tests {
     #[test]
     fn explorer_engagement_is_bounded() {
         let w = spec_workload("hmmer", Scale::tiny(), 1).unwrap();
-        let out = runner().run_serial(&w, &quick_plan());
+        let out = serial(&runner(), &w, &quick_plan());
         let avg = out.stats.avg_explorers_engaged();
         assert!((0.0..=4.0).contains(&avg), "avg explorers {avg}");
     }
@@ -567,8 +505,8 @@ mod tests {
     fn serial_is_deterministic() {
         let w = spec_workload("namd", Scale::tiny(), 1).unwrap();
         let plan = quick_plan();
-        let a = runner().run_serial(&w, &plan);
-        let b = runner().run_serial(&w, &plan);
+        let a = serial(&runner(), &w, &plan);
+        let b = serial(&runner(), &w, &plan);
         assert_eq!(a.report.cpi(), b.report.cpi());
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.dsw_counts, b.dsw_counts);

@@ -61,15 +61,13 @@ pub fn crate_kind(package: &str) -> CrateKind {
         | "delorean_sampling" | "delorean_virt" => CrateKind::Hot,
         "delorean_bench" => CrateKind::Bench,
         // The compat shims keep their upstream names.
-        "serde" | "serde_derive" | "crossbeam" | "rayon" | "criterion" | "memmap2" => {
-            CrateKind::Compat
-        }
+        "serde" | "serde_derive" | "crossbeam" | "rayon" | "memmap2" => CrateKind::Compat,
         _ => CrateKind::Lib,
     }
 }
 
 /// The crates whose float accumulation must flow through the fixed
-/// summation-tree helpers (`sampling::driver::reduce_units` feeding
+/// summation-tree helpers (`sampling::driver::reduce_units_partial` feeding
 /// `virt::HostClock`/`RunCost`): everything that aggregates *across*
 /// region units. `delorean_statmodel` is exempt — its float math is
 /// per-access model arithmetic evaluated in a fixed sequential order,

@@ -93,8 +93,7 @@ impl Rule for NoStdHash {
 
 /// `no-wallclock`: reading the host clock anywhere but the bench
 /// harness makes results time-dependent. Modeled cost lives in
-/// `delorean_virt::HostClock`; real time belongs to `delorean_bench`
-/// (and the criterion shim it drives).
+/// `delorean_virt::HostClock`; real time belongs to `delorean_bench`.
 struct NoWallclock;
 
 impl Rule for NoWallclock {
@@ -107,7 +106,7 @@ impl Rule for NoWallclock {
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        if file.crate_kind == CrateKind::Bench || file.crate_name == "criterion" {
+        if file.crate_kind == CrateKind::Bench {
             return;
         }
         let toks = file.tokens();
@@ -135,7 +134,7 @@ impl Rule for NoWallclock {
 }
 
 /// `float-accum`: cross-unit float accumulation must flow through the
-/// plan-ordered summation helpers (`sampling::driver::reduce_units`
+/// plan-ordered summation helpers (`sampling::driver::reduce_units_partial`
 /// into `virt::HostClock`/`RunCost`), where the fold order is fixed
 /// regardless of worker count. Detects compound assignment to
 /// identifiers declared `f32`/`f64` in the same file, plus
@@ -176,7 +175,7 @@ impl Rule for FloatAccum {
                     t,
                     format!(
                         "compound float accumulation into `{}`; route cross-unit sums \
-                         through the plan-ordered reduce_units/HostClock helpers or waive \
+                         through the plan-ordered reduce_units_partial/HostClock helpers or waive \
                          with a justification that the fold order is worker-count-invariant",
                         t.text
                     ),
@@ -459,7 +458,6 @@ mod tests {
             ["no-wallclock"]
         );
         assert!(check_src("delorean_bench", FileClass::Lib, src).is_empty());
-        assert!(check_src("criterion", FileClass::Lib, src).is_empty());
         // A plain `Instant` ident (e.g. storing one handed in) is fine.
         assert!(check_src("delorean_cpu", FileClass::Lib, "fn f(t: Instant) {}\n").is_empty());
     }

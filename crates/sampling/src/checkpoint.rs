@@ -15,11 +15,11 @@
 //! evaluation-run speed including checkpoint load time.
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
-use crate::proxy::{ProxyStateSource, SpeculationExtras};
+use crate::driver::UnitDriver;
+use crate::proxy::{proxy_at, ProxyStateSource, SpeculationExtras};
 use crate::report::SimulationReport;
 use crate::scheduler::RegionScheduler;
-use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
+use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, HierarchySnapshot, MachineConfig};
 use delorean_cpu::TimingConfig;
 use delorean_trace::fault::{self, FaultPolicy};
@@ -63,15 +63,16 @@ pub struct CheckpointExtras {
     pub preparation_seconds: f64,
 }
 
+/// Modeled checkpoint-load bandwidth, bytes/second: a 2009-era disk.
+/// Every evaluation unit charges its snapshot's storage at this rate.
+const LOAD_BYTES_PER_SECOND: f64 = 100.0e6;
+
 /// Checkpointed-warming runner: prepare once, evaluate cheaply.
 #[derive(Clone, Debug)]
 pub struct CheckpointWarmingRunner {
     machine: MachineConfig,
     timing: TimingConfig,
     cost: CostModel,
-    workers: usize,
-    /// Modeled checkpoint-load bandwidth (2009-era disk, bytes/second).
-    pub load_bytes_per_second: f64,
 }
 
 impl CheckpointWarmingRunner {
@@ -81,27 +82,12 @@ impl CheckpointWarmingRunner {
             machine,
             timing: TimingConfig::table1(),
             cost: CostModel::paper_host(),
-            workers: 1,
-            load_bytes_per_second: 100.0e6,
         }
     }
 
     /// Override the host cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Set the region-scheduler worker count [`run`] uses.
-    /// Checkpoint **evaluation** is embarrassingly region-parallel —
-    /// each unit restores its own snapshot — and above one worker the
-    /// preparation pass goes through the speculative warm lane
-    /// ([`prepare_speculative`](Self::prepare_speculative) with the
-    /// statmodel proxy); results are byte-identical for every value.
-    ///
-    /// [`run`]: SamplingStrategy::run
-    pub fn with_region_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -260,54 +246,41 @@ impl CheckpointWarmingRunner {
         workload: &dyn Workload,
         plan: &RegionPlan,
     ) -> SimulationReport {
-        self.run_with_at(checkpoints, workload, plan, self.workers)
+        self.evaluate(checkpoints, workload, plan, 1, None)
+            .into_report()
     }
 
-    /// [`run_with`](CheckpointWarmingRunner::run_with) at an explicit
-    /// region-scheduler worker count: every region unit restores its own
-    /// snapshot into its own hierarchy, so evaluation fans out freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint count does not match the plan.
-    pub fn run_with_at(
+    /// Evaluation at `workers`, guarded under `policy`: every region
+    /// unit restores its own snapshot into a fresh hierarchy, then
+    /// detailed-warms and measures — a pure function of
+    /// `(index, region)` given the checkpoint set, so evaluation fans
+    /// out freely and a guarded run may retry a unit from the top.
+    fn evaluate(
         &self,
         checkpoints: &CheckpointSet,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
-    ) -> SimulationReport {
+        policy: Option<&FaultPolicy>,
+    ) -> StrategyReport {
         assert_eq!(
             checkpoints.len(),
             plan.regions.len(),
             "checkpoint/plan mismatch"
         );
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.eval_unit(checkpoints, workload));
-        reduce_units(workload, plan, "checkpoint", &[], units)
-    }
-
-    /// The per-region evaluation unit shared by the plain and
-    /// fault-isolated paths: restore the region's snapshot into a fresh
-    /// hierarchy, then detailed-warm and measure — a pure function of
-    /// `(index, region)` given the checkpoint set, so the isolated path
-    /// may retry it from the top.
-    fn eval_unit<'a>(
-        &'a self,
-        checkpoints: &'a CheckpointSet,
-        workload: &'a dyn Workload,
-    ) -> impl Fn(u32, &Region) -> RegionUnit + Sync + 'a {
-        move |i: u32, region: &Region| {
+        let unit = |i: u32, region: &Region| {
             let mut driver = UnitDriver::new(workload, &self.timing, &self.cost);
             let snap = &checkpoints.snapshots[i as usize];
             // Load the checkpoint from storage.
-            driver.charge_seconds(snap.storage_bytes() as f64 / self.load_bytes_per_second);
+            driver.charge_seconds(snap.storage_bytes() as f64 / LOAD_BYTES_PER_SECOND);
             let mut hierarchy = Hierarchy::new(&self.machine);
             hierarchy.restore(snap);
             // Detailed warming + region on the restored state.
             let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
             driver.measure_region(region, &mut source)
-        }
+        };
+        let units = RegionScheduler::new(workers).run_units_isolated(&plan.regions, policy, unit);
+        StrategyReport::from_units(workload, plan, self.name(), &[], units)
     }
 }
 
@@ -316,16 +289,11 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         "checkpoint"
     }
 
-    /// Prepare and evaluate in one call. The returned report covers the
-    /// **evaluation run only** (checkpointing's selling point); the
-    /// preparation cost and storage footprint — the trade-off against
-    /// statistical warming — ride along as [`CheckpointExtras`].
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
-    /// Prepare and evaluate (region-parallel at `workers`) in one call;
-    /// see [`SamplingStrategy::run`] for the report/extras split.
+    /// Prepare and evaluate (region-parallel at `workers`) in one call.
+    /// The returned report covers the **evaluation run only**
+    /// (checkpointing's selling point); the preparation cost and
+    /// storage footprint — the trade-off against statistical warming —
+    /// ride along as [`CheckpointExtras`].
     ///
     /// At one worker preparation is the sequential warm chain
     /// ([`prepare`](CheckpointWarmingRunner::prepare)). Above one it
@@ -335,59 +303,41 @@ impl SamplingStrategy for CheckpointWarmingRunner {
     /// `preparation_seconds`, storage and evaluation report equal
     /// sequential preparation's, so the [`CheckpointExtras`] and the
     /// report are the same at every worker count.
-    fn run_with_workers(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-    ) -> StrategyReport {
-        let proxy = (workers > 1).then_some(ProxyStateSource::StatModel);
-        let (checkpoints, _) = self.prepare_chain(workload, plan, proxy, workers);
-        let report = self.run_with_at(&checkpoints, workload, plan, workers);
-        StrategyReport::new(report).with_extras(CheckpointExtras {
-            storage_bytes: checkpoints.storage_bytes(),
-            preparation_seconds: checkpoints.preparation_seconds,
-        })
-    }
-
-    /// Checkpointed warming with per-unit panic isolation.
     ///
-    /// Preparation is a sequential warm chain over a locally owned
-    /// hierarchy — a pure function of the workload and plan — so the
-    /// *whole* prepare step is one guarded, retryable unit; if it runs
-    /// out of retries, unit 0 carries its fault and every later unit is
-    /// chain-poisoned. Once the checkpoint set exists, evaluation units
-    /// restore independent snapshots and are retried/quarantined
-    /// individually.
-    fn run_isolated(
+    /// Under a fault policy, preparation — a warm chain over a locally
+    /// owned hierarchy, a pure function of the workload and plan — is
+    /// one guarded, retryable unit; if it runs out of retries, unit 0
+    /// carries its fault, every later unit is chain-poisoned, and no
+    /// extras are attached. Once the checkpoint set exists, evaluation
+    /// units are retried and quarantined individually.
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let checkpoints = match fault::run_unit_guarded(0, policy, || self.prepare(workload, plan))
-        {
-            Ok(set) => set,
-            // Preparation never completed: no region has a snapshot, so
-            // the whole sweep is quarantined behind unit 0.
-            Err(failure) => {
-                return PartialReport::failed_whole(workload, plan, self.name(), failure)
-            }
+        policy: Option<&FaultPolicy>,
+    ) -> StrategyReport {
+        let prepare = || {
+            self.prepare_chain(workload, plan, proxy_at(None, workers), workers)
+                .0
         };
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
-            &plan.regions,
-            policy,
-            self.eval_unit(&checkpoints, workload),
-        );
-        PartialReport {
-            report: reduce_units_partial(workload, plan, self.name(), &[], units),
-            quarantined,
-        }
-    }
-
-    fn internal_parallelism(&self) -> usize {
-        self.workers
+        let checkpoints = match policy {
+            None => prepare(),
+            Some(policy) => match fault::run_unit_guarded(0, policy, prepare) {
+                Ok(set) => set,
+                // Preparation never completed: no region has a
+                // snapshot, so the whole sweep is quarantined behind
+                // unit 0.
+                Err(failure) => {
+                    return StrategyReport::failed_whole(workload, plan, self.name(), failure)
+                }
+            },
+        };
+        self.evaluate(&checkpoints, workload, plan, workers, policy)
+            .with_extras(CheckpointExtras {
+                storage_bytes: checkpoints.storage_bytes(),
+                preparation_seconds: checkpoints.preparation_seconds,
+            })
     }
 }
 

@@ -19,9 +19,9 @@
 //! CoolSim's CPI overestimation for soplex and GemsFDTD in Figures 9/10).
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
+use crate::driver::{units_in_span, RegionUnit, UnitDriver};
 use crate::scheduler::RegionScheduler;
-use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
+use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig, MemLevel};
 use delorean_cpu::TimingConfig;
 use delorean_statmodel::per_pc::{PcPrediction, PcProfiles};
@@ -99,7 +99,6 @@ pub struct CoolSimRunner {
     timing: TimingConfig,
     cost: CostModel,
     config: CoolSimConfig,
-    workers: usize,
 }
 
 impl CoolSimRunner {
@@ -111,7 +110,6 @@ impl CoolSimRunner {
             timing: TimingConfig::table1(),
             cost: CostModel::paper_host(),
             config,
-            workers: 1,
         }
     }
 
@@ -127,22 +125,11 @@ impl CoolSimRunner {
         self
     }
 
-    /// Set the region-scheduler worker count [`run`] uses. CoolSim's
-    /// regions are fully independent (per-region watchpoint profiles and
-    /// a fresh lukewarm hierarchy), so every region is one parallel
-    /// unit; results are byte-identical for every value.
-    ///
-    /// [`run`]: SamplingStrategy::run
-    pub fn with_region_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// The per-region unit body shared by the plain and fault-isolated
-    /// paths. A pure function of `(index, region)` — each call owns its
-    /// watchpoint set, pending-sample map, per-PC profiles and lukewarm
-    /// hierarchy outright, and sampling decisions come from a stateless
-    /// counter RNG — so the isolated path may retry it from the top.
+    /// The per-region unit body. A pure function of `(index, region)` —
+    /// each call owns its watchpoint set, pending-sample map, per-PC
+    /// profiles and lukewarm hierarchy outright, and sampling decisions
+    /// come from a stateless counter RNG — so a guarded run may retry
+    /// it from the top.
     fn region_unit<'a>(
         &'a self,
         workload: &'a dyn Workload,
@@ -246,45 +233,25 @@ impl SamplingStrategy for CoolSimRunner {
         "coolsim"
     }
 
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
     /// CoolSim under the region scheduler: every region is one fully
     /// independent unit — it owns its watchpoint set, pending-sample
     /// map, per-PC profiles and lukewarm hierarchy outright, and the
     /// sampling decisions come from a stateless counter-based RNG — so
-    /// the whole plan fans out with no carried lane at all.
-    fn run_with_workers(
+    /// the whole plan fans out with no carried lane at all. Under a
+    /// fault policy a unit quarantines alone.
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
+        policy: Option<&FaultPolicy>,
     ) -> StrategyReport {
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.region_unit(workload, plan));
-        reduce_units(workload, plan, self.name(), &[], units).into()
-    }
-
-    /// CoolSim with per-unit panic isolation: the same independent unit
-    /// body, retried from the top on a fault and quarantined on
-    /// exhaustion.
-    fn run_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
+        let units = RegionScheduler::new(workers).run_units_isolated(
             &plan.regions,
             policy,
             self.region_unit(workload, plan),
         );
-        PartialReport {
-            report: reduce_units_partial(workload, plan, self.name(), &[], units),
-            quarantined,
-        }
+        StrategyReport::from_units(workload, plan, self.name(), &[], units)
     }
 
     /// CoolSim decomposes fully: the unit body is a pure function of
@@ -296,19 +263,7 @@ impl SamplingStrategy for CoolSimRunner {
         plan: &RegionPlan,
         span: std::ops::Range<u32>,
     ) -> Option<Vec<RegionUnit>> {
-        let hi = (span.end as usize).min(plan.regions.len());
-        let lo = (span.start as usize).min(hi);
-        let unit = self.region_unit(workload, plan);
-        Some(
-            plan.regions[lo..hi]
-                .iter()
-                .map(|r| unit(r.index, r))
-                .collect(),
-        )
-    }
-
-    fn internal_parallelism(&self) -> usize {
-        self.workers
+        Some(units_in_span(plan, span, self.region_unit(workload, plan)))
     }
 }
 

@@ -7,7 +7,7 @@
 //! and record the region result. Under the region-parallel runtime
 //! ([`RegionScheduler`](crate::RegionScheduler)) that skeleton is one
 //! **unit**: [`UnitDriver`] owns a single region's clock and result, and
-//! [`reduce_units`] folds the finished units back into a
+//! [`reduce_units_partial`] folds the finished units back into a
 //! [`SimulationReport`] **in plan order** — so the assembled report (its
 //! `f64` cost sums included) is bitwise identical for every worker
 //! count, and the sequential driver is simply the scheduler at one
@@ -19,6 +19,7 @@ use crate::run_region_detailed;
 use delorean_cpu::{OutcomeSource, TimingConfig};
 use delorean_trace::Workload;
 use delorean_virt::{CostModel, HostClock, RunCost, WorkKind};
+use std::ops::Range;
 
 /// Drives one region unit: its parallel-lane cost clock, the detailed
 /// simulation of its region, and the unit result.
@@ -103,33 +104,15 @@ pub struct RegionUnit {
 /// charges `chained[i]` then `units[i].seconds` for each region in
 /// order, so the resulting pass total has one fixed `f64` summation
 /// tree regardless of how the units were scheduled.
-pub(crate) fn reduce_units(
-    workload: &dyn Workload,
-    plan: &RegionPlan,
-    strategy: &str,
-    chained: &[f64],
-    units: Vec<RegionUnit>,
-) -> SimulationReport {
-    reduce_units_partial(
-        workload,
-        plan,
-        strategy,
-        chained,
-        units.into_iter().map(Some).collect(),
-    )
-}
-
-/// [`reduce_units`] over a plan with **quarantined holes**: `None`
-/// slots (units the fault-isolated scheduler gave up on) are skipped
-/// entirely — no region report, no cost unit, no chained charge. With
-/// every slot `Some` the fold is *the* fold of [`reduce_units`] (which
-/// delegates here), so a clean isolated run's report is bitwise
-/// identical to the plain path's.
 ///
-/// `covered_instrs` intentionally stays the full plan's figure: the
-/// report still describes the same sampling design, and the caller's
-/// [`PartialReport`](crate::PartialReport) names exactly which units
-/// are missing from it.
+/// `None` slots are **quarantined holes** (units a guarded run gave up
+/// on): they are skipped entirely — no region report, no cost unit, no
+/// chained charge — so with every slot `Some` a guarded run's report is
+/// bitwise identical to the unguarded one's. `covered_instrs`
+/// intentionally stays the full plan's figure: the report still
+/// describes the same sampling design, and the caller's
+/// [`StrategyReport::quarantined`](crate::StrategyReport::quarantined)
+/// names exactly which units are missing from it.
 pub(crate) fn reduce_units_partial(
     workload: &dyn Workload,
     plan: &RegionPlan,
@@ -138,6 +121,23 @@ pub(crate) fn reduce_units_partial(
     units: Vec<Option<RegionUnit>>,
 ) -> SimulationReport {
     reduce_named(workload.name(), plan, strategy, chained, units)
+}
+
+/// The plan regions with `span` indices (clamped to the plan), each
+/// evaluated by `unit` — the shared
+/// [`SamplingStrategy::run_unit_span`](crate::SamplingStrategy::run_unit_span)
+/// body of the strategies whose regions are fully independent.
+pub(crate) fn units_in_span(
+    plan: &RegionPlan,
+    span: Range<u32>,
+    unit: impl Fn(u32, &Region) -> RegionUnit,
+) -> Vec<RegionUnit> {
+    let hi = (span.end as usize).min(plan.regions.len());
+    let lo = (span.start as usize).min(hi);
+    plan.regions[lo..hi]
+        .iter()
+        .map(|r| unit(r.index, r))
+        .collect()
 }
 
 /// Fold independently-evaluated units back into a [`SimulationReport`]
@@ -151,8 +151,8 @@ pub(crate) fn reduce_units_partial(
 /// over the whole plan yields a report **bitwise identical** to
 /// [`SamplingStrategy::run`](crate::SamplingStrategy::run) — the fold
 /// is literally the same code with the same fixed `f64` summation
-/// tree. `None` slots are quarantined holes, skipped exactly as the
-/// fault-isolated in-process path skips them.
+/// tree. `None` slots are quarantined holes, skipped exactly as a
+/// guarded in-process run skips them.
 pub fn reduce_region_units(
     workload_name: &str,
     plan: &RegionPlan,

@@ -65,7 +65,7 @@ pub use proxy::{ProxyStateSource, SpeculationExtras};
 pub use report::{RegionReport, SimulationReport};
 pub use scheduler::{LostUnits, RegionScheduler};
 pub use smarts::SmartsRunner;
-pub use strategy::{PartialReport, SamplingStrategy, StrategyReport};
+pub use strategy::{SamplingStrategy, StrategyReport};
 
 // Fault-isolation vocabulary, re-exported so harness code can configure
 // retry budgets and inspect quarantines without a direct trace-crate

@@ -15,9 +15,9 @@
 //! to simulate all of them").
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
+use crate::driver::{units_in_span, RegionUnit, UnitDriver};
 use crate::scheduler::RegionScheduler;
-use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
+use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_cpu::TimingConfig;
 use delorean_statmodel::LogHistogram;
@@ -31,7 +31,6 @@ pub struct MrrlRunner {
     machine: MachineConfig,
     timing: TimingConfig,
     cost: CostModel,
-    workers: usize,
     /// Reuse-latency coverage target (the original work uses ~99.9%).
     pub percentile: f64,
     /// Accesses profiled per region to estimate the latency distribution.
@@ -45,21 +44,9 @@ impl MrrlRunner {
             machine,
             timing: TimingConfig::table1(),
             cost: CostModel::paper_host(),
-            workers: 1,
             percentile: 0.999,
             profile_accesses: 50_000,
         }
-    }
-
-    /// Set the region-scheduler worker count [`run`] uses. MRRL warms a
-    /// fresh hierarchy over a per-region window, so every region is one
-    /// independent parallel unit; results are byte-identical for every
-    /// value.
-    ///
-    /// [`run`]: SamplingStrategy::run
-    pub fn with_region_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Override the coverage percentile.
@@ -92,10 +79,10 @@ impl MrrlRunner {
         hist.quantile(self.percentile)
     }
 
-    /// The per-region unit body shared by the plain and fault-isolated
-    /// paths: a pure function of `(index, region)` — the fast-forward
-    /// skip comes from the *plan*, and each unit warms its own fresh
-    /// hierarchy — so the isolated path may retry it from the top.
+    /// The per-region unit body: a pure function of `(index, region)` —
+    /// the fast-forward skip comes from the *plan*, and each unit warms
+    /// its own fresh hierarchy — so a guarded run may retry it from the
+    /// top.
     fn region_unit<'a>(
         &'a self,
         workload: &'a dyn Workload,
@@ -142,45 +129,25 @@ impl SamplingStrategy for MrrlRunner {
         "mrrl"
     }
 
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
     /// MRRL under the region scheduler: each region profiles its own
     /// reuse latencies and warms a **fresh** hierarchy over its own
     /// window, and the fast-forward skip is derived from the *plan*
     /// (the previous region's end), not from execution state — so every
-    /// region is one independent parallel unit.
-    fn run_with_workers(
+    /// region is one independent parallel unit. Under a fault policy a
+    /// unit quarantines alone.
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
+        policy: Option<&FaultPolicy>,
     ) -> StrategyReport {
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.region_unit(workload, plan));
-        reduce_units(workload, plan, self.name(), &[], units).into()
-    }
-
-    /// MRRL with per-unit panic isolation: the same independent unit
-    /// body, retried from the top on a fault and quarantined on
-    /// exhaustion.
-    fn run_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
+        let units = RegionScheduler::new(workers).run_units_isolated(
             &plan.regions,
             policy,
             self.region_unit(workload, plan),
         );
-        PartialReport {
-            report: reduce_units_partial(workload, plan, self.name(), &[], units),
-            quarantined,
-        }
+        StrategyReport::from_units(workload, plan, self.name(), &[], units)
     }
 
     /// MRRL decomposes fully: the unit body is a pure function of
@@ -194,19 +161,7 @@ impl SamplingStrategy for MrrlRunner {
         plan: &RegionPlan,
         span: std::ops::Range<u32>,
     ) -> Option<Vec<RegionUnit>> {
-        let hi = (span.end as usize).min(plan.regions.len());
-        let lo = (span.start as usize).min(hi);
-        let unit = self.region_unit(workload, plan);
-        Some(
-            plan.regions[lo..hi]
-                .iter()
-                .map(|r| unit(r.index, r))
-                .collect(),
-        )
-    }
-
-    fn internal_parallelism(&self) -> usize {
-        self.workers
+        Some(units_in_span(plan, span, self.region_unit(workload, plan)))
     }
 }
 

@@ -99,6 +99,16 @@ impl ProxyStateSource {
     }
 }
 
+/// The proxy a warm chain run at `workers` speculates from: the
+/// `configured` one, else [`ProxyStateSource::StatModel`] above one
+/// worker, else none (every unit takes the reconciler's miss path).
+pub(crate) fn proxy_at(
+    configured: Option<ProxyStateSource>,
+    workers: usize,
+) -> Option<ProxyStateSource> {
+    configured.or((workers > 1).then_some(ProxyStateSource::StatModel))
+}
+
 /// Everything a proxy build needs that does not vary per region: the
 /// machine, the cost model, the workload and the span-to-instruction
 /// conversion factors (`p` = memory period, `mult` = plan work

@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The scheduler lost unit results it cannot explain: a worker
-/// terminated before sending, outside the fault-isolated paths that
+/// terminated before sending in an unguarded run, where no fault policy
 /// would have classified the failure. Raised as a typed panic payload
 /// (via `std::panic::panic_any`) so the report names exactly which
 /// units are missing instead of the old anonymous
@@ -75,8 +75,8 @@ impl std::fmt::Display for LostUnits {
             f,
             "region scheduler lost the result of unit(s) {:?}: a worker \
              terminated before sending (body panicked or was killed); run \
-             the plan through an *_isolated entry point to capture the \
-             per-unit fault instead",
+             the plan with a fault policy (SamplingStrategy::execute) to \
+             capture the per-unit fault instead",
             self.units
         )
     }
@@ -245,8 +245,8 @@ impl RegionScheduler {
                 slots[i as usize] = Some(out);
             }
             // A missing slot means a consumer died before reporting; name
-            // the units instead of failing anonymously (the fault-isolated
-            // paths below classify the failure rather than panicking).
+            // the units instead of failing anonymously (guarded runs
+            // classify the failure rather than panicking).
             let mut lost = Vec::new();
             let mut out = Vec::with_capacity(n);
             for (i, s) in slots.into_iter().enumerate() {
@@ -392,17 +392,23 @@ impl RegionScheduler {
         })
     }
 
-    /// [`run_units`](Self::run_units) over **guarded** units: each
-    /// unit body runs inside
-    /// [`fault::run_unit_guarded`] — a panic (or injected fault at the
+    /// [`run_units`](Self::run_units) with the guard chosen by
+    /// `policy`: every strategy's independent units come through here,
+    /// so the guarded/unguarded choice is made once, in the scheduler.
+    ///
+    /// With `None` the units run exactly as `run_units` runs them —
+    /// unguarded, so a panic unwinds the caller and no fault site is
+    /// traversed — and every slot comes back `Some`. With
+    /// `Some(policy)` each unit body runs inside
+    /// [`fault::run_unit_guarded`]: a panic (or injected fault at the
     /// [`FaultSite::UnitEntry`] site) is caught and classified, the
     /// unit is retried up to the policy's budget, and exhaustion
     /// quarantines the unit instead of unwinding the run.
     ///
     /// Returns plan-ordered result slots (`None` = quarantined) plus
-    /// the plan-ordered failure list. A fully clean run returns all
-    /// `Some` with no failures, and its results are bitwise identical
-    /// to [`run_units`](Self::run_units) at every worker count —
+    /// the plan-ordered failure list. A fully clean guarded run returns
+    /// all `Some` with no failures, and its results are bitwise
+    /// identical to the unguarded run's at every worker count —
     /// isolation is pure scheduling, never semantics.
     ///
     /// `unit` must stay a pure function of `(index, region)`: retries
@@ -411,9 +417,13 @@ impl RegionScheduler {
     pub fn run_units_isolated<R: Send>(
         &self,
         regions: &[Region],
-        policy: &FaultPolicy,
+        policy: Option<&FaultPolicy>,
         unit: impl Fn(u32, &Region) -> R + Sync,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
+        let Some(policy) = policy else {
+            let out = self.run_units(regions, unit);
+            return (out.into_iter().map(Some).collect(), Vec::new());
+        };
         split_results(self.run_units(regions, |i, r| {
             fault::run_unit_guarded(i, policy, || {
                 fault::hit(FaultSite::UnitEntry, u64::from(i));
@@ -422,8 +432,12 @@ impl RegionScheduler {
         }))
     }
 
-    /// [`run_speculative`](Self::run_speculative) with **panic
-    /// isolation**.
+    /// [`run_speculative`](Self::run_speculative) with the guard chosen
+    /// by `policy`. The reconciler receives `Option<S>`: with `None`
+    /// the lane runs exactly as `run_speculative` runs it — unguarded,
+    /// every speculation arrives as `Some`, and every slot comes back
+    /// `Some` — and with `Some(policy)` it runs with **panic
+    /// isolation**:
     ///
     /// Speculation bodies are free to die: a `spec` failure (after its
     /// guarded retries at the [`FaultSite::UnitEntry`] site) simply
@@ -439,15 +453,19 @@ impl RegionScheduler {
     /// reconciler panic may have half-mutated the carried state, so it
     /// quarantines unit *i* and poisons every later unit.
     ///
-    /// A fully clean run's results are bitwise identical to
-    /// [`run_speculative`](Self::run_speculative) at every worker count.
+    /// A fully clean guarded run's results are bitwise identical to the
+    /// unguarded run's at every worker count.
     pub fn run_speculative_isolated<S: Send, R: Send>(
         &self,
         regions: &[Region],
-        policy: &FaultPolicy,
+        policy: Option<&FaultPolicy>,
         spec: impl Fn(u32, &Region) -> S + Sync,
         mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
+        let Some(policy) = policy else {
+            let out = self.run_speculative(regions, spec, |i, r, s| reconcile(i, r, Some(s)));
+            return (out.into_iter().map(Some).collect(), Vec::new());
+        };
         let n = regions.len();
         let reconcile_once = FaultPolicy { retry_budget: 0 };
         let guarded_spec = |i: u32, r: &Region| -> Option<S> {
@@ -502,8 +520,8 @@ impl RegionScheduler {
 
 impl Default for RegionScheduler {
     /// The sequential scheduler — parallelism is always an explicit
-    /// opt-in (via [`RegionScheduler::new`] or a runner's
-    /// `with_region_workers`).
+    /// opt-in (via [`RegionScheduler::new`] or a strategy's
+    /// `run_with_workers`).
     fn default() -> Self {
         Self::sequential()
     }
@@ -608,7 +626,7 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let (got, failures) =
                 RegionScheduler::new(workers)
-                    .run_units_isolated(&rs, &policy, |_, r| r.start_instr * 3);
+                    .run_units_isolated(&rs, Some(&policy), |_, r| r.start_instr * 3);
             assert!(failures.is_empty(), "workers={workers}");
             let got: Vec<u64> = got.into_iter().flatten().collect();
             assert_eq!(got, reference, "workers={workers}");
@@ -621,7 +639,7 @@ mod tests {
         let policy = FaultPolicy { retry_budget: 1 };
         for workers in [1, 4] {
             let (got, failures) =
-                RegionScheduler::new(workers).run_units_isolated(&rs, &policy, |i, _| {
+                RegionScheduler::new(workers).run_units_isolated(&rs, Some(&policy), |i, _| {
                     if i == 2 {
                         std::panic::panic_any("unit 2 always dies".to_string());
                     }
@@ -660,7 +678,7 @@ mod tests {
         for workers in [1, 2, 8] {
             let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
                 &rs,
-                &policy,
+                Some(&policy),
                 |i, r| {
                     if i == 3 {
                         std::panic::panic_any("spec 3 dies".to_string());
@@ -683,7 +701,7 @@ mod tests {
         for workers in [1, 2, 8] {
             let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
                 &rs,
-                &policy,
+                Some(&policy),
                 |i, _| u64::from(i),
                 |i, _, s: Option<u64>| {
                     if i == 2 {

@@ -8,14 +8,13 @@
 //! measures SMARTS at 1.3 MIPS.
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units_partial, RegionUnit, UnitDriver};
-use crate::proxy::{ProxyStateSource, SpeculationExtras};
-use crate::report::SimulationReport;
+use crate::driver::{RegionUnit, UnitDriver};
+use crate::proxy::{proxy_at, ProxyStateSource, SpeculationExtras};
 use crate::scheduler::RegionScheduler;
-use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
+use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_cpu::TimingConfig;
-use delorean_trace::fault::{FaultPolicy, UnitFailure};
+use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{MemAccess, Workload};
 use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
 
@@ -25,7 +24,6 @@ pub struct SmartsRunner {
     machine: MachineConfig,
     timing: TimingConfig,
     cost: CostModel,
-    workers: usize,
     proxy: Option<ProxyStateSource>,
 }
 
@@ -36,21 +34,17 @@ impl SmartsRunner {
             machine,
             timing: TimingConfig::table1(),
             cost: CostModel::paper_host(),
-            workers: 1,
             proxy: None,
         }
     }
 
-    /// Enable the speculative warm lane: [`run`] and
-    /// [`run_with_workers`] go through
-    /// [`run_speculative_with_workers`](Self::run_speculative_with_workers)
-    /// with this proxy source, attaching [`SpeculationExtras`] to the
-    /// report. The report itself stays bitwise identical to the
-    /// non-speculative run — speculation is a scheduling strategy, not a
-    /// semantic one.
-    ///
-    /// [`run`]: SamplingStrategy::run
-    /// [`run_with_workers`]: SamplingStrategy::run_with_workers
+    /// Enable the speculative warm lane: every
+    /// [`SamplingStrategy`] entry point speculates from this proxy
+    /// source at any worker count (see
+    /// [`run_speculative_with_workers`](Self::run_speculative_with_workers)),
+    /// attaching [`SpeculationExtras`] to the report. The report itself
+    /// stays bitwise identical to the non-speculative run — speculation
+    /// is a scheduling strategy, not a semantic one.
     pub fn with_speculation(mut self, proxy: ProxyStateSource) -> Self {
         self.proxy = Some(proxy);
         self
@@ -68,16 +62,9 @@ impl SmartsRunner {
         self
     }
 
-    /// Set the region-scheduler worker count [`run`] uses. Results are
-    /// byte-identical for every value.
-    ///
-    /// [`run`]: SamplingStrategy::run
-    pub fn with_region_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// SMARTS through the **speculative warm lane**.
+    /// SMARTS through the **speculative warm lane**: this runner
+    /// [`with_speculation`](Self::with_speculation)`(proxy)`, run on
+    /// `workers` workers.
     ///
     /// Every region becomes an independent speculation task: build a
     /// proxy of the chain state at the region's boundary (see
@@ -109,96 +96,15 @@ impl SmartsRunner {
         proxy: ProxyStateSource,
         workers: usize,
     ) -> StrategyReport {
-        let run = self.run_chain(workload, plan, Some(proxy), workers, None);
-        StrategyReport::new(run.report).with_extras(SpeculationExtras {
-            proxy,
-            outcomes: run.outcomes,
-        })
-    }
-
-    /// The proxy a run at `workers` speculates from: the configured one,
-    /// else [`ProxyStateSource::StatModel`] above one worker, else none
-    /// (every unit takes the reconciler's miss path).
-    fn proxy_at(&self, workers: usize) -> Option<ProxyStateSource> {
-        self.proxy
-            .or((workers > 1).then_some(ProxyStateSource::StatModel))
-    }
-
-    /// Drive the warm chain over `plan` through the speculative lane —
-    /// [`RegionScheduler::run_speculative`], or
-    /// [`RegionScheduler::run_speculative_isolated`] under `policy`.
-    /// Every SMARTS entry point comes here, so its `step` closure is the
-    /// one warm-chain body. With `proxy = None` the spec tasks return `None`
-    /// without doing any work and every unit takes the miss path: the
-    /// in-place sequential chain, with no digest computed.
-    fn run_chain(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        proxy: Option<ProxyStateSource>,
-        workers: usize,
-        policy: Option<&FaultPolicy>,
-    ) -> ChainRun {
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region| {
-            proxy.map(|proxy| self.speculate(workload, positions, proxy, p, mult, i, region))
-        };
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access = 0u64;
-        let mut chained = Vec::with_capacity(plan.regions.len());
-        let mut outcomes = Vec::with_capacity(plan.regions.len());
-        // The one warm-chain step. A speculation whose digest matches
-        // the true state is adopted with its end state; otherwise (a
-        // digest mismatch, a faulted-out speculation, or no proxy at
-        // all) the step warms the span and measures in place. The
-        // chained charge is the same either way, which is why neither
-        // the proxy nor a spec fault can move the report.
-        let mut step = |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
-            debug_assert_eq!(pos_access, positions[i as usize]);
-            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-            chained.push(step.seconds);
-            pos_access = step.next_pos;
-            if let Some(s) = s {
-                let committed = hierarchy.state_digest() == s.digest;
-                outcomes.push(SpecUnit {
-                    unit: i,
-                    committed,
-                    proxy_seconds: s.proxy_seconds,
-                    speculative_seconds: s.total_seconds,
-                });
-                if committed {
-                    hierarchy.copy_state_from(&s.end_state);
-                    return s.unit;
-                }
-            }
-            hierarchy.warm_range(workload, step.warm);
-            self.measure(workload, region, &mut hierarchy)
-        };
-        let scheduler = RegionScheduler::new(workers);
-        let (units, quarantined) = match policy {
-            None => {
-                let units = scheduler.run_speculative(&plan.regions, spec, &mut step);
-                (units.into_iter().map(Some).collect(), Vec::new())
-            }
-            Some(policy) => {
-                scheduler.run_speculative_isolated(&plan.regions, policy, spec, |i, region, s| {
-                    step(i, region, s.flatten())
-                })
-            }
-        };
-        ChainRun {
-            report: reduce_units_partial(workload, plan, self.name(), &chained, units),
-            quarantined,
-            outcomes,
-        }
+        self.clone()
+            .with_speculation(proxy)
+            .run_with_workers(workload, plan, workers)
     }
 
     /// One speculation task: build the proxy state for region `i`'s
     /// boundary, record its digest, then warm and measure in place — a
     /// pure function of `(i, region)`, which is what makes it safe for
-    /// the isolated lane to retry from the top.
+    /// a guarded run to retry it from the top.
     #[allow(clippy::too_many_arguments)] // mirrors the chain-step tuple one-for-one
     fn speculate(
         &self,
@@ -259,13 +165,6 @@ struct Speculation {
     total_seconds: f64,
 }
 
-/// What [`SmartsRunner::run_chain`] hands back to its entry points.
-struct ChainRun {
-    report: SimulationReport,
-    quarantined: Vec<UnitFailure>,
-    outcomes: Vec<SpecUnit>,
-}
-
 /// Chain access positions at each region boundary — pure plan
 /// arithmetic, so neither the worker count nor speculation outcomes can
 /// shift them.
@@ -284,82 +183,92 @@ impl SamplingStrategy for SmartsRunner {
         "smarts"
     }
 
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
-    /// SMARTS under the region scheduler.
+    /// SMARTS under the region scheduler: the warm chain always runs
+    /// through the speculative lane's reconciler, and its `step`
+    /// closure is the one warm-chain body.
     ///
-    /// The warm chain always runs through the speculative lane's
-    /// reconciler. At one worker there is no proxy, so every step is
-    /// the in-place chain: functional warming up to the region's
-    /// detailed-warming boundary, then detailed warming and the
-    /// measured region on the same hierarchy, which leaves it at the
-    /// next boundary's state.
-    ///
-    /// Above one worker the chain itself is the bottleneck — the warm
-    /// span dominates every region, so decoupling only the measure
-    /// bodies buys no overlap. The run therefore speculates from the
-    /// [`ProxyStateSource::StatModel`] proxy (see
-    /// [`run_speculative_with_workers`](SmartsRunner::run_speculative_with_workers)),
+    /// The proxy is the one [`with_speculation`](SmartsRunner::with_speculation)
+    /// chose, else [`ProxyStateSource::StatModel`] above one worker,
+    /// else none. With no proxy (one worker) the spec tasks return
+    /// `None` without doing any work, so every step is the in-place
+    /// chain: functional warming up to the region's detailed-warming
+    /// boundary, then detailed warming and the measured region on the
+    /// same hierarchy, which leaves it at the next boundary's state —
+    /// no digest computed. Above one worker the chain itself is the
+    /// bottleneck — the warm span dominates every region, so decoupling
+    /// only the measure bodies buys no overlap — so the run speculates
+    /// (see [`run_speculative_with_workers`](SmartsRunner::run_speculative_with_workers)),
     /// whose spec tasks warm and measure whole regions on every worker.
-    /// Its report is bitwise identical to the one-worker run's, and no
-    /// [`SpeculationExtras`] are attached unless
-    /// [`with_speculation`](SmartsRunner::with_speculation) chose the
-    /// proxy, so a plain SMARTS [`StrategyReport`] is the same at every
-    /// worker count (asserted by `tests/determinism.rs` and
+    /// The report is bitwise identical at every worker count, and
+    /// [`SpeculationExtras`] are attached only when `with_speculation`
+    /// chose the proxy (asserted by `tests/determinism.rs` and
     /// `tests/golden_reports.rs`).
-    fn run_with_workers(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-    ) -> StrategyReport {
-        if let Some(proxy) = self.proxy {
-            return self.run_speculative_with_workers(workload, plan, proxy, workers);
-        }
-        let proxy = self.proxy_at(workers);
-        self.run_chain(workload, plan, proxy, workers, None)
-            .report
-            .into()
-    }
-
-    /// SMARTS with per-unit panic isolation: the same chain through
-    /// [`RegionScheduler::run_speculative_isolated`], with the same
-    /// proxy choice as [`run_with_workers`](SamplingStrategy::run_with_workers).
     ///
-    /// The chain has one failure domain. Injected faults at the
+    /// Under a fault policy the chain has one failure domain. Injected
+    /// faults at the
     /// [`FaultSite::ReconcilerCommit`](delorean_trace::fault::FaultSite::ReconcilerCommit)
     /// gate fire before the step mutates anything, so they are retried.
     /// A genuine panic inside a step may leave the carried hierarchy
     /// half-mutated, so it quarantines that unit after one attempt and
     /// poisons every later unit. Spec tasks whose retries at
     /// [`FaultSite::UnitEntry`](delorean_trace::fault::FaultSite::UnitEntry)
-    /// run out degrade to the miss path — they never quarantine. A
-    /// clean run's report is bitwise identical to the plain run's
-    /// (speculation extras are not carried by partial reports).
-    fn run_isolated(
+    /// run out degrade to the miss path — they never quarantine.
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let run = self.run_chain(
-            workload,
-            plan,
-            self.proxy_at(workers),
-            workers,
-            Some(policy),
+        policy: Option<&FaultPolicy>,
+    ) -> StrategyReport {
+        let proxy = proxy_at(self.proxy, workers);
+        let p = workload.mem_period();
+        let mult = plan.config.work_multiplier();
+        let positions = &chain_positions(plan, p);
+        let spec = |i: u32, region: &Region| {
+            proxy.map(|proxy| self.speculate(workload, positions, proxy, p, mult, i, region))
+        };
+        let mut hierarchy = Hierarchy::new(&self.machine);
+        let mut pos_access = 0u64;
+        let mut chained = Vec::with_capacity(plan.regions.len());
+        let mut outcomes = Vec::with_capacity(plan.regions.len());
+        // The one warm-chain step. A speculation whose digest matches
+        // the true state is adopted with its end state; otherwise (a
+        // digest mismatch, a faulted-out speculation, or no proxy at
+        // all) the step warms the span and measures in place. The
+        // chained charge is the same either way, which is why neither
+        // the proxy nor a spec fault can move the report.
+        let mut step = |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
+            debug_assert_eq!(pos_access, positions[i as usize]);
+            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
+            chained.push(step.seconds);
+            pos_access = step.next_pos;
+            if let Some(s) = s {
+                let committed = hierarchy.state_digest() == s.digest;
+                outcomes.push(SpecUnit {
+                    unit: i,
+                    committed,
+                    proxy_seconds: s.proxy_seconds,
+                    speculative_seconds: s.total_seconds,
+                });
+                if committed {
+                    hierarchy.copy_state_from(&s.end_state);
+                    return s.unit;
+                }
+            }
+            hierarchy.warm_range(workload, step.warm);
+            self.measure(workload, region, &mut hierarchy)
+        };
+        let units = RegionScheduler::new(workers).run_speculative_isolated(
+            &plan.regions,
+            policy,
+            spec,
+            |i, region, s| step(i, region, s.flatten()),
         );
-        PartialReport {
-            report: run.report,
-            quarantined: run.quarantined,
+        let report = StrategyReport::from_units(workload, plan, self.name(), &chained, units);
+        match self.proxy {
+            Some(proxy) => report.with_extras(SpeculationExtras { proxy, outcomes }),
+            None => report,
         }
-    }
-
-    fn internal_parallelism(&self) -> usize {
-        self.workers
     }
 }
 
@@ -520,10 +429,8 @@ mod tests {
         let w = spec_workload("hmmer", Scale::tiny(), 1).unwrap();
         let plan = quick_plan();
         let machine = MachineConfig::for_scale(Scale::tiny());
-        let runner = SmartsRunner::new(machine)
-            .with_speculation(ProxyStateSource::Poisoned)
-            .with_region_workers(2);
-        let report = runner.run(&w, &plan);
+        let runner = SmartsRunner::new(machine).with_speculation(ProxyStateSource::Poisoned);
+        let report = runner.run_with_workers(&w, &plan, 2);
         assert!(report.extras::<SpeculationExtras>().is_some());
         assert_eq!(
             report.report,

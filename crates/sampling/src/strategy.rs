@@ -8,17 +8,18 @@
 //! one code path.
 //!
 //! A strategy returns a [`StrategyReport`]: the strategy-agnostic
-//! [`SimulationReport`] every comparison is built on, plus optional
-//! strategy-specific *extras* (DeLorean attaches its time-traveling
-//! statistics and DSW classification counters; checkpointed warming its
-//! storage footprint). Extras are type-erased so this crate does not
-//! need to know downstream types; consumers recover them with
+//! [`SimulationReport`] every comparison is built on, the units a
+//! guarded run quarantined, plus optional strategy-specific *extras*
+//! (DeLorean attaches its time-traveling statistics and DSW
+//! classification counters; checkpointed warming its storage
+//! footprint). Extras are type-erased so this crate does not need to
+//! know downstream types; consumers recover them with
 //! [`StrategyReport::extras`] or [`StrategyReport::split`].
 
 use crate::config::RegionPlan;
 use crate::driver::{reduce_units_partial, RegionUnit};
 use crate::report::SimulationReport;
-use delorean_trace::fault::{self, FaultPolicy, UnitFailure, UnitFault};
+use delorean_trace::fault::{FaultPolicy, UnitFailure, UnitFault};
 use delorean_trace::Workload;
 use std::any::Any;
 use std::fmt;
@@ -65,63 +66,51 @@ pub trait SamplingStrategy: Send + Sync {
     /// returned report.
     fn name(&self) -> &str;
 
-    /// Run the full sampled simulation over `plan`'s regions.
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport;
-
-    /// Run with an explicit region-scheduler worker count, overriding
-    /// whatever the runner was configured with.
+    /// Run the full sampled simulation over `plan`'s regions on
+    /// `workers` region-scheduler workers — every strategy's **one
+    /// execution body**; [`run`](SamplingStrategy::run) and
+    /// [`run_with_workers`](SamplingStrategy::run_with_workers) are
+    /// provided on top of it.
     ///
-    /// The determinism contract makes this a pure scheduling knob: the
-    /// returned report must be byte-identical for every `workers` value
-    /// (`tests/determinism.rs` asserts it for all five strategies).
-    /// Strategies that have not adopted the region scheduler fall back
-    /// to [`run`](SamplingStrategy::run) and ignore `workers`.
+    /// With `policy = None` units run unguarded: a panic unwinds the
+    /// caller, no fault site is traversed, and the report's quarantine
+    /// list is empty. With `Some(policy)` every unit is guarded: faults
+    /// are caught, retried within the policy's budget, and quarantined
+    /// on exhaustion, so the run always completes with a typed
+    /// [`StrategyReport::quarantined`] list instead of unwinding. A
+    /// quarantined unit is missing from the report's `regions` and
+    /// cost units, while `covered_instrs` still describes the full
+    /// sampling design.
+    ///
+    /// `workers` and `policy` are pure scheduling: the report (extras
+    /// included) must be byte-identical for every `workers` value, and
+    /// a guarded run that quarantines nothing — no faults, or only
+    /// faults that retries absorbed — must equal the unguarded run
+    /// bitwise (`tests/determinism.rs` and `tests/fault_injection.rs`
+    /// pin both for all five strategies).
+    fn execute(
+        &self,
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        workers: usize,
+        policy: Option<&FaultPolicy>,
+    ) -> StrategyReport;
+
+    /// Run unguarded at this strategy's own
+    /// [`internal_parallelism`](SamplingStrategy::internal_parallelism).
+    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
+        self.run_with_workers(workload, plan, self.internal_parallelism())
+    }
+
+    /// Run unguarded on `workers` region-scheduler workers:
+    /// [`execute`](SamplingStrategy::execute) with no fault policy.
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        let _ = workers;
-        self.run(workload, plan)
-    }
-
-    /// Run with **panic isolation and deterministic retry**: unit
-    /// faults are caught, retried within `policy`'s budget, and
-    /// quarantined on exhaustion, so the run always completes with a
-    /// typed [`PartialReport`] instead of unwinding.
-    ///
-    /// The contract mirrors
-    /// [`run_with_workers`](SamplingStrategy::run_with_workers): on a
-    /// fully clean run (no faults, or only faults that retries
-    /// absorbed) the returned report must be **bitwise identical** to
-    /// the plain run at every worker count — isolation is scheduling,
-    /// never semantics (`tests/fault_injection.rs` pins this for all
-    /// five strategies).
-    ///
-    /// Scheduler-backed strategies override this with per-unit
-    /// isolation through the `RegionScheduler`'s `*_isolated` runners;
-    /// the default guards the whole run as a single unit (one retryable
-    /// fault domain — sound because strategies are pure functions of
-    /// their inputs). If that unit runs out of retries, unit 0 carries
-    /// the fault and every later unit is chain-poisoned by it. Strategy
-    /// extras are not carried by partial reports.
-    fn run_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        match fault::run_unit_guarded(0, policy, || {
-            self.run_with_workers(workload, plan, workers).into_report()
-        }) {
-            Ok(report) => PartialReport {
-                report,
-                quarantined: Vec::new(),
-            },
-            Err(failure) => PartialReport::failed_whole(workload, plan, self.name(), failure),
-        }
+        self.execute(workload, plan, workers, None)
     }
 
     /// Evaluate the plan regions with `span` indices as standalone
@@ -151,44 +140,54 @@ pub trait SamplingStrategy: Send + Sync {
         None
     }
 
-    /// Number of threads one [`run`](SamplingStrategy::run) call spawns
-    /// internally (1 for single-threaded strategies; the configured
-    /// region-worker count for scheduler-backed runners). Batch
-    /// executors divide their worker pools by the batch's maximum so
-    /// nested parallelism does not oversubscribe the host.
+    /// The region-scheduler worker count [`run`](SamplingStrategy::run)
+    /// uses, and so the number of threads one `run` call spawns (1 by
+    /// default; DeLorean sizes it to the host). Batch executors divide
+    /// their worker pools by the batch's maximum so nested parallelism
+    /// does not oversubscribe the host.
     fn internal_parallelism(&self) -> usize {
         1
     }
 }
 
-/// The outcome of a fault-isolated run
-/// ([`SamplingStrategy::run_isolated`]): the report assembled from
-/// every unit that completed, plus the plan-ordered list of units that
-/// exhausted their retries and were quarantined.
-///
-/// A clean run has an empty quarantine list and a report bitwise
-/// identical to the plain (non-isolated) run's; a partial run's report
-/// simply omits the quarantined regions (its `regions` vector and cost
-/// units skip them, while `covered_instrs` still describes the full
-/// sampling design).
-#[derive(Debug)]
-pub struct PartialReport {
-    /// The report over the units that completed.
-    pub report: SimulationReport,
-    /// Units that exhausted their retry budget (or were chain-poisoned
-    /// by one that did), in plan order. Empty for a clean run.
-    pub quarantined: Vec<UnitFailure>,
+impl fmt::Debug for dyn SamplingStrategy + '_ {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SamplingStrategy")
+            .field("name", &self.name())
+            .finish()
+    }
 }
 
-impl PartialReport {
+/// The outcome of one [`SamplingStrategy::execute`]: the comparable
+/// report, the units a guarded run quarantined, and optional
+/// type-erased strategy extras.
+///
+/// Dereferences to [`SimulationReport`], so metric helpers (`cpi()`,
+/// `speedup_vs(..)`, …) are available directly.
+pub struct StrategyReport {
+    /// The strategy-agnostic report (CPI/MPKI per region, host cost)
+    /// over the units that completed.
+    pub report: SimulationReport,
+    /// Units a guarded run gave up on — they exhausted their retry
+    /// budget, or were chain-poisoned by one that did — in plan order.
+    /// Always empty for unguarded runs.
+    pub quarantined: Vec<UnitFailure>,
+    extras: Option<Box<dyn Any + Send + Sync>>,
+}
+
+impl StrategyReport {
+    /// A complete report without extras.
+    pub fn new(report: SimulationReport) -> Self {
+        StrategyReport {
+            report,
+            quarantined: Vec::new(),
+            extras: None,
+        }
+    }
+
     /// Whether every unit completed (the report is a full run).
     pub fn is_complete(&self) -> bool {
         self.quarantined.is_empty()
-    }
-
-    /// The report, discarding the quarantine list.
-    pub fn into_report(self) -> SimulationReport {
-        self.report
     }
 
     /// The outcome of a run guarded as **one whole unit** that ran out
@@ -209,37 +208,23 @@ impl PartialReport {
             fault: UnitFault::ChainPoisoned { upstream: 0 },
         });
         let units = (0..n).map(|_| None).collect();
-        PartialReport {
-            report: reduce_units_partial(workload, plan, strategy, &[], units),
-            quarantined: std::iter::once(failure).chain(poisoned).collect(),
-        }
+        let quarantined = std::iter::once(failure).chain(poisoned).collect();
+        Self::from_units(workload, plan, strategy, &[], (units, quarantined))
     }
-}
 
-impl fmt::Debug for dyn SamplingStrategy + '_ {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SamplingStrategy")
-            .field("name", &self.name())
-            .finish()
-    }
-}
-
-/// The outcome of one [`SamplingStrategy::run`]: the comparable report
-/// plus optional type-erased strategy extras.
-///
-/// Dereferences to [`SimulationReport`], so metric helpers (`cpi()`,
-/// `speedup_vs(..)`, …) are available directly.
-pub struct StrategyReport {
-    /// The strategy-agnostic report (CPI/MPKI per region, host cost).
-    pub report: SimulationReport,
-    extras: Option<Box<dyn Any + Send + Sync>>,
-}
-
-impl StrategyReport {
-    /// A report without extras.
-    pub fn new(report: SimulationReport) -> Self {
+    /// Fold a run's plan-ordered unit slots (`None` = quarantined; see
+    /// the private `driver::reduce_units_partial`) into a report that
+    /// carries the run's quarantine list.
+    pub(crate) fn from_units(
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        strategy: &str,
+        chained: &[f64],
+        (units, quarantined): (Vec<Option<RegionUnit>>, Vec<UnitFailure>),
+    ) -> Self {
         StrategyReport {
-            report,
+            report: reduce_units_partial(workload, plan, strategy, chained, units),
+            quarantined,
             extras: None,
         }
     }
@@ -289,6 +274,7 @@ impl fmt::Debug for StrategyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StrategyReport")
             .field("report", &self.report)
+            .field("quarantined", &self.quarantined)
             .field("has_extras", &self.extras.is_some())
             .finish()
     }

@@ -75,9 +75,8 @@ pub mod prelude {
     pub use delorean_cpu::TimingConfig;
     pub use delorean_sampling::{
         CheckpointWarmingRunner, CoolSimConfig, CoolSimRunner, FaultPolicy, MrrlRunner,
-        PartialReport, ProxyStateSource, RegionPlan, RegionScheduler, SamplingConfig,
-        SamplingStrategy, SimulationReport, SmartsRunner, SpeculationExtras, StrategyReport,
-        UnitFailure, UnitFault,
+        ProxyStateSource, RegionPlan, RegionScheduler, SamplingConfig, SamplingStrategy,
+        SimulationReport, SmartsRunner, SpeculationExtras, StrategyReport, UnitFailure, UnitFault,
     };
     pub use delorean_shard::{
         worker_loop, Broker, BrokerConfig, JobRequest, ShardRun, SweepSpec, WorkerOptions,

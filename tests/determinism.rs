@@ -51,7 +51,7 @@ fn scheduled_delorean_agrees_with_serial_across_workloads() {
     for name in ["bwaves", "mcf", "povray", "GemsFDTD", "calculix"] {
         let w = spec_workload(name, scale, 42).unwrap();
         let runner = DeLoreanRunner::new(machine, DeLoreanConfig::for_scale(scale));
-        let serial = runner.run_serial(&w, &plan);
+        let serial: DeLoreanOutput = runner.run_with_workers(&w, &plan, 1).try_into().unwrap();
         // Region-parallel (the trait entry point).
         let scheduled: DeLoreanOutput = runner.run_with_workers(&w, &plan, 4).try_into().unwrap();
         assert_eq!(serial.report.total(), scheduled.report.total(), "{name}");
@@ -110,7 +110,7 @@ fn region_scheduler_reports_are_identical_at_any_worker_count() {
 
     // DeLorean extras (TT statistics, DSW counts) obey the same contract.
     let runner = DeLoreanRunner::new(machine, DeLoreanConfig::for_scale(scale));
-    let serial = runner.run_serial(&w, &plan);
+    let serial: DeLoreanOutput = runner.run_with_workers(&w, &plan, 1).try_into().unwrap();
     for workers in [2, 4, 8] {
         let parallel: DeLoreanOutput = runner
             .run_with_workers(&w, &plan, workers)

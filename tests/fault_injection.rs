@@ -1,12 +1,13 @@
-//! Armed fault-injection determinism suite: the PR 9 recovery
-//! contract, pinned end to end.
+//! Armed fault-injection determinism suite: the recovery contract,
+//! pinned end to end.
 //!
 //! The contract has three clauses:
 //!
-//! 1. **Isolation is scheduling, never semantics** — a fault-isolated
-//!    run with nothing armed, and a run whose injected faults were all
-//!    absorbed by retries, are bitwise identical to the plain run at
-//!    every worker count, for every strategy.
+//! 1. **Isolation is scheduling, never semantics** — a guarded run
+//!    (`SamplingStrategy::execute` with a fault policy) with nothing
+//!    armed, and one whose injected faults were all absorbed by
+//!    retries, are bitwise identical to the plain run at every worker
+//!    count, for every strategy, extras included.
 //! 2. **Quarantine is deterministic and typed** — units struck past
 //!    the retry budget quarantine with their attempt count and
 //!    classified fault, the same set at every worker count, and the
@@ -21,11 +22,13 @@
 //! These tests live in their own integration binary on purpose: the
 //! fault registry is process-global and [`fault::arm`] serializes armed
 //! sections, so every test here holds an arm guard — a site-less plan
-//! when it needs a clean run — and plain (non-isolated) runs, which
-//! traverse no sites, need no guard at all.
+//! when it needs a clean run — and plain runs (no fault policy), which
+//! traverse no sites, need no guard at all
+//! (`plain_runs_traverse_no_fault_sites` pins that).
 
 use delorean::bench::headline_strategies;
 use delorean::prelude::*;
+use delorean::sampling::CheckpointExtras;
 use delorean::trace::fault::{self, FaultKind, FaultPlan, FaultSite};
 use delorean::trace::{AccessCursor, BranchModel, JournalError, MemAccess};
 use std::path::PathBuf;
@@ -37,7 +40,7 @@ fn temp(tag: &str) -> PathBuf {
 }
 
 /// Every strategy, including SMARTS's speculative warm lane. Both
-/// SMARTS runners' isolated paths add the `ReconcilerCommit` site to
+/// SMARTS runners' guarded runs add the `ReconcilerCommit` site to
 /// `UnitEntry`.
 fn all_strategies(scale: Scale, machine: MachineConfig) -> Vec<Box<dyn SamplingStrategy>> {
     vec![
@@ -82,9 +85,9 @@ fn clean_isolated_runs_match_plain_runs_bitwise_at_every_worker_count() {
     // live, while every instrumented site stays a no-op.
     let _guard = fault::arm(FaultPlan::new(0));
     for s in all_strategies(scale, machine) {
-        let plain = s.run_with_workers(&w, &plan, 1).into_report();
+        let plain = s.run_with_workers(&w, &plan, 1);
         for workers in WORKER_COUNTS {
-            let iso = s.run_isolated(&w, &plan, workers, &policy);
+            let iso = s.execute(&w, &plan, workers, Some(&policy));
             assert!(
                 iso.is_complete(),
                 "{}: clean isolated run quarantined at {workers} workers: {:?}",
@@ -92,9 +95,60 @@ fn clean_isolated_runs_match_plain_runs_bitwise_at_every_worker_count() {
                 iso.quarantined
             );
             assert_eq!(
-                plain,
+                plain.report,
                 iso.report,
                 "{}: isolation changed the report at {workers} workers",
+                s.name()
+            );
+            // A guarded run carries the same extras as the plain run.
+            assert_eq!(
+                plain.extras::<DeLoreanExtras>(),
+                iso.extras::<DeLoreanExtras>(),
+                "{}: isolation changed the DeLorean extras at {workers} workers",
+                s.name()
+            );
+            assert_eq!(
+                plain.extras::<CheckpointExtras>(),
+                iso.extras::<CheckpointExtras>(),
+                "{}: isolation changed the checkpoint extras at {workers} workers",
+                s.name()
+            );
+            assert_eq!(
+                plain.extras::<SpeculationExtras>().is_some(),
+                iso.extras::<SpeculationExtras>().is_some(),
+                "{}: isolation changed whether speculation extras ride along at {workers} workers",
+                s.name()
+            );
+        }
+    }
+}
+
+/// Plain runs traverse no fault site: with every unit struck at both
+/// region-level sites on every occurrence, `run_with_workers` still
+/// returns the clean report. The executor-level kill plans rely on
+/// this — a site hit inside a plain cell would consume the same
+/// `(site, key)` slots they strike.
+#[test]
+fn plain_runs_traverse_no_fault_sites() {
+    let scale = Scale::tiny();
+    let machine = MachineConfig::for_scale(scale);
+    let plan = SamplingConfig::for_scale(scale).with_regions(3).plan();
+    let w = spec_workload("mcf", scale, 42).unwrap();
+    let strike_all = FaultPlan::new(2019)
+        .at(FaultSite::UnitEntry)
+        .at(FaultSite::ReconcilerCommit)
+        .strikes(u32::MAX);
+    for s in all_strategies(scale, machine) {
+        for workers in [1, 2] {
+            let clean = s.run_with_workers(&w, &plan, workers);
+            let guard = fault::arm(strike_all);
+            let armed = s.run_with_workers(&w, &plan, workers);
+            drop(guard);
+            assert!(armed.is_complete(), "{}", s.name());
+            assert_eq!(
+                clean.report,
+                armed.report,
+                "{}: a plain run traversed a fault site at {workers} workers",
                 s.name()
             );
         }
@@ -128,7 +182,7 @@ fn faults_absorbed_by_retries_never_change_the_report() {
             // Fresh arm per run: occurrence counters restart, so every
             // run sees the identical fault schedule.
             let guard = fault::arm(strike_plan);
-            let iso = s.run_isolated(&w, &plan, workers, &policy);
+            let iso = s.execute(&w, &plan, workers, Some(&policy));
             drop(guard);
             assert!(
                 iso.is_complete(),
@@ -167,7 +221,7 @@ fn exhausted_units_quarantine_deterministically_across_worker_counts() {
     let mut reference: Option<(Vec<u32>, SimulationReport)> = None;
     for workers in WORKER_COUNTS {
         let guard = fault::arm(kill_plan);
-        let iso = runner.run_isolated(&w, &plan, workers, &policy);
+        let iso = runner.execute(&w, &plan, workers, Some(&policy));
         drop(guard);
         assert!(!iso.is_complete(), "the kill plan never fired");
         for f in &iso.quarantined {
@@ -236,7 +290,7 @@ fn reconciler_exhaustion_poisons_the_downstream_chain() {
         .flat_map(|r| [1, 2, 4].map(|workers| (r, workers)))
     {
         let guard = fault::arm(kill_plan);
-        let iso = runner.run_isolated(&w, &plan, workers, &policy);
+        let iso = runner.execute(&w, &plan, workers, Some(&policy));
         drop(guard);
         assert!(!iso.is_complete(), "the reconciler plan never fired");
         let first = *iso
@@ -302,20 +356,6 @@ impl<W: Workload> Workload for PanickingCursor<W> {
     }
 }
 
-/// A strategy that keeps the trait's default `run_isolated`, which
-/// guards the whole run as one unit.
-struct WholeRun(CheckpointWarmingRunner);
-
-impl SamplingStrategy for WholeRun {
-    fn name(&self) -> &str {
-        "whole-run"
-    }
-
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.0.run(workload, plan)
-    }
-}
-
 #[test]
 fn a_failed_whole_run_guard_quarantines_every_unit_of_the_plan() {
     let scale = Scale::tiny();
@@ -326,12 +366,11 @@ fn a_failed_whole_run_guard_quarantines_every_unit_of_the_plan() {
     let strategies: Vec<Box<dyn SamplingStrategy>> = vec![
         // Checkpoint preparation is one guarded unit.
         Box::new(CheckpointWarmingRunner::new(machine)),
-        Box::new(WholeRun(CheckpointWarmingRunner::new(machine))),
     ];
 
     let _guard = fault::arm(FaultPlan::new(0));
     for s in &strategies {
-        let iso = s.run_isolated(&w, &plan, 2, &policy);
+        let iso = s.execute(&w, &plan, 2, Some(&policy));
         assert!(iso.report.regions.is_empty(), "{}", s.name());
         assert_eq!(
             iso.report.regions.len() + iso.quarantined.len(),

@@ -213,7 +213,7 @@ fn explorer_trap_counts_identical_serial_vs_pipelined() {
     for name in ["hmmer", "povray", "mcf"] {
         let w = spec_workload(name, scale, 42).unwrap();
         let runner = DeLoreanRunner::new(machine, DeLoreanConfig::for_scale(scale));
-        let serial = runner.run_serial(&w, &plan);
+        let serial: DeLoreanOutput = runner.run_with_workers(&w, &plan, 1).try_into().unwrap();
         let piped: DeLoreanOutput = runner.run(&w, &plan).try_into().unwrap();
         assert_eq!(
             serial.stats.true_hit_traps, piped.stats.true_hit_traps,

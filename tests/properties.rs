@@ -375,7 +375,7 @@ fn delorean_pipeline_equals_serial_for_arbitrary_compositions() {
         let (seed, streams) = arb_workload(case);
         let w = build(seed, &streams);
         let runner = DeLoreanRunner::new(machine, DeLoreanConfig::for_scale(scale));
-        let serial = runner.run_serial(&w, &plan);
+        let serial: DeLoreanOutput = runner.run_with_workers(&w, &plan, 1).try_into().unwrap();
         let piped: DeLoreanOutput = runner.run(&w, &plan).try_into().unwrap();
         assert_eq!(serial.report.total(), piped.report.total(), "case {case}");
         assert_eq!(serial.stats, piped.stats, "case {case}");

@@ -150,7 +150,7 @@ fn pipelined_trait_run_matches_serial_oracle() {
     let plan = plan();
     let runner = DeLoreanRunner::new(machine, DeLoreanConfig::for_scale(scale()));
     let w = spec_workload("zeusmp", scale(), 42).unwrap();
-    let serial = runner.run_serial(&w, &plan);
+    let serial: DeLoreanOutput = runner.run_with_workers(&w, &plan, 1).try_into().unwrap();
     let piped: DeLoreanOutput = runner.run(&w, &plan).try_into().unwrap();
     assert_eq!(fingerprint(&serial.report), fingerprint(&piped.report));
     assert_eq!(serial.stats, piped.stats);
