@@ -1,28 +1,37 @@
-//! Sweep-journal entry codec: durable cell results for the batch
-//! executor.
+//! The sweep-cell record: its byte codec and its journal.
 //!
 //! [`BatchExecutor::run_matrix_journaled`](crate::BatchExecutor::run_matrix_journaled)
-//! appends one entry per completed strategy×workload cell to a
-//! [`delorean_trace::journal`] file; after a crash or kill, resuming
-//! restores every journaled cell verbatim and re-executes only the
-//! missing ones. This module owns the entry payload format — a
-//! hand-rolled little-endian encoding of [`SimulationReport`] (the
-//! workspace's `serde` is a marker-only shim, so there is no derived
-//! serialization to lean on) — and the journal *tag* binding a file to
-//! one sweep configuration.
+//! and the shard broker append one entry per completed
+//! strategy×workload cell to a [`CellJournal`]; after a crash or kill,
+//! resuming restores every journaled cell verbatim and re-executes only
+//! the missing ones. This module is the only owner of that record:
+//!
+//! * the entry payload — a hand-rolled little-endian encoding of
+//!   [`SimulationReport`] ([`encode_cell`]; the workspace's `serde` is a
+//!   marker-only shim, so there is no derived serialization to lean
+//!   on), which is also the shard wire's `CellDone` payload;
+//! * the region-unit payload of a shard `SpanDone` ([`encode_units`]),
+//!   which shares the cell codec's region encoder;
+//! * the journal *tag* binding a file to one sweep configuration
+//!   ([`sweep_tag`]);
+//! * the writer helpers (`push_*`) and the bounds-checked [`Take`]
+//!   reader the shard layer's wire messages and sweep spec use.
 //!
 //! The codec is **exact**: every `f64` travels as its IEEE-754 bit
 //! pattern, so a decoded report is `==` the one encoded — which is what
 //! lets a resumed sweep's matrix compare bitwise equal to an
-//! uninterrupted run's.
+//! uninterrupted run's. Strings are length-prefixed UTF-8, and a
+//! truncated or padded payload decodes to `None`, never a panic.
 
 use delorean_cpu::DetailedResult;
-use delorean_sampling::{RegionPlan, RegionReport, SamplingStrategy, SimulationReport};
+use delorean_sampling::{RegionPlan, RegionReport, RegionUnit, SamplingStrategy, SimulationReport};
 use delorean_trace::tile::tile_checksum;
+use delorean_trace::{JournalError, JournalWriter};
 use delorean_virt::RunCost;
+use std::path::Path;
 
 /// Journal entry kind for one completed cell (`[cell u32][report]`).
-pub const CELL_ENTRY_KIND: u32 = 1;
+const CELL_ENTRY_KIND: u32 = 1;
 
 /// Compute the journal tag binding a file to one sweep configuration:
 /// the strategy list (names, in order), the workload list (names, in
@@ -73,8 +82,7 @@ pub fn encode_cell(cell: u32, report: &SimulationReport) -> Vec<u8> {
     push_str(&mut bytes, &report.strategy);
     push_u32(&mut bytes, report.regions.len() as u32);
     for r in &report.regions {
-        push_u32(&mut bytes, r.region);
-        push_detailed(&mut bytes, &r.detailed);
+        push_region(&mut bytes, r);
     }
     push_u64(&mut bytes, report.collected_reuse_distances);
     push_cost(&mut bytes, &report.cost);
@@ -87,21 +95,19 @@ pub fn encode_cell(cell: u32, report: &SimulationReport) -> Vec<u8> {
 /// and re-execute the cell; a checksummed journal makes this unreachable
 /// short of a format change.
 pub fn decode_cell(bytes: &[u8]) -> Option<(u32, SimulationReport)> {
-    let mut r = Take { bytes, at: 0 };
+    let mut r = Take::new(bytes);
     let cell = r.u32()?;
     let workload = r.string()?;
     let strategy = r.string()?;
     let n_regions = r.u32()? as usize;
     let mut regions = Vec::with_capacity(n_regions.min(4096));
     for _ in 0..n_regions {
-        let region = r.u32()?;
-        let detailed = r.detailed()?;
-        regions.push(RegionReport { region, detailed });
+        regions.push(r.region()?);
     }
     let collected_reuse_distances = r.u64()?;
     let cost = r.cost()?;
     let covered_instrs = r.u64()?;
-    if r.at != bytes.len() {
+    if !r.done() {
         return None;
     }
     Some((
@@ -117,25 +123,125 @@ pub fn decode_cell(bytes: &[u8]) -> Option<(u32, SimulationReport)> {
     ))
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
+/// Encode a span of [`RegionUnit`]s (a shard `SpanDone` payload).
+pub fn encode_units(units: &[RegionUnit]) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_u32(&mut out, units.len() as u32);
+    for u in units {
+        push_region(&mut out, &u.report);
+        push_f64(&mut out, u.seconds);
+        push_u64(&mut out, u.collected);
+    }
+    out
+}
+
+/// Decode an [`encode_units`] payload. `None` on any structural damage.
+pub fn decode_units(bytes: &[u8]) -> Option<Vec<RegionUnit>> {
+    let mut r = Take::new(bytes);
+    let n = r.u32()? as usize;
+    let mut units = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        units.push(RegionUnit {
+            report: r.region()?,
+            seconds: r.f64()?,
+            collected: r.u64()?,
+        });
+    }
+    r.done().then_some(units)
+}
+
+/// A sweep's durable cell journal: one checksummed
+/// [`delorean_trace::journal`] entry per completed cell, keyed by the
+/// flat cell index (`w * strategies + s`), so restoring is independent
+/// of completion order.
+#[derive(Debug)]
+pub struct CellJournal {
+    writer: JournalWriter,
+    faults: usize,
+}
+
+impl CellJournal {
+    /// Create the journal at `path` bound to `tag`, or resume it if the
+    /// file exists. Returns the journal plus, for each of the `n_cells`
+    /// cells, the report its valid prefix restores (torn tails are
+    /// truncated; a later entry for a cell replaces an earlier one).
+    /// Resuming a journal written under another tag is a hard
+    /// [`JournalError::TagMismatch`].
+    pub fn open(
+        path: &Path,
+        tag: u64,
+        n_cells: usize,
+    ) -> Result<(CellJournal, Vec<Option<SimulationReport>>), JournalError> {
+        let mut restored: Vec<Option<SimulationReport>> = (0..n_cells).map(|_| None).collect();
+        let writer = if path.exists() {
+            let (writer, prefix) = JournalWriter::resume(path, tag)?;
+            for entry in prefix.iter().filter(|e| e.kind == CELL_ENTRY_KIND) {
+                if let Some((cell, report)) = decode_cell(&entry.payload) {
+                    if let Some(slot) = restored.get_mut(cell as usize) {
+                        *slot = Some(report);
+                    }
+                }
+            }
+            writer
+        } else {
+            JournalWriter::create(path, tag)?
+        };
+        Ok((CellJournal { writer, faults: 0 }, restored))
+    }
+
+    /// Append one completed cell's [`encode_cell`] bytes. A failed
+    /// append never raises — it must not unwind through the run it
+    /// records: the cell's result stays in memory, it is just not
+    /// durable, and [`faults`](Self::faults) counts it.
+    pub fn append(&mut self, cell_bytes: &[u8]) {
+        if self.writer.append(CELL_ENTRY_KIND, cell_bytes).is_err() {
+            self.faults += 1;
+        }
+    }
+
+    /// Appends that failed; 0 outside fault-injection harnesses.
+    pub fn faults(&self) -> usize {
+        self.faults
+    }
+}
+
+/// Append one byte.
+pub fn push_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+/// Append a little-endian `u32`.
+pub fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
+/// Append a little-endian `u64`.
+pub fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    // Bit-exact: NaN payloads, signed zeros and subnormals all survive.
+/// Append an `f64` as its IEEE-754 bit pattern — bit-exact: NaN
+/// payloads, signed zeros and subnormals all survive.
+pub fn push_f64(out: &mut Vec<u8>, v: f64) {
     push_u64(out, v.to_bits());
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+/// Append a length-prefixed UTF-8 string.
+pub fn push_str(out: &mut Vec<u8>, s: &str) {
+    push_bytes(out, s.as_bytes());
 }
 
-fn push_detailed(out: &mut Vec<u8>, d: &DetailedResult) {
+/// Append a length-prefixed byte block.
+pub fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    push_u32(out, b.len() as u32);
+    out.extend_from_slice(b);
+}
+
+/// The region encoder the cell and unit payloads share:
+/// `region u32` then the [`DetailedResult`].
+fn push_region(out: &mut Vec<u8>, r: &RegionReport) {
+    push_u32(out, r.region);
+    let d = &r.detailed;
     push_u64(out, d.instructions);
     push_f64(out, d.cycles);
     push_u64(out, d.mem_accesses);
@@ -161,46 +267,65 @@ fn push_cost(out: &mut Vec<u8>, cost: &RunCost) {
     }
 }
 
-/// Bounds-checked little-endian reader over a payload slice.
-struct Take<'a> {
+/// Bounds-checked little-endian reader over a payload slice: every
+/// read past the end is `None`, never a panic.
+#[derive(Debug)]
+pub struct Take<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
-impl Take<'_> {
-    fn chunk(&mut self, n: usize) -> Option<&[u8]> {
+impl<'a> Take<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Take { bytes, at: 0 }
+    }
+
+    fn chunk(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.at.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let c = &self.bytes[self.at..end];
+        let c = self.bytes.get(self.at..end)?;
         self.at = end;
         Some(c)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        let c = self.chunk(4)?;
-        Some(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+    /// Read one byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        Some(self.chunk(1)?[0])
     }
 
-    fn u64(&mut self) -> Option<u64> {
-        let c = self.chunk(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(c);
-        Some(u64::from_le_bytes(b))
+    /// Read a little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(*self.chunk(4)?.first_chunk()?))
     }
 
-    fn f64(&mut self) -> Option<f64> {
+    /// Read a little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(*self.chunk(8)?.first_chunk()?))
+    }
+
+    /// Read an `f64` from its bit pattern.
+    pub fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let c = self.chunk(len)?;
-        String::from_utf8(c.to_vec()).ok()
+    /// Read a length-prefixed UTF-8 string.
+    pub fn string(&mut self) -> Option<String> {
+        String::from_utf8(self.byte_block()?).ok()
     }
 
-    fn detailed(&mut self) -> Option<DetailedResult> {
+    /// Read a length-prefixed byte block.
+    pub fn byte_block(&mut self) -> Option<Vec<u8>> {
+        let len = self.u32()? as usize;
+        Some(self.chunk(len)?.to_vec())
+    }
+
+    /// Whether every byte has been read.
+    pub fn done(&self) -> bool {
+        self.at == self.bytes.len()
+    }
+
+    fn region(&mut self) -> Option<RegionReport> {
+        let region = self.u32()?;
         let instructions = self.u64()?;
         let cycles = self.f64()?;
         let mem_accesses = self.u64()?;
@@ -210,13 +335,16 @@ impl Take<'_> {
         }
         let branches = self.u64()?;
         let mispredicts = self.u64()?;
-        Some(DetailedResult {
-            instructions,
-            cycles,
-            mem_accesses,
-            level_counts,
-            branches,
-            mispredicts,
+        Some(RegionReport {
+            region,
+            detailed: DetailedResult {
+                instructions,
+                cycles,
+                mem_accesses,
+                level_counts,
+                branches,
+                mispredicts,
+            },
         })
     }
 

@@ -8,7 +8,7 @@
 //! `tests/strategy_layer.rs`). All experiment drivers and the
 //! `run_all`/figure binaries funnel through this one code path.
 
-use crate::journal::{decode_cell, encode_cell, sweep_tag, CELL_ENTRY_KIND};
+use crate::journal::{encode_cell, sweep_tag, CellJournal};
 use crate::options::ExpOptions;
 use delorean_cache::MachineConfig;
 use delorean_core::{DeLoreanConfig, DeLoreanOutput, DeLoreanRunner};
@@ -17,11 +17,10 @@ use delorean_sampling::{
     SimulationReport, SmartsRunner, StrategyReport, UnitFailure,
 };
 use delorean_trace::fault::{self, FaultSite};
-use delorean_trace::{spec2006, JournalError, JournalWriter, Scale, Workload};
+use delorean_trace::{spec2006, JournalError, Scale, Workload};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Executes (strategy × workload) batches on a worker pool.
@@ -134,26 +133,10 @@ impl BatchExecutor {
             .collect();
 
         // Restore journaled cells (resume) or start a fresh journal.
-        let mut restored: Vec<Option<SimulationReport>> = (0..jobs.len()).map(|_| None).collect();
         let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
         let tag = sweep_tag(strategies, &names, plan);
-        let writer = if journal.exists() {
-            let (writer, prefix) = JournalWriter::resume(journal, tag)?;
-            for entry in prefix {
-                if entry.kind != CELL_ENTRY_KIND {
-                    continue;
-                }
-                if let Some((cell, report)) = decode_cell(&entry.payload) {
-                    if let Some(slot) = restored.get_mut(cell as usize) {
-                        *slot = Some(report);
-                    }
-                }
-            }
-            writer
-        } else {
-            JournalWriter::create(journal, tag)?
-        };
-        let writer = Mutex::new(writer);
+        let (journal, restored) = CellJournal::open(journal, tag, jobs.len())?;
+        let journal = Mutex::new(journal);
         let resumed_cells = restored.iter().filter(|r| r.is_some()).count();
 
         // Execute the missing cells, each as one guarded, retryable
@@ -167,7 +150,6 @@ impl BatchExecutor {
             .map(|(cell, &(s, w))| (cell as u32, s, w))
             .collect();
         let executed_cells = pending.len();
-        let journal_faults = AtomicUsize::new(0);
         let executed: Vec<(u32, Result<StrategyReport, UnitFailure>)> =
             self.pool_for(&jobs).install(|| {
                 pending
@@ -178,14 +160,11 @@ impl BatchExecutor {
                             strategy.run(workload, plan)
                         });
                         if let Ok(report) = result.as_ref() {
-                            // A failed append must never unwind through
-                            // the run it records: the cell's result
-                            // stays in memory, it is just not durable.
                             let payload = encode_cell(cell, &report.report);
-                            let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                            if w.append(CELL_ENTRY_KIND, &payload).is_err() {
-                                journal_faults.fetch_add(1, Ordering::Relaxed);
-                            }
+                            journal
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .append(&payload);
                         }
                         (cell, result)
                     })
@@ -215,7 +194,10 @@ impl BatchExecutor {
             quarantined,
             resumed_cells,
             executed_cells,
-            journal_faults: journal_faults.into_inner(),
+            journal_faults: journal
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .faults(),
         })
     }
 
@@ -278,14 +260,6 @@ impl MatrixRun {
     /// Whether every cell completed.
     pub fn is_complete(&self) -> bool {
         self.quarantined.is_empty()
-    }
-
-    /// The plain reports, if the run is complete.
-    pub fn into_reports(self) -> Option<Vec<Vec<SimulationReport>>> {
-        self.matrix
-            .into_iter()
-            .map(|row| row.into_iter().map(|c| Some(c?.into_report())).collect())
-            .collect()
     }
 }
 

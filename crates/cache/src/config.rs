@@ -165,12 +165,6 @@ impl HierarchyConfig {
         }
     }
 
-    /// Replace the LLC configuration.
-    pub fn with_llc(mut self, llc: CacheConfig) -> Self {
-        self.llc = llc;
-        self
-    }
-
     /// Validate every level.
     pub fn validate(&self) -> Result<(), String> {
         self.l1i.validate().map_err(|e| format!("l1i: {e}"))?;

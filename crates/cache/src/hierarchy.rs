@@ -40,19 +40,6 @@ pub enum MemLevel {
     Memory,
 }
 
-impl MemLevel {
-    /// Hits that the DSW classifier treats as cache hits outright
-    /// (§3.1.2: lukewarm cache hits and MSHR hits).
-    pub fn is_l1_or_mshr_hit(&self) -> bool {
-        matches!(self, MemLevel::L1 | MemLevel::Mshr)
-    }
-
-    /// `true` if the access left the L1 (LLC hit or memory).
-    pub fn missed_l1(&self) -> bool {
-        matches!(self, MemLevel::Llc | MemLevel::Memory)
-    }
-}
-
 /// A two-level cache hierarchy with MSHR-mediated L1 fills.
 ///
 /// L1-D fills are deferred behind the MSHR file: a miss allocates an MSHR
@@ -256,12 +243,6 @@ impl Hierarchy {
         &self.l1d
     }
 
-    /// Mutable access to the L1 data cache (used by the DSW classifier's
-    /// lukewarm bookkeeping).
-    pub fn l1d_mut(&mut self) -> &mut Cache {
-        &mut self.l1d
-    }
-
     /// The unified last-level cache.
     pub fn llc(&self) -> &Cache {
         &self.llc
@@ -275,11 +256,6 @@ impl Hierarchy {
     /// The L1 instruction cache.
     pub fn l1i(&self) -> &Cache {
         &self.l1i
-    }
-
-    /// Mutable access to the L1-D MSHR file.
-    pub fn mshr_d_mut(&mut self) -> &mut MshrFile {
-        &mut self.mshr_d
     }
 
     /// Hierarchy-level statistics.

@@ -61,8 +61,6 @@ pub struct DesignSpaceExplorer {
     /// Machine whose L1 side defines the key filter (shared across
     /// analysts; only LLC-side parameters should vary per analyst).
     base_machine: MachineConfig,
-    timing: TimingConfig,
-    cost: CostModel,
     config: DeLoreanConfig,
 }
 
@@ -77,22 +75,8 @@ impl DesignSpaceExplorer {
         config.validate().expect("invalid DeLorean config");
         DesignSpaceExplorer {
             base_machine,
-            timing: TimingConfig::table1(),
-            cost: CostModel::paper_host(),
             config,
         }
-    }
-
-    /// Override the timing configuration.
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Override the host cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Run the shared warm-up once and evaluate every analyst machine.
@@ -149,7 +133,6 @@ impl DesignSpaceExplorer {
             artifacts.push(warm_region(
                 workload,
                 &self.base_machine,
-                &self.cost,
                 &self.config,
                 region,
                 prev_end,
@@ -185,8 +168,8 @@ impl DesignSpaceExplorer {
             let out = run_analyst(
                 workload,
                 machine,
-                &self.timing,
-                &self.cost,
+                &TimingConfig::table1(),
+                &CostModel::paper_host(),
                 &mut analyst_clock,
                 &a.region,
                 &a.input,

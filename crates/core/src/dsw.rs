@@ -194,11 +194,6 @@ impl DswModel {
         &self.vicinity
     }
 
-    /// Number of resolved key reuse distances.
-    pub fn resolved_keys(&self) -> usize {
-        self.key_rds.len()
-    }
-
     /// Classify a lukewarm-missing access (Figure 3, after the lukewarm
     /// and MSHR stages).
     ///

@@ -84,7 +84,6 @@ pub(crate) struct RegionArtifacts {
 pub(crate) fn warm_region(
     workload: &dyn Workload,
     machine: &MachineConfig,
-    cost: &CostModel,
     config: &DeLoreanConfig,
     region: &Region,
     prev_end_instr: u64,
@@ -92,6 +91,7 @@ pub(crate) fn warm_region(
     scout_clock: &mut HostClock,
     explorer_clocks: &mut [HostClock],
 ) -> RegionArtifacts {
+    let cost = &CostModel::paper_host();
     let scout = scout_region(
         workload,
         machine,
@@ -181,8 +181,6 @@ pub(crate) fn warm_region(
 #[derive(Clone, Debug)]
 pub struct DeLoreanRunner {
     machine: MachineConfig,
-    timing: TimingConfig,
-    cost: CostModel,
     config: DeLoreanConfig,
     workers: usize,
 }
@@ -190,7 +188,7 @@ pub struct DeLoreanRunner {
 impl DeLoreanRunner {
     /// A runner with Table 1 timing and paper-host costs. Its
     /// [`SamplingStrategy::run`] uses the host's available parallelism,
-    /// capped at the pass-pipeline footprint of explorers + 2.
+    /// capped at explorers + 2 workers.
     ///
     /// # Panics
     ///
@@ -198,55 +196,19 @@ impl DeLoreanRunner {
     pub fn new(machine: MachineConfig, config: DeLoreanConfig) -> Self {
         // lint:allow(no-unwrap): documented # Panics contract — the runner refuses to start on an invalid config
         config.validate().expect("invalid DeLorean config");
-        // DeLorean has always run multi-threaded by default (the TT pass
-        // pipeline before PR 5 used one thread per pass); the region
-        // scheduler keeps that default with the same thread footprint —
-        // explorers + Scout + Analyst — capped by the host. Safe because
-        // worker count never changes results, and bounded so batch
-        // executors dividing their pools by `internal_parallelism` keep
-        // running cells in parallel.
+        // Region units fan out over the host's workers, capped at
+        // explorers + 2. The cap bounds `internal_parallelism`, so batch
+        // executors dividing their pools by it keep running cells in
+        // parallel; any value is safe, because the worker count never
+        // changes results.
         let workers = RegionScheduler::host()
             .workers()
             .min(config.explorer_windows_instrs.len() + 2);
         DeLoreanRunner {
             machine,
-            timing: TimingConfig::table1(),
-            cost: CostModel::paper_host(),
             config,
             workers,
         }
-    }
-
-    /// Override the timing configuration.
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Override the host cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// The machine this runner simulates.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    /// The methodology configuration.
-    pub fn config(&self) -> &DeLoreanConfig {
-        &self.config
-    }
-
-    /// The timing configuration.
-    pub fn timing(&self) -> &TimingConfig {
-        &self.timing
-    }
-
-    /// The host cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// The per-region unit body: Scout → Explorer chain → Analyst over
@@ -275,7 +237,6 @@ impl DeLoreanRunner {
             let artifacts = warm_region(
                 workload,
                 &self.machine,
-                &self.cost,
                 &self.config,
                 region,
                 prev_end,
@@ -286,8 +247,8 @@ impl DeLoreanRunner {
             let analyst = run_analyst(
                 workload,
                 &self.machine,
-                &self.timing,
-                &self.cost,
+                &TimingConfig::table1(),
+                &CostModel::paper_host(),
                 &mut analyst_clock,
                 region,
                 &artifacts.input,

@@ -21,7 +21,6 @@ use crate::report::SimulationReport;
 use crate::scheduler::RegionScheduler;
 use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, HierarchySnapshot, MachineConfig};
-use delorean_cpu::TimingConfig;
 use delorean_trace::fault::{self, FaultPolicy};
 use delorean_trace::{MemAccess, Workload};
 use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
@@ -71,24 +70,12 @@ const LOAD_BYTES_PER_SECOND: f64 = 100.0e6;
 #[derive(Clone, Debug)]
 pub struct CheckpointWarmingRunner {
     machine: MachineConfig,
-    timing: TimingConfig,
-    cost: CostModel,
 }
 
 impl CheckpointWarmingRunner {
     /// A runner with Table 1 timing and paper-host costs.
     pub fn new(machine: MachineConfig) -> Self {
-        CheckpointWarmingRunner {
-            machine,
-            timing: TimingConfig::table1(),
-            cost: CostModel::paper_host(),
-        }
-    }
-
-    /// Override the host cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
+        CheckpointWarmingRunner { machine }
     }
 
     /// The preparation run: functional warming across the whole program,
@@ -154,7 +141,7 @@ impl CheckpointWarmingRunner {
         }
         let positions = &positions;
         let warm_seconds = |from: u64, to: u64| {
-            self.cost
+            CostModel::paper_host()
                 .instr_seconds(WorkKind::Functional, to.saturating_sub(from) * p * mult)
         };
 
@@ -168,7 +155,7 @@ impl CheckpointWarmingRunner {
 
         let ctx = crate::proxy::ProxyContext {
             machine: &self.machine,
-            cost: &self.cost,
+            cost: &CostModel::paper_host(),
             workload,
             p,
             mult,
@@ -269,7 +256,7 @@ impl CheckpointWarmingRunner {
             "checkpoint/plan mismatch"
         );
         let unit = |i: u32, region: &Region| {
-            let mut driver = UnitDriver::new(workload, &self.timing, &self.cost);
+            let mut driver = UnitDriver::new(workload);
             let snap = &checkpoints.snapshots[i as usize];
             // Load the checkpoint from storage.
             driver.charge_seconds(snap.storage_bytes() as f64 / LOAD_BYTES_PER_SECOND);

@@ -23,7 +23,6 @@ use crate::driver::{units_in_span, RegionUnit, UnitDriver};
 use crate::scheduler::RegionScheduler;
 use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig, MemLevel};
-use delorean_cpu::TimingConfig;
 use delorean_statmodel::per_pc::{PcPrediction, PcProfiles};
 use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{
@@ -96,8 +95,6 @@ impl CoolSimConfig {
 #[derive(Clone, Debug)]
 pub struct CoolSimRunner {
     machine: MachineConfig,
-    timing: TimingConfig,
-    cost: CostModel,
     config: CoolSimConfig,
 }
 
@@ -105,24 +102,7 @@ impl CoolSimRunner {
     /// A runner with Table 1 timing, paper-host costs and the scaled
     /// adaptive schedule.
     pub fn new(machine: MachineConfig, config: CoolSimConfig) -> Self {
-        CoolSimRunner {
-            machine,
-            timing: TimingConfig::table1(),
-            cost: CostModel::paper_host(),
-            config,
-        }
-    }
-
-    /// Override the timing configuration.
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Override the host cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
+        CoolSimRunner { machine, config }
     }
 
     /// The per-region unit body. A pure function of `(index, region)` —
@@ -140,10 +120,10 @@ impl CoolSimRunner {
         let rng = CounterRng::new(self.config.seed);
         let spacing = plan.config.spacing_instrs;
         let llc_lines = self.machine.hierarchy.llc.lines();
-        let trap_seconds = self.cost.trap_seconds;
+        let trap_seconds = CostModel::paper_host().trap_seconds;
 
         move |_i: u32, region: &Region| {
-            let mut driver = UnitDriver::new(workload, &self.timing, &self.cost);
+            let mut driver = UnitDriver::new(workload);
             // --- Profile the warm-up interval with random watchpoints. ---
             let interval = region.warmup_interval(spacing);
             let first = interval.start.div_ceil(p);

@@ -26,19 +26,15 @@ use std::ops::Range;
 #[derive(Debug)]
 pub(crate) struct UnitDriver<'a> {
     workload: &'a dyn Workload,
-    timing: &'a TimingConfig,
-    cost: &'a CostModel,
     clock: HostClock,
     collected: u64,
 }
 
 impl<'a> UnitDriver<'a> {
     /// A driver for one unit, with an empty clock.
-    pub fn new(workload: &'a dyn Workload, timing: &'a TimingConfig, cost: &'a CostModel) -> Self {
+    pub fn new(workload: &'a dyn Workload) -> Self {
         UnitDriver {
             workload,
-            timing,
-            cost,
             clock: HostClock::new(),
             collected: 0,
         }
@@ -46,7 +42,8 @@ impl<'a> UnitDriver<'a> {
 
     /// Charge `instrs` instructions of `kind` work to the unit clock.
     pub fn charge_work(&mut self, kind: WorkKind, instrs: u64) {
-        self.clock.charge(self.cost.instr_seconds(kind, instrs));
+        self.clock
+            .charge(CostModel::paper_host().instr_seconds(kind, instrs));
     }
 
     /// Charge raw host seconds (per-event costs such as traps).
@@ -64,8 +61,8 @@ impl<'a> UnitDriver<'a> {
     pub fn measure_region(mut self, region: &Region, source: &mut dyn OutcomeSource) -> RegionUnit {
         let span = region.detailed.end.saturating_sub(region.warming.start);
         self.clock
-            .charge(self.cost.instr_seconds(WorkKind::Detailed, span));
-        let result = run_region_detailed(self.workload, region, self.timing, source);
+            .charge(CostModel::paper_host().instr_seconds(WorkKind::Detailed, span));
+        let result = run_region_detailed(self.workload, region, &TimingConfig::table1(), source);
         RegionUnit {
             report: RegionReport {
                 region: region.index,

@@ -19,18 +19,15 @@ use crate::driver::{units_in_span, RegionUnit, UnitDriver};
 use crate::scheduler::RegionScheduler;
 use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
-use delorean_cpu::TimingConfig;
 use delorean_statmodel::LogHistogram;
 use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{LineMap, MemAccess, Workload, WorkloadExt};
-use delorean_virt::{CostModel, WorkKind};
+use delorean_virt::WorkKind;
 
 /// The MRRL adaptive-functional-warming runner.
 #[derive(Clone, Debug)]
 pub struct MrrlRunner {
     machine: MachineConfig,
-    timing: TimingConfig,
-    cost: CostModel,
     /// Reuse-latency coverage target (the original work uses ~99.9%).
     pub percentile: f64,
     /// Accesses profiled per region to estimate the latency distribution.
@@ -42,8 +39,6 @@ impl MrrlRunner {
     pub fn new(machine: MachineConfig) -> Self {
         MrrlRunner {
             machine,
-            timing: TimingConfig::table1(),
-            cost: CostModel::paper_host(),
             percentile: 0.999,
             profile_accesses: 50_000,
         }
@@ -52,12 +47,6 @@ impl MrrlRunner {
     /// Override the coverage percentile.
     pub fn with_percentile(mut self, percentile: f64) -> Self {
         self.percentile = percentile.clamp(0.5, 1.0);
-        self
-    }
-
-    /// Override the host cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -92,7 +81,7 @@ impl MrrlRunner {
         let mult = plan.config.work_multiplier();
 
         move |i: u32, region: &Region| {
-            let mut driver = UnitDriver::new(workload, &self.timing, &self.cost);
+            let mut driver = UnitDriver::new(workload);
             let prev_end = if i == 0 {
                 0
             } else {

@@ -77,17 +77,6 @@ impl SimulationReport {
         mips(self.covered_instrs, self.cost.serial_wallclock())
     }
 
-    /// Effective simulation speed in MIPS when the run's region units
-    /// execute on `workers` region-scheduler workers (see
-    /// [`RunCost::region_parallel_wallclock`]; serial speed for runs
-    /// with no recorded units).
-    pub fn mips_at_workers(&self, workers: usize) -> f64 {
-        mips(
-            self.covered_instrs,
-            self.cost.region_parallel_wallclock(workers),
-        )
-    }
-
     /// Speed relative to a reference report (both pipelined).
     ///
     /// Degenerate zero-cost reports (empty plans) stay finite: two

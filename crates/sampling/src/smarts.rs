@@ -13,7 +13,6 @@ use crate::proxy::{proxy_at, ProxyStateSource, SpeculationExtras};
 use crate::scheduler::RegionScheduler;
 use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
-use delorean_cpu::TimingConfig;
 use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{MemAccess, Workload};
 use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
@@ -22,8 +21,6 @@ use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
 #[derive(Clone, Debug)]
 pub struct SmartsRunner {
     machine: MachineConfig,
-    timing: TimingConfig,
-    cost: CostModel,
     proxy: Option<ProxyStateSource>,
 }
 
@@ -32,8 +29,6 @@ impl SmartsRunner {
     pub fn new(machine: MachineConfig) -> Self {
         SmartsRunner {
             machine,
-            timing: TimingConfig::table1(),
-            cost: CostModel::paper_host(),
             proxy: None,
         }
     }
@@ -47,18 +42,6 @@ impl SmartsRunner {
     /// is a scheduling strategy, not a semantic one.
     pub fn with_speculation(mut self, proxy: ProxyStateSource) -> Self {
         self.proxy = Some(proxy);
-        self
-    }
-
-    /// Override the timing configuration.
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Override the host cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -118,7 +101,7 @@ impl SmartsRunner {
     ) -> Speculation {
         let ctx = crate::proxy::ProxyContext {
             machine: &self.machine,
-            cost: &self.cost,
+            cost: &CostModel::paper_host(),
             workload,
             p,
             mult,
@@ -126,7 +109,7 @@ impl SmartsRunner {
         let at = positions[i as usize];
         let (mut h, proxy_seconds) = proxy.build(&ctx, at);
         let digest = h.state_digest();
-        let step = chain_step(&self.cost, workload, region, at, p, mult);
+        let step = chain_step(workload, region, at, p, mult);
         h.warm_range(workload, step.warm);
         // Measure in place: the shared access core mutates the
         // hierarchy through the measured span exactly as the chain's
@@ -149,7 +132,7 @@ impl SmartsRunner {
         region: &Region,
         hierarchy: &mut Hierarchy,
     ) -> RegionUnit {
-        let driver = UnitDriver::new(workload, &self.timing, &self.cost);
+        let driver = UnitDriver::new(workload);
         let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
         driver.measure_region(region, &mut source)
     }
@@ -239,7 +222,7 @@ impl SamplingStrategy for SmartsRunner {
         // the proxy nor a spec fault can move the report.
         let mut step = |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
             debug_assert_eq!(pos_access, positions[i as usize]);
-            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
+            let step = chain_step(workload, region, pos_access, p, mult);
             chained.push(step.seconds);
             pos_access = step.next_pos;
             if let Some(s) = s {
@@ -293,13 +276,13 @@ struct ChainStep {
 /// measures in place); the replay charge stays only so reports stay
 /// byte-identical to the recorded digests.
 fn chain_step(
-    cost: &CostModel,
     workload: &dyn Workload,
     region: &Region,
     pos_access: u64,
     p: u64,
     mult: u64,
 ) -> ChainStep {
+    let cost = CostModel::paper_host();
     let mut chain = HostClock::new();
     let warm_end_access = region.warming.start / p;
     let span = warm_end_access.saturating_sub(pos_access);

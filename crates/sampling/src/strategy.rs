@@ -129,7 +129,9 @@ pub trait SamplingStrategy: Send + Sync {
     /// `None` (the default) and are leased as whole cells instead.
     ///
     /// `span` is clamped to the plan; an empty clamped span yields an
-    /// empty vector, not `None`.
+    /// empty vector, not `None` — so `run_unit_span(w, plan, 0..0)` is a
+    /// free probe of whether a strategy decomposes, which is how the
+    /// shard broker decides which cells to lease as spans.
     fn run_unit_span(
         &self,
         workload: &dyn Workload,

@@ -26,23 +26,25 @@
 //!   separately from failures — a lost lease re-leases at the same
 //!   attempt number and cannot perturb the quarantine decision.
 //!
-//! Completed cells are journaled verbatim
-//! ([`delorean_bench::journal::encode_cell`] bytes under the same tag
-//! the in-process executor uses), so broker restarts resume from the
-//! journal's valid prefix — in either direction between a shard run
-//! and [`run_matrix_journaled`](delorean_bench::BatchExecutor::run_matrix_journaled).
+//! Worker results are unchecked input from another process: a report
+//! must name its cell's strategy and workload and cover the plan's
+//! regions in order, and a span's units must be exactly the span's
+//! regions in order. Anything else counts as a failed attempt.
+//!
+//! Completed cells are journaled verbatim through the same
+//! [`CellJournal`] (and under the same tag) the in-process executor
+//! uses, so broker restarts resume from the journal's valid prefix —
+//! in either direction between a shard run and
+//! [`run_matrix_journaled`](delorean_bench::BatchExecutor::run_matrix_journaled).
 
-use crate::codec::decode_units;
-use crate::spec::strategy_decomposes;
 use crate::wire::{self, Message, WireError, WireFault, WIRE_VERSION};
 use crate::{ShardError, SweepSpec};
-use delorean_bench::journal::{decode_cell, encode_cell, CELL_ENTRY_KIND};
+use delorean_bench::journal::{decode_cell, decode_units, encode_cell, CellJournal};
 use delorean_bench::MatrixRun;
 use delorean_sampling::{
-    reduce_region_units, FaultPolicy, RegionPlan, RegionUnit, StrategyReport, UnitFailure,
-    UnitFault,
+    reduce_region_units, FaultPolicy, RegionPlan, RegionUnit, SimulationReport, StrategyReport,
+    UnitFailure, UnitFault,
 };
-use delorean_trace::JournalWriter;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -240,6 +242,7 @@ struct SpanParts {
     units: Vec<Option<Vec<RegionUnit>>>,
 }
 
+#[derive(Default)]
 struct CellState {
     fail_attempts: u32,
     lease_losses: u32,
@@ -255,15 +258,151 @@ struct JobState {
     cells: Vec<CellState>,
     pending: VecDeque<WorkItem>,
     outstanding: usize,
-    journal: Option<JournalWriter>,
-    journal_faults: usize,
+    journal: Option<CellJournal>,
     resumed_cells: usize,
     executed_cells: usize,
-    completions: usize,
     budget: Option<usize>,
     halted: bool,
     lease_losses: usize,
     reply: Option<Sender<Result<ShardRun, ShardError>>>,
+}
+
+impl JobState {
+    /// Validate `request`'s spec, open (or resume) its journal, and
+    /// queue every cell the journal did not restore. A strategy's cells
+    /// are leased as region spans when the spec splits regions and the
+    /// strategy decomposes.
+    fn open(request: JobRequest) -> Result<JobState, ShardError> {
+        let spec = request.spec;
+        let decomposes = spec.validate()?;
+        let plan = spec.plan();
+        let n_cells = spec.n_cells();
+        let (journal, restored) = match request.journal {
+            Some(path) => {
+                let (journal, restored) = CellJournal::open(&path, spec.tag(&plan), n_cells)?;
+                (Some(journal), restored)
+            }
+            None => (None, (0..n_cells).map(|_| None).collect()),
+        };
+        let slots: Vec<Option<StrategyReport>> = restored
+            .into_iter()
+            .map(|r| r.map(StrategyReport::new))
+            .collect();
+        let mut cells = Vec::with_capacity(n_cells);
+        let mut pending = VecDeque::new();
+        for cell in 0..n_cells as u32 {
+            let open = slots[cell as usize].is_none();
+            let split = spec
+                .split_regions
+                .filter(|_| open && decomposes[cell as usize % decomposes.len()]);
+            let parts = split.map(|k| {
+                let k = k.max(1) as usize;
+                let n = plan.regions.len();
+                let bounds: Vec<(u32, u32)> = (0..n)
+                    .step_by(k)
+                    .map(|lo| (lo as u32, (lo + k).min(n) as u32))
+                    .collect();
+                SpanParts {
+                    units: vec![None; bounds.len()],
+                    bounds,
+                }
+            });
+            match &parts {
+                Some(p) => pending.extend((0..p.bounds.len() as u32).map(|part| WorkItem {
+                    cell,
+                    part: Some(part),
+                })),
+                None if open => pending.push_back(WorkItem { cell, part: None }),
+                None => {}
+            }
+            cells.push(CellState {
+                parts,
+                ..CellState::default()
+            });
+        }
+        Ok(JobState {
+            spec_bytes: spec.encode(),
+            spec,
+            plan,
+            resumed_cells: slots.iter().filter(|s| s.is_some()).count(),
+            slots,
+            cells,
+            pending,
+            outstanding: 0,
+            journal,
+            executed_cells: 0,
+            budget: request.cell_budget,
+            halted: false,
+            lease_losses: 0,
+            reply: None,
+        })
+    }
+
+    /// Whether `cell` has its outcome — a result or a quarantine. A
+    /// cell outside the matrix counts as resolved, so deliveries for it
+    /// are dropped.
+    fn resolved(&self, cell: u32) -> bool {
+        let cell = cell as usize;
+        self.slots.get(cell).is_none_or(Option::is_some) || self.cells[cell].quarantined.is_some()
+    }
+
+    /// Whether a worker's `report` is `cell`'s: its strategy and
+    /// workload, with one region per plan region, in plan order.
+    fn is_cell_report(&self, cell: u32, report: &SimulationReport) -> bool {
+        report.strategy == self.spec.strategy_name(cell)
+            && report.workload == self.spec.workload_name(cell)
+            && report
+                .regions
+                .iter()
+                .map(|r| r.region)
+                .eq(self.plan.regions.iter().map(|r| r.index))
+    }
+
+    /// Reply with the job's [`ShardRun`] once every cell is resolved, or
+    /// once a halted job has drained its in-flight leases.
+    fn try_finish(&mut self) {
+        let resolved = (0..self.slots.len() as u32).all(|cell| self.resolved(cell));
+        if self.reply.is_none() || !(resolved || (self.halted && self.outstanding == 0)) {
+            return;
+        }
+        let quarantined = self
+            .cells
+            .iter_mut()
+            .filter_map(|c| c.quarantined.take())
+            .collect();
+        let n_strategies = self.spec.strategies.len().max(1);
+        let mut slots = std::mem::take(&mut self.slots).into_iter();
+        let matrix = (0..self.spec.workloads.len())
+            .map(|_| slots.by_ref().take(n_strategies).collect())
+            .collect();
+        // Close the journal before replying so a successor broker can
+        // reopen the file immediately.
+        let journal_faults = self.journal.take().map_or(0, |j| j.faults());
+        self.pending.clear();
+        let run = ShardRun {
+            run: MatrixRun {
+                matrix,
+                quarantined,
+                resumed_cells: self.resumed_cells,
+                executed_cells: self.executed_cells,
+                journal_faults,
+            },
+            halted: self.halted,
+            lease_losses: self.lease_losses,
+        };
+        if let Some(reply) = self.reply.take() {
+            let _ = reply.send(Ok(run));
+        }
+    }
+}
+
+/// The fault a malformed worker result counts as.
+fn bad_result(detail: String) -> WireFault {
+    WireFault {
+        kind: 0,
+        aux: 0,
+        detail,
+    }
 }
 
 struct Scheduler {
@@ -291,6 +430,11 @@ impl Scheduler {
                 Ok(Event::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(event) => self.handle(event),
                 Err(RecvTimeoutError::Timeout) => self.tick(),
+            }
+            // Any event may resolve a job's last cell or drain a halted
+            // job's last lease.
+            for job in &mut self.jobs {
+                job.try_finish();
             }
             self.dispatch();
         }
@@ -324,108 +468,15 @@ impl Scheduler {
     }
 
     fn submit(&mut self, request: JobRequest, reply: Sender<Result<ShardRun, ShardError>>) {
-        let spec = request.spec;
-        if let Err(e) = spec.validate() {
-            let _ = reply.send(Err(e));
-            return;
-        }
-        let plan = spec.plan();
-        let n_cells = spec.n_cells();
-        let mut slots: Vec<Option<StrategyReport>> = (0..n_cells).map(|_| None).collect();
-        let mut resumed_cells = 0usize;
-        let journal = match request.journal {
-            Some(path) => {
-                let tag = spec.tag(&plan);
-                let opened = if path.exists() {
-                    JournalWriter::resume(&path, tag).map(|(writer, prefix)| {
-                        for entry in prefix {
-                            if entry.kind != CELL_ENTRY_KIND {
-                                continue;
-                            }
-                            if let Some((cell, report)) = decode_cell(&entry.payload) {
-                                if let Some(slot) = slots.get_mut(cell as usize) {
-                                    if slot.is_none() {
-                                        resumed_cells += 1;
-                                    }
-                                    *slot = Some(StrategyReport::new(report));
-                                }
-                            }
-                        }
-                        writer
-                    })
-                } else {
-                    JournalWriter::create(&path, tag)
-                };
-                match opened {
-                    Ok(writer) => Some(writer),
-                    Err(e) => {
-                        let _ = reply.send(Err(ShardError::Journal(e)));
-                        return;
-                    }
-                }
+        match JobState::open(request) {
+            Ok(job) => self.jobs.push(JobState {
+                reply: Some(reply),
+                ..job
+            }),
+            Err(e) => {
+                let _ = reply.send(Err(e));
             }
-            None => None,
-        };
-        let mut cells = Vec::with_capacity(n_cells);
-        let mut pending = VecDeque::new();
-        for cell in 0..n_cells as u32 {
-            let open = slots[cell as usize].is_none();
-            let parts = match spec.split_regions {
-                Some(k) if open && strategy_decomposes(spec.strategy_name(cell)) => {
-                    let k = k.max(1) as usize;
-                    let n = plan.regions.len();
-                    let bounds: Vec<(u32, u32)> = (0..n)
-                        .step_by(k)
-                        .map(|lo| (lo as u32, (lo + k).min(n) as u32))
-                        .collect();
-                    Some(SpanParts {
-                        units: vec![None; bounds.len()],
-                        bounds,
-                    })
-                }
-                _ => None,
-            };
-            if open {
-                match &parts {
-                    Some(p) => {
-                        for part in 0..p.bounds.len() as u32 {
-                            pending.push_back(WorkItem {
-                                cell,
-                                part: Some(part),
-                            });
-                        }
-                    }
-                    None => pending.push_back(WorkItem { cell, part: None }),
-                }
-            }
-            cells.push(CellState {
-                fail_attempts: 0,
-                lease_losses: 0,
-                quarantined: None,
-                parts,
-            });
         }
-        let job_idx = self.jobs.len();
-        self.jobs.push(JobState {
-            spec_bytes: spec.encode(),
-            spec,
-            plan,
-            slots,
-            cells,
-            pending,
-            outstanding: 0,
-            journal,
-            journal_faults: 0,
-            resumed_cells,
-            executed_cells: 0,
-            completions: 0,
-            budget: request.cell_budget,
-            halted: false,
-            lease_losses: 0,
-            reply: Some(reply),
-        });
-        // A resumed journal may already cover the whole matrix.
-        self.try_finish(job_idx);
     }
 
     fn worker_message(&mut self, idx: usize, msg: Message) {
@@ -473,153 +524,101 @@ impl Scheduler {
         Some(lease.item)
     }
 
-    fn cell_done(&mut self, idx: usize, job: u32, cell: u32, report_bytes: Vec<u8>) {
+    fn cell_done(&mut self, idx: usize, job: u32, cell: u32, bytes: Vec<u8>) {
         let item = self.take_lease(idx, job, cell);
-        let job_idx = job as usize;
-        let accepted = {
-            let Some(j) = self.jobs.get_mut(job_idx) else {
-                return;
-            };
-            if j.reply.is_none() {
-                return;
-            }
-            let Some(slot) = j.slots.get(cell as usize) else {
-                return;
-            };
-            if slot.is_some() || j.cells[cell as usize].quarantined.is_some() {
-                // Duplicate delivery or post-quarantine straggler: the
-                // first result (or the quarantine decision) stands.
-                return;
-            }
-            match decode_cell(&report_bytes) {
-                Some((c, report)) if c == cell => {
-                    j.slots[cell as usize] = Some(StrategyReport::new(report));
-                    j.executed_cells += 1;
-                    j.completions += 1;
-                    if let Some(writer) = j.journal.as_mut() {
-                        // The wire payload IS the journal payload:
-                        // append it verbatim, bit for bit.
-                        if writer.append(CELL_ENTRY_KIND, &report_bytes).is_err() {
-                            j.journal_faults += 1;
-                        }
-                    }
-                    true
-                }
-                _ => false,
-            }
+        let Some(j) = self.jobs.get(job as usize) else {
+            return;
         };
-        if accepted {
-            self.check_halt(job_idx);
-            self.try_finish(job_idx);
-        } else if let Some(item) = item {
-            // A result that checksummed clean on the wire but does not
-            // decode as this cell is a worker defect: count it as a
+        if j.reply.is_none() || j.resolved(cell) {
+            // Duplicate delivery or post-quarantine straggler: the
+            // first result (or the quarantine decision) stands.
+            return;
+        }
+        match decode_cell(&bytes).filter(|(c, report)| *c == cell && j.is_cell_report(cell, report))
+        {
+            // The wire payload IS the journal payload: append it
+            // verbatim, bit for bit.
+            Some((_, report)) => self.complete(job as usize, cell, report, &bytes),
+            // A result that checksummed clean on the wire but is not
+            // this cell's report is a worker defect: count it as a
             // failed attempt so a persistent offender quarantines.
-            self.fail_item(
-                job,
-                item,
-                WireFault {
-                    kind: 0,
-                    aux: 0,
-                    detail: format!("cell {cell} returned an undecodable report"),
-                },
-            );
+            None => {
+                if let Some(item) = item {
+                    let detail = format!("cell {cell} returned a report that is not this cell's");
+                    self.fail_item(job, item, bad_result(detail));
+                }
+            }
         }
     }
 
     fn span_done(&mut self, idx: usize, job: u32, cell: u32, lo: u32, hi: u32, units: Vec<u8>) {
         let item = self.take_lease(idx, job, cell);
-        let job_idx = job as usize;
-        enum SpanOutcome {
-            Stored,
-            Completed,
-            Bad,
-            Stale,
-        }
-        let outcome = {
-            let Some(j) = self.jobs.get_mut(job_idx) else {
-                return;
-            };
-            if j.reply.is_none() {
-                return;
-            }
-            let stale = j
-                .slots
-                .get(cell as usize)
-                .map(|s| s.is_some())
-                .unwrap_or(true)
-                || j.cells[cell as usize].quarantined.is_some();
-            if stale {
-                SpanOutcome::Stale
-            } else {
-                let decoded =
-                    decode_units(&units).filter(|u| u.len() == (hi.saturating_sub(lo)) as usize);
-                let parts = j.cells[cell as usize].parts.as_mut();
-                match (parts, decoded) {
-                    (Some(parts), Some(decoded)) => {
-                        match parts.bounds.iter().position(|&(l, h)| l == lo && h == hi) {
-                            Some(p) if parts.units[p].is_none() => {
-                                parts.units[p] = Some(decoded);
-                                if parts.units.iter().all(Option::is_some) {
-                                    // All spans landed: fold in plan
-                                    // order, exactly like the
-                                    // in-process reduce.
-                                    let mut all = Vec::with_capacity(j.plan.regions.len());
-                                    for u in &mut parts.units {
-                                        if let Some(span_units) = u.take() {
-                                            for unit in span_units {
-                                                all.push(Some(unit));
-                                            }
-                                        }
-                                    }
-                                    let report = reduce_region_units(
-                                        j.spec.workload_name(cell),
-                                        &j.plan,
-                                        j.spec.strategy_name(cell),
-                                        all,
-                                    );
-                                    let bytes = encode_cell(cell, &report);
-                                    j.slots[cell as usize] = Some(StrategyReport::new(report));
-                                    j.executed_cells += 1;
-                                    j.completions += 1;
-                                    if let Some(writer) = j.journal.as_mut() {
-                                        if writer.append(CELL_ENTRY_KIND, &bytes).is_err() {
-                                            j.journal_faults += 1;
-                                        }
-                                    }
-                                    SpanOutcome::Completed
-                                } else {
-                                    SpanOutcome::Stored
-                                }
-                            }
-                            // Duplicate span delivery: first wins.
-                            Some(_) => SpanOutcome::Stale,
-                            None => SpanOutcome::Bad,
-                        }
-                    }
-                    _ => SpanOutcome::Bad,
-                }
-            }
+        let Some(j) = self.jobs.get_mut(job as usize) else {
+            return;
         };
-        match outcome {
-            SpanOutcome::Completed => {
-                self.check_halt(job_idx);
-                self.try_finish(job_idx);
-            }
-            SpanOutcome::Stored | SpanOutcome::Stale => {}
-            SpanOutcome::Bad => {
-                if let Some(item) = item {
-                    self.fail_item(
-                        job,
-                        item,
-                        WireFault {
-                            kind: 0,
-                            aux: 0,
-                            detail: format!("cell {cell} span {lo}..{hi} returned bad units"),
-                        },
+        if j.reply.is_none() || j.resolved(cell) {
+            return;
+        }
+        // A span's units must be exactly its plan regions, in order.
+        let expected = j.plan.regions.get(lo as usize..hi as usize);
+        let decoded = decode_units(&units).filter(|units| {
+            expected.is_some_and(|regions| {
+                units
+                    .iter()
+                    .map(|u| u.report.region)
+                    .eq(regions.iter().map(|r| r.index))
+            })
+        });
+        let part = j.cells[cell as usize]
+            .parts
+            .as_mut()
+            .and_then(|parts| Some((parts.bounds.iter().position(|&b| b == (lo, hi))?, parts)));
+        match (part, decoded) {
+            // Duplicate span delivery: first wins.
+            (Some((p, parts)), _) if parts.units[p].is_some() => {}
+            (Some((p, parts)), Some(decoded)) => {
+                parts.units[p] = Some(decoded);
+                if parts.units.iter().all(Option::is_some) {
+                    // All spans landed: fold in plan order, exactly
+                    // like the in-process reduce.
+                    let all = std::mem::take(&mut parts.units)
+                        .into_iter()
+                        .flatten()
+                        .flatten()
+                        .map(Some)
+                        .collect();
+                    let report = reduce_region_units(
+                        j.spec.workload_name(cell),
+                        &j.plan,
+                        j.spec.strategy_name(cell),
+                        all,
                     );
+                    let bytes = encode_cell(cell, &report);
+                    self.complete(job as usize, cell, report, &bytes);
                 }
             }
+            _ => {
+                if let Some(item) = item {
+                    let detail = format!("cell {cell} span {lo}..{hi} returned bad units");
+                    self.fail_item(job, item, bad_result(detail));
+                }
+            }
+        }
+    }
+
+    /// The one completion step for a whole-cell result and a fully
+    /// landed span fold: store the slot, count it, journal its
+    /// [`encode_cell`] `bytes`, and halt the job if its budget is spent
+    /// (the run loop then finishes it once it is ready).
+    fn complete(&mut self, job_idx: usize, cell: u32, report: SimulationReport, bytes: &[u8]) {
+        let j = &mut self.jobs[job_idx];
+        j.slots[cell as usize] = Some(StrategyReport::new(report));
+        j.executed_cells += 1;
+        if let Some(journal) = j.journal.as_mut() {
+            journal.append(bytes);
+        }
+        if j.budget.is_some_and(|budget| j.executed_cells >= budget) {
+            j.halted = true;
         }
     }
 
@@ -630,18 +629,8 @@ impl Scheduler {
         let Some(item) = self.take_lease(idx, job, cell) else {
             return;
         };
-        let resolved = {
-            let Some(j) = self.jobs.get(job as usize) else {
-                return;
-            };
-            j.reply.is_none()
-                || j.slots
-                    .get(cell as usize)
-                    .map(|s| s.is_some())
-                    .unwrap_or(true)
-                || j.cells[cell as usize].quarantined.is_some()
-        };
-        if !resolved {
+        let live = self.jobs.get(job as usize);
+        if live.is_some_and(|j| j.reply.is_some() && !j.resolved(cell)) {
             self.fail_item(job, item, fault);
         }
     }
@@ -650,33 +639,25 @@ impl Scheduler {
     /// the policy budget, quarantine on exhaustion.
     fn fail_item(&mut self, job: u32, item: WorkItem, fault: WireFault) {
         let max_attempts = self.config.policy.max_attempts();
-        let job_idx = job as usize;
-        let quarantined = {
-            let Some(j) = self.jobs.get_mut(job_idx) else {
-                return;
-            };
-            let Some(cell_state) = j.cells.get_mut(item.cell as usize) else {
-                return;
-            };
-            cell_state.fail_attempts += 1;
-            if cell_state.fail_attempts >= max_attempts {
-                cell_state.quarantined = Some(UnitFailure {
-                    unit: item.cell,
-                    attempts: cell_state.fail_attempts,
-                    fault: fault.to_unit_fault(),
-                });
-                // Sibling span parts of a quarantined cell are dead
-                // work: drop them from the queue (in-flight ones are
-                // ignored on arrival).
-                j.pending.retain(|it| it.cell != item.cell);
-                true
-            } else {
-                j.pending.push_back(item);
-                false
-            }
+        let Some(j) = self.jobs.get_mut(job as usize) else {
+            return;
         };
-        if quarantined {
-            self.try_finish(job_idx);
+        let Some(cell_state) = j.cells.get_mut(item.cell as usize) else {
+            return;
+        };
+        cell_state.fail_attempts += 1;
+        if cell_state.fail_attempts >= max_attempts {
+            cell_state.quarantined = Some(UnitFailure {
+                unit: item.cell,
+                attempts: cell_state.fail_attempts,
+                fault: fault.to_unit_fault(),
+            });
+            // Sibling span parts of a quarantined cell are dead work:
+            // drop them from the queue (in-flight ones are ignored on
+            // arrival).
+            j.pending.retain(|it| it.cell != item.cell);
+        } else {
+            j.pending.push_back(item);
         }
     }
 
@@ -693,132 +674,44 @@ impl Scheduler {
     /// A lease died with its worker (or expired): re-lease the item at
     /// the *same* attempt number, or quarantine past the loss budget.
     fn lease_lost(&mut self, lease: LeaseSlot) {
-        let job_idx = lease.job as usize;
         let budget = self.config.lease_loss_budget;
-        let quarantined = {
-            let Some(j) = self.jobs.get_mut(job_idx) else {
-                return;
-            };
-            j.outstanding = j.outstanding.saturating_sub(1);
-            if j.reply.is_none() {
-                return;
-            }
-            j.lease_losses += 1;
-            let cell = lease.item.cell as usize;
-            let done = j.slots.get(cell).map(|s| s.is_some()).unwrap_or(true)
-                || j.cells[cell].quarantined.is_some();
-            if done {
-                false
-            } else {
-                let cell_state = &mut j.cells[cell];
-                cell_state.lease_losses += 1;
-                if cell_state.lease_losses > budget {
-                    cell_state.quarantined = Some(UnitFailure {
-                        unit: lease.item.cell,
-                        attempts: cell_state.fail_attempts,
-                        fault: UnitFault::Timeout,
-                    });
-                    j.pending.retain(|it| it.cell != lease.item.cell);
-                    true
-                } else {
-                    j.pending.push_back(lease.item);
-                    false
-                }
-            }
+        let Some(j) = self.jobs.get_mut(lease.job as usize) else {
+            return;
         };
-        // A halted job waiting on in-flight leases may now be
-        // drained; a quarantine may complete the matrix.
-        let _ = quarantined;
-        self.try_finish(job_idx);
+        j.outstanding = j.outstanding.saturating_sub(1);
+        if j.reply.is_none() {
+            return;
+        }
+        j.lease_losses += 1;
+        let cell = lease.item.cell;
+        if !j.resolved(cell) {
+            let cell_state = &mut j.cells[cell as usize];
+            cell_state.lease_losses += 1;
+            if cell_state.lease_losses > budget {
+                cell_state.quarantined = Some(UnitFailure {
+                    unit: cell,
+                    attempts: cell_state.fail_attempts,
+                    fault: UnitFault::Timeout,
+                });
+                j.pending.retain(|it| it.cell != cell);
+            } else {
+                j.pending.push_back(lease.item);
+            }
+        }
     }
 
-    /// Age outstanding leases by one tick; expire the overdue.
+    /// Age outstanding leases by one tick; expire the overdue. An
+    /// expired worker stays attached (it may just be slow — its late
+    /// result is still pure and acceptable), but the item re-leases
+    /// elsewhere.
     fn tick(&mut self) {
         for idx in 0..self.workers.len() {
-            let expired = {
-                let slot = &mut self.workers[idx];
-                if slot.lease.is_none() {
-                    false
-                } else if slot.ticks_left == 0 {
-                    true
-                } else {
-                    slot.ticks_left -= 1;
-                    false
-                }
-            };
-            if expired {
-                // The worker stays attached (it may just be slow —
-                // its late result is still pure and acceptable), but
-                // the item re-leases elsewhere.
-                if let Some(lease) = self.workers[idx].lease.take() {
-                    self.lease_lost(lease);
-                }
+            let slot = &mut self.workers[idx];
+            if slot.ticks_left > 0 {
+                slot.ticks_left -= 1;
+            } else if let Some(lease) = slot.lease.take() {
+                self.lease_lost(lease);
             }
-        }
-    }
-
-    fn check_halt(&mut self, job_idx: usize) {
-        let Some(j) = self.jobs.get_mut(job_idx) else {
-            return;
-        };
-        if let Some(budget) = j.budget {
-            if j.completions >= budget {
-                j.halted = true;
-            }
-        }
-    }
-
-    fn try_finish(&mut self, job_idx: usize) {
-        let ready = {
-            let Some(j) = self.jobs.get(job_idx) else {
-                return;
-            };
-            if j.reply.is_none() {
-                return;
-            }
-            let resolved = j
-                .slots
-                .iter()
-                .zip(&j.cells)
-                .all(|(slot, cell)| slot.is_some() || cell.quarantined.is_some());
-            resolved || (j.halted && j.outstanding == 0)
-        };
-        if !ready {
-            return;
-        }
-        let Some(j) = self.jobs.get_mut(job_idx) else {
-            return;
-        };
-        let n_strategies = j.spec.strategies.len().max(1);
-        let slots = std::mem::take(&mut j.slots);
-        let mut quarantined = Vec::new();
-        for cell in &mut j.cells {
-            if let Some(failure) = cell.quarantined.take() {
-                quarantined.push(failure);
-            }
-        }
-        let mut matrix = Vec::with_capacity(j.spec.workloads.len());
-        let mut it = slots.into_iter();
-        for _ in 0..j.spec.workloads.len() {
-            matrix.push(it.by_ref().take(n_strategies).collect());
-        }
-        // Close the journal before replying so a successor broker can
-        // reopen the file immediately.
-        j.journal = None;
-        j.pending.clear();
-        let run = ShardRun {
-            run: MatrixRun {
-                matrix,
-                quarantined,
-                resumed_cells: j.resumed_cells,
-                executed_cells: j.executed_cells,
-                journal_faults: j.journal_faults,
-            },
-            halted: j.halted,
-            lease_losses: j.lease_losses,
-        };
-        if let Some(reply) = j.reply.take() {
-            let _ = reply.send(Ok(run));
         }
     }
 

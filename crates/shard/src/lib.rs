@@ -15,13 +15,17 @@
 //!
 //! * [`SweepSpec`] names a job (scale, seeds, workload and strategy
 //!   names, plan) — both sides rebuild identical state from it.
-//! * [`wire`] frames messages like journal entries
+//! * [`wire`] frames messages with the journal's own entry header
 //!   (`len`/`kind`/`checksum`/`payload`), so transport damage is a
 //!   typed error with the same recovery story as on-disk torn tails.
+//!   Payloads are written with
+//!   [`delorean_bench::journal`]'s codec, the one the cell journal uses.
 //! * [`Broker`] leases cells (or region *spans* where a strategy
 //!   decomposes — see
 //!   [`SamplingStrategy::run_unit_span`](delorean_sampling::SamplingStrategy::run_unit_span)),
-//!   journals completions via [`delorean_trace::journal`], re-leases
+//!   checks each result against its lease, journals completions through
+//!   the in-process executor's
+//!   [`CellJournal`](delorean_bench::journal::CellJournal), re-leases
 //!   on worker death or deadline expiry, and resumes from a journal
 //!   after its own restart.
 //! * [`worker_loop`] executes leases statelessly; injected faults are
@@ -35,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod spec;
 pub mod wire;
 
@@ -43,7 +46,7 @@ mod broker;
 mod worker;
 
 pub use broker::{Broker, BrokerConfig, JobRequest, JobTicket, ShardRun};
-pub use spec::{build_strategy, strategy_decomposes, SweepSpec, STRATEGY_NAMES};
+pub use spec::{build_strategy, SweepSpec, STRATEGY_NAMES};
 pub use worker::{worker_loop, WorkerOptions, WorkerSummary};
 
 use std::fmt;

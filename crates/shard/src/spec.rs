@@ -9,9 +9,8 @@
 //! sides construct from the same constructors the in-process
 //! [`BatchExecutor`](delorean_bench::BatchExecutor) uses.
 
-use crate::codec::{push_str, push_u32, push_u64, push_u8, Take};
 use crate::ShardError;
-use delorean_bench::journal::sweep_tag_names;
+use delorean_bench::journal::{push_str, push_u32, push_u64, push_u8, sweep_tag_names, Take};
 use delorean_cache::MachineConfig;
 use delorean_core::{DeLoreanConfig, DeLoreanRunner};
 use delorean_sampling::{
@@ -26,17 +25,6 @@ const SPEC_VERSION: u32 = 1;
 /// The five strategy names [`build_strategy`] understands, in the
 /// canonical comparison order.
 pub const STRATEGY_NAMES: [&str; 5] = ["smarts", "coolsim", "mrrl", "checkpoint", "delorean"];
-
-/// Whether a strategy's cells decompose into independent region units
-/// (see [`SamplingStrategy::run_unit_span`]): the broker may lease
-/// such cells as region *spans* and fold the returned units itself.
-///
-/// This mirrors which runners override `run_unit_span` — the worker
-/// still consults the trait (the authority); a disagreement surfaces as
-/// a failed lease, not a wrong result.
-pub fn strategy_decomposes(name: &str) -> bool {
-    matches!(name, "coolsim" | "mrrl")
-}
 
 /// Build one strategy by canonical name.
 pub fn build_strategy(
@@ -185,8 +173,13 @@ impl SweepSpec {
             .collect()
     }
 
-    /// Check the spec is well-formed and every name resolves.
-    pub fn validate(&self) -> Result<(), ShardError> {
+    /// Check the spec is well-formed and every name resolves. Returns,
+    /// per strategy, whether its cells decompose into independent region
+    /// units — the strategy's own answer:
+    /// [`SamplingStrategy::run_unit_span`] over an empty span is `Some`
+    /// exactly when it does. The broker leases only such cells as
+    /// region spans.
+    pub fn validate(&self) -> Result<Vec<bool>, ShardError> {
         if self.workloads.is_empty() || self.strategies.is_empty() {
             return Err(ShardError::Spec(
                 "spec needs at least one workload and one strategy".to_string(),
@@ -197,9 +190,13 @@ impl SweepSpec {
                 "spec needs at least one region".to_string(),
             ));
         }
-        self.build_strategies()?;
-        self.build_workloads()?;
-        Ok(())
+        let strategies = self.build_strategies()?;
+        let workloads = self.build_workloads()?;
+        let plan = self.plan();
+        Ok(strategies
+            .iter()
+            .map(|s| s.run_unit_span(&workloads[0], &plan, 0..0).is_some())
+            .collect())
     }
 
     /// Serialize for a [`Message::Job`](crate::wire::Message::Job).
@@ -241,7 +238,7 @@ impl SweepSpec {
     /// constants is rejected instead of silently diverging.
     pub fn decode(bytes: &[u8]) -> Result<SweepSpec, ShardError> {
         let corrupt = || ShardError::Spec("spec payload is malformed".to_string());
-        let mut r = Take { bytes, at: 0 };
+        let mut r = Take::new(bytes);
         let version = r.u32().ok_or_else(corrupt)?;
         if version != SPEC_VERSION {
             return Err(ShardError::Spec(format!(

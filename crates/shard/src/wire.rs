@@ -1,8 +1,8 @@
 //! The broker↔worker wire protocol: length-prefixed, checksummed
 //! frames over any byte stream.
 //!
-//! Framing reuses the run journal's entry idiom
-//! ([`delorean_trace::journal`]):
+//! A frame is a run-journal entry on a stream: the same 16-byte header
+//! ([`encode_entry_header`]) in front of its payload,
 //!
 //! ```text
 //! frame := len u32, kind u32, checksum u64 (over payload), payload
@@ -18,7 +18,8 @@
 //! Transports are anything `Read`/`Write`: worker child stdio, a Unix
 //! socket, or an in-process pipe pair in tests.
 
-use crate::codec::{push_bytes, push_str, push_u32, push_u8, Take};
+use delorean_bench::journal::{push_bytes, push_str, push_u32, push_u8, Take};
+use delorean_trace::journal::{encode_entry_header, parse_entry_header, ENTRY_HEADER_BYTES};
 use delorean_trace::tile::tile_checksum;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -26,7 +27,7 @@ use std::io::{self, Read, Write};
 /// Protocol version carried by [`Message::Hello`].
 pub const WIRE_VERSION: u32 = 1;
 /// Fixed frame-header size: len + kind + payload checksum.
-pub const FRAME_HEADER_BYTES: usize = 16;
+pub const FRAME_HEADER_BYTES: usize = ENTRY_HEADER_BYTES;
 /// Upper bound on a frame payload; larger lengths are corruption.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
@@ -231,7 +232,7 @@ pub enum Message {
         lo: u32,
         /// One past the last region index.
         hi: u32,
-        /// [`encode_units`](crate::codec::encode_units) bytes.
+        /// [`encode_units`](delorean_bench::journal::encode_units) bytes.
         units: Vec<u8>,
     },
     /// Worker's leased item failed (guarded, classified).
@@ -328,54 +329,43 @@ impl Message {
     }
 
     fn decode(kind: u32, payload: &[u8]) -> Result<Message, WireError> {
-        let mut r = Take {
-            bytes: payload,
-            at: 0,
-        };
-        let msg = match kind {
-            MSG_HELLO => r.u32().map(|version| Message::Hello { version }),
-            MSG_JOB => (|| {
-                Some(Message::Job {
+        if !(MSG_HELLO..=MSG_SHUTDOWN).contains(&kind) {
+            return Err(WireError::UnknownKind { kind });
+        }
+        let mut r = Take::new(payload);
+        // Struct fields evaluate in source order, i.e. in wire order.
+        let mut fields = || {
+            Some(match kind {
+                MSG_HELLO => Message::Hello { version: r.u32()? },
+                MSG_JOB => Message::Job {
                     job: r.u32()?,
                     spec: r.byte_block()?,
-                })
-            })(),
-            MSG_LEASE => (|| {
-                let job = r.u32()?;
-                let cell = r.u32()?;
-                let attempt = r.u32()?;
-                let span = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.u32()?, r.u32()?)),
-                    _ => return None,
-                };
-                Some(Message::Lease {
-                    job,
-                    cell,
-                    attempt,
-                    span,
-                })
-            })(),
-            MSG_CELL_DONE => (|| {
-                Some(Message::CellDone {
+                },
+                MSG_LEASE => Message::Lease {
+                    job: r.u32()?,
+                    cell: r.u32()?,
+                    attempt: r.u32()?,
+                    span: match r.u8()? {
+                        0 => None,
+                        1 => Some((r.u32()?, r.u32()?)),
+                        _ => return None,
+                    },
+                },
+                MSG_CELL_DONE => Message::CellDone {
                     job: r.u32()?,
                     cell: r.u32()?,
                     attempt: r.u32()?,
                     report: r.byte_block()?,
-                })
-            })(),
-            MSG_SPAN_DONE => (|| {
-                Some(Message::SpanDone {
+                },
+                MSG_SPAN_DONE => Message::SpanDone {
                     job: r.u32()?,
                     cell: r.u32()?,
                     attempt: r.u32()?,
                     lo: r.u32()?,
                     hi: r.u32()?,
                     units: r.byte_block()?,
-                })
-            })(),
-            MSG_CELL_FAILED => (|| {
-                Some(Message::CellFailed {
+                },
+                MSG_CELL_FAILED => Message::CellFailed {
                     job: r.u32()?,
                     cell: r.u32()?,
                     attempt: r.u32()?,
@@ -384,12 +374,12 @@ impl Message {
                         aux: r.u32()?,
                         detail: r.string()?,
                     },
-                })
-            })(),
-            MSG_SHUTDOWN => Some(Message::Shutdown),
-            _ => return Err(WireError::UnknownKind { kind }),
+                },
+                MSG_SHUTDOWN => Message::Shutdown,
+                _ => return None,
+            })
         };
-        match msg {
+        match fields() {
             Some(m) if r.done() => Ok(m),
             _ => Err(WireError::Malformed { kind }),
         }
@@ -403,11 +393,7 @@ pub fn write_frame(w: &mut dyn Write, kind: u32, payload: &[u8]) -> Result<(), W
             len: payload.len() as u32,
         });
     }
-    let mut head = [0u8; FRAME_HEADER_BYTES];
-    head[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[4..8].copy_from_slice(&kind.to_le_bytes());
-    head[8..16].copy_from_slice(&tile_checksum(payload).to_le_bytes());
-    w.write_all(&head)?;
+    w.write_all(&encode_entry_header(kind, payload))?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -431,11 +417,7 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Option<(u32, Vec<u8>)>, WireError>
         }
         at += n;
     }
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-    let kind = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&head[8..16]);
-    let stored = u64::from_le_bytes(sum);
+    let (len, kind, stored) = parse_entry_header(&head);
     if len as usize > MAX_FRAME_BYTES {
         return Err(WireError::Oversize { len });
     }

@@ -23,10 +23,9 @@
 //! decision on any worker, any scheduling — which is what pins the
 //! deterministic-quarantine tests.
 
-use crate::codec::encode_units;
 use crate::wire::{self, Message, WireError, WireFault, WIRE_VERSION};
 use crate::SweepSpec;
-use delorean_bench::journal::encode_cell;
+use delorean_bench::journal::{encode_cell, encode_units};
 use delorean_sampling::{RegionPlan, SamplingStrategy};
 use delorean_trace::fault::{
     self, FaultPlan, FaultPolicy, FaultSite, InjectedFault, InjectedPanic, InjectedTimeout,

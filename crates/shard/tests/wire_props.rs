@@ -1,10 +1,12 @@
 //! Wire-protocol properties: every message kind round-trips bit for
 //! bit; transport damage (flipped bits, truncation) is a typed
 //! [`WireError`], never a panic; duplicate deliveries dedup broker-side
-//! to one identical report.
+//! to one identical report; results that disagree with their lease are
+//! quarantined; and only decomposing strategies lease as region spans.
 
+use delorean_bench::journal::{decode_cell, decode_units, encode_cell, encode_units};
 use delorean_shard::wire::{self, Message, WireError, WireFault, FRAME_HEADER_BYTES};
-use delorean_shard::{Broker, BrokerConfig, SweepSpec};
+use delorean_shard::{Broker, BrokerConfig, ShardRun, SweepSpec};
 use delorean_trace::Scale;
 use std::io::Write;
 
@@ -232,6 +234,160 @@ fn duplicate_everything(mut read: impl std::io::Read, mut write: impl Write) {
                 // Deliver twice: the duplicate must be deduped.
                 wire::send(&mut write, &done).expect("send");
                 wire::send(&mut write, &done).expect("send duplicate");
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Tampered worker results are unchecked input from another process:
+/// span units shifted off their lease's regions and a whole-cell report
+/// renamed to another strategy must each fail their attempt (and so
+/// quarantine), never land in a slot.
+#[test]
+fn results_that_disagree_with_their_lease_are_quarantined() {
+    let spec = SweepSpec::new(Scale::tiny(), 3)
+        .with_suite_seed(7)
+        .with_workloads(&["hmmer"])
+        .with_strategies(&["smarts", "coolsim", "mrrl"])
+        .with_split_regions(2);
+    let (run, _) = run_scripted(&spec, |spec, msg| match msg {
+        Message::SpanDone { cell, units, .. } if spec.strategy_name(*cell) == "coolsim" => {
+            let mut decoded = decode_units(units).expect("units");
+            for unit in &mut decoded {
+                unit.report.region += 1;
+            }
+            *units = encode_units(&decoded);
+        }
+        Message::CellDone { cell, report, .. } if spec.strategy_name(*cell) == "smarts" => {
+            let (c, mut decoded) = decode_cell(report).expect("cell");
+            decoded.strategy = "mrrl".to_string();
+            *report = encode_cell(c, &decoded);
+        }
+        _ => {}
+    });
+    let quarantined: Vec<u32> = run.run.quarantined.iter().map(|f| f.unit).collect();
+    assert_eq!(quarantined, vec![0, 1], "the smarts and coolsim cells");
+    assert!(run.run.matrix[0][2].is_some(), "the honest mrrl cell lands");
+    assert_filled_slots_match(&spec, &run);
+}
+
+/// Which cells lease as region spans is each strategy's own decision
+/// (`run_unit_span`): with `split_regions` set, exactly the CoolSim and
+/// MRRL cells arrive as spans, every other cell whole.
+#[test]
+fn split_sweeps_lease_spans_for_exactly_the_decomposing_strategies() {
+    let spec = SweepSpec::new(Scale::tiny(), 3)
+        .with_suite_seed(7)
+        .with_workloads(&["hmmer"])
+        .with_strategies(&["smarts", "coolsim", "mrrl", "checkpoint", "delorean"])
+        .with_split_regions(1);
+    let (run, leases) = run_scripted(&spec, |_, _| {});
+    for &(cell, span) in &leases {
+        let name = spec.strategy_name(cell);
+        let decomposes = matches!(name, "coolsim" | "mrrl");
+        assert_eq!(
+            span.is_some(),
+            decomposes,
+            "cell {cell} ({name}) lease {span:?}"
+        );
+    }
+    let mut leased: Vec<u32> = leases.iter().map(|&(cell, _)| cell).collect();
+    leased.dedup();
+    assert_eq!(leased, vec![0, 1, 2, 3, 4], "every cell leased");
+    assert!(run.run.is_complete());
+    assert_filled_slots_match(&spec, &run);
+}
+
+/// Every filled slot of `run` holds the in-process executor's report.
+fn assert_filled_slots_match(spec: &SweepSpec, run: &ShardRun) {
+    let strategies = spec.build_strategies().expect("strategies");
+    let workloads = spec.build_workloads().expect("workloads");
+    let reference =
+        delorean_bench::BatchExecutor::new().run_matrix(&strategies, &workloads, &spec.plan());
+    for (row, ref_row) in run.run.matrix.iter().zip(&reference) {
+        for (cell, ref_cell) in row.iter().zip(ref_row) {
+            if let Some(cell) = cell {
+                assert_eq!(cell.report, ref_cell.report);
+            }
+        }
+    }
+}
+
+/// A lease as a scripted worker saw it: `(cell, span)`.
+type Lease = (u32, Option<(u32, u32)>);
+
+/// Run `spec` on a broker with one [`scripted_worker`]; returns the run
+/// and every lease the worker received.
+fn run_scripted(spec: &SweepSpec, tamper: fn(&SweepSpec, &mut Message)) -> (ShardRun, Vec<Lease>) {
+    let broker = Broker::new(BrokerConfig::default());
+    let (worker_read, broker_write) = std::io::pipe().expect("pipe");
+    let (broker_read, worker_write) = std::io::pipe().expect("pipe");
+    broker.attach(broker_read, broker_write);
+    let worker = std::thread::spawn(move || scripted_worker(worker_read, worker_write, tamper));
+    let run = broker.run_matrix(spec.clone()).expect("shard run");
+    broker.shutdown();
+    (run, worker.join().expect("worker thread"))
+}
+
+/// A worker that answers every lease honestly — spans through
+/// `run_unit_span`, whole cells through `run` — then passes each reply
+/// through `tamper` before sending it. Returns the leases it served.
+fn scripted_worker(
+    mut read: impl std::io::Read,
+    mut write: impl Write,
+    tamper: fn(&SweepSpec, &mut Message),
+) -> Vec<Lease> {
+    wire::send(&mut write, &Message::Hello { version: 1 }).expect("hello");
+    let mut job_ctx = None;
+    let mut leases = Vec::new();
+    loop {
+        let msg = match wire::recv(&mut read) {
+            Ok(Some(m)) => m,
+            Ok(None) | Err(_) => return leases,
+        };
+        match msg {
+            Message::Shutdown => return leases,
+            Message::Job { spec, .. } => {
+                let spec = SweepSpec::decode(&spec).expect("spec");
+                let strategies = spec.build_strategies().expect("strategies");
+                let workloads = spec.build_workloads().expect("workloads");
+                let plan = spec.plan();
+                job_ctx = Some((spec, plan, strategies, workloads));
+            }
+            Message::Lease {
+                job,
+                cell,
+                attempt,
+                span,
+            } => {
+                leases.push((cell, span));
+                let (spec, plan, strategies, workloads) =
+                    job_ctx.as_ref().expect("job announced before lease");
+                let strategy = &strategies[cell as usize % spec.strategies.len()];
+                let workload = &workloads[cell as usize / spec.strategies.len()];
+                let mut reply = match span {
+                    Some((lo, hi)) => Message::SpanDone {
+                        job,
+                        cell,
+                        attempt,
+                        lo,
+                        hi,
+                        units: encode_units(
+                            &strategy
+                                .run_unit_span(workload, plan, lo..hi)
+                                .expect("a span lease decomposes"),
+                        ),
+                    },
+                    None => Message::CellDone {
+                        job,
+                        cell,
+                        attempt,
+                        report: encode_cell(cell, &strategy.run(workload, plan).into_report()),
+                    },
+                };
+                tamper(spec, &mut reply);
+                wire::send(&mut write, &reply).expect("send");
             }
             _ => {}
         }

@@ -148,12 +148,6 @@ impl ReuseProfile {
         (reuse_misses + self.cold_weight) / t
     }
 
-    /// Miss-ratio curve over a set of cache sizes (in lines), e.g. for
-    /// working-set characterization (Figure 13's substrate).
-    pub fn miss_ratio_curve(&self, cache_lines: &[u64]) -> Vec<f64> {
-        cache_lines.iter().map(|&c| self.miss_ratio(c)).collect()
-    }
-
     /// A copy of this profile with every reuse distance multiplied by
     /// `factor` — how StatCC models cache sharing: a co-runner issuing
     /// accesses interleaves into every reuse window, stretching the

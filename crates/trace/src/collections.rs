@@ -21,8 +21,8 @@
 //!
 //! All structures are deterministic: iteration order depends only on the
 //! sequence of insertions and removals, never on process-global state —
-//! strictly stronger than `std`'s randomized hashing, and what lets the
-//! pipelined and serial DeLorean runs stay bit-identical.
+//! strictly stronger than `std`'s randomized hashing, and what lets
+//! DeLorean runs stay bit-identical at every worker count.
 
 use crate::rng::splitmix64;
 use crate::types::{LineAddr, PageAddr, Pc};

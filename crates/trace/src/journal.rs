@@ -39,7 +39,7 @@ use crate::tile::{read_u32, read_u64, tile_checksum};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Journal file magic: the first 8 bytes.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DLRNJRNL";
@@ -146,6 +146,23 @@ fn encode_journal_header(tag: u64) -> [u8; JOURNAL_HEADER_BYTES] {
     h
 }
 
+/// Encode the entry header that precedes `payload` as a `kind` entry:
+/// `len u32, kind u32, checksum u64` (over the payload). Journal
+/// entries on disk and shard wire frames share this header.
+pub fn encode_entry_header(kind: u32, payload: &[u8]) -> [u8; ENTRY_HEADER_BYTES] {
+    let mut head = [0u8; ENTRY_HEADER_BYTES];
+    head[0..4].copy_from_slice(&crate::cast::u32_exact(payload.len() as u64).to_le_bytes());
+    head[4..8].copy_from_slice(&kind.to_le_bytes());
+    head[8..16].copy_from_slice(&tile_checksum(payload).to_le_bytes());
+    head
+}
+
+/// Parse an [`encode_entry_header`] header into
+/// `(len, kind, checksum)`.
+pub fn parse_entry_header(head: &[u8; ENTRY_HEADER_BYTES]) -> (u32, u32, u64) {
+    (read_u32(head, 0), read_u32(head, 4), read_u64(head, 8))
+}
+
 /// Append-only journal writer.
 ///
 /// Every [`append`](JournalWriter::append) writes one complete entry
@@ -155,7 +172,6 @@ fn encode_journal_header(tag: u64) -> [u8; JOURNAL_HEADER_BYTES] {
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    path: PathBuf,
     seq: u64,
 }
 
@@ -169,11 +185,7 @@ impl JournalWriter {
             .open(path)?;
         file.write_all(&encode_journal_header(tag))?;
         file.flush()?;
-        Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            seq: 0,
-        })
+        Ok(JournalWriter { file, seq: 0 })
     }
 
     /// Reopen `path` for appending after validating it against `tag`,
@@ -191,16 +203,10 @@ impl JournalWriter {
         Ok((
             JournalWriter {
                 file,
-                path: path.to_path_buf(),
                 seq: reader.entries.len() as u64,
             },
             reader.entries,
         ))
-    }
-
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Entries written (or resumed past) so far.
@@ -223,11 +229,7 @@ impl JournalWriter {
             Some(_) => return Err(JournalError::Injected { seq }),
             None => {}
         }
-        let mut head = [0u8; ENTRY_HEADER_BYTES];
-        head[0..4].copy_from_slice(&crate::cast::u32_exact(payload.len() as u64).to_le_bytes());
-        head[4..8].copy_from_slice(&kind.to_le_bytes());
-        head[8..16].copy_from_slice(&tile_checksum(payload).to_le_bytes());
-        self.file.write_all(&head)?;
+        self.file.write_all(&encode_entry_header(kind, payload))?;
         self.file.write_all(payload)?;
         self.file.flush()?;
         self.seq = seq + 1;
@@ -294,13 +296,12 @@ impl JournalReader {
         let mut at = JOURNAL_HEADER_BYTES;
         let mut torn = false;
         while at < bytes.len() {
-            if bytes.len() - at < ENTRY_HEADER_BYTES {
+            let Some(head) = bytes[at..].first_chunk() else {
                 torn = true;
                 break;
-            }
-            let len = read_u32(&bytes, at) as usize;
-            let kind = read_u32(&bytes, at + 4);
-            let sum = read_u64(&bytes, at + 8);
+            };
+            let (len, kind, sum) = parse_entry_header(head);
+            let len = len as usize;
             let body_at = at + ENTRY_HEADER_BYTES;
             if bytes.len() - body_at < len {
                 torn = true;
@@ -329,6 +330,7 @@ impl JournalReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("delorean-journal-{}-{tag}.dlj", std::process::id()))

@@ -37,9 +37,8 @@
 //!   [`WorkloadExt::for_each_line`]), which skips generating the rest.
 //! * **Tiled ingest** — [`TiledTrace`] over an on-disk [`tile`] file:
 //!   a memory-mapped binary trace whose fixed-size tiles decode
-//!   straight into [`MemAccess`] batches (optionally on a background
-//!   decoder thread with bounded backpressure), so warm-loop `fill`
-//!   calls become plain `memcpy`s. This is the production ingest path;
+//!   straight into [`MemAccess`] batches, so warm-loop `fill` calls
+//!   become plain `memcpy`s. This is the production ingest path;
 //!   see the [`tile`] module docs for the format.
 //!
 //! Both paths are pinned byte-identical by property tests; custom

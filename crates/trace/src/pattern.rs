@@ -348,11 +348,6 @@ impl PatternCursor {
             PatternState::Hashed => self.pattern.line_at(self.seed, j),
         }
     }
-
-    /// Stream-local index of the next line the cursor will produce.
-    pub fn next_j(&self) -> u64 {
-        self.j
-    }
 }
 
 /// Map a uniform 64-bit value into `[0, bound)` without modulo bias.

@@ -39,7 +39,7 @@
 //! [`MemAccess`] records whose fields match the source
 //! workload byte for byte. All tiles but the last have the same byte
 //! size, so seeking to any record — and therefore to any per-region
-//! cursor slice a [`RegionScheduler`] unit asks for — is O(1) pointer
+//! cursor slice a region-scheduler unit asks for — is O(1) pointer
 //! arithmetic into the map.
 //!
 //! # Two consumers
@@ -58,8 +58,6 @@
 //! [`TiledTrace::open_unverified`] defers the cost, and then a decode
 //! error ends the cursor stream early and is reported through
 //! [`TiledCursor::error`].
-//!
-//! [`RegionScheduler`]: crate::AccessCursor
 //!
 //! # Example
 //!
@@ -823,51 +821,6 @@ impl TileFile {
         self.map[at..at + n * RECORD_BYTES].chunks_exact(RECORD_BYTES)
     }
 
-    /// Decode `tile` into `out` (cleared first) and return the global
-    /// index of its first record. Decoded records carry their final
-    /// `index`/`icount`, so in-range consumers can `memcpy` them.
-    ///
-    /// On a [verified](TileFile::is_verified) file this skips the
-    /// per-tile validation entirely; otherwise the tile's header and
-    /// checksum are checked first.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError::TileCorrupt`] / [`TileError::ChecksumMismatch`] if
-    /// the tile fails validation.
-    pub fn decode_tile(&self, tile: u32, out: &mut Vec<MemAccess>) -> Result<u64, TileError> {
-        let first = tile as u64 * self.tile_records as u64;
-        out.clear();
-        if self.is_verified() {
-            self.decode_span(tile, 0, self.tile_len(tile) as usize, first, out);
-            return Ok(first);
-        }
-        let payload = self.tile_payload(tile)?;
-        let records = payload.len() / RECORD_BYTES;
-        out.reserve(records);
-        for (i, rec) in payload.chunks_exact(RECORD_BYTES).enumerate() {
-            let kind = match rec[16] {
-                0 => AccessKind::Load,
-                1 => AccessKind::Store,
-                other => {
-                    return Err(TileError::TileCorrupt {
-                        tile,
-                        detail: format!("record {i} has invalid kind byte {other}"),
-                    })
-                }
-            };
-            let k = first + i as u64;
-            out.push(MemAccess {
-                index: k,
-                icount: k * self.mem_period,
-                pc: Pc(read_u64(rec, 0)),
-                addr: Addr(read_u64(rec, 8)),
-                kind,
-            });
-        }
-        Ok(first)
-    }
-
     /// Decode the single record at position `k` (no checksum pass — the
     /// O(1) random-access path).
     ///
@@ -900,10 +853,8 @@ impl TileFile {
 /// Like [`RecordedTrace`](crate::RecordedTrace), the trace extends
 /// cyclically past its recorded length so longer region plans stay
 /// valid. Sequential consumers get a [`TiledCursor`], byte-identical to
-/// [`access_at`](Workload::access_at), so strategies and
-/// [`RegionScheduler`] units consume it transparently.
-///
-/// [`RegionScheduler`]: crate::AccessCursor
+/// [`access_at`](Workload::access_at), so strategies and their
+/// region-scheduler units consume it transparently.
 #[derive(Clone, Debug)]
 pub struct TiledTrace {
     file: Arc<TileFile>,

@@ -231,19 +231,6 @@ impl RunCost {
         end
     }
 
-    /// Modeled speedup of the region-parallel run at `workers` workers
-    /// over its own serial execution (1.0 when there is nothing to
-    /// parallelize or the run is empty).
-    pub fn region_parallel_speedup(&self, workers: usize) -> f64 {
-        let serial = self.region_parallel_wallclock(1);
-        let parallel = self.region_parallel_wallclock(workers);
-        if parallel <= 0.0 {
-            1.0
-        } else {
-            serial / parallel
-        }
-    }
-
     /// Estimated wall-clock of the run executed by the **speculative warm
     /// lane** on `workers` host workers, given the per-unit speculation
     /// outcomes recorded by the scheduler.
@@ -394,7 +381,6 @@ mod tests {
         assert!((r.region_parallel_wallclock(1) - 10.0).abs() < 1e-12);
         // 10 equal units on 4 workers: greedy loads 3/3/2/2 → makespan 3.
         assert!((r.region_parallel_wallclock(4) - 3.0).abs() < 1e-12);
-        assert!((r.region_parallel_speedup(4) - 10.0 / 3.0).abs() < 1e-9);
         // More workers than units: one round.
         assert!((r.region_parallel_wallclock(16) - 1.0).abs() < 1e-12);
     }
@@ -423,7 +409,6 @@ mod tests {
         r.push("only", c);
         assert_eq!(r.units().len(), 0);
         assert!((r.region_parallel_wallclock(8) - 7.0).abs() < 1e-12);
-        assert_eq!(r.region_parallel_speedup(8), 1.0);
     }
 
     #[test]
