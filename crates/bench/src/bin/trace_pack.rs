@@ -15,7 +15,7 @@
 //! record against the regenerated synthetic workload — a round-trip
 //! proof for CI.
 
-use delorean_trace::{pack_workload_with, spec_workload, Scale, TiledTrace, Workload};
+use delorean_trace::{pack_workload_with, spec_workload, Scale, TileFile, TiledTrace, Workload};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -111,8 +111,7 @@ fn cmd_pack(a: &SpecArgs) -> Result<(), String> {
 
 fn cmd_info(a: &SpecArgs) -> Result<(), String> {
     let path = a.path.as_deref().ok_or("info requires a PATH")?;
-    let t = TiledTrace::open_unverified(path).map_err(|e| format!("open failed: {e}"))?;
-    let f = t.file();
+    let f = TileFile::open(path).map_err(|e| format!("open failed: {e}"))?;
     println!("path:          {path}");
     println!("workload:      {}", f.name());
     println!("records:       {}", f.record_count());

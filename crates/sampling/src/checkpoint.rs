@@ -14,39 +14,27 @@
 //! paper cites 142 KiB per Live point vs 20–100 MiB per Flex point), and
 //! evaluation-run speed including checkpoint load time.
 
+use crate::chain::{ProxyStateSource, WarmChain};
 use crate::config::{Region, RegionPlan};
 use crate::driver::UnitDriver;
-use crate::proxy::{proxy_at, ProxyStateSource, SpeculationExtras};
-use crate::report::SimulationReport;
 use crate::scheduler::RegionScheduler;
 use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, HierarchySnapshot, MachineConfig};
 use delorean_trace::fault::{self, FaultPolicy};
 use delorean_trace::{MemAccess, Workload};
-use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
+use delorean_virt::{HostClock, SpecUnit};
 
 /// The checkpoints of one (workload, plan, machine) combination.
-#[derive(Clone, Debug)]
-pub struct CheckpointSet {
+struct CheckpointSet {
     snapshots: Vec<HierarchySnapshot>,
     /// Host seconds spent producing the checkpoints (one functional-
     /// warming pass over the whole program).
-    pub preparation_seconds: f64,
+    preparation_seconds: f64,
 }
 
 impl CheckpointSet {
-    /// Number of checkpoints (= regions).
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// `true` if no checkpoints were captured.
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-
     /// Total storage across all regions, bytes.
-    pub fn storage_bytes(&self) -> u64 {
+    fn storage_bytes(&self) -> u64 {
         self.snapshots.iter().map(|s| s.storage_bytes()).sum()
     }
 }
@@ -78,163 +66,51 @@ impl CheckpointWarmingRunner {
         CheckpointWarmingRunner { machine }
     }
 
-    /// The preparation run: functional warming across the whole program,
-    /// snapshotting the hierarchy at each region's warming start.
+    /// The preparation run: the warm chain SMARTS walks, resuming at
+    /// each region's warming start and snapshotting there, speculating
+    /// from `proxy` (else the chain's default at `workers`).
     ///
     /// This costs as much as one SMARTS run minus the detailed regions —
-    /// checkpointing only pays off when the snapshots are reused. It is
-    /// the speculative lane with no proxy: every step takes the
-    /// reconciler's miss path, one worker warming the chain in place.
-    pub fn prepare(&self, workload: &dyn Workload, plan: &RegionPlan) -> CheckpointSet {
-        self.prepare_chain(workload, plan, None, 1).0
-    }
-
-    /// The preparation run through the **speculative warm lane**: the
-    /// warm chain between snapshots is the same chain SMARTS walks, so
-    /// the same protocol applies — each worker builds a proxy of the
-    /// chain state at its region's boundary, digests it, warms its span
-    /// and snapshots; the reconciler advances the true state and on a
-    /// digest match adopts the worker's snapshot and end state, else
-    /// re-warms the span itself.
-    ///
-    /// One wrinkle: [`Hierarchy::snapshot`] drains the MSHRs, so the
-    /// chain state at every boundary after the first is post-drain. The
-    /// spec worker mirrors that by draining its proxy before digesting,
-    /// keeping the comparison apples-to-apples.
+    /// checkpointing only pays off when the snapshots are reused.
+    /// [`Hierarchy::snapshot`] drains the MSHRs, so the chain state at
+    /// every boundary after the first is post-drain; the chain drains a
+    /// spec task's proxy (and, idempotently, the carried state) before
+    /// digesting, keeping the comparison apples-to-apples.
     ///
     /// Committed snapshots may differ from sequentially-prepared ones in
     /// *dead* bytes (absolute recency stamps) — but storage accounting
     /// (valid lines) and every evaluation run built on them are
     /// functions of the live state only, so `preparation_seconds`,
-    /// [`CheckpointSet::storage_bytes`] and the evaluation
-    /// [`SimulationReport`] are all identical to sequential preparation
-    /// (pinned by `tests/determinism.rs`).
-    pub fn prepare_speculative(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        proxy: ProxyStateSource,
-        workers: usize,
-    ) -> (CheckpointSet, SpeculationExtras) {
-        let (set, outcomes) = self.prepare_chain(workload, plan, Some(proxy), workers);
-        (set, SpeculationExtras { proxy, outcomes })
-    }
-
-    /// The one preparation chain: spec tasks speculate from `proxy`
-    /// (or return `None` without doing work when there is none), and
-    /// the reconciler's step either adopts a matching speculation or
-    /// warms the span from the true state.
-    fn prepare_chain(
+    /// storage and the evaluation report are all identical to
+    /// sequential preparation.
+    fn prepare(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         proxy: Option<ProxyStateSource>,
         workers: usize,
     ) -> (CheckpointSet, Vec<SpecUnit>) {
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut positions = Vec::with_capacity(plan.regions.len());
-        let mut pos = 0u64;
-        for region in &plan.regions {
-            positions.push(pos);
-            pos = region.warming.start / p;
-        }
-        let positions = &positions;
-        let warm_seconds = |from: u64, to: u64| {
-            CostModel::paper_host()
-                .instr_seconds(WorkKind::Functional, to.saturating_sub(from) * p * mult)
-        };
-
-        struct Speculation {
-            digest: u64,
-            end_state: Hierarchy,
-            snapshot: HierarchySnapshot,
-            proxy_seconds: f64,
-            total_seconds: f64,
-        }
-
-        let ctx = crate::proxy::ProxyContext {
+        let chain = WarmChain {
             machine: &self.machine,
-            cost: &CostModel::paper_host(),
             workload,
-            p,
-            mult,
+            plan,
+            resume: |region| region.warming.start,
+            drain: true,
+            extra_charge: None,
         };
-        let spec = |i: u32, region: &Region| {
-            let proxy = proxy?;
-            let at = positions[i as usize];
-            let (mut h, proxy_seconds) = proxy.build(&ctx, at);
-            // The chain drained its MSHRs when it snapshotted at `at`.
-            h.drain_mshrs();
-            let digest = h.state_digest();
-            let warm_end = region.warming.start / p;
-            h.warm_range(workload, at..warm_end);
-            let snapshot = h.snapshot();
-            Some(Speculation {
-                digest,
-                end_state: h,
-                snapshot,
-                proxy_seconds,
-                total_seconds: proxy_seconds + warm_seconds(at, warm_end),
-            })
-        };
-
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access = 0u64;
+        let run = chain.run(proxy, workers, None, |hierarchy, _| {
+            (hierarchy.snapshot(), 0.0)
+        });
         let mut clock = HostClock::new();
-        let mut outcomes: Vec<SpecUnit> = Vec::with_capacity(plan.regions.len());
-        let snapshots = RegionScheduler::new(workers).run_speculative(
-            &plan.regions,
-            spec,
-            |i: u32, region: &Region, s: Option<Speculation>| -> HierarchySnapshot {
-                debug_assert_eq!(pos_access, positions[i as usize]);
-                let warm_end = region.warming.start / p;
-                clock.charge(warm_seconds(pos_access, warm_end));
-                let from = pos_access;
-                pos_access = warm_end;
-                if let Some(s) = s {
-                    // drain_mshrs is idempotent on the already-drained
-                    // chain (and a no-op on the cold start), so digesting
-                    // after it matches the spec worker's comparison point.
-                    hierarchy.drain_mshrs();
-                    let committed = hierarchy.state_digest() == s.digest;
-                    outcomes.push(SpecUnit {
-                        unit: i,
-                        committed,
-                        proxy_seconds: s.proxy_seconds,
-                        speculative_seconds: s.total_seconds,
-                    });
-                    if committed {
-                        hierarchy.copy_state_from(&s.end_state);
-                        return s.snapshot;
-                    }
-                }
-                hierarchy.warm_range(workload, from..warm_end);
-                hierarchy.snapshot()
-            },
-        );
+        for &seconds in &run.chained {
+            clock.charge(seconds);
+        }
         let set = CheckpointSet {
-            snapshots,
+            // An unguarded chain fills every slot.
+            snapshots: run.units.0.into_iter().flatten().collect(),
             preparation_seconds: clock.seconds(),
         };
-        (set, outcomes)
-    }
-
-    /// An evaluation run from existing checkpoints: load, detailed-warm,
-    /// simulate. Accuracy is identical to SMARTS by construction (the
-    /// state is the real functional-warming state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint count does not match the plan.
-    pub fn run_with(
-        &self,
-        checkpoints: &CheckpointSet,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-    ) -> SimulationReport {
-        self.evaluate(checkpoints, workload, plan, 1, None)
-            .into_report()
+        (set, run.outcomes)
     }
 
     /// Evaluation at `workers`, guarded under `policy`: every region
@@ -251,7 +127,7 @@ impl CheckpointWarmingRunner {
         policy: Option<&FaultPolicy>,
     ) -> StrategyReport {
         assert_eq!(
-            checkpoints.len(),
+            checkpoints.snapshots.len(),
             plan.regions.len(),
             "checkpoint/plan mismatch"
         );
@@ -282,11 +158,11 @@ impl SamplingStrategy for CheckpointWarmingRunner {
     /// storage footprint — the trade-off against statistical warming —
     /// ride along as [`CheckpointExtras`].
     ///
-    /// At one worker preparation is the sequential warm chain
-    /// ([`prepare`](CheckpointWarmingRunner::prepare)). Above one it
-    /// speculates from the [`ProxyStateSource::StatModel`] proxy (see
-    /// [`prepare_speculative`](CheckpointWarmingRunner::prepare_speculative)),
-    /// whose spec tasks warm the spans between snapshots on every worker. Its
+    /// Preparation walks the warm chain SMARTS walks, snapshotting at
+    /// each region's warming start. At one worker it is the sequential
+    /// chain; above one it speculates from the
+    /// [`ProxyStateSource::StatModel`] proxy, whose spec tasks warm the
+    /// spans between snapshots on every worker. Its
     /// `preparation_seconds`, storage and evaluation report equal
     /// sequential preparation's, so the [`CheckpointExtras`] and the
     /// report are the same at every worker count.
@@ -304,10 +180,7 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         workers: usize,
         policy: Option<&FaultPolicy>,
     ) -> StrategyReport {
-        let prepare = || {
-            self.prepare_chain(workload, plan, proxy_at(None, workers), workers)
-                .0
-        };
+        let prepare = || self.prepare(workload, plan, None, workers).0;
         let checkpoints = match policy {
             None => prepare(),
             Some(policy) => match fault::run_unit_guarded(0, policy, prepare) {
@@ -347,8 +220,10 @@ mod tests {
     fn checkpoint_accuracy_matches_smarts_exactly() {
         let (w, machine, plan) = setup();
         let runner = CheckpointWarmingRunner::new(machine);
-        let checkpoints = runner.prepare(&w, &plan);
-        let cw = runner.run_with(&checkpoints, &w, &plan);
+        let checkpoints = runner.prepare(&w, &plan, None, 1).0;
+        let cw = runner
+            .evaluate(&checkpoints, &w, &plan, 1, None)
+            .into_report();
         let smarts = SmartsRunner::new(machine).run(&w, &plan);
         // CW restores the exact functional-warming state, so region
         // results are identical, not merely close.
@@ -359,9 +234,8 @@ mod tests {
     fn checkpoints_cost_storage() {
         let (w, machine, plan) = setup();
         let runner = CheckpointWarmingRunner::new(machine);
-        let checkpoints = runner.prepare(&w, &plan);
-        assert_eq!(checkpoints.len(), 3);
-        assert!(!checkpoints.is_empty());
+        let checkpoints = runner.prepare(&w, &plan, None, 1).0;
+        assert_eq!(checkpoints.snapshots.len(), 3);
         // Later regions have warmer caches, so storage is non-trivial.
         assert!(
             checkpoints.storage_bytes() > 1_000,
@@ -375,8 +249,10 @@ mod tests {
     fn evaluation_runs_are_fast_after_preparation() {
         let (w, machine, plan) = setup();
         let runner = CheckpointWarmingRunner::new(machine);
-        let checkpoints = runner.prepare(&w, &plan);
-        let cw = runner.run_with(&checkpoints, &w, &plan);
+        let checkpoints = runner.prepare(&w, &plan, None, 1).0;
+        let cw = runner
+            .evaluate(&checkpoints, &w, &plan, 1, None)
+            .into_report();
         // The evaluation run avoids all functional warming: orders of
         // magnitude cheaper than preparation.
         assert!(
@@ -392,8 +268,10 @@ mod tests {
         let (w, machine, plan) = setup();
         let runner = CheckpointWarmingRunner::new(machine);
         let via_trait = runner.run(&w, &plan);
-        let checkpoints = runner.prepare(&w, &plan);
-        let direct = runner.run_with(&checkpoints, &w, &plan);
+        let checkpoints = runner.prepare(&w, &plan, None, 1).0;
+        let direct = runner
+            .evaluate(&checkpoints, &w, &plan, 1, None)
+            .into_report();
         assert_eq!(via_trait.total(), direct.total());
         let extras = via_trait.extras::<CheckpointExtras>().expect("extras");
         assert_eq!(extras.storage_bytes, checkpoints.storage_bytes());
@@ -419,20 +297,30 @@ mod tests {
 
     #[test]
     fn speculative_preparation_matches_sequential() {
-        let (w, machine, plan) = setup();
+        let (_, machine, plan) = setup();
         let runner = CheckpointWarmingRunner::new(machine);
-        let sequential = runner.prepare(&w, &plan);
-        let seq_eval = runner.run_with(&sequential, &w, &plan);
-        for proxy in [ProxyStateSource::StatModel, ProxyStateSource::Poisoned] {
-            for workers in [1usize, 4] {
-                let (set, extras) = runner.prepare_speculative(&w, &plan, proxy, workers);
-                assert_eq!(set.len(), sequential.len());
-                assert_eq!(set.preparation_seconds, sequential.preparation_seconds);
-                assert_eq!(set.storage_bytes(), sequential.storage_bytes());
-                let eval = runner.run_with(&set, &w, &plan);
-                assert_eq!(eval, seq_eval, "proxy {} workers {workers}", proxy.name());
-                if proxy == ProxyStateSource::Poisoned {
-                    assert_eq!(extras.hits(), 0);
+        for (name, seed, worker_counts) in [("hmmer", 1, [1usize, 4]), ("astar", 42, [2, 8])] {
+            let w = spec_workload(name, Scale::tiny(), seed).unwrap();
+            let sequential = runner.prepare(&w, &plan, None, 1).0;
+            let seq_eval = runner
+                .evaluate(&sequential, &w, &plan, 1, None)
+                .into_report();
+            for proxy in [ProxyStateSource::StatModel, ProxyStateSource::Poisoned] {
+                for workers in worker_counts {
+                    let at = format!("{name}: proxy {} workers {workers}", proxy.name());
+                    let (set, outcomes) = runner.prepare(&w, &plan, Some(proxy), workers);
+                    assert_eq!(set.snapshots.len(), sequential.snapshots.len(), "{at}");
+                    assert_eq!(
+                        set.preparation_seconds, sequential.preparation_seconds,
+                        "{at}"
+                    );
+                    assert_eq!(set.storage_bytes(), sequential.storage_bytes(), "{at}");
+                    let eval = runner.evaluate(&set, &w, &plan, 1, None).into_report();
+                    assert_eq!(eval, seq_eval, "{at}");
+                    assert_eq!(outcomes.len(), plan.regions.len(), "{at}");
+                    if proxy == ProxyStateSource::Poisoned {
+                        assert!(outcomes.iter().all(|o| !o.committed), "{at}");
+                    }
                 }
             }
         }
@@ -443,10 +331,10 @@ mod tests {
     fn mismatched_plan_is_rejected() {
         let (w, machine, plan) = setup();
         let runner = CheckpointWarmingRunner::new(machine);
-        let checkpoints = runner.prepare(&w, &plan);
+        let checkpoints = runner.prepare(&w, &plan, None, 1).0;
         let other = SamplingConfig::for_scale(Scale::tiny())
             .with_regions(5)
             .plan();
-        let _ = runner.run_with(&checkpoints, &w, &other);
+        let _ = runner.evaluate(&checkpoints, &w, &other, 1, None);
     }
 }

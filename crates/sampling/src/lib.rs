@@ -32,11 +32,12 @@
 //!
 //! All five strategies execute through the **region-parallel runtime**:
 //! [`RegionScheduler`] partitions a plan into per-region units — fully
-//! independent for CoolSim/MRRL/checkpoint-evaluation/DeLorean, seeded
-//! off a sequential warm lane for SMARTS/checkpoint-preparation — fans
-//! them across a worker pool, and reduces results in plan order, so
-//! every report is byte-identical for every worker count. Per-unit
-//! costs are recorded on the report
+//! independent for CoolSim/MRRL/checkpoint-evaluation/DeLorean, spec
+//! tasks plus a plan-order reconciler on the speculative lane for the
+//! one warm chain SMARTS and checkpoint preparation share (the private
+//! `chain` module) — fans them across a worker pool, and reduces
+//! results in plan order, so every report is byte-identical for every
+//! worker count. Per-unit costs are recorded on the report
 //! ([`RunCost::units`](delorean_virt::RunCost::units)), from which
 //! [`RunCost::region_parallel_wallclock`](delorean_virt::RunCost::region_parallel_wallclock)
 //! models wallclock at any worker count.
@@ -44,24 +45,24 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod chain;
 mod checkpoint;
 mod config;
 mod coolsim;
 mod driver;
 pub mod metrics;
 mod mrrl;
-mod proxy;
 mod report;
 mod scheduler;
 mod smarts;
 mod strategy;
 
-pub use checkpoint::{CheckpointExtras, CheckpointSet, CheckpointWarmingRunner};
+pub use chain::{ProxyStateSource, SpeculationExtras};
+pub use checkpoint::{CheckpointExtras, CheckpointWarmingRunner};
 pub use config::{Region, RegionPlan, SamplingConfig};
 pub use coolsim::{CoolSimConfig, CoolSimRunner};
 pub use driver::{reduce_region_units, RegionUnit};
 pub use mrrl::MrrlRunner;
-pub use proxy::{ProxyStateSource, SpeculationExtras};
 pub use report::{RegionReport, SimulationReport};
 pub use scheduler::{LostUnits, RegionScheduler};
 pub use smarts::SmartsRunner;

@@ -24,14 +24,15 @@ use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{LineMap, MemAccess, Workload, WorkloadExt};
 use delorean_virt::WorkKind;
 
+/// Accesses profiled per region to estimate the latency distribution.
+const PROFILE_ACCESSES: u64 = 50_000;
+
 /// The MRRL adaptive-functional-warming runner.
 #[derive(Clone, Debug)]
 pub struct MrrlRunner {
     machine: MachineConfig,
     /// Reuse-latency coverage target (the original work uses ~99.9%).
-    pub percentile: f64,
-    /// Accesses profiled per region to estimate the latency distribution.
-    pub profile_accesses: u64,
+    percentile: f64,
 }
 
 impl MrrlRunner {
@@ -40,7 +41,6 @@ impl MrrlRunner {
         MrrlRunner {
             machine,
             percentile: 0.999,
-            profile_accesses: 50_000,
         }
     }
 
@@ -54,7 +54,7 @@ impl MrrlRunner {
     /// percentile of reuse latencies near `around_access`.
     fn warming_window(&self, workload: &dyn Workload, around_access: u64) -> u64 {
         let p = workload.mem_period();
-        let start = around_access.saturating_sub(self.profile_accesses);
+        let start = around_access.saturating_sub(PROFILE_ACCESSES);
         let mut hist = LogHistogram::new();
         let mut last: LineMap<u64> = LineMap::new();
         workload.for_each_line(start..around_access, |k, line| {
@@ -63,7 +63,7 @@ impl MrrlRunner {
             }
         });
         if hist.is_empty() {
-            return self.profile_accesses * p;
+            return PROFILE_ACCESSES * p;
         }
         hist.quantile(self.percentile)
     }
@@ -90,7 +90,7 @@ impl MrrlRunner {
             // Pick this region's warming window from local reuse latencies
             // (profiling cost: functional over the profile slice).
             let region_first = workload.access_index_at_instr(region.detailed.start);
-            driver.charge_work(WorkKind::Functional, self.profile_accesses * p);
+            driver.charge_work(WorkKind::Functional, PROFILE_ACCESSES * p);
             let window = self
                 .warming_window(workload, region_first)
                 .clamp(p, region.warming.start);

@@ -7,15 +7,14 @@
 //! instruction at functional-simulation speed, which is why the paper
 //! measures SMARTS at 1.3 MIPS.
 
+use crate::chain::{ProxyStateSource, SpeculationExtras, WarmChain};
 use crate::config::{Region, RegionPlan};
-use crate::driver::{RegionUnit, UnitDriver};
-use crate::proxy::{proxy_at, ProxyStateSource, SpeculationExtras};
-use crate::scheduler::RegionScheduler;
+use crate::driver::UnitDriver;
 use crate::strategy::{SamplingStrategy, StrategyReport};
-use delorean_cache::{Hierarchy, MachineConfig};
+use delorean_cache::MachineConfig;
 use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{MemAccess, Workload};
-use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
+use delorean_virt::{CostModel, WorkKind};
 
 /// The SMARTS (functional warming) runner.
 #[derive(Clone, Debug)]
@@ -49,27 +48,19 @@ impl SmartsRunner {
     /// [`with_speculation`](Self::with_speculation)`(proxy)`, run on
     /// `workers` workers.
     ///
-    /// Every region becomes an independent speculation task: build a
-    /// proxy of the chain state at the region's boundary (see
+    /// Every region becomes an independent spec task: build a proxy of
+    /// the chain state at the region's span start (see
     /// [`ProxyStateSource`]), record its digest, then warm and measure
-    /// in place from it — no chain dependency, so tasks fan out across
-    /// all `workers` workers at once (the reconciling caller claims
-    /// spec tasks too whenever it has nothing to reconcile; see
-    /// [`RegionScheduler::run_speculative`]). The reconciler advances
-    /// the true carried state in plan order: when its digest equals the
-    /// proxy's, the worker's start state was behaviourally identical to
-    /// the chain's, so its measurement *and its end state* are adopted
-    /// verbatim (the chain skips the region's warm work entirely — the
-    /// source of the modeled speedup); otherwise the region is
-    /// re-warmed and re-measured from the true state.
-    ///
-    /// Either way every unit's chained charge is
-    /// `chain_step`'s — identical arithmetic on every path — so the
-    /// [`SimulationReport`](crate::SimulationReport) is bitwise
-    /// identical to sequential SMARTS at every worker count and for
-    /// every proxy source (pinned by `tests/determinism.rs`). The
-    /// speculation outcomes ride along as [`SpeculationExtras`], from
-    /// which
+    /// from it, on every worker at once. The reconciler advances the
+    /// true carried state in plan order: on a digest match the spec
+    /// task's measurement *and its end state* are adopted verbatim (the
+    /// chain skips the region's warm work — the source of the modeled
+    /// speedup); otherwise the region is re-warmed and re-measured in
+    /// place. Every unit's chained charge is the same arithmetic on
+    /// every path, so the [`SimulationReport`](crate::SimulationReport)
+    /// is bitwise identical to sequential SMARTS at every worker count
+    /// and for every proxy source (pinned by `tests/determinism.rs`).
+    /// The outcomes ride along as [`SpeculationExtras`], from which
     /// [`RunCost::speculative_wallclock`](delorean_virt::RunCost::speculative_wallclock)
     /// models the lane's wall-clock.
     pub fn run_speculative_with_workers(
@@ -83,82 +74,6 @@ impl SmartsRunner {
             .with_speculation(proxy)
             .run_with_workers(workload, plan, workers)
     }
-
-    /// One speculation task: build the proxy state for region `i`'s
-    /// boundary, record its digest, then warm and measure in place — a
-    /// pure function of `(i, region)`, which is what makes it safe for
-    /// a guarded run to retry it from the top.
-    #[allow(clippy::too_many_arguments)] // mirrors the chain-step tuple one-for-one
-    fn speculate(
-        &self,
-        workload: &dyn Workload,
-        positions: &[u64],
-        proxy: ProxyStateSource,
-        p: u64,
-        mult: u64,
-        i: u32,
-        region: &Region,
-    ) -> Speculation {
-        let ctx = crate::proxy::ProxyContext {
-            machine: &self.machine,
-            cost: &CostModel::paper_host(),
-            workload,
-            p,
-            mult,
-        };
-        let at = positions[i as usize];
-        let (mut h, proxy_seconds) = proxy.build(&ctx, at);
-        let digest = h.state_digest();
-        let step = chain_step(workload, region, at, p, mult);
-        h.warm_range(workload, step.warm);
-        // Measure in place: the shared access core mutates the
-        // hierarchy through the measured span exactly as the chain's
-        // own miss path would, so `h` ends at the next boundary's state.
-        let unit = self.measure(workload, region, &mut h);
-        let total_seconds = proxy_seconds + step.seconds + unit.seconds;
-        Speculation {
-            digest,
-            end_state: h,
-            unit,
-            proxy_seconds,
-            total_seconds,
-        }
-    }
-
-    /// Detailed warming and the measured region on `hierarchy`, in place.
-    fn measure(
-        &self,
-        workload: &dyn Workload,
-        region: &Region,
-        hierarchy: &mut Hierarchy,
-    ) -> RegionUnit {
-        let driver = UnitDriver::new(workload);
-        let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-        driver.measure_region(region, &mut source)
-    }
-}
-
-/// One region's speculation outcome: the proxy digest, the end state to
-/// adopt on commit, the measured unit, and the lane's modeled seconds.
-struct Speculation {
-    digest: u64,
-    end_state: Hierarchy,
-    unit: RegionUnit,
-    proxy_seconds: f64,
-    total_seconds: f64,
-}
-
-/// Chain access positions at each region boundary — pure plan
-/// arithmetic, so neither the worker count nor speculation outcomes can
-/// shift them.
-fn chain_positions(plan: &RegionPlan, p: u64) -> Vec<u64> {
-    let mut positions = Vec::with_capacity(plan.regions.len());
-    let mut pos = 0u64;
-    for region in &plan.regions {
-        positions.push(pos);
-        pos = region.detailed.end / p;
-    }
-    positions
 }
 
 impl SamplingStrategy for SmartsRunner {
@@ -166,26 +81,19 @@ impl SamplingStrategy for SmartsRunner {
         "smarts"
     }
 
-    /// SMARTS under the region scheduler: the warm chain always runs
-    /// through the speculative lane's reconciler, and its `step`
-    /// closure is the one warm-chain body.
+    /// SMARTS on the one warm chain that checkpoint preparation also
+    /// walks: the chain resumes at each region's detailed end, the step
+    /// at the boundary measures in place, and each region's chained
+    /// charge is its warm span's plus a replay charge.
     ///
     /// The proxy is the one [`with_speculation`](SmartsRunner::with_speculation)
-    /// chose, else [`ProxyStateSource::StatModel`] above one worker,
-    /// else none. With no proxy (one worker) the spec tasks return
-    /// `None` without doing any work, so every step is the in-place
-    /// chain: functional warming up to the region's detailed-warming
-    /// boundary, then detailed warming and the measured region on the
-    /// same hierarchy, which leaves it at the next boundary's state —
-    /// no digest computed. Above one worker the chain itself is the
-    /// bottleneck — the warm span dominates every region, so decoupling
-    /// only the measure bodies buys no overlap — so the run speculates
-    /// (see [`run_speculative_with_workers`](SmartsRunner::run_speculative_with_workers)),
-    /// whose spec tasks warm and measure whole regions on every worker.
-    /// The report is bitwise identical at every worker count, and
-    /// [`SpeculationExtras`] are attached only when `with_speculation`
-    /// chose the proxy (asserted by `tests/determinism.rs` and
-    /// `tests/golden_reports.rs`).
+    /// chose, else [`ProxyStateSource::StatModel`] above one worker —
+    /// the warm span dominates every region, so only speculation buys
+    /// overlap — else none, when every region is warmed and measured in
+    /// place with no digest computed. The report is bitwise identical
+    /// at every worker count, and [`SpeculationExtras`] are attached
+    /// only when `with_speculation` chose the proxy (asserted by
+    /// `tests/determinism.rs` and `tests/golden_reports.rs`).
     ///
     /// Under a fault policy the chain has one failure domain. Injected
     /// faults at the
@@ -203,99 +111,44 @@ impl SamplingStrategy for SmartsRunner {
         workers: usize,
         policy: Option<&FaultPolicy>,
     ) -> StrategyReport {
-        let proxy = proxy_at(self.proxy, workers);
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region| {
-            proxy.map(|proxy| self.speculate(workload, positions, proxy, p, mult, i, region))
+        let chain = WarmChain {
+            machine: &self.machine,
+            workload,
+            plan,
+            resume: |region| region.detailed.end,
+            drain: false,
+            extra_charge: Some(replay_seconds),
         };
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access = 0u64;
-        let mut chained = Vec::with_capacity(plan.regions.len());
-        let mut outcomes = Vec::with_capacity(plan.regions.len());
-        // The one warm-chain step. A speculation whose digest matches
-        // the true state is adopted with its end state; otherwise (a
-        // digest mismatch, a faulted-out speculation, or no proxy at
-        // all) the step warms the span and measures in place. The
-        // chained charge is the same either way, which is why neither
-        // the proxy nor a spec fault can move the report.
-        let mut step = |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
-            debug_assert_eq!(pos_access, positions[i as usize]);
-            let step = chain_step(workload, region, pos_access, p, mult);
-            chained.push(step.seconds);
-            pos_access = step.next_pos;
-            if let Some(s) = s {
-                let committed = hierarchy.state_digest() == s.digest;
-                outcomes.push(SpecUnit {
-                    unit: i,
-                    committed,
-                    proxy_seconds: s.proxy_seconds,
-                    speculative_seconds: s.total_seconds,
-                });
-                if committed {
-                    hierarchy.copy_state_from(&s.end_state);
-                    return s.unit;
-                }
-            }
-            hierarchy.warm_range(workload, step.warm);
-            self.measure(workload, region, &mut hierarchy)
-        };
-        let units = RegionScheduler::new(workers).run_speculative_isolated(
-            &plan.regions,
-            policy,
-            spec,
-            |i, region, s| step(i, region, s.flatten()),
-        );
-        let report = StrategyReport::from_units(workload, plan, self.name(), &chained, units);
+        // Measure in place: the shared access core mutates the
+        // hierarchy through the measured span exactly as the chain's own
+        // miss path would, so it ends at the next boundary's state.
+        let run = chain.run(self.proxy, workers, policy, |hierarchy, region| {
+            let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
+            let unit = UnitDriver::new(workload).measure_region(region, &mut source);
+            let seconds = unit.seconds;
+            (unit, seconds)
+        });
+        let report =
+            StrategyReport::from_units(workload, plan, self.name(), &run.chained, run.units);
         match self.proxy {
-            Some(proxy) => report.with_extras(SpeculationExtras { proxy, outcomes }),
+            Some(proxy) => report.with_extras(SpeculationExtras {
+                proxy,
+                outcomes: run.outcomes,
+            }),
             None => report,
         }
     }
 }
 
-/// One warm-chain step's boundary and charge arithmetic.
-struct ChainStep {
-    /// Access range of the functional warm span (chain position up to
-    /// the detailed-warming boundary).
-    warm: std::ops::Range<u64>,
-    /// Chain position after this region.
-    next_pos: u64,
-    /// Chained-lane seconds: the warm span at represented magnitude
-    /// plus a functional replay of the measured span at face value.
-    seconds: f64,
-}
-
-/// Compute one region's chain step. Every SMARTS path — the spec tasks
-/// and the reconciler's step — takes its boundaries and charges from
-/// this one function, which keeps their reports byte-identical by
-/// construction.
-///
-/// No path replays the measured span functionally any more (the chain
-/// measures in place); the replay charge stays only so reports stay
-/// byte-identical to the recorded digests.
-fn chain_step(
-    workload: &dyn Workload,
-    region: &Region,
-    pos_access: u64,
-    p: u64,
-    mult: u64,
-) -> ChainStep {
-    let cost = CostModel::paper_host();
-    let mut chain = HostClock::new();
-    let warm_end_access = region.warming.start / p;
-    let span = warm_end_access.saturating_sub(pos_access);
-    chain.charge(cost.instr_seconds(WorkKind::Functional, span * p * mult));
+/// The chained charge for a functional replay of the measured span at
+/// face value. No path replays it any more (the chain measures in
+/// place); the charge stays only so reports stay byte-identical to the
+/// recorded digests.
+fn replay_seconds(workload: &dyn Workload, region: &Region) -> f64 {
     let measured = workload
         .access_index_at_instr(region.detailed.end)
         .saturating_sub(workload.access_index_at_instr(region.warming.start));
-    chain.charge(cost.instr_seconds(WorkKind::Functional, measured * p));
-    ChainStep {
-        warm: pos_access..warm_end_access,
-        next_pos: region.detailed.end / p,
-        seconds: chain.seconds(),
-    }
+    CostModel::paper_host().instr_seconds(WorkKind::Functional, measured * workload.mem_period())
 }
 
 #[cfg(test)]

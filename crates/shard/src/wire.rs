@@ -157,11 +157,12 @@ impl WireFault {
 
     /// Decode back into the trace-layer fault vocabulary. Trace errors
     /// lose their structure (only the display string travels); they
-    /// come back as `DecoderFailed` carrying that string.
+    /// come back as [`TileError::Remote`](delorean_trace::TileError::Remote)
+    /// carrying that string.
     pub fn to_unit_fault(&self) -> delorean_trace::fault::UnitFault {
         use delorean_trace::fault::UnitFault;
         match self.kind {
-            1 => UnitFault::TraceError(delorean_trace::TileError::DecoderFailed {
+            1 => UnitFault::TraceError(delorean_trace::TileError::Remote {
                 detail: self.detail.clone(),
             }),
             2 => UnitFault::Timeout,

@@ -7,7 +7,8 @@
 use delorean_bench::journal::{decode_cell, decode_units, encode_cell, encode_units};
 use delorean_shard::wire::{self, Message, WireError, WireFault, FRAME_HEADER_BYTES};
 use delorean_shard::{Broker, BrokerConfig, ShardRun, SweepSpec};
-use delorean_trace::Scale;
+use delorean_trace::fault::UnitFault;
+use delorean_trace::{Scale, TileError};
 use std::io::Write;
 
 fn sample_messages() -> Vec<Message> {
@@ -75,6 +76,52 @@ fn every_message_kind_round_trips() {
             .expect("one frame");
         assert_eq!(back, msg);
     }
+}
+
+/// Every `UnitFault` kind survives a trip through a `CellFailed` frame:
+/// a panic keeps its message, chain poisoning its upstream, a timeout
+/// stays a timeout, and a trace error comes back as text that carries
+/// the original detail and says it came from a shard worker.
+#[test]
+fn every_unit_fault_kind_survives_the_wire() {
+    let via_wire = |fault: &UnitFault| {
+        let msg = Message::CellFailed {
+            job: 1,
+            cell: 2,
+            attempt: 0,
+            fault: WireFault::from_unit_fault(fault),
+        };
+        match wire::recv(&mut encode(&msg).as_slice()) {
+            Ok(Some(Message::CellFailed { fault, .. })) => fault.to_unit_fault(),
+            other => panic!("expected a CellFailed frame, got {other:?}"),
+        }
+    };
+    let panicked = UnitFault::Panicked {
+        message: "boom in unit 4".to_string(),
+    };
+    assert!(
+        matches!(via_wire(&panicked), UnitFault::Panicked { message } if message == "boom in unit 4")
+    );
+    let poisoned = UnitFault::ChainPoisoned { upstream: 3 };
+    assert!(matches!(
+        via_wire(&poisoned),
+        UnitFault::ChainPoisoned { upstream: 3 }
+    ));
+    assert!(matches!(via_wire(&UnitFault::Timeout), UnitFault::Timeout));
+    let original = TileError::ChecksumMismatch {
+        tile: 2,
+        stored: 0x11,
+        computed: 0x22,
+    };
+    let UnitFault::TraceError(remote) = via_wire(&UnitFault::TraceError(original)) else {
+        panic!("a trace error must stay a trace error");
+    };
+    let text = remote.to_string();
+    assert!(
+        text.contains("tile 2 checksum mismatch"),
+        "original detail lost: {text}"
+    );
+    assert!(text.contains("shard worker"), "origin not named: {text}");
 }
 
 #[test]

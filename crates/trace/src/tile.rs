@@ -48,16 +48,13 @@
 //!   place (DSW key probes, tests).
 //! * [`TiledCursor`] — the sequential cursor: decodes record spans
 //!   straight out of the memory map into the caller's `fill` buffer,
-//!   with zero validation in the loop once the file has been eagerly
-//!   verified.
+//!   with zero validation in the loop: the file was verified at open.
 //!
 //! Corrupt or truncated files surface as typed [`TileError`]s — at
-//! [`TileFile::open`] for structural damage, at decode time for payload
-//! damage. [`TiledTrace::open`] verifies every checksum eagerly so the
-//! infallible [`Workload`] surface can never observe a bad tile;
-//! [`TiledTrace::open_unverified`] defers the cost, and then a decode
-//! error ends the cursor stream early and is reported through
-//! [`TiledCursor::error`].
+//! [`TileFile::open`] for structural damage, at [`TileFile::verify`] for
+//! payload damage. [`TiledTrace::open`] is the only way to a
+//! [`Workload`] over a tile file, and it verifies every checksum first,
+//! so the infallible [`Workload`] surface can never observe a bad tile.
 //!
 //! # Example
 //!
@@ -86,7 +83,6 @@ use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// File magic: the first 8 bytes of every tile file.
@@ -158,7 +154,7 @@ pub enum TileError {
     /// shard wire as its display text (see
     /// `delorean_shard::wire::WireFault`): the remote error's variant
     /// does not survive the trip, only its description.
-    DecoderFailed {
+    Remote {
         /// The remote error's description.
         detail: String,
     },
@@ -200,9 +196,7 @@ impl fmt::Display for TileError {
                 f,
                 "tile {tile} checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
-            TileError::DecoderFailed { detail } => {
-                write!(f, "streaming decoder thread failed: {detail}")
-            }
+            TileError::Remote { detail } => write!(f, "trace error on a shard worker: {detail}"),
             TileError::EmptyTrace => write!(f, "tile file contains no records"),
             TileError::Invalid { detail } => write!(f, "invalid tile parameters: {detail}"),
         }
@@ -528,9 +522,6 @@ pub struct TileFile {
     tile_records: u32,
     record_count: u64,
     tile_count: u32,
-    /// Set once [`verify`](TileFile::verify) has checksummed every tile;
-    /// decoders then skip per-tile validation on the hot path.
-    verified: AtomicBool,
 }
 
 impl TileFile {
@@ -635,7 +626,6 @@ impl TileFile {
             tile_records,
             record_count,
             tile_count,
-            verified: AtomicBool::new(false),
         })
     }
 
@@ -737,10 +727,8 @@ impl TileFile {
         Ok(payload)
     }
 
-    /// Checksum-validate every tile (the eager integrity pass). On
-    /// success the file is marked verified and decoders skip per-tile
-    /// validation from then on — the warm-loop hot path pays for the
-    /// checksums exactly once.
+    /// Checksum-validate every tile (the eager integrity pass), so the
+    /// warm-loop hot path pays for the checksums exactly once, at open.
     ///
     /// # Errors
     ///
@@ -750,39 +738,13 @@ impl TileFile {
         for t in 0..self.tile_count {
             self.tile_payload(t)?;
         }
-        self.verified.store(true, Ordering::Release);
         Ok(())
-    }
-
-    /// Whether [`verify`](TileFile::verify) has passed on this file.
-    pub fn is_verified(&self) -> bool {
-        self.verified.load(Ordering::Acquire)
-    }
-
-    /// Validate one tile's header and checksum — a no-op once the file
-    /// is [verified](TileFile::is_verified). The lazy counterpart of
-    /// [`verify`](TileFile::verify) used by cursors on unverified files.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError::TileCorrupt`] / [`TileError::ChecksumMismatch`] if
-    /// the tile fails validation.
-    #[inline]
-    pub fn check_tile(&self, tile: u32) -> Result<(), TileError> {
-        if self.is_verified() {
-            return Ok(());
-        }
-        self.tile_payload(tile).map(|_| ())
     }
 
     /// Decode `n` records starting `within` records into `tile`,
     /// appending them to `out` with `index`/`icount` rebased to start at
-    /// `base` — the validation-free hot path shared by both cursors.
-    /// Callers must have validated the tile (eager [`verify`] or
-    /// [`check_tile`]) first.
-    ///
-    /// [`verify`]: TileFile::verify
-    /// [`check_tile`]: TileFile::check_tile
+    /// `base` — the validation-free hot path. Callers must have
+    /// [verified](TileFile::verify) the file first.
     #[inline]
     fn decode_span(&self, tile: u32, within: usize, n: usize, base: u64, out: &mut Vec<MemAccess>) {
         let period = self.mem_period;
@@ -871,27 +833,9 @@ impl TiledTrace {
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TileError> {
         let file = TileFile::open(path)?;
         file.verify()?;
-        Ok(Self::from_file(file))
-    }
-
-    /// Open without the eager checksum pass. Payload corruption then
-    /// surfaces at decode time: cursors end their stream early and
-    /// report the error through [`TiledCursor::error`], and
-    /// [`Workload::access_at`] decodes without checksumming.
-    ///
-    /// # Errors
-    ///
-    /// Anything [`TileFile::open`] returns (structural validation still
-    /// runs).
-    pub fn open_unverified(path: impl AsRef<Path>) -> Result<Self, TileError> {
-        Ok(Self::from_file(TileFile::open(path)?))
-    }
-
-    /// Wrap an already-opened [`TileFile`].
-    pub fn from_file(file: TileFile) -> Self {
-        TiledTrace {
+        Ok(TiledTrace {
             file: Arc::new(file),
-        }
+        })
     }
 
     /// The underlying tile file.
@@ -936,40 +880,24 @@ impl Workload for TiledTrace {
 /// The sequential cursor over a [`TiledTrace`]: serves
 /// [`fill`](AccessCursor::fill) by decoding record spans straight out
 /// of the memory map into the caller's buffer — no intermediate copy,
-/// and on a [verified](TileFile::is_verified) file no validation in the
-/// loop at all.
+/// and no validation in the loop: [`TiledTrace::open`] verified the
+/// file.
 #[derive(Debug)]
 pub struct TiledCursor {
     file: Arc<TileFile>,
     next: u64,
     end: u64,
-    /// Last tile validated by the lazy path (`u64::MAX` = none);
-    /// unused once the file is verified.
-    checked_tile: u64,
-    error: Option<TileError>,
 }
 
 impl TiledCursor {
-    /// A cursor over `file` accesses with `index ∈ range` (cyclic past
-    /// the recorded length).
-    pub fn new(file: Arc<TileFile>, range: Range<u64>) -> Self {
+    /// A cursor over the verified `file`'s accesses with
+    /// `index ∈ range` (cyclic past the recorded length).
+    pub(crate) fn new(file: Arc<TileFile>, range: Range<u64>) -> Self {
         TiledCursor {
             file,
             next: range.start,
             end: range.end.max(range.start),
-            checked_tile: u64::MAX,
-            error: None,
         }
-    }
-
-    /// The decode error that ended this cursor's stream early, if any.
-    pub fn error(&self) -> Option<&TileError> {
-        self.error.as_ref()
-    }
-
-    /// Take the decode error, leaving the cursor exhausted.
-    pub fn take_error(&mut self) -> Option<TileError> {
-        self.error.take()
     }
 }
 
@@ -999,9 +927,8 @@ impl AccessCursor for TiledCursor {
 }
 
 impl TiledCursor {
-    /// The tile walk shared by both outputs: validates each tile on
-    /// first touch (unless the file is verified) and hands each
-    /// in-tile span to `decode(file, tile, within, take, base, out)`.
+    /// The tile walk shared by both outputs: hands each in-tile span to
+    /// `decode(file, tile, within, take, base, out)`.
     #[inline(always)]
     fn walk<T>(
         &mut self,
@@ -1010,23 +937,12 @@ impl TiledCursor {
         decode: impl Fn(&TileFile, u32, usize, usize, u64, &mut Vec<T>),
     ) -> usize {
         out.clear();
-        if self.error.is_some() {
-            return 0;
-        }
         let count = self.file.record_count();
         let tile_records = self.file.tile_records() as u64;
-        let verified = self.file.is_verified();
         let mut produced = 0usize;
         while produced < max && self.next < self.end {
             let rec = self.next % count;
             let tile = (rec / tile_records) as u32;
-            if !verified && self.checked_tile != tile as u64 {
-                if let Err(e) = self.file.check_tile(tile) {
-                    self.error = Some(e);
-                    break;
-                }
-                self.checked_tile = tile as u64;
-            }
             let within = crate::cast::idx(rec - tile as u64 * tile_records);
             let take = (self.file.tile_len(tile) as usize - within)
                 .min(max - produced)
@@ -1156,20 +1072,6 @@ mod tests {
             Err(TileError::ChecksumMismatch { tile: 2, .. })
         ));
 
-        // Unverified open succeeds; the cursor surfaces the error at
-        // decode time instead of panicking, ending the stream early.
-        assert!(TiledTrace::open_unverified(&path).is_ok());
-        let mut sync = TiledCursor::new(Arc::new(TileFile::open(&path).unwrap()), 0..500);
-        let mut buf = Vec::new();
-        let mut seen = 0u64;
-        while sync.fill(&mut buf, 100) > 0 {
-            seen += buf.len() as u64;
-        }
-        assert_eq!(seen, 128, "tiles 0..2 stream, tile 2 stops the cursor");
-        assert!(matches!(
-            sync.take_error(),
-            Some(TileError::ChecksumMismatch { tile: 2, .. })
-        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -194,23 +194,6 @@ fn poisoned_proxy_forces_full_re_measure_and_still_matches() {
         .expect("speculative runs carry extras");
     assert_eq!(extras.hits(), 0, "a poisoned proxy must never commit");
     assert_eq!(sequential.report, poisoned.report);
-
-    // Checkpoint preparation shares the warm chain and the same
-    // guarantee: speculative preparation produces the same snapshots,
-    // cost and downstream evaluation report.
-    let runner = CheckpointWarmingRunner::new(machine);
-    let seq_set = runner.prepare(&w, &plan);
-    for proxy in [ProxyStateSource::StatModel, ProxyStateSource::Poisoned] {
-        for workers in [2, 8] {
-            let (spec_set, _extras) = runner.prepare_speculative(&w, &plan, proxy, workers);
-            assert_eq!(
-                seq_set.preparation_seconds,
-                spec_set.preparation_seconds,
-                "{}: preparation cost diverged at {workers} workers",
-                proxy.name()
-            );
-        }
-    }
 }
 
 #[test]

@@ -114,9 +114,8 @@ fn drain_mixed(
     out
 }
 
-/// `fill_lines` on tiled sources: `TiledCursor`'s own override, on
-/// verified and lazily checked files, yields the source's lines while
-/// mixing `fill` calls.
+/// `fill_lines` on tiled sources: `TiledCursor`'s own override yields
+/// the source's lines while mixing `fill` calls.
 #[test]
 fn tiled_cursors_fill_lines_match_fill() {
     // Small tiles so spans cross tile boundaries; ranges past the
@@ -128,16 +127,13 @@ fn tiled_cursors_fill_lines_match_fill() {
         std::process::id()
     ));
     delorean::trace::pack_workload_with(&w, 0..n, &path, 256).expect("pack");
-    let verified = TiledTrace::open(&path).unwrap();
-    let lazy = TiledTrace::open_unverified(&path).unwrap();
-    for (tag, t) in [("verified", &verified), ("lazy", &lazy)] {
-        for range in [5..5, 7..8, 250..262, n - 100..2 * n + 100, 0..n] {
-            let expect: Vec<_> = range.clone().map(|k| w.access_at(k % n).line()).collect();
-            for batch in [1, 7, 333] {
-                let ctx = format!("{tag} {range:?} batch {batch}");
-                let sync = drain_mixed(t.cursor(range.clone()), batch, &ctx);
-                assert_eq!(sync, expect, "{ctx}: TiledCursor");
-            }
+    let t = TiledTrace::open(&path).unwrap();
+    for range in [5..5, 7..8, 250..262, n - 100..2 * n + 100, 0..n] {
+        let expect: Vec<_> = range.clone().map(|k| w.access_at(k % n).line()).collect();
+        for batch in [1, 7, 333] {
+            let ctx = format!("{range:?} batch {batch}");
+            let sync = drain_mixed(t.cursor(range.clone()), batch, &ctx);
+            assert_eq!(sync, expect, "{ctx}: TiledCursor");
         }
     }
     std::fs::remove_file(&path).unwrap();
