@@ -8,8 +8,8 @@
 //! trace-pack verify PATH [--spec NAME --scale S --seed N]
 //! ```
 //!
-//! `pack` streams the workload's cursor through the tile writer (the
-//! `RecordedTrace::capture` equivalent, but bounded-memory and on disk).
+//! `pack` streams the workload's cursor through the tile writer
+//! (bounded-memory: one tile is buffered at a time).
 //! `info` prints the header without touching payloads. `verify` runs the
 //! full checksum pass; with `--spec` it additionally cross-checks every
 //! record against the regenerated synthetic workload — a round-trip

@@ -63,16 +63,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (headers first; notes omitted).
-    pub fn csv(&self) -> String {
-        let mut out = self.headers.join(",") + "\n";
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -110,13 +100,6 @@ mod tests {
         assert!(md.contains("| a | b |"));
         assert!(md.contains("| 1 | 2 |"));
         assert!(md.contains("> hello"));
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("t", &["x", "y"]);
-        t.push_row(["3".into(), "4".into()]);
-        assert_eq!(t.csv(), "x,y\n3,4\n");
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl HierarchyConfig {
     }
 
     /// Table 1 scaled, with an explicit paper-scale LLC size.
-    pub fn for_scale_with_llc(scale: Scale, llc_paper_bytes: u64) -> Self {
+    fn for_scale_with_llc(scale: Scale, llc_paper_bytes: u64) -> Self {
         HierarchyConfig {
             l1i: CacheConfig::new(scale.bytes(64 << 10), 2),
             l1d: CacheConfig::new(scale.bytes(64 << 10), 2),

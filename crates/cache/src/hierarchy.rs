@@ -24,7 +24,7 @@ use crate::config::MachineConfig;
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::prefetch::StridePrefetcher;
 use crate::stats::HierarchyStats;
-use delorean_trace::{LineAddr, MemAccess, Pc, Workload, CURSOR_BATCH, LINE_BYTES};
+use delorean_trace::{LineAddr, MemAccess, Pc, Workload, CURSOR_BATCH};
 use std::ops::Range;
 
 /// The level that served a data access.
@@ -203,10 +203,10 @@ impl Hierarchy {
         }
     }
 
-    /// Feed the prefetcher a (real or predicted) LLC miss and apply the
-    /// resulting fills. Public so that DeLorean's analyst can drive it from
-    /// *predicted* misses (§6.3.2).
-    pub fn train_prefetcher(&mut self, pc: Pc, line: LineAddr) {
+    /// Feed the prefetcher an LLC miss and apply the resulting fills.
+    /// (DeLorean's analyst trains its own `StridePrefetcher` on
+    /// *predicted* misses, §6.3.2.)
+    fn train_prefetcher(&mut self, pc: Pc, line: LineAddr) {
         let Some(pf) = self.prefetcher.as_mut() else {
             return;
         };
@@ -219,23 +219,6 @@ impl Hierarchy {
                 self.llc.fill(l);
             }
         }
-    }
-
-    /// Fetch the instruction at `pc` (modeled as touching the line that
-    /// contains the PC).
-    pub fn access_instr(&mut self, pc: Pc) {
-        let line = LineAddr(pc.0 / LINE_BYTES);
-        if !self.l1i.access(line).is_hit() {
-            self.stats.l1i_misses += 1;
-            self.llc.access(line);
-        }
-    }
-
-    /// Fill a line into L1-D and the LLC without counting an access
-    /// (state transplant during warming).
-    pub fn fill_data(&mut self, line: LineAddr) {
-        self.llc.fill(line);
-        self.l1d.fill(line);
     }
 
     /// The L1 data cache.
@@ -462,18 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn instruction_side_warms_quickly() {
-        let mut h = Hierarchy::new(&machine());
-        for _ in 0..3 {
-            for pc in 0..64u64 {
-                h.access_instr(Pc(0x1000 + pc * 4));
-            }
-        }
-        // 64 PCs × 4 B = 4 lines; only the first round misses.
-        assert_eq!(h.stats().l1i_misses, 4);
-    }
-
-    #[test]
     fn prefetcher_fills_ahead_of_streams() {
         let cfg = machine().with_prefetch(true);
         let mut h = Hierarchy::new(&cfg);
@@ -495,13 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_data_transplants_state() {
-        let mut h = Hierarchy::new(&machine());
-        h.fill_data(LineAddr(42));
-        assert_eq!(h.access_data(Pc(1), LineAddr(42), 0), MemLevel::L1);
-    }
-
-    #[test]
     fn drain_mshrs_completes_fills() {
         let mut h = Hierarchy::new(&machine());
         h.access_data(Pc(1), LineAddr(9), 0);
@@ -518,7 +482,6 @@ mod tests {
                 icount: i * 3,
                 pc: Pc(0x400 + (mix64(7, i) % 64) * 4),
                 addr: Addr((mix64(11, i) % 4096) * 64),
-                kind: delorean_trace::AccessKind::Load,
             })
             .collect();
         let mut per_access = Hierarchy::new(&machine());

@@ -107,16 +107,6 @@ impl MshrFile {
         self.recompute_next();
     }
 
-    /// Retire completed entries and return their lines in a fresh vector.
-    ///
-    /// Convenience wrapper over [`MshrFile::retire_into`] for cold paths
-    /// and tests; hot loops should hold a scratch buffer instead.
-    pub fn take_retired(&mut self, now: u64) -> Vec<LineAddr> {
-        let mut done = Vec::new();
-        self.retire_into(now, &mut done);
-        done
-    }
-
     /// Present a miss on `line` at access time `now`.
     pub fn on_miss(&mut self, line: LineAddr, now: u64) -> MshrOutcome {
         // `retire` is a no-op unless something actually completed, so the
@@ -259,21 +249,6 @@ mod tests {
         m.retire_into(13, &mut scratch);
         assert_eq!(scratch, vec![LineAddr(2)]);
         assert_eq!(m.outstanding(13), 0);
-    }
-
-    #[test]
-    fn take_retired_matches_retire_into() {
-        let mut a = MshrFile::new(4, 7);
-        let mut b = MshrFile::new(4, 7);
-        for (i, line) in [3u64, 9, 27, 81].into_iter().enumerate() {
-            a.on_miss(LineAddr(line), i as u64);
-            b.on_miss(LineAddr(line), i as u64);
-        }
-        let taken = a.take_retired(9);
-        let mut scratch = Vec::new();
-        b.retire_into(9, &mut scratch);
-        assert_eq!(taken, scratch);
-        assert_eq!(a.outstanding(9), b.outstanding(9));
     }
 
     #[test]

@@ -29,16 +29,6 @@ impl CacheStats {
         }
     }
 
-    /// Miss rate in `[0, 1]`; 0 for no accesses.
-    pub fn miss_rate(&self) -> f64 {
-        let t = self.accesses();
-        if t == 0 {
-            0.0
-        } else {
-            self.misses as f64 / t as f64
-        }
-    }
-
     /// Misses per kilo-instruction given an instruction count.
     pub fn mpki(&self, instructions: u64) -> f64 {
         if instructions == 0 {
@@ -90,17 +80,6 @@ impl HierarchyStats {
         }
     }
 
-    /// Fraction of data accesses that were L1 or MSHR (delayed) hits — the
-    /// quantity the paper reports as 96.7% on average for lukewarm caches.
-    pub fn l1_or_mshr_hit_rate(&self) -> f64 {
-        let t = self.data_accesses();
-        if t == 0 {
-            0.0
-        } else {
-            (self.l1d_hits + self.mshr_hits) as f64 / t as f64
-        }
-    }
-
     /// Accumulate another stats block.
     pub fn merge(&mut self, other: &HierarchyStats) {
         self.l1d_hits += other.l1d_hits;
@@ -126,7 +105,6 @@ mod tests {
         };
         assert_eq!(s.accesses(), 100);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.mpki(10_000) - 2.5).abs() < 1e-12);
     }
 
@@ -164,7 +142,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(h.data_accesses(), 100);
-        assert!((h.l1_or_mshr_hit_rate() - 0.95).abs() < 1e-12);
         assert!((h.llc_mpki(1000) - 2.0).abs() < 1e-12);
     }
 }

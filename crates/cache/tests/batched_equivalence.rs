@@ -13,7 +13,7 @@ use delorean_cache::{
     CacheConfig, Hierarchy, HierarchyConfig, MachineConfig, MshrFile, MshrOutcome,
     ReplacementPolicy,
 };
-use delorean_trace::{mix64, AccessKind, Addr, MemAccess, Pc};
+use delorean_trace::{mix64, Addr, MemAccess, Pc};
 
 /// A small machine with explicit MSHR shape and LLC policy: 4 KiB 2-way
 /// L1s over a 32 KiB 8-way LLC keeps set pressure (and therefore MSHR
@@ -36,10 +36,10 @@ fn machine(
     }
 }
 
-/// Deterministic access stream: `line_space` distinct lines, mixed
-/// loads/stores, PCs drawn from a small pool (so the prefetcher's per-PC
-/// stride detectors engage), with an occasional unit-stride burst to give
-/// the stride prefetcher something real to train on.
+/// Deterministic access stream: `line_space` distinct lines, PCs drawn
+/// from a small pool (so the prefetcher's per-PC stride detectors
+/// engage), with an occasional unit-stride burst to give the stride
+/// prefetcher something real to train on.
 fn stream(seed: u64, n: u64, line_space: u64) -> Vec<MemAccess> {
     (0..n)
         .map(|i| {
@@ -58,11 +58,6 @@ fn stream(seed: u64, n: u64, line_space: u64) -> Vec<MemAccess> {
                 icount: i * 3,
                 pc,
                 addr: Addr(line * 64),
-                kind: if r.is_multiple_of(3) {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                },
             }
         })
         .collect()

@@ -71,12 +71,6 @@ impl SimulationReport {
         mips(self.covered_instrs, self.cost.pipelined_wallclock())
     }
 
-    /// Effective simulation speed in MIPS under serial execution
-    /// (0 for a zero-cost run).
-    pub fn mips_serial(&self) -> f64 {
-        mips(self.covered_instrs, self.cost.serial_wallclock())
-    }
-
     /// Speed relative to a reference report (both pipelined).
     ///
     /// Degenerate zero-cost reports (empty plans) stay finite: two
@@ -138,7 +132,6 @@ mod tests {
     fn mips_is_covered_over_wallclock() {
         let a = report_with(1000.0, 1000, 2.0, 10_000_000);
         assert!((a.mips_pipelined() - 5.0).abs() < 1e-9);
-        assert!((a.mips_serial() - 5.0).abs() < 1e-9);
     }
 
     /// Empty plans and zero-instruction regions must yield well-defined
@@ -149,7 +142,6 @@ mod tests {
         assert_eq!(empty.cpi(), 0.0);
         assert_eq!(empty.llc_mpki(), 0.0);
         assert_eq!(empty.mips_pipelined(), 0.0);
-        assert_eq!(empty.mips_serial(), 0.0);
         assert_eq!(empty.cpi_error_vs(&empty), 0.0);
         assert_eq!(empty.speedup_vs(&empty), 1.0);
 

@@ -388,7 +388,7 @@ impl Message {
 }
 
 /// Write one raw frame.
-pub fn write_frame(w: &mut dyn Write, kind: u32, payload: &[u8]) -> Result<(), WireError> {
+fn write_frame(w: &mut dyn Write, kind: u32, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversize {
             len: payload.len() as u32,
@@ -400,39 +400,47 @@ pub fn write_frame(w: &mut dyn Write, kind: u32, payload: &[u8]) -> Result<(), W
     Ok(())
 }
 
+/// Read into `buf` until it is full or the reader reports EOF, and
+/// return the byte count read. `Interrupted` is retried, as
+/// [`Read::read_exact`] does: it reports no failure of the transport.
+fn read_full(r: &mut dyn Read, buf: &mut [u8]) -> Result<usize, WireError> {
+    let mut at = 0usize;
+    while at < buf.len() {
+        match r.read(&mut buf[at..]) {
+            Ok(0) => break,
+            Ok(n) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(at)
+}
+
 /// Read one raw frame. `Ok(None)` is a clean EOF at a frame boundary;
 /// an EOF *inside* a frame is [`WireError::Truncated`].
-pub fn read_frame(r: &mut dyn Read) -> Result<Option<(u32, Vec<u8>)>, WireError> {
+fn read_frame(r: &mut dyn Read) -> Result<Option<(u32, Vec<u8>)>, WireError> {
     let mut head = [0u8; FRAME_HEADER_BYTES];
-    let mut at = 0usize;
-    while at < FRAME_HEADER_BYTES {
-        let n = r.read(&mut head[at..])?;
-        if n == 0 {
-            if at == 0 {
-                return Ok(None);
-            }
+    match read_full(r, &mut head)? {
+        0 => return Ok(None),
+        FRAME_HEADER_BYTES => {}
+        got => {
             return Err(WireError::Truncated {
                 needed: FRAME_HEADER_BYTES,
-                got: at,
-            });
+                got,
+            })
         }
-        at += n;
     }
     let (len, kind, stored) = parse_entry_header(&head);
     if len as usize > MAX_FRAME_BYTES {
         return Err(WireError::Oversize { len });
     }
     let mut payload = vec![0u8; len as usize];
-    let mut at = 0usize;
-    while at < payload.len() {
-        let n = r.read(&mut payload[at..])?;
-        if n == 0 {
-            return Err(WireError::Truncated {
-                needed: payload.len(),
-                got: at,
-            });
-        }
-        at += n;
+    let got = read_full(r, &mut payload)?;
+    if got < payload.len() {
+        return Err(WireError::Truncated {
+            needed: payload.len(),
+            got,
+        });
     }
     let computed = tile_checksum(&payload);
     if computed != stored {

@@ -27,10 +27,8 @@ use crate::wire::{self, Message, WireError, WireFault, WIRE_VERSION};
 use crate::SweepSpec;
 use delorean_bench::journal::{encode_cell, encode_units};
 use delorean_sampling::{RegionPlan, SamplingStrategy};
-use delorean_trace::fault::{
-    self, FaultPlan, FaultPolicy, FaultSite, InjectedFault, InjectedPanic, InjectedTimeout,
-};
-use delorean_trace::{PhasedWorkload, TileError};
+use delorean_trace::fault::{self, FaultPlan, FaultPolicy, FaultSite};
+use delorean_trace::PhasedWorkload;
 use std::io::{Read, Write};
 
 /// How a [`worker_loop`] behaves.
@@ -198,10 +196,15 @@ fn execute(
     let injected = opts
         .fault
         .and_then(|plan| plan.fault_for(FaultSite::UnitEntry, u64::from(cell), attempt));
+    let raise_injected = || {
+        if let Some(f) = injected {
+            fault::raise(f, cell, &format!("shard cell {cell} attempt {attempt}"));
+        }
+    };
     match span {
         None => {
             let outcome = fault::run_unit_guarded(cell, &one_shot, || {
-                raise(injected, cell, attempt);
+                raise_injected();
                 match opts.region_workers {
                     Some(n) => strategy.run_with_workers(workload, &ctx.plan, n),
                     None => strategy.run(workload, &ctx.plan),
@@ -225,7 +228,7 @@ fn execute(
         }
         Some((lo, hi)) => {
             let outcome = fault::run_unit_guarded(cell, &one_shot, || {
-                raise(injected, cell, attempt);
+                raise_injected();
                 strategy.run_unit_span(workload, &ctx.plan, lo..hi)
             });
             match outcome {
@@ -254,27 +257,5 @@ fn execute(
                 },
             }
         }
-    }
-}
-
-/// Raise a purely-resolved injected fault exactly the way the global
-/// harness's [`fault::hit`] would, so the classifier sees identical
-/// payloads whichever process the fault fires in.
-fn raise(injected: Option<InjectedFault>, cell: u32, attempt: u32) {
-    match injected {
-        None => {}
-        Some(InjectedFault::Delay { spins }) => {
-            for _ in 0..spins {
-                std::thread::yield_now();
-            }
-        }
-        Some(InjectedFault::Panic) => std::panic::panic_any(InjectedPanic(format!(
-            "injected panic at shard cell {cell} attempt {attempt}"
-        ))),
-        Some(InjectedFault::TraceError) => std::panic::panic_any(TileError::TileCorrupt {
-            tile: cell,
-            detail: format!("injected trace error at shard cell {cell} attempt {attempt}"),
-        }),
-        Some(InjectedFault::Timeout) => std::panic::panic_any(InjectedTimeout),
     }
 }

@@ -9,7 +9,7 @@ use delorean_shard::wire::{self, Message, WireError, WireFault, FRAME_HEADER_BYT
 use delorean_shard::{Broker, BrokerConfig, ShardRun, SweepSpec};
 use delorean_trace::fault::UnitFault;
 use delorean_trace::{Scale, TileError};
-use std::io::Write;
+use std::io::{self, Read, Write};
 
 fn sample_messages() -> Vec<Message> {
     vec![
@@ -132,6 +132,44 @@ fn back_to_back_frames_stream_cleanly() {
         wire::send(&mut bytes, msg).expect("send");
     }
     let mut read = bytes.as_slice();
+    for msg in &messages {
+        assert_eq!(wire::recv(&mut read).expect("recv").as_ref(), Some(msg));
+    }
+    assert!(wire::recv(&mut read).expect("clean EOF").is_none());
+}
+
+/// A transport whose every successful `read` (EOF included) follows one
+/// that fails with `Interrupted`, and which delivers at most 3 bytes a
+/// read, so both the header and the payload loop meet interruptions.
+struct Interrupting<'a> {
+    bytes: &'a [u8],
+    interrupt: bool,
+}
+
+impl Read for Interrupting<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.interrupt = !self.interrupt;
+        if self.interrupt {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let n = buf.len().min(3).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn interrupted_reads_are_retried() {
+    let messages = sample_messages();
+    let mut bytes = Vec::new();
+    for msg in &messages {
+        wire::send(&mut bytes, msg).expect("send");
+    }
+    let mut read = Interrupting {
+        bytes: &bytes,
+        interrupt: false,
+    };
     for msg in &messages {
         assert_eq!(wire::recv(&mut read).expect("recv").as_ref(), Some(msg));
     }

@@ -121,14 +121,6 @@ impl LimitedAssocModel {
             None => sets * ways,
         }
     }
-
-    /// Number of PCs with a detected dominant stride.
-    pub fn strided_pcs(&self) -> usize {
-        self.per_pc
-            .values()
-            .filter(|d| d.dominant_stride().is_some())
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -213,6 +205,5 @@ mod tests {
         assert_eq!(m.effective_lines(Pc(0x1), 128, 8), 128);
         assert_eq!(m.effective_lines(Pc(0x2), 128, 8), 1024);
         assert_eq!(m.effective_lines(Pc(0x999), 128, 8), 1024);
-        assert_eq!(m.strided_pcs(), 1);
     }
 }

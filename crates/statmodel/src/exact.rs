@@ -59,11 +59,6 @@ impl ExactStackProcessor {
         self.now == 0
     }
 
-    /// Number of distinct lines seen so far.
-    pub fn unique_lines(&self) -> usize {
-        self.last.len()
-    }
-
     fn tree_add(&mut self, mut i: usize, v: i64) {
         while i < self.tree.len() {
             self.tree[i] += v;
@@ -201,7 +196,6 @@ mod tests {
         for i in 0..n {
             assert_eq!(p.access(LineAddr(i)), Some(n - 1));
         }
-        assert_eq!(p.unique_lines(), n as usize);
         assert_eq!(p.len(), 2 * n as usize);
     }
 

@@ -6,8 +6,7 @@
 //! working set size of the application."
 //!
 //! [`find_knees`] locates those fall-off points in a (cache size,
-//! miss-metric) series, and [`WorkingSetCurve`] bundles the series with
-//! its analysis.
+//! miss-metric) series.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,41 +58,6 @@ pub fn find_knees(
     knees
 }
 
-/// A working-set curve: cache-size sweep with miss metrics and knee
-/// analysis.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct WorkingSetCurve {
-    /// Cache sizes in sweep order.
-    pub sizes: Vec<u64>,
-    /// Miss metric (MPKI or miss ratio) per size.
-    pub misses: Vec<f64>,
-}
-
-impl WorkingSetCurve {
-    /// A curve from parallel series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn new(sizes: Vec<u64>, misses: Vec<f64>) -> Self {
-        assert_eq!(sizes.len(), misses.len(), "series length mismatch");
-        WorkingSetCurve { sizes, misses }
-    }
-
-    /// Knees at the default sensitivity (25% drop, 1% of the curve
-    /// maximum as the noise floor).
-    pub fn knees(&self) -> Vec<Knee> {
-        let floor = 0.01 * self.misses.iter().copied().fold(0.0f64, f64::max);
-        find_knees(&self.sizes, &self.misses, 0.25, floor)
-    }
-
-    /// The working-set size suggested by the *last* knee (the size at
-    /// which the application's footprint finally fits), if any.
-    pub fn working_set_size(&self) -> Option<u64> {
-        self.knees().last().map(|k| k.size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,8 +72,6 @@ mod tests {
         assert_eq!(knees.len(), 2, "{knees:?}");
         assert_eq!(knees[0].size, 16);
         assert_eq!(knees[1].size, 512);
-        let curve = WorkingSetCurve::new(sizes, misses);
-        assert_eq!(curve.working_set_size(), Some(512));
     }
 
     #[test]
@@ -117,9 +79,7 @@ mod tests {
         // cactusADM-like: each step drops < 25%.
         let sizes: Vec<u64> = (0..10).map(|i| 1 << i).collect();
         let misses: Vec<f64> = (0..10).map(|i| 8.0 * 0.85f64.powi(i)).collect();
-        let curve = WorkingSetCurve::new(sizes, misses);
-        assert!(curve.knees().is_empty());
-        assert_eq!(curve.working_set_size(), None);
+        assert!(find_knees(&sizes, &misses, 0.25, 0.0).is_empty());
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl BranchModel {
         self
     }
 
-    /// Set the branch density (one branch per `period` instructions).
-    pub fn with_period(mut self, period: u64) -> Self {
-        self.period = period.max(2);
-        self
-    }
-
     /// The branch retiring at instruction `instr`, if any.
     ///
     /// Branches sit at instructions where `instr % period == period - 1`, so
@@ -98,12 +92,6 @@ impl BranchModel {
         let taken = rng.chance_permille(b ^ 0xd00d, p_taken);
         BranchEvent { pc, taken }
     }
-
-    /// Number of dynamic branches among `instrs` instructions.
-    #[inline]
-    pub fn branches_in_instrs(&self, instrs: u64) -> u64 {
-        instrs / self.period
-    }
 }
 
 #[cfg(test)]
@@ -112,12 +100,11 @@ mod tests {
 
     #[test]
     fn branch_positions_follow_period() {
-        let m = BranchModel::new(1).with_period(5);
+        let m = BranchModel::new(1);
         assert!(m.branch_at(0).is_none());
         assert!(m.branch_at(4).is_some());
         assert!(m.branch_at(5).is_none());
         assert!(m.branch_at(9).is_some());
-        assert_eq!(m.branches_in_instrs(50), 10);
     }
 
     #[test]
@@ -160,11 +147,5 @@ mod tests {
             skewed as f64 / total as f64 > 0.9,
             "only {skewed}/{total} PCs skewed"
         );
-    }
-
-    #[test]
-    fn period_is_clamped() {
-        let m = BranchModel::new(0).with_period(0);
-        assert_eq!(m.period, 2);
     }
 }

@@ -22,7 +22,7 @@
 //! position:
 //!
 //! * [`fill`](AccessCursor::fill) produces full [`MemAccess`] records:
-//!   index, instruction count, PC, address and load/store kind.
+//!   index, instruction count, PC and address.
 //! * [`fill_lines`](AccessCursor::fill_lines) produces only the
 //!   [`LineAddr`] of each access; the index is implied by position
 //!   (the `i`-th line of a batch starting at `position()` belongs to
@@ -32,12 +32,11 @@
 //! The line-only form exists because most of the time-traveling scans
 //! ask each access only which cacheline it touches, and building the
 //! rest of the record is much of the cost of generating it: a
-//! [`PhasedCursor`](crate::PhasedCursor) skips two hashes per access
-//! (PC and kind), a [`TiledCursor`](crate::TiledCursor) reads one 8-byte
-//! word of each 17-byte record, and a
-//! [`RecordedCursor`](crate::RecordedCursor) maps its slice. Other
-//! cursors inherit a default that derives the lines from `fill`. A
-//! caller may mix the two calls on one cursor freely.
+//! [`PhasedCursor`](crate::PhasedCursor) skips the PC hash of each
+//! access and a [`TiledCursor`](crate::TiledCursor) reads one 8-byte
+//! word of each 16-byte record. Other cursors inherit a default that
+//! derives the lines from `fill`. A caller may mix the two calls on one
+//! cursor freely.
 //!
 //! Which scan uses which:
 //!
@@ -60,9 +59,10 @@
 //! [`Workload::cursor`](crate::Workload::cursor) whenever sequential
 //! generation can share work between neighbouring indices — see
 //! [`PhasedWorkload`](crate::PhasedWorkload) (incremental phase/slot/
-//! pattern state) and [`RecordedTrace`](crate::RecordedTrace) (direct
-//! slice replay) for the two in-tree examples — and override
-//! `fill_lines` too when the line costs less than the full record.
+//! pattern state) and [`TiledTrace`](crate::TiledTrace) (spans decoded
+//! straight out of a memory-mapped tile file) for the two in-tree
+//! examples — and override `fill_lines` too when the line costs less
+//! than the full record.
 
 use crate::types::{LineAddr, MemAccess};
 use crate::Workload;

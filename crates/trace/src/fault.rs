@@ -225,7 +225,7 @@ impl FaultPlan {
     }
 
     /// Whether `site` is armed in this plan.
-    pub fn is_armed(&self, site: FaultSite) -> bool {
+    fn is_armed(&self, site: FaultSite) -> bool {
         self.armed_sites & site.bit() != 0
     }
 
@@ -369,26 +369,39 @@ pub fn injected_failure(site: FaultSite, unit: u64) -> Option<InjectedFault> {
 }
 
 /// A panicking injection point. When the armed plan selects this
-/// `(site, unit)` occurrence the fault executes here: panics unwind
-/// (with typed payloads the classifier understands), delays stall a
-/// deterministic number of yields and return. Disarmed cost: one
-/// relaxed atomic load.
+/// `(site, unit)` occurrence the fault executes here, through
+/// [`raise`]. Disarmed cost: one relaxed atomic load.
 pub fn hit(site: FaultSite, unit: u64) {
-    let Some(fault) = consult(site, unit) else {
-        return;
-    };
+    if let Some(fault) = consult(site, unit) {
+        raise(
+            fault,
+            crate::cast::u32_exact(unit & 0xffff_ffff),
+            &format!("{site:?} unit {unit}"),
+        );
+    }
+}
+
+/// Execute a resolved injected fault: panics unwind with the typed
+/// payloads the classifier understands (a trace error as
+/// [`TileError::TileCorrupt`] of `tile`), delays stall a deterministic
+/// number of yields and return. `context` names the injection point in
+/// the panic messages, which end up in quarantine reports. The global
+/// harness ([`hit`]) and the shard worker both raise through here, so
+/// the classifier sees identical payloads whichever process a fault
+/// fires in.
+pub fn raise(fault: InjectedFault, tile: u32, context: &str) {
     match fault {
         InjectedFault::Delay { spins } => {
             for _ in 0..spins {
                 std::thread::yield_now();
             }
         }
-        InjectedFault::Panic => std::panic::panic_any(InjectedPanic(format!(
-            "injected panic at {site:?} unit {unit}"
-        ))),
+        InjectedFault::Panic => {
+            std::panic::panic_any(InjectedPanic(format!("injected panic at {context}")))
+        }
         InjectedFault::TraceError => std::panic::panic_any(TileError::TileCorrupt {
-            tile: crate::cast::u32_exact(unit & 0xffff_ffff),
-            detail: format!("injected trace error at {site:?} unit {unit}"),
+            tile,
+            detail: format!("injected trace error at {context}"),
         }),
         InjectedFault::Timeout => std::panic::panic_any(InjectedTimeout),
     }

@@ -12,7 +12,7 @@ use std::ops::Range;
 /// works with both concrete workloads and `dyn Workload`. Backed by the
 /// workload's streaming [`AccessCursor`], refilled in batches of
 /// [`CURSOR_BATCH`], so iteration over a `PhasedWorkload` or
-/// `RecordedTrace` runs on the streaming fast path rather than
+/// `TiledTrace` runs on the streaming fast path rather than
 /// regenerating every access through `access_at`.
 pub struct AccessIter<'w, W: Workload + ?Sized> {
     workload: &'w W,

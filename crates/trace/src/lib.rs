@@ -38,8 +38,10 @@
 //! * **Tiled ingest** — [`TiledTrace`] over an on-disk [`tile`] file:
 //!   a memory-mapped binary trace whose fixed-size tiles decode
 //!   straight into [`MemAccess`] batches, so warm-loop `fill` calls
-//!   become plain `memcpy`s. This is the production ingest path;
-//!   see the [`tile`] module docs for the format.
+//!   become plain `memcpy`s. This is the production ingest path and
+//!   the only materialized trace: captured accesses are written with
+//!   [`TileFileWriter::push`] or [`pack_workload`]. See the [`tile`]
+//!   module docs for the format.
 //!
 //! Both paths are pinned byte-identical by property tests; custom
 //! [`Workload`] implementors get a correct (indexed) cursor for free and
@@ -77,7 +79,6 @@ mod iter;
 pub mod journal;
 mod pattern;
 mod phased;
-mod recorded;
 mod rng;
 mod scale;
 mod spec;
@@ -96,7 +97,6 @@ pub use iter::AccessIter;
 pub use journal::{JournalEntry, JournalError, JournalReader, JournalWriter};
 pub use pattern::{Pattern, PatternCursor};
 pub use phased::{PhaseSpec, PhasedCursor, PhasedWorkload, PhasedWorkloadBuilder, StreamSpec};
-pub use recorded::{RecordedAccess, RecordedCursor, RecordedTrace, RecordedTraceBuilder};
 pub use rng::{mix64, CounterRng};
 pub use scale::Scale;
 pub use spec::{spec2006, spec_workload, SPEC2006_NAMES};
@@ -104,7 +104,7 @@ pub use tile::{
     pack_workload, pack_workload_with, PackSummary, TileError, TileFile, TileFileWriter,
     TiledCursor, TiledTrace,
 };
-pub use types::{AccessKind, Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
+pub use types::{Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
 
 use std::fmt;
 use std::ops::Range;
@@ -159,7 +159,7 @@ pub trait Workload: Send + Sync {
     /// Implementations should override this whenever neighbouring
     /// indices share derivable state — hoisted phase lookups,
     /// incrementally advanced pattern positions — as
-    /// [`PhasedWorkload`] and [`RecordedTrace`] do.
+    /// [`PhasedWorkload`] and [`TiledTrace`] do.
     ///
     /// The contract is strict: the cursor must yield **byte-identical**
     /// [`MemAccess`] records to `access_at(k)` for every `k` in `range`
@@ -242,8 +242,8 @@ pub trait WorkloadExt: Workload {
     ///
     /// let w = spec_workload("bwaves", Scale::tiny(), 1).unwrap();
     /// let mut n = 0u64;
-    /// w.for_each_access(0..100, |a| n += u64::from(a.is_store()));
-    /// assert!(n <= 100);
+    /// w.for_each_access(0..100, |a| n += a.index);
+    /// assert_eq!(n, (0..100).sum());
     /// ```
     fn for_each_access<F: FnMut(&MemAccess)>(&self, range: Range<u64>, mut f: F) {
         let mut cursor = self.cursor(range);
@@ -259,7 +259,7 @@ pub trait WorkloadExt: Workload {
     /// in order, through [`AccessCursor::fill_lines`] in batches of
     /// [`CURSOR_BATCH`].
     ///
-    /// The form for scans that never read a PC or load/store kind
+    /// The form for scans that never read a PC
     /// (Explorer windows, the Scout's lukewarm replica, reuse-latency
     /// profiles): cursors that can skip generating the rest of the
     /// record do.

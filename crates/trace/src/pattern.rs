@@ -110,14 +110,6 @@ impl Pattern {
         }
     }
 
-    /// Number of *distinct* lines the pattern can touch (its working set).
-    pub fn working_set_lines(&self) -> u64 {
-        match *self {
-            Pattern::StridedScan { lines, .. } => lines,
-            _ => self.footprint_lines(),
-        }
-    }
-
     /// Line offset (within the footprint) of stream-local access `j`.
     ///
     /// Pure in `(self, seed, j)`. Forced inline for the same reason as
@@ -470,7 +462,6 @@ mod tests {
         let seq: Vec<u64> = (0..5).map(|j| p.line_at(0, j)).collect();
         assert_eq!(seq, vec![0, 8, 16, 24, 0]);
         assert_eq!(p.footprint_lines(), 32);
-        assert_eq!(p.working_set_lines(), 4);
     }
 
     #[test]

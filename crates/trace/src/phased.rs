@@ -1,7 +1,7 @@
 //! Composition of pattern primitives into whole workloads.
 //!
 //! A [`PhasedWorkload`] interleaves several [`StreamSpec`]s (each a
-//! [`Pattern`] with a weight, PC pool and store fraction) according to a
+//! [`Pattern`] with a weight and a PC pool) according to a
 //! deterministic proportional schedule, optionally switching stream sets
 //! between *phases*. Everything remains position addressable: the stream,
 //! stream-local index, PC and address of global access `k` are all `O(1)`
@@ -17,7 +17,7 @@ use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
 use crate::pattern::{Pattern, PatternCursor};
 use crate::rng::{mix64, CounterRng};
-use crate::types::{AccessKind, Addr, LineAddr, MemAccess, Pc, LINE_BYTES, PAGE_BYTES};
+use crate::types::{Addr, LineAddr, MemAccess, Pc, LINE_BYTES, PAGE_BYTES};
 use crate::Workload;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -32,30 +32,21 @@ pub struct StreamSpec {
     pub weight: u32,
     /// Number of static PCs issuing this stream's accesses.
     pub pcs: u32,
-    /// Store fraction in per mille.
-    pub write_permille: u32,
 }
 
 impl StreamSpec {
-    /// A stream with the given pattern and weight, 4 PCs, 30% stores.
+    /// A stream with the given pattern and weight, and 4 PCs.
     pub fn new(pattern: Pattern, weight: u32) -> Self {
         StreamSpec {
             pattern,
             weight,
             pcs: 4,
-            write_permille: 300,
         }
     }
 
     /// Override the PC pool size.
     pub fn with_pcs(mut self, pcs: u32) -> Self {
         self.pcs = pcs;
-        self
-    }
-
-    /// Override the store fraction (per mille).
-    pub fn with_write_permille(mut self, permille: u32) -> Self {
-        self.write_permille = permille;
         self
     }
 }
@@ -166,11 +157,6 @@ impl PhasedWorkloadBuilder {
                 if s.pcs == 0 {
                     return Err(format!("phase {pi} stream {si}: pcs must be > 0"));
                 }
-                if s.write_permille > 1000 {
-                    return Err(format!(
-                        "phase {pi} stream {si}: write_permille must be ≤ 1000"
-                    ));
-                }
                 weight_sum += s.weight as u64;
             }
             if phase.len_accesses == 0 {
@@ -192,7 +178,6 @@ impl PhasedWorkloadBuilder {
                     base_line,
                     pc_base: 0x0010_0000 + ((pi as u64) << 16) + ((si as u64) << 10),
                     pcs: s.pcs,
-                    write_permille: s.write_permille,
                     weight: s.weight as u64,
                     seed: rng.derive(((pi as u64) << 32) | si as u64).at(0),
                 });
@@ -260,14 +245,13 @@ struct CompiledStream {
     base_line: u64,
     pc_base: u64,
     pcs: u32,
-    write_permille: u32,
     weight: u64,
     seed: u64,
 }
 
 impl CompiledStream {
     /// The full record of stream-local access `j`, at global index `k`,
-    /// touching cacheline `line`: PC and kind are hashed from `j`.
+    /// touching cacheline `line`: the PC is hashed from `j`.
     #[inline(always)]
     fn access(&self, j: u64, k: u64, line: u64, mem_period: u64) -> MemAccess {
         let pc_idx = if self.pcs == 1 {
@@ -275,17 +259,11 @@ impl CompiledStream {
         } else {
             mix64(self.seed ^ 0x9c, j) % self.pcs as u64
         };
-        let kind = if mix64(self.seed ^ 0x3f, j) % 1000 < self.write_permille as u64 {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
         MemAccess {
             index: k,
             icount: k * mem_period,
             pc: Pc(self.pc_base + pc_idx * 4),
             addr: Addr(line * LINE_BYTES),
-            kind,
         }
     }
 }
@@ -479,8 +457,8 @@ impl PhasedCursor<'_> {
     /// and advances slot and pattern state, then pushes `emit(stream,
     /// j, k, line)` per access (`j` stream-local, `k` global, `line` the
     /// cacheline). Inlined into each caller, so an `emit` that
-    /// ignores the stream and `j` compiles to a loop without the PC and
-    /// kind hashes.
+    /// ignores the stream and `j` compiles to a loop without the PC
+    /// hash.
     #[inline(always)]
     fn generate<T>(
         &mut self,
@@ -534,7 +512,7 @@ impl AccessCursor for PhasedCursor<'_> {
         self.generate(out, max, |s, j, k, line| s.access(j, k, line, p))
     }
 
-    /// Advances only slot and pattern state: no PC or kind hashes.
+    /// Advances only slot and pattern state: no PC hash.
     fn fill_lines(&mut self, out: &mut Vec<LineAddr>, max: usize) -> usize {
         self.generate(out, max, |_, _, _, line| LineAddr(line))
     }
@@ -703,14 +681,6 @@ mod tests {
             )
             .build()
             .is_err());
-        assert!(PhasedWorkloadBuilder::new("t", 0)
-            .phase(
-                10,
-                vec![StreamSpec::new(Pattern::RandomUniform { lines: 16 }, 1)
-                    .with_write_permille(1001)]
-            )
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -798,19 +768,5 @@ mod tests {
             }
             assert_eq!(k, range.end);
         }
-    }
-
-    #[test]
-    fn store_fraction_matches_spec() {
-        let w = PhasedWorkloadBuilder::new("t", 7)
-            .phase(
-                1_000,
-                vec![StreamSpec::new(Pattern::RandomUniform { lines: 64 }, 1)
-                    .with_write_permille(250)],
-            )
-            .build()
-            .unwrap();
-        let stores = w.iter_range(0..100_000).filter(|a| a.is_store()).count();
-        assert!((23_000..27_000).contains(&stores), "stores = {stores}");
     }
 }

@@ -101,24 +101,21 @@ impl S {
                 },
                 w,
             )
-            .with_pcs(4)
-            .with_write_permille(350),
+            .with_pcs(4),
             S::Rand { bytes, w, pcs } => StreamSpec::new(
                 Pattern::RandomUniform {
                     lines: scale.lines(bytes),
                 },
                 w,
             )
-            .with_pcs(pcs)
-            .with_write_permille(200),
+            .with_pcs(pcs),
             S::Walk { bytes, w } => StreamSpec::new(
                 Pattern::PermutationWalk {
                     lines: scale.lines(bytes),
                 },
                 w,
             )
-            .with_pcs(2)
-            .with_write_permille(150),
+            .with_pcs(2),
             S::Seq { bytes, w } => StreamSpec::new(
                 Pattern::Stream {
                     lines: scale.lines(bytes),
@@ -126,8 +123,7 @@ impl S {
                 },
                 w,
             )
-            .with_pcs(2)
-            .with_write_permille(150),
+            .with_pcs(2),
             S::Conflict {
                 stride_bytes,
                 span_bytes,
@@ -143,7 +139,6 @@ impl S {
                     w,
                 )
                 .with_pcs(1)
-                .with_write_permille(100)
             }
             S::Paged {
                 bytes,
@@ -159,7 +154,6 @@ impl S {
                     w,
                 )
                 .with_pcs(6)
-                .with_write_permille(200)
             }
         }
     }

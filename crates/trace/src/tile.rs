@@ -1,19 +1,20 @@
 //! On-disk trace tiles: the production trace-ingest path.
 //!
-//! The synthetic suite generates accesses with per-access pattern math;
-//! [`RecordedTrace`](crate::RecordedTrace) materializes them in memory.
-//! This module adds the third source: a compact binary **tile file** on
+//! The synthetic suite generates accesses with per-access pattern math.
+//! This module materializes them: a compact binary **tile file** on
 //! disk, memory-mapped on open, whose decoded tiles feed the warm loops
-//! with plain `memcpy`s — access *generation* stops being a cost at all,
-//! which is exactly the remaining term in the PR 4 warm-loop shortfall.
+//! with plain `memcpy`s, so access *generation* stops being a cost at
+//! all. It is the only materialized trace format: a packed synthetic
+//! workload ([`pack_workload`]) and a captured trace pushed record by
+//! record ([`TileFileWriter::push`]) are both tile files.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! ```text
 //! file   := file-header tile*
 //! file-header (128 B, little-endian):
 //!     magic       [u8;8] = "DLRNTILE"
-//!     version     u32    = 1
+//!     version     u32    = 2
 //!     tile_records u32          records per full tile
 //!     mem_period  u64
 //!     record_count u64          total records in the file
@@ -29,8 +30,8 @@
 //!     start_instr u64           icount of the first record
 //!     end_instr   u64           icount one past the last record
 //!     checksum    u64           over the payload bytes
-//! payload := record*            records × 17 B
-//! record := pc u64, addr u64, kind u8 (0 = load, 1 = store)
+//! payload := record*            records × 16 B
+//! record := pc u64, addr u64
 //! ```
 //!
 //! Record `index`/`icount` are *implied by position* (`icount = index ×
@@ -75,7 +76,7 @@
 use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
 use crate::rng::mix64;
-use crate::types::{AccessKind, Addr, LineAddr, MemAccess, Pc};
+use crate::types::{Addr, LineAddr, MemAccess, Pc};
 use crate::Workload;
 use memmap2::Mmap;
 use std::fmt;
@@ -90,14 +91,14 @@ pub const FILE_MAGIC: [u8; 8] = *b"DLRNTILE";
 /// Per-tile magic ("TILE", little-endian).
 pub const TILE_MAGIC: u32 = u32::from_le_bytes(*b"TILE");
 /// Format version this module reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed file-header size in bytes.
 pub const FILE_HEADER_BYTES: usize = 128;
 /// Fixed tile-header size in bytes.
 pub const TILE_HEADER_BYTES: usize = 40;
-/// Packed record width: pc (8) + addr (8) + kind (1).
-pub const RECORD_BYTES: usize = 17;
-/// Default records per tile (~68 KiB of payload: big enough to amortize
+/// Packed record width: pc (8) + addr (8).
+pub const RECORD_BYTES: usize = 16;
+/// Default records per tile (64 KiB of payload: big enough to amortize
 /// the header + checksum, small enough that a decoded tile stays
 /// cache-friendly).
 pub const DEFAULT_TILE_RECORDS: u32 = 4096;
@@ -379,25 +380,14 @@ impl TileFileWriter {
     /// # Errors
     ///
     /// [`TileError::Io`] if flushing a completed tile fails.
-    pub fn push(&mut self, pc: Pc, addr: Addr, kind: AccessKind) -> Result<(), TileError> {
+    pub fn push(&mut self, pc: Pc, addr: Addr) -> Result<(), TileError> {
         self.payload.extend_from_slice(&pc.0.to_le_bytes());
         self.payload.extend_from_slice(&addr.0.to_le_bytes());
-        self.payload.push(kind as u8);
         self.total += 1;
         if self.payload.len() >= self.tile_records as usize * RECORD_BYTES {
             self.flush_tile()?;
         }
         Ok(())
-    }
-
-    /// Append one access (its `index`/`icount` are implied by position
-    /// and not stored).
-    ///
-    /// # Errors
-    ///
-    /// As [`push`](Self::push).
-    pub fn push_access(&mut self, a: &MemAccess) -> Result<(), TileError> {
-        self.push(a.pc, a.addr, a.kind)
     }
 
     fn flush_tile(&mut self) -> Result<(), TileError> {
@@ -463,10 +453,10 @@ impl TileFileWriter {
 /// Pack the accesses of `workload` with indices in `range` into a tile
 /// file at `path` (default tile size).
 ///
-/// The packed trace is re-based to start at index 0, exactly like
-/// [`RecordedTrace::capture`](crate::RecordedTrace::capture): record `i`
-/// of the file is access `range.start + i` of the source. Generation
-/// streams through the workload's own [`cursor`](Workload::cursor).
+/// The packed trace is re-based to start at index 0: record `i` of the
+/// file is access `range.start + i` of the source, whose `index` and
+/// `icount` are implied by position and not stored. Generation streams
+/// through the workload's own [`cursor`](Workload::cursor).
 ///
 /// # Errors
 ///
@@ -502,7 +492,7 @@ pub fn pack_workload_with(
     let mut buf = Vec::with_capacity(crate::cursor::CURSOR_BATCH);
     while cursor.fill(&mut buf, crate::cursor::CURSOR_BATCH) > 0 {
         for a in &buf {
-            w.push_access(a)?;
+            w.push(a.pc, a.addr)?;
         }
     }
     w.finish()
@@ -756,11 +746,6 @@ impl TileFile {
                 icount: k * period,
                 pc: Pc(read_u64(rec, 0)),
                 addr: Addr(read_u64(rec, 8)),
-                kind: if rec[16] == 1 {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                },
             });
         }
     }
@@ -790,7 +775,7 @@ impl TileFile {
     ///
     /// Panics if `k ≥ record_count`.
     #[inline]
-    pub fn record_at(&self, k: u64) -> MemAccess {
+    fn record_at(&self, k: u64) -> MemAccess {
         assert!(k < self.record_count, "record {k} out of range");
         let tile = crate::cast::u32_exact(k / self.tile_records as u64);
         let within = crate::cast::idx(k % self.tile_records as u64);
@@ -801,22 +786,16 @@ impl TileFile {
             icount: k * self.mem_period,
             pc: Pc(read_u64(rec, 0)),
             addr: Addr(read_u64(rec, 8)),
-            kind: if rec[16] == 1 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            },
         }
     }
 }
 
 /// A tile file exposed as a [`Workload`]: the production ingest path.
 ///
-/// Like [`RecordedTrace`](crate::RecordedTrace), the trace extends
-/// cyclically past its recorded length so longer region plans stay
-/// valid. Sequential consumers get a [`TiledCursor`], byte-identical to
-/// [`access_at`](Workload::access_at), so strategies and their
-/// region-scheduler units consume it transparently.
+/// The trace extends cyclically past its recorded length so longer
+/// region plans stay valid. Sequential consumers get a [`TiledCursor`],
+/// byte-identical to [`access_at`](Workload::access_at), so strategies
+/// and their region-scheduler units consume it transparently.
 #[derive(Clone, Debug)]
 pub struct TiledTrace {
     file: Arc<TileFile>,
@@ -918,7 +897,7 @@ impl AccessCursor for TiledCursor {
         })
     }
 
-    /// Reads only the `addr` word of each 17-byte record.
+    /// Reads only the `addr` word of each 16-byte record.
     fn fill_lines(&mut self, out: &mut Vec<LineAddr>, max: usize) -> usize {
         self.walk(out, max, |file, tile, within, take, _, out| {
             file.decode_span_lines(tile, within, take, out)
@@ -979,7 +958,7 @@ mod tests {
         for k in [0u64, 1, 255, 256, 257, 5_000, 9_999] {
             assert_eq!(t.access_at(k), w.access_at(k), "index {k}");
         }
-        // Cyclic extension matches RecordedTrace semantics.
+        // Cyclic extension: the record wraps, the position stays global.
         let wrapped = t.access_at(10_003);
         assert_eq!(wrapped.index, 10_003);
         assert_eq!(wrapped.icount, 10_003 * w.mem_period());
@@ -1025,17 +1004,20 @@ mod tests {
             Err(TileError::BadMagic { .. })
         ));
 
-        // Unsupported version (checksum re-stamped so the version check
-        // is what fires).
-        let mut bad = pristine.clone();
-        bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let sum = tile_checksum(&bad[..HEADER_CHECKSUM_AT]);
-        bad[HEADER_CHECKSUM_AT..HEADER_CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            TileFile::open(&path),
-            Err(TileError::UnsupportedVersion { found: 99 })
-        ));
+        // Unsupported versions, the retired 17-byte-record format 1
+        // among them (checksum re-stamped so the version check is what
+        // fires).
+        for version in [1u32, 99] {
+            let mut bad = pristine.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            let sum = tile_checksum(&bad[..HEADER_CHECKSUM_AT]);
+            bad[HEADER_CHECKSUM_AT..HEADER_CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            assert!(matches!(
+                TileFile::open(&path),
+                Err(TileError::UnsupportedVersion { found }) if found == version
+            ));
+        }
 
         // Header bit-flip → checksum mismatch.
         let mut bad = pristine.clone();

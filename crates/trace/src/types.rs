@@ -66,12 +66,6 @@ impl PageAddr {
         Addr(self.0 * PAGE_BYTES)
     }
 
-    /// First line of this page.
-    #[inline]
-    pub fn first_line(self) -> LineAddr {
-        LineAddr(self.0 * PAGE_BYTES / LINE_BYTES)
-    }
-
     /// Number of cachelines per page.
     #[inline]
     pub fn lines_per_page() -> u64 {
@@ -121,15 +115,6 @@ hex_debug!(LineAddr, "LineAddr");
 hex_debug!(PageAddr, "PageAddr");
 hex_debug!(Pc, "Pc");
 
-/// Whether an access reads or writes memory.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessKind {
-    /// A load (read).
-    Load,
-    /// A store (write).
-    Store,
-}
-
 /// One dynamic memory access of a [`Workload`](crate::Workload) execution.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MemAccess {
@@ -141,8 +126,6 @@ pub struct MemAccess {
     pub pc: Pc,
     /// Byte address accessed.
     pub addr: Addr,
-    /// Load or store.
-    pub kind: AccessKind,
 }
 
 impl MemAccess {
@@ -156,12 +139,6 @@ impl MemAccess {
     #[inline]
     pub fn page(&self) -> PageAddr {
         self.addr.page()
-    }
-
-    /// `true` for stores.
-    #[inline]
-    pub fn is_store(&self) -> bool {
-        self.kind == AccessKind::Store
     }
 }
 
@@ -177,7 +154,6 @@ mod tests {
         assert_eq!(a.line().page(), PageAddr(1));
         assert_eq!(LineAddr(10).addr(), Addr(640));
         assert_eq!(PageAddr(2).addr(), Addr(8192));
-        assert_eq!(PageAddr(2).first_line(), LineAddr(128));
         assert_eq!(PageAddr::lines_per_page(), 64);
     }
 
@@ -196,9 +172,7 @@ mod tests {
             icount: 9,
             pc: Pc(0x400000),
             addr: Addr(4160),
-            kind: AccessKind::Store,
         };
-        assert!(m.is_store());
         assert_eq!(m.line(), LineAddr(65));
         assert_eq!(m.page(), PageAddr(1));
     }

@@ -85,7 +85,7 @@ pub struct RunCost {
     passes: Vec<PassCost>,
     regions: u64,
     /// Per-region-unit costs recorded by the region scheduler; empty for
-    /// runs that never went through it (legacy serial drivers).
+    /// runs that never went through it (a DSE analyst's).
     units: Vec<UnitCost>,
 }
 

@@ -16,9 +16,9 @@ fn main() {
     let plan = SamplingConfig::for_scale(scale).with_regions(3).plan();
     let workload = spec_workload("mcf", scale, 42).unwrap();
 
-    // Pack the plan's instruction span once. Records are 17 bytes (pc,
-    // addr, kind) grouped into checksummed tiles; index/icount are
-    // implied by position, so nothing else needs storing.
+    // Pack the plan's instruction span once. Records are 16 bytes (pc,
+    // addr) grouped into checksummed tiles; index/icount are implied by
+    // position, so nothing else needs storing.
     let span = workload.accesses_in_instrs(plan.total_instrs()) + 1;
     let path = std::env::temp_dir().join(format!("delorean-example-{}.dlt", std::process::id()));
     // lint:allow(no-wallclock): the demo prints real elapsed time for context; it never feeds a report

@@ -10,7 +10,7 @@ use delorean::prelude::*;
 use delorean::statmodel::exact::ExactStackProcessor;
 use delorean::trace::{
     mix64, AccessCursor, BranchModel, IndexedCursor, LineAddr, MemAccess, Pattern,
-    PhasedWorkloadBuilder, RecordedTrace, StreamSpec,
+    PhasedWorkloadBuilder, StreamSpec,
 };
 use std::ops::Range;
 
@@ -219,16 +219,16 @@ impl<W: Workload> Workload for IndexedOnly<W> {
 }
 
 /// `fill_lines` on the default path (`IndexedCursor`, through the
-/// trait's default method) and on every overriding in-tree cursor, over
+/// trait's default method) and on the phased cursor (the tiled cursor's
+/// twin is in `tiled_determinism.rs`), over
 /// empty, one-element, phase-boundary and cycle-wrap ranges with odd
 /// batch sizes.
 #[test]
 fn fill_lines_matches_fill_on_every_cursor_type() {
     let w = spec_workload("GemsFDTD", Scale::tiny(), 42).unwrap();
     let cycle = w.cycle_len_accesses();
-    let recorded = RecordedTrace::capture(&w, 2_000..2_137);
     let indexed = IndexedOnly(w.clone());
-    let sources: [&dyn Workload; 3] = [&w, &recorded, &indexed];
+    let sources: [&dyn Workload; 2] = [&w, &indexed];
     for (si, src) in sources.into_iter().enumerate() {
         for range in [
             5..5,
@@ -343,26 +343,6 @@ fn cursors_match_access_at_for_the_spec_suite() {
                 &format!("{} {tag}", w.name()),
             );
         }
-    }
-}
-
-/// RecordedTrace cursors, including ranges spanning the cyclic-extension
-/// wrap at `recorded_len` (multiple wraps per fill batch).
-#[test]
-fn recorded_trace_cursors_match_access_at_across_wraps() {
-    let src = delorean::trace::spec_workload("soplex", Scale::tiny(), 9).unwrap();
-    for case in 0..8u64 {
-        let len = 37 + mix64(case, 1) % 400;
-        let t = RecordedTrace::capture(&src, 1_000..1_000 + len);
-        let rlen = t.recorded_len();
-        let start = mix64(case, 2) % (2 * rlen);
-        let batch = 1 + (mix64(case, 4) % 129) as usize;
-        assert_cursor_matches_access_at(
-            &t,
-            start..start + 3 * rlen + 5,
-            batch,
-            &format!("recorded case {case}"),
-        );
     }
 }
 
