@@ -18,7 +18,33 @@
 //!   for the whole window (the *last* access is wanted); vicinity
 //!   watchpoints disarm on first reuse.
 //!
-//! The hot loop runs on the flat lookup substrate: a fused
+//! # The scan
+//!
+//! A scan walks the workload's [`LineDomains`]: page-disjoint shares of
+//! the window (one per compiled stream for a
+//! [`PhasedWorkload`](delorean_trace::PhasedWorkload), the whole window
+//! for any other workload). Every watchpoint, trap, key line and vicinity
+//! sample belongs to exactly one domain, and every fold of the scan is
+//! order-independent across domains: a key's last access is per line and
+//! each domain is walked in increasing index order, vicinity distances are
+//! per line, each trap adds the same constant to the clock, and histogram
+//! weights are 1. So each domain is scanned on its own, and
+//!
+//! * while a domain holds a watched line (a pending key or an armed
+//!   vicinity sample), it is walked access by access;
+//! * while it holds none, nothing in it can trap or resolve, and only a
+//!   vicinity sample can arm a watch there; sample positions are a pure
+//!   function of the index ([`CounterRng::one_in_positions`], found in one
+//!   pass before the walk), so the scan jumps straight to the domain's
+//!   next sample.
+//!
+//! A key line that no domain claims keeps every domain walking. The
+//! one-domain default holds every key, so for tiles and other workloads
+//! the walk is the plain linear scan. Both explorer kinds share the one
+//! body; [`WatchScanStats::accesses_generated`] counts the accesses the
+//! walk produced, against the `accesses_scanned` the cost model charges.
+//!
+//! Each visited access runs on the flat lookup substrate: a fused
 //! [`InterestFilter`] decides the dominant "nothing interesting here"
 //! access with a single hashed bit probe (watched pages for VDP, exact
 //! key/vicinity lines for the functional pass), and only filter hits fall
@@ -28,7 +54,9 @@
 use crate::keyset::KeySet;
 use delorean_sampling::Region;
 use delorean_statmodel::ReuseProfile;
-use delorean_trace::{CounterRng, InterestFilter, LineAddr, LineMap, Workload, WorkloadExt};
+use delorean_trace::{
+    CounterRng, InterestFilter, LineAddr, LineDomains, LineMap, Workload, CURSOR_BATCH,
+};
 use delorean_virt::{CostModel, HostClock, Trap, WatchScanStats, WatchSet, WorkKind};
 
 /// A key cacheline still waiting for its last prior access.
@@ -104,92 +132,71 @@ pub fn run_explorer(
         span_accesses * p * work_multiplier,
     ));
 
+    let mut domains = workload.line_domains(first..end);
+    let n_domains = domains.count();
     // Fused interest filter: one counting bitmap covering watched pages ∪
     // key lines ∪ vicinity-pending lines, so the dominant "nothing
     // interesting here" access is decided by a single hashed bit probe.
     // One probe suffices because the two explorer kinds each need only
-    // one domain: a VDP explorer watches every key and armed vicinity
+    // one granularity: a VDP explorer watches every key and armed vicinity
     // line, so the watched *pages* already cover all three sets (and the
     // page test must fire on false-positive traps anyway); the
     // functional Explorer-1 has no watchpoints, so only exact *line*
     // membership matters.
-    let mut filter = InterestFilter::with_capacity_for(pending.len() + 1024);
-    // Key membership and last-seen tracking fused into one table: the
-    // cold path pays a single probe for both.
-    let mut keys: LineMap<u64> = LineMap::with_capacity(pending.len());
-    let mut watch = WatchSet::new();
+    let mut scan = Scan {
+        functional,
+        trap_seconds: cost.trap_seconds,
+        clock,
+        filter: InterestFilter::with_capacity_for(pending.len() + 1024),
+        // Key membership and last-seen tracking fused into one table: the
+        // cold path pays a single probe for both.
+        keys: LineMap::with_capacity(pending.len()),
+        watch: WatchSet::new(),
+        vicinity: ReuseProfile::new(),
+        vicinity_count: 0,
+        vicinity_pending: LineMap::new(),
+        stats: WatchScanStats {
+            accesses_scanned: span_accesses,
+            ..Default::default()
+        },
+    };
+    // Key lines per domain: they stay watched for the whole window.
+    let mut keys_held = vec![0u32; n_domains];
+    let mut walk_all = false;
     for k in pending {
-        keys.insert(k.line, NOT_SEEN);
-        if functional {
-            filter.insert_line(k.line);
-        } else {
-            watch.watch_line(k.line);
-            filter.insert_page(k.line.page());
+        scan.keys.insert(k.line, NOT_SEEN);
+        scan.watch_line(k.line);
+        match domains.domain_of_line(k.line) {
+            Some(d) => keys_held[d] += 1,
+            None => walk_all = true,
         }
     }
 
+    // Vicinity sample positions, grouped by domain in index order.
     let rng = CounterRng::new(seed ^ ((index as u64 + 1) << 48) ^ region.index as u64);
-    let mut vicinity = ReuseProfile::new();
-    let mut vicinity_count = 0u64;
-    let mut vicinity_pending: LineMap<u64> = LineMap::new();
-    let mut scan = WatchScanStats {
-        accesses_scanned: span_accesses,
-        ..Default::default()
-    };
+    let positions: Vec<u64> = rng
+        .one_in_positions(first..end, vicinity_period_accesses)
+        .collect();
+    let mut owner = Vec::with_capacity(positions.len());
+    domains.domains_of(&positions, &mut owner);
+    let mut samples = vec![Vec::new(); n_domains];
+    for (k, d) in positions.into_iter().zip(owner) {
+        samples[d].push(k);
+    }
 
-    // The scan reads only each access's line and index: no PCs.
-    workload.for_each_line(first..end, |k, line| {
-        let interesting = if functional {
-            filter.contains_line(line)
-        } else {
-            filter.contains_page(line.page())
-        };
-        if interesting {
-            // Trap accounting (VDP explorers only): any access to a
-            // watched page costs a trap, watched line or not.
-            if !functional {
-                match watch.classify_line(line) {
-                    Trap::None => {}
-                    Trap::FalsePositive => {
-                        scan.false_positives += 1;
-                        clock.charge(cost.trap_seconds);
-                    }
-                    Trap::Hit(_) => {
-                        scan.true_hits += 1;
-                        clock.charge(cost.trap_seconds);
-                    }
-                }
-            }
-            // Key tracking: remember the latest access to each pending key.
-            if let Some(seen) = keys.get_mut(line) {
-                *seen = k;
-            }
-            // Vicinity: resolve an armed sample on reuse. The key
-            // watchpoint (if any) on the same line stays armed: watch
-            // references are refcounted, so disarming the vicinity side
-            // never drops a key that must live for the whole window.
-            if let Some(set_at) = vicinity_pending.remove(line) {
-                vicinity.record(k - set_at - 1, 1.0);
-                vicinity_count += 1;
-                if functional {
-                    filter.remove_line(line);
-                } else {
-                    watch.unwatch_line(line);
-                    filter.remove_page(line.page());
-                }
-            }
-        }
-        // Arm new vicinity samples at the configured rate.
-        if rng.chance_one_in(k, vicinity_period_accesses) && !vicinity_pending.contains(line) {
-            vicinity_pending.insert(line, k);
-            if functional {
-                filter.insert_line(line);
-            } else {
-                watch.watch_line(line);
-                filter.insert_page(line.page());
-            }
-        }
-    });
+    let mut buf = Vec::with_capacity(CURSOR_BATCH);
+    for (d, (&keys, samples)) in keys_held.iter().zip(&samples).enumerate() {
+        scan.walk(&mut *domains, d, first, samples, keys, walk_all, &mut buf);
+    }
+    let Scan {
+        keys,
+        mut vicinity,
+        vicinity_count,
+        mut vicinity_pending,
+        stats: scan,
+        ..
+    } = scan;
+
     // Vicinity samples with no reuse before the scan end are *censored*:
     // the reuse is at least as long as the remaining window. Record them
     // at the censoring distance (a lower bound) rather than as cold —
@@ -219,6 +226,148 @@ pub fn run_explorer(
     }
 }
 
+/// First batch of a walk that starts at a jump: most walks end at the
+/// first reuse of the sample that started them, a few dozen accesses on.
+const JUMP_BATCH: usize = 32;
+
+/// The state of one explorer scan, shared by every domain walk.
+struct Scan<'c> {
+    functional: bool,
+    trap_seconds: f64,
+    clock: &'c mut HostClock,
+    filter: InterestFilter,
+    keys: LineMap<u64>,
+    watch: WatchSet,
+    vicinity: ReuseProfile,
+    vicinity_count: u64,
+    vicinity_pending: LineMap<u64>,
+    stats: WatchScanStats,
+}
+
+impl Scan<'_> {
+    fn watch_line(&mut self, line: LineAddr) {
+        if self.functional {
+            self.filter.insert_line(line);
+        } else {
+            self.watch.watch_line(line);
+            self.filter.insert_page(line.page());
+        }
+    }
+
+    fn unwatch_line(&mut self, line: LineAddr) {
+        if self.functional {
+            self.filter.remove_line(line);
+        } else {
+            self.watch.unwatch_line(line);
+            self.filter.remove_page(line.page());
+        }
+    }
+
+    /// Walk domain `d` from `first`: access by access while it holds a
+    /// watched line (`held` starts at its key count and follows its armed
+    /// samples), or always under `walk_all`, jumping to its next sample
+    /// position while it holds none. `samples` are the domain's sample
+    /// positions in index order.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &mut self,
+        domains: &mut dyn LineDomains,
+        d: usize,
+        first: u64,
+        samples: &[u64],
+        mut held: u32,
+        walk_all: bool,
+        buf: &mut Vec<(u64, LineAddr)>,
+    ) {
+        let mut next = 0usize;
+        let mut from = first;
+        let mut batch = CURSOR_BATCH;
+        loop {
+            if held == 0 && !walk_all {
+                let Some(&s) = samples.get(next) else { break };
+                from = s;
+                batch = JUMP_BATCH;
+            }
+            let got = domains.fill(d, from, buf, batch);
+            if got == 0 {
+                break;
+            }
+            self.stats.accesses_generated += got as u64;
+            batch = (batch * 2).min(CURSOR_BATCH);
+            // A split never skips one of its own sample positions; if one
+            // did, drop the sample rather than jump back to it forever.
+            let skipped = samples[next..].partition_point(|&s| s < buf[0].0);
+            debug_assert_eq!(skipped, 0, "domain {d} skipped a sample position");
+            next += skipped;
+            let mut i = 0;
+            while i < got {
+                let (k, line) = buf[i];
+                i += 1;
+                let arm = samples.get(next) == Some(&k);
+                next += usize::from(arm);
+                self.visit(k, line, arm, &mut held);
+                if held == 0 && !walk_all {
+                    // Idle: nothing before the next sample can matter.
+                    let Some(&s) = samples.get(next) else { return };
+                    while i < got && buf[i].0 < s {
+                        i += 1;
+                    }
+                }
+            }
+            from = buf[got - 1].0 + 1;
+        }
+    }
+
+    /// One access of the scan: traps, key tracking, vicinity resolution,
+    /// then arming a sample at a sample position. `held` counts the
+    /// domain's watched lines.
+    #[inline(always)]
+    fn visit(&mut self, k: u64, line: LineAddr, arm: bool, held: &mut u32) {
+        let interesting = if self.functional {
+            self.filter.contains_line(line)
+        } else {
+            self.filter.contains_page(line.page())
+        };
+        if interesting {
+            // Trap accounting (VDP explorers only): any access to a
+            // watched page costs a trap, watched line or not.
+            if !self.functional {
+                match self.watch.classify_line(line) {
+                    Trap::None => {}
+                    Trap::FalsePositive => {
+                        self.stats.false_positives += 1;
+                        self.clock.charge(self.trap_seconds);
+                    }
+                    Trap::Hit(_) => {
+                        self.stats.true_hits += 1;
+                        self.clock.charge(self.trap_seconds);
+                    }
+                }
+            }
+            // Key tracking: remember the latest access to each pending key.
+            if let Some(seen) = self.keys.get_mut(line) {
+                *seen = k;
+            }
+            // Vicinity: resolve an armed sample on reuse. The key
+            // watchpoint (if any) on the same line stays armed: watch
+            // references are refcounted, so disarming the vicinity side
+            // never drops a key that must live for the whole window.
+            if let Some(set_at) = self.vicinity_pending.remove(line) {
+                self.vicinity.record(k - set_at - 1, 1.0);
+                self.vicinity_count += 1;
+                self.unwatch_line(line);
+                *held -= 1;
+            }
+        }
+        // Arm a new vicinity sample at a sample position.
+        if arm && !self.vicinity_pending.contains(line) {
+            self.vicinity_pending.insert(line, k);
+            self.watch_line(line);
+            *held += 1;
+        }
+    }
+}
+
 /// Convert a key set into the pending list for Explorer-1.
 pub fn pending_from_keyset(keyset: &KeySet) -> Vec<PendingKey> {
     let mut v: Vec<PendingKey> = keyset
@@ -237,7 +386,7 @@ pub fn pending_from_keyset(keyset: &KeySet) -> Vec<PendingKey> {
 mod tests {
     use super::*;
     use delorean_sampling::SamplingConfig;
-    use delorean_trace::{spec_workload, Scale};
+    use delorean_trace::{spec_workload, Scale, WorkloadExt};
 
     fn setup() -> (impl Workload, Region) {
         let w = spec_workload("hmmer", Scale::tiny(), 1).unwrap();

@@ -1,0 +1,157 @@
+//! Line domains: one index range of a workload, split by the pages its
+//! accesses touch. See [`LineDomains`].
+
+use crate::cursor::AccessCursor;
+use crate::types::LineAddr;
+use crate::Workload;
+use std::ops::Range;
+
+/// One index range of a workload's accesses, split into page-disjoint
+/// *line domains*. Produced by [`Workload::line_domains`]; domains are
+/// numbered `0..count()`.
+///
+/// A watchpoint scan (the VDP Explorers) can learn something from an
+/// access only if the access touches a watched page. When a workload's
+/// accesses fall into groups that never share a page, each group can be
+/// scanned on its own, in its own index order, and a group with no
+/// watched line can be jumped over instead of generated. A split
+/// promises:
+///
+/// * every access of the range belongs to exactly one domain;
+/// * no page is touched by two domains, so every line belongs to at most
+///   one domain ([`domain_of_line`](LineDomains::domain_of_line));
+/// * each domain's accesses can be produced in increasing index order
+///   from any starting index ([`fill`](LineDomains::fill)).
+///
+/// The default split is one domain holding the whole range and claiming
+/// every line, walked through the workload's own cursor. A [`PhasedWorkload`](crate::PhasedWorkload) returns one domain
+/// per compiled stream: its builder gives each stream a page-aligned
+/// footprint followed by a guard page (`phased::tests::
+/// footprints_do_not_overlap` pins this for the whole suite at every
+/// scale), and every stream pattern is position addressable, so a jump
+/// is one O(1) seek.
+pub trait LineDomains {
+    /// Number of domains (≥ 1).
+    fn count(&self) -> usize;
+
+    /// The domain whose pages hold `line`, or `None` if no domain claims
+    /// it (no access of any domain touches it).
+    fn domain_of_line(&self, line: LineAddr) -> Option<usize>;
+
+    /// Clear `out` and push the domain of each access index in
+    /// `indices`, all of which lie in the split's range.
+    fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>);
+
+    /// Clear `out` and refill it with up to `max` `(index, line)` pairs of
+    /// `domain`'s accesses, in increasing index order, starting at its
+    /// first access with index `≥ from` (and in the split's range).
+    /// Returns the number produced; `0` means the domain has no access
+    /// left in the range.
+    ///
+    /// A call whose `from` is one past the last index the previous call
+    /// on the same domain produced continues that walk; any other `from`
+    /// seeks.
+    fn fill(
+        &mut self,
+        domain: usize,
+        from: u64,
+        out: &mut Vec<(u64, LineAddr)>,
+        max: usize,
+    ) -> usize;
+}
+
+/// The one-domain split: the whole range, claiming every line, walked
+/// through the workload's [`cursor`](Workload::cursor) (re-opened on a
+/// seek). The default [`Workload::line_domains`].
+#[derive(Debug)]
+pub(crate) struct WholeRange<'w, W: Workload + ?Sized> {
+    workload: &'w W,
+    range: Range<u64>,
+    cursor: Option<Box<dyn AccessCursor + 'w>>,
+    lines: Vec<LineAddr>,
+}
+
+impl<'w, W: Workload + ?Sized> WholeRange<'w, W> {
+    /// The split of `workload`'s accesses with `index ∈ range` into one
+    /// domain.
+    pub(crate) fn new(workload: &'w W, range: Range<u64>) -> Self {
+        WholeRange {
+            workload,
+            range,
+            cursor: None,
+            lines: Vec::new(),
+        }
+    }
+}
+
+impl<W: Workload + ?Sized> LineDomains for WholeRange<'_, W> {
+    fn count(&self) -> usize {
+        1
+    }
+
+    fn domain_of_line(&self, _line: LineAddr) -> Option<usize> {
+        Some(0)
+    }
+
+    fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
+        out.clear();
+        out.resize(indices.len(), 0);
+    }
+
+    fn fill(
+        &mut self,
+        domain: usize,
+        from: u64,
+        out: &mut Vec<(u64, LineAddr)>,
+        max: usize,
+    ) -> usize {
+        debug_assert_eq!(domain, 0, "a whole-range split has one domain");
+        out.clear();
+        let from = from.max(self.range.start);
+        if from >= self.range.end {
+            return 0;
+        }
+        if self.cursor.as_ref().is_none_or(|c| c.position() != from) {
+            self.cursor = Some(self.workload.cursor(from..self.range.end));
+        }
+        let Some(cursor) = self.cursor.as_mut() else {
+            return 0;
+        };
+        let n = cursor.fill_lines(&mut self.lines, max);
+        out.extend((from..).zip(self.lines.iter().copied()));
+        n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{spec_workload, Scale};
+
+    #[test]
+    fn whole_range_walks_and_seeks_the_cursor() {
+        let w = spec_workload("mcf", Scale::tiny(), 3).unwrap();
+        let mut split = WholeRange::new(&w, 100..400);
+        assert_eq!(split.count(), 1);
+        assert_eq!(split.domain_of_line(LineAddr(12345)), Some(0));
+        let mut owners = Vec::new();
+        split.domains_of(&[100, 250, 399], &mut owners);
+        assert_eq!(owners, vec![0, 0, 0]);
+        let mut buf = Vec::new();
+        let mut seen = Vec::new();
+        let mut from = 100;
+        while split.fill(0, from, &mut buf, 64) > 0 {
+            seen.extend(buf.iter().copied());
+            from = buf[buf.len() - 1].0 + 1;
+        }
+        let expected: Vec<(u64, LineAddr)> =
+            (100..400).map(|k| (k, w.access_at(k).line())).collect();
+        assert_eq!(seen, expected);
+        // A jump re-opens the cursor at the target.
+        assert_eq!(split.fill(0, 321, &mut buf, 2), 2);
+        assert_eq!(buf, expected[221..223].to_vec());
+        assert_eq!(split.fill(0, 400, &mut buf, 2), 0);
+        assert_eq!(split.fill(0, 0, &mut buf, 1), 1);
+        assert_eq!(buf, expected[..1].to_vec());
+    }
+}

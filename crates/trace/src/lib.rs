@@ -35,6 +35,10 @@
 //!   scans that ask only which cacheline each access touches take
 //!   lines ([`AccessCursor::fill_lines`], via
 //!   [`WorkloadExt::for_each_line`]), which skips generating the rest.
+//!   Watchpoint scans that can jump over whatever holds no watched line
+//!   walk [`Workload::line_domains`] instead: the range split into
+//!   page-disjoint [`LineDomains`], one per compiled stream of a
+//!   [`PhasedWorkload`], each walkable from any index.
 //! * **Tiled ingest** — [`TiledTrace`] over an on-disk [`tile`] file:
 //!   a memory-mapped binary trace whose fixed-size tiles decode
 //!   straight into [`MemAccess`] batches, so warm-loop `fill` calls
@@ -74,6 +78,7 @@ mod branch;
 pub mod cast;
 mod collections;
 mod cursor;
+mod domain;
 pub mod fault;
 mod iter;
 pub mod journal;
@@ -90,6 +95,8 @@ pub use collections::{
     FlatKey, FlatMap, FlatSet, InterestFilter, LineMap, LineSet, PageMap, PageSet, PcMap,
 };
 pub use cursor::{AccessCursor, IndexedCursor, CURSOR_BATCH};
+pub use domain::LineDomains;
+use domain::WholeRange;
 pub use fault::{
     FaultKind, FaultPlan, FaultPolicy, FaultSite, InjectedFault, UnitFailure, UnitFault,
 };
@@ -168,6 +175,18 @@ pub trait Workload: Send + Sync {
     fn cursor<'a>(&'a self, range: Range<u64>) -> Box<dyn AccessCursor + 'a> {
         Box::new(IndexedCursor::new(self, range))
     }
+
+    /// The accesses with indices in `range`, split into page-disjoint
+    /// [`LineDomains`] that a watchpoint scan can walk one at a time.
+    ///
+    /// The default is one domain over the whole range, walked through
+    /// [`cursor`](Workload::cursor). [`PhasedWorkload`]
+    /// returns one domain per compiled stream. Wrappers must forward
+    /// this method along with `cursor`, or they fall back to the one
+    /// domain: results stay identical, only the scan's skipping is lost.
+    fn line_domains<'a>(&'a self, range: Range<u64>) -> Box<dyn LineDomains + 'a> {
+        Box::new(WholeRange::new(self, range))
+    }
 }
 
 impl<W: Workload + ?Sized> Workload for &W {
@@ -201,6 +220,10 @@ impl<W: Workload + ?Sized> Workload for &W {
 
     fn cursor<'a>(&'a self, range: Range<u64>) -> Box<dyn AccessCursor + 'a> {
         (**self).cursor(range)
+    }
+
+    fn line_domains<'a>(&'a self, range: Range<u64>) -> Box<dyn LineDomains + 'a> {
+        (**self).line_domains(range)
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
+use crate::domain::LineDomains;
 use crate::pattern::{Pattern, PatternCursor};
 use crate::rng::{mix64, CounterRng};
 use crate::types::{Addr, LineAddr, MemAccess, Pc, LINE_BYTES, PAGE_BYTES};
@@ -138,7 +139,9 @@ impl PhasedWorkloadBuilder {
         // Data footprints live well above the PC ranges; leave a guard page
         // between streams so footprints never share a page (watchpoint
         // false positives should come from line-vs-page granularity, not
-        // accidental overlap).
+        // accidental overlap). The line-domain split rests on this:
+        // `tests::footprints_do_not_overlap` pins it for every suite input
+        // at every scale.
         let mut next_base_line: u64 = 0x1_0000_0000 / LINE_BYTES;
         let mut cycle = 0u64;
         let rng = CounterRng::new(self.seed);
@@ -358,6 +361,12 @@ impl Workload for PhasedWorkload {
     fn cursor<'a>(&'a self, range: Range<u64>) -> Box<dyn AccessCursor + 'a> {
         Box::new(PhasedCursor::new(self, range))
     }
+
+    /// One domain per compiled stream `(phase, stream)`, numbered in
+    /// build order.
+    fn line_domains<'a>(&'a self, range: Range<u64>) -> Box<dyn LineDomains + 'a> {
+        Box::new(StreamDomains::new(self, range))
+    }
 }
 
 /// Per-stream incremental state of a [`PhasedCursor`]: the stream-local
@@ -518,6 +527,199 @@ impl AccessCursor for PhasedCursor<'_> {
     }
 }
 
+/// One compiled stream as a line domain of a [`StreamDomains`] split.
+#[derive(Debug)]
+struct StreamDomain {
+    phase: usize,
+    stream: usize,
+    /// First line past the stream's footprint pages (the footprint starts
+    /// page-aligned at the stream's `base_line`).
+    claim_end: u64,
+    /// This stream's slice of [`StreamDomains::inverse`].
+    inverse: Range<usize>,
+}
+
+/// Incremental walk over one stream's accesses in global index order.
+#[derive(Debug)]
+struct StreamWalk {
+    /// One past the last index produced (or the seek target): a `fill`
+    /// from here continues the walk.
+    floor: u64,
+    /// Global index of the current period's first slot.
+    period_base: u64,
+    /// Period within the current repetition of the phase.
+    period: u64,
+    /// The stream's occurrence within the period.
+    occ: usize,
+    pattern: PatternCursor,
+}
+
+/// The per-stream split of a [`PhasedWorkload`] range: one domain per
+/// compiled stream, each walked on its own stream-local index `j`.
+///
+/// Stream-local access `j` of stream `s` in phase `p` sits at global
+/// index `rep·cycle + phase_start + period·weight_sum + slot`, where
+/// `(rep, period, occ)` decompose `j` as in `access_at` and `slot` is the
+/// position of the stream's `occ`-th occurrence in the slot table. The
+/// inverse slot table holding those positions is built here, per split.
+#[derive(Debug)]
+struct StreamDomains<'w> {
+    w: &'w PhasedWorkload,
+    range: Range<u64>,
+    /// Domain number of each phase's stream 0.
+    phase_domain: Vec<usize>,
+    domains: Vec<StreamDomain>,
+    /// Per domain, the slot positions of its occurrences, in order.
+    inverse: Vec<u32>,
+    walks: Vec<Option<StreamWalk>>,
+}
+
+impl<'w> StreamDomains<'w> {
+    fn new(w: &'w PhasedWorkload, range: Range<u64>) -> Self {
+        let lines_per_page = PAGE_BYTES / LINE_BYTES;
+        let mut phase_domain = Vec::with_capacity(w.phases.len());
+        let mut domains = Vec::new();
+        let mut inverse = Vec::new();
+        for (pi, phase) in w.phases.iter().enumerate() {
+            phase_domain.push(domains.len());
+            for (si, s) in phase.streams.iter().enumerate() {
+                let at = inverse.len();
+                inverse.extend(
+                    (0u32..)
+                        .zip(&phase.slots)
+                        .filter(|(_, slot)| slot.stream as usize == si)
+                        .map(|(pos, _)| pos),
+                );
+                domains.push(StreamDomain {
+                    phase: pi,
+                    stream: si,
+                    claim_end: s.base_line
+                        + s.pattern.footprint_lines().div_ceil(lines_per_page) * lines_per_page,
+                    inverse: at..inverse.len(),
+                });
+            }
+        }
+        let walks = domains.iter().map(|_| None).collect();
+        StreamDomains {
+            w,
+            range,
+            phase_domain,
+            domains,
+            inverse,
+            walks,
+        }
+    }
+
+    fn stream(&self, d: &StreamDomain) -> (&CompiledPhase, &CompiledStream) {
+        let phase = &self.w.phases[d.phase];
+        (phase, &phase.streams[d.stream])
+    }
+
+    /// The walk of domain `di` positioned at its first access with
+    /// index `≥ from`.
+    fn seek(&self, di: usize, from: u64) -> StreamWalk {
+        let w = self.w;
+        let d = &self.domains[di];
+        let (phase, s) = self.stream(d);
+        let inverse = &self.inverse[d.inverse.clone()];
+        let weight = s.weight;
+        let per_rep = phase.periods_per_rep * weight;
+        let phase_start = w.phase_starts[d.phase];
+        let rep = from / w.cycle_len;
+        let pos = from % w.cycle_len;
+        let j = if pos < phase_start {
+            rep * per_rep
+        } else if pos - phase_start >= phase.periods_per_rep * phase.weight_sum {
+            (rep + 1) * per_rep
+        } else {
+            let local = pos - phase_start;
+            let slot = local % phase.weight_sum;
+            let consumed = inverse.partition_point(|&p| u64::from(p) < slot) as u64;
+            (rep * phase.periods_per_rep + local / phase.weight_sum) * weight + consumed
+        };
+        let (rep, within) = (j / per_rep, j % per_rep);
+        let period = within / weight;
+        StreamWalk {
+            floor: from,
+            period_base: rep * w.cycle_len + phase_start + period * phase.weight_sum,
+            period,
+            occ: crate::cast::idx(within % weight),
+            pattern: s.pattern.cursor(s.seed, j),
+        }
+    }
+}
+
+impl LineDomains for StreamDomains<'_> {
+    fn count(&self) -> usize {
+        self.domains.len()
+    }
+
+    fn domain_of_line(&self, line: LineAddr) -> Option<usize> {
+        // Bases rise in build (= domain) order.
+        let after = self.domains.partition_point(|d| {
+            let (_, s) = self.stream(d);
+            s.base_line <= line.0
+        });
+        let di = after.checked_sub(1)?;
+        (line.0 < self.domains[di].claim_end).then_some(di)
+    }
+
+    fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(indices.iter().map(|&k| {
+            let pi = self.w.phase_at(k);
+            let phase = &self.w.phases[pi];
+            let local = k % self.w.cycle_len - self.w.phase_starts[pi];
+            let slot = &phase.slots[crate::cast::idx(local % phase.weight_sum)];
+            self.phase_domain[pi] + slot.stream as usize
+        }));
+    }
+
+    fn fill(
+        &mut self,
+        domain: usize,
+        from: u64,
+        out: &mut Vec<(u64, LineAddr)>,
+        max: usize,
+    ) -> usize {
+        out.clear();
+        let from = from.max(self.range.start);
+        if !matches!(&self.walks[domain], Some(walk) if walk.floor == from) {
+            let walk = self.seek(domain, from);
+            self.walks[domain] = Some(walk);
+        }
+        let Some(walk) = self.walks[domain].as_mut() else {
+            return 0;
+        };
+        let d = &self.domains[domain];
+        let phase = &self.w.phases[d.phase];
+        let base_line = phase.streams[d.stream].base_line;
+        let inverse = &self.inverse[d.inverse.clone()];
+        // From the slot after a repetition's last period to the next
+        // repetition's first.
+        let rep_gap = self.w.cycle_len - phase.periods_per_rep * phase.weight_sum;
+        while out.len() < max {
+            let k = walk.period_base + u64::from(inverse[walk.occ]);
+            if k >= self.range.end {
+                break;
+            }
+            out.push((k, LineAddr(base_line + walk.pattern.next_line())));
+            walk.floor = k + 1;
+            walk.occ += 1;
+            if walk.occ == inverse.len() {
+                walk.occ = 0;
+                walk.period += 1;
+                walk.period_base += phase.weight_sum;
+                if walk.period == phase.periods_per_rep {
+                    walk.period = 0;
+                    walk.period_base += rep_gap;
+                }
+            }
+        }
+        out.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,7 +774,11 @@ mod tests {
 
     #[test]
     fn footprints_do_not_overlap() {
-        let w = PhasedWorkloadBuilder::new("t", 3)
+        // The invariant the line-domain split rests on: every compiled
+        // stream of every phase starts page-aligned, and no page holds
+        // lines of two streams.
+        let lines_per_page = PAGE_BYTES / LINE_BYTES;
+        let toy = PhasedWorkloadBuilder::new("t", 3)
             .phase(
                 1_000,
                 vec![
@@ -583,18 +789,122 @@ mod tests {
             )
             .build()
             .unwrap();
-        let s = &w.phases[0].streams;
-        for i in 0..s.len() {
-            for l in (i + 1)..s.len() {
-                let (a, b) = (&s[i], &s[l]);
-                let a_end = a.base_line + a.pattern.footprint_lines();
-                let b_end = b.base_line + b.pattern.footprint_lines();
+        let mut workloads = vec![toy];
+        for scale in [
+            crate::Scale::tiny(),
+            crate::Scale::demo(),
+            crate::Scale::paper(),
+        ] {
+            for name in crate::SPEC2006_NAMES {
+                workloads.push(crate::spec_workload(name, scale, 1).unwrap());
+            }
+        }
+        for w in &workloads {
+            let mut pages: Vec<(u64, u64)> = w
+                .phases
+                .iter()
+                .flat_map(|p| &p.streams)
+                .map(|s| {
+                    assert_eq!(s.base_line % lines_per_page, 0, "{}: unaligned", w.name);
+                    let last = s.base_line + s.pattern.footprint_lines() - 1;
+                    (s.base_line / lines_per_page, last / lines_per_page)
+                })
+                .collect();
+            pages.sort_unstable();
+            for pair in pages.windows(2) {
                 assert!(
-                    a_end <= b.base_line || b_end <= a.base_line,
-                    "streams {i} and {l} overlap"
+                    pair[0].1 < pair[1].0,
+                    "{}: pages {:?} and {:?} overlap",
+                    w.name,
+                    pair[0],
+                    pair[1]
                 );
             }
         }
+    }
+
+    #[test]
+    fn stream_domains_partition_the_range() {
+        let w = PhasedWorkloadBuilder::new("t", 5)
+            .phase(
+                100,
+                vec![
+                    StreamSpec::new(
+                        Pattern::Stream {
+                            lines: 32,
+                            stride_lines: 3,
+                        },
+                        3,
+                    ),
+                    StreamSpec::new(Pattern::PermutationWalk { lines: 61 }, 2),
+                ],
+            )
+            .phase(
+                200,
+                vec![
+                    StreamSpec::new(Pattern::RandomUniform { lines: 128 }, 1),
+                    StreamSpec::new(
+                        Pattern::HotCold {
+                            hot_lines: 4,
+                            cold_lines: 700,
+                            hot_permille: 900,
+                        },
+                        4,
+                    ),
+                ],
+            )
+            .build()
+            .unwrap();
+        let cycle = w.cycle_len_accesses();
+        for range in [
+            0..cycle + 50,
+            80..130,
+            cycle - 25..2 * cycle + 25,
+            1_000_003..1_000_403,
+        ] {
+            let mut split = w.line_domains(range.clone());
+            assert_eq!(split.count(), 4);
+            let mut seen = Vec::new();
+            let mut buf = Vec::new();
+            for d in 0..split.count() {
+                // Odd batches, so continuations land mid-period.
+                let mut from = range.start;
+                while split.fill(d, from, &mut buf, 7) > 0 {
+                    let mut owners = Vec::new();
+                    let indices: Vec<u64> = buf.iter().map(|&(k, _)| k).collect();
+                    split.domains_of(&indices, &mut owners);
+                    for (&(k, line), &owner) in buf.iter().zip(&owners) {
+                        assert!(k >= from, "domain {d} went back to {k}");
+                        assert_eq!(owner, d, "index {k}");
+                        assert_eq!(split.domain_of_line(line), Some(d), "index {k}");
+                        seen.push((k, line));
+                        from = k + 1;
+                    }
+                }
+            }
+            seen.sort_unstable();
+            let expected: Vec<(u64, LineAddr)> =
+                range.clone().map(|k| (k, w.access_at(k).line())).collect();
+            assert_eq!(seen, expected, "range {range:?}");
+            // A seek lands on the domain's first access at or after it.
+            for from in range.clone().step_by(11) {
+                for d in 0..split.count() {
+                    let next = expected
+                        .iter()
+                        .map(|&(k, _)| k)
+                        .find(|&k| k >= from && split_owner(&*split, k) == d);
+                    let got = (split.fill(d, from, &mut buf, 1) > 0).then(|| buf[0].0);
+                    assert_eq!(got, next, "domain {d} from {from}");
+                }
+            }
+        }
+        assert_eq!(w.line_domains(0..10).domain_of_line(LineAddr(0)), None);
+    }
+
+    fn split_owner(split: &dyn LineDomains, k: u64) -> usize {
+        let mut out = Vec::new();
+        split.domains_of(&[k], &mut out);
+        out[0]
     }
 
     #[test]

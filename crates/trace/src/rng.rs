@@ -62,8 +62,7 @@ impl CounterRng {
     #[inline]
     pub fn below(&self, index: u64, bound: u64) -> u64 {
         debug_assert!(bound > 0, "bound must be non-zero");
-        // 128-bit multiply avoids modulo bias for small bounds.
-        (((self.at(index) as u128) * (bound as u128)) >> 64) as u64
+        scale_below(self.at(index), bound)
     }
 
     /// `true` with probability `permille`/1000 at `index`.
@@ -77,6 +76,41 @@ impl CounterRng {
     pub fn chance_one_in(&self, index: u64, period: u64) -> bool {
         self.below(index, period.max(1)) == 0
     }
+
+    /// The indices in `range` where [`chance_one_in`](Self::chance_one_in)
+    /// holds, in increasing order, without the per-index multiply: `below`
+    /// is 0 exactly when the raw value is at most `u64::MAX / period`.
+    ///
+    /// ```
+    /// use delorean_trace::CounterRng;
+    ///
+    /// let rng = CounterRng::new(9);
+    /// let hits: Vec<u64> = rng.one_in_positions(0..5_000, 50).collect();
+    /// let slow: Vec<u64> = (0..5_000).filter(|&k| rng.chance_one_in(k, 50)).collect();
+    /// assert_eq!(hits, slow);
+    /// ```
+    pub fn one_in_positions(
+        &self,
+        range: std::ops::Range<u64>,
+        period: u64,
+    ) -> impl Iterator<Item = u64> + '_ {
+        let threshold = one_in_threshold(period);
+        range.filter(move |&k| self.at(k) <= threshold)
+    }
+}
+
+/// `x` scaled into `[0, bound)`: the high word of `x · bound`. The 128-bit
+/// multiply avoids modulo bias for small bounds.
+#[inline]
+fn scale_below(x: u64, bound: u64) -> u64 {
+    (((x as u128) * (bound as u128)) >> 64) as u64
+}
+
+/// The largest raw value for which `scale_below(x, period.max(1)) == 0`:
+/// `x · p < 2⁶⁴ ⇔ x ≤ ⌊(2⁶⁴ − 1) / p⌋`.
+#[inline]
+fn one_in_threshold(period: u64) -> u64 {
+    u64::MAX / period.max(1)
 }
 
 #[cfg(test)]
@@ -134,6 +168,59 @@ mod tests {
         let rng = CounterRng::new(3);
         let hits = (0..100_000).filter(|&i| rng.chance_one_in(i, 100)).count();
         assert!((800..1_200).contains(&hits), "hits = {hits}");
+    }
+
+    #[test]
+    fn one_in_threshold_is_exactly_below_zero() {
+        let periods = [
+            0u64,
+            1,
+            2,
+            3,
+            7,
+            1_000,
+            100_000,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX / 3,
+            u64::MAX / 2,
+            (u64::MAX / 2) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for p in periods {
+            let t = one_in_threshold(p);
+            for x in [
+                0,
+                1,
+                t.saturating_sub(1),
+                t,
+                t.saturating_add(1),
+                t.saturating_add(2),
+                u64::MAX / 2,
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    scale_below(x, p.max(1)) == 0,
+                    x <= t,
+                    "period {p}, raw value {x:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_in_positions_match_chance_one_in() {
+        let rng = CounterRng::new(11);
+        for p in [0u64, 1, 2, 7, 1_000] {
+            let fast: Vec<u64> = rng.one_in_positions(1_000..21_000, p).collect();
+            let slow: Vec<u64> = (1_000..21_000)
+                .filter(|&k| rng.chance_one_in(k, p))
+                .collect();
+            assert_eq!(fast, slow, "period {p}");
+        }
     }
 
     #[test]

@@ -312,9 +312,9 @@ impl TileFileWriter {
     ///
     /// # Errors
     ///
-    /// [`TileError::Invalid`] for a zero `mem_period` or a name longer
-    /// than [`NAME_BYTES`]; [`TileError::Io`] if the file cannot be
-    /// created.
+    /// [`TileError::Invalid`] for a zero `mem_period` or branch period or
+    /// a name longer than [`NAME_BYTES`]; [`TileError::Io`] if the file
+    /// cannot be created.
     pub fn create(
         path: impl AsRef<Path>,
         name: &str,
@@ -345,6 +345,11 @@ impl TileFileWriter {
         if tile_records == 0 {
             return Err(TileError::Invalid {
                 detail: "tile_records must be ≥ 1".into(),
+            });
+        }
+        if branch.period == 0 {
+            return Err(TileError::Invalid {
+                detail: "branch period must be ≥ 1".into(),
             });
         }
         if name.len() > NAME_BYTES {
@@ -579,6 +584,12 @@ impl TileFile {
             biased_permille: read_u32(h, 44),
             seed: read_u64(h, 48),
         };
+        // `BranchModel::branch_at` divides by the period.
+        if branch.period == 0 {
+            return Err(TileError::HeaderCorrupt {
+                detail: "branch period must be ≥ 1".into(),
+            });
+        }
         let name_len = read_u32(h, 56) as usize;
         if name_len > NAME_BYTES {
             return Err(TileError::HeaderCorrupt {
@@ -1028,6 +1039,18 @@ mod tests {
             Err(TileError::HeaderCorrupt { .. })
         ));
 
+        // A zero branch period (checksum re-stamped): `branch_at` would
+        // divide by it.
+        let mut bad = pristine.clone();
+        bad[32..40].copy_from_slice(&0u64.to_le_bytes());
+        let sum = tile_checksum(&bad[..HEADER_CHECKSUM_AT]);
+        bad[HEADER_CHECKSUM_AT..HEADER_CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            TileFile::open(&path),
+            Err(TileError::HeaderCorrupt { detail }) if detail.contains("branch period")
+        ));
+
         // Short read.
         std::fs::write(&path, &pristine[..pristine.len() - 10]).unwrap();
         let err = TileFile::open(&path).unwrap_err();
@@ -1066,6 +1089,14 @@ mod tests {
         ));
         assert!(matches!(
             TileFileWriter::create_with(&path, "x", 1, BranchModel::new(1), 0),
+            Err(TileError::Invalid { .. })
+        ));
+        let no_branches = BranchModel {
+            period: 0,
+            ..BranchModel::new(1)
+        };
+        assert!(matches!(
+            TileFileWriter::create(&path, "x", 1, no_branches),
             Err(TileError::Invalid { .. })
         ));
         let long = "n".repeat(NAME_BYTES + 1);

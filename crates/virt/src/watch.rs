@@ -23,8 +23,11 @@ use serde::{Deserialize, Serialize};
 /// Statistics of one watchpoint (VDP) scan.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WatchScanStats {
-    /// Accesses inspected by the scan.
+    /// Accesses in the scanned span: what the cost model charges.
     pub accesses_scanned: u64,
+    /// Accesses the scan actually generated (≤ `accesses_scanned`): a
+    /// scan that jumps over accesses that cannot trap skips the rest.
+    pub accesses_generated: u64,
     /// Traps where the page was watched but not the line.
     pub false_positives: u64,
     /// Traps on watched lines.
@@ -40,6 +43,7 @@ impl WatchScanStats {
     /// Accumulate another scan's statistics.
     pub fn merge(&mut self, other: &WatchScanStats) {
         self.accesses_scanned += other.accesses_scanned;
+        self.accesses_generated += other.accesses_generated;
         self.false_positives += other.false_positives;
         self.true_hits += other.true_hits;
     }
@@ -281,15 +285,18 @@ mod tests {
     fn scan_stats_merge() {
         let mut a = WatchScanStats {
             accesses_scanned: 10,
+            accesses_generated: 3,
             false_positives: 2,
             true_hits: 1,
         };
         a.merge(&WatchScanStats {
             accesses_scanned: 5,
+            accesses_generated: 5,
             false_positives: 1,
             true_hits: 4,
         });
         assert_eq!(a.accesses_scanned, 15);
+        assert_eq!(a.accesses_generated, 8);
         assert_eq!(a.traps(), 8);
     }
 
