@@ -20,29 +20,18 @@
 //!
 //! # The scan
 //!
-//! A scan walks the workload's [`LineDomains`]: page-disjoint shares of
+//! A scan is the shared [`walk_domains`] over the workload's
+//! [`LineDomains`](delorean_trace::LineDomains): page-disjoint shares of
 //! the window (one per compiled stream for a
 //! [`PhasedWorkload`](delorean_trace::PhasedWorkload), the whole window
-//! for any other workload). Every watchpoint, trap, key line and vicinity
-//! sample belongs to exactly one domain, and every fold of the scan is
-//! order-independent across domains: a key's last access is per line and
-//! each domain is walked in increasing index order, vicinity distances are
-//! per line, each trap adds the same constant to the clock, and histogram
-//! weights are 1. So each domain is scanned on its own, and
-//!
-//! * while a domain holds a watched line (a pending key or an armed
-//!   vicinity sample), it is walked access by access;
-//! * while it holds none, nothing in it can trap or resolve, and only a
-//!   vicinity sample can arm a watch there; sample positions are a pure
-//!   function of the index ([`CounterRng::one_in_positions`], found in one
-//!   pass before the walk), so the scan jumps straight to the domain's
-//!   next sample.
-//!
-//! A key line that no domain claims keeps every domain walking. The
-//! one-domain default holds every key, so for tiles and other workloads
-//! the walk is the plain linear scan. Both explorer kinds share the one
-//! body; [`WatchScanStats::accesses_generated`] counts the accesses the
-//! walk produced, against the `accesses_scanned` the cost model charges.
+//! for any other workload), each walked access by access only while it
+//! holds a watched line and jumped to its next vicinity sample otherwise.
+//! The walk's docs carry the exactness argument. Key watchpoints stay
+//! armed for the whole window, so each domain starts holding its key
+//! count, and a key line that no domain claims keeps every domain
+//! walking. Both explorer kinds share the one per-access visitor;
+//! [`WatchScanStats::accesses_generated`] counts the accesses the walk
+//! produced, against the `accesses_scanned` the cost model charges.
 //!
 //! Each visited access runs on the flat lookup substrate: a fused
 //! [`InterestFilter`] decides the dominant "nothing interesting here"
@@ -55,7 +44,7 @@ use crate::keyset::KeySet;
 use delorean_sampling::Region;
 use delorean_statmodel::ReuseProfile;
 use delorean_trace::{
-    CounterRng, InterestFilter, LineAddr, LineDomains, LineMap, Workload, CURSOR_BATCH,
+    walk_domains, CounterRng, InterestFilter, LineAddr, LineMap, Visit, Workload,
 };
 use delorean_virt::{CostModel, HostClock, Trap, WatchScanStats, WatchSet, WorkKind};
 
@@ -133,7 +122,6 @@ pub fn run_explorer(
     ));
 
     let mut domains = workload.line_domains(first..end);
-    let n_domains = domains.count();
     // Fused interest filter: one counting bitmap covering watched pages ∪
     // key lines ∪ vicinity-pending lines, so the dominant "nothing
     // interesting here" access is decided by a single hashed bit probe.
@@ -161,7 +149,7 @@ pub fn run_explorer(
         },
     };
     // Key lines per domain: they stay watched for the whole window.
-    let mut keys_held = vec![0u32; n_domains];
+    let mut keys_held = vec![0u32; domains.count()];
     let mut walk_all = false;
     for k in pending {
         scan.keys.insert(k.line, NOT_SEEN);
@@ -172,22 +160,17 @@ pub fn run_explorer(
         }
     }
 
-    // Vicinity sample positions, grouped by domain in index order.
     let rng = CounterRng::new(seed ^ ((index as u64 + 1) << 48) ^ region.index as u64);
     let positions: Vec<u64> = rng
         .one_in_positions(first..end, vicinity_period_accesses)
         .collect();
-    let mut owner = Vec::with_capacity(positions.len());
-    domains.domains_of(&positions, &mut owner);
-    let mut samples = vec![Vec::new(); n_domains];
-    for (k, d) in positions.into_iter().zip(owner) {
-        samples[d].push(k);
-    }
-
-    let mut buf = Vec::with_capacity(CURSOR_BATCH);
-    for (d, (&keys, samples)) in keys_held.iter().zip(&samples).enumerate() {
-        scan.walk(&mut *domains, d, first, samples, keys, walk_all, &mut buf);
-    }
+    scan.stats.accesses_generated = walk_domains(
+        &mut *domains,
+        &positions,
+        &keys_held,
+        walk_all,
+        |k, line, arm| scan.visit(k, line, arm),
+    );
     let Scan {
         keys,
         mut vicinity,
@@ -226,10 +209,6 @@ pub fn run_explorer(
     }
 }
 
-/// First batch of a walk that starts at a jump: most walks end at the
-/// first reuse of the sample that started them, a few dozen accesses on.
-const JUMP_BATCH: usize = 32;
-
 /// The state of one explorer scan, shared by every domain walk.
 struct Scan<'c> {
     functional: bool,
@@ -263,66 +242,11 @@ impl Scan<'_> {
         }
     }
 
-    /// Walk domain `d` from `first`: access by access while it holds a
-    /// watched line (`held` starts at its key count and follows its armed
-    /// samples), or always under `walk_all`, jumping to its next sample
-    /// position while it holds none. `samples` are the domain's sample
-    /// positions in index order.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &mut self,
-        domains: &mut dyn LineDomains,
-        d: usize,
-        first: u64,
-        samples: &[u64],
-        mut held: u32,
-        walk_all: bool,
-        buf: &mut Vec<(u64, LineAddr)>,
-    ) {
-        let mut next = 0usize;
-        let mut from = first;
-        let mut batch = CURSOR_BATCH;
-        loop {
-            if held == 0 && !walk_all {
-                let Some(&s) = samples.get(next) else { break };
-                from = s;
-                batch = JUMP_BATCH;
-            }
-            let got = domains.fill(d, from, buf, batch);
-            if got == 0 {
-                break;
-            }
-            self.stats.accesses_generated += got as u64;
-            batch = (batch * 2).min(CURSOR_BATCH);
-            // A split never skips one of its own sample positions; if one
-            // did, drop the sample rather than jump back to it forever.
-            let skipped = samples[next..].partition_point(|&s| s < buf[0].0);
-            debug_assert_eq!(skipped, 0, "domain {d} skipped a sample position");
-            next += skipped;
-            let mut i = 0;
-            while i < got {
-                let (k, line) = buf[i];
-                i += 1;
-                let arm = samples.get(next) == Some(&k);
-                next += usize::from(arm);
-                self.visit(k, line, arm, &mut held);
-                if held == 0 && !walk_all {
-                    // Idle: nothing before the next sample can matter.
-                    let Some(&s) = samples.get(next) else { return };
-                    while i < got && buf[i].0 < s {
-                        i += 1;
-                    }
-                }
-            }
-            from = buf[got - 1].0 + 1;
-        }
-    }
-
     /// One access of the scan: traps, key tracking, vicinity resolution,
-    /// then arming a sample at a sample position. `held` counts the
-    /// domain's watched lines.
+    /// then arming a sample at a sample position.
     #[inline(always)]
-    fn visit(&mut self, k: u64, line: LineAddr, arm: bool, held: &mut u32) {
+    fn visit(&mut self, k: u64, line: LineAddr, arm: bool) -> Visit {
+        let mut step = Visit::default();
         let interesting = if self.functional {
             self.filter.contains_line(line)
         } else {
@@ -356,15 +280,16 @@ impl Scan<'_> {
                 self.vicinity.record(k - set_at - 1, 1.0);
                 self.vicinity_count += 1;
                 self.unwatch_line(line);
-                *held -= 1;
+                step.resolved = true;
             }
         }
         // Arm a new vicinity sample at a sample position.
         if arm && !self.vicinity_pending.contains(line) {
             self.vicinity_pending.insert(line, k);
             self.watch_line(line);
-            *held += 1;
+            step.armed = true;
         }
+        step
     }
 }
 

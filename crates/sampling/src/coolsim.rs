@@ -2,15 +2,21 @@
 //!
 //! The state of the art the paper improves on (Nikoleris et al., SAMOS
 //! 2016). Instead of warming caches, CoolSim samples *random* reuse
-//! distances in the warm-up interval with page-protection watchpoints,
-//! builds per-PC reuse profiles, and statistically predicts hit/miss for
-//! each access of the detailed region that misses the lukewarm cache.
+//! distances in the warm-up interval with page-protection watchpoints
+//! and builds per-PC reuse profiles. Once the interval is profiled, each
+//! sampled PC's hit/miss verdict for a perfectly warm LLC is decided
+//! once ([`PcProfiles::predictor`]); every access of the detailed region
+//! that misses the lukewarm cache takes its PC's verdict.
 //!
 //! The configuration here is the paper's "best possible" adaptive
-//! schedule (§6): sample one memory location every 40 k memory
-//! instructions during the first 750 M instructions of the interval, one
-//! every 20 k for the next 200 M, and one every 10 k for the last 50 M —
-//! denser sampling closer to the region, where reuses matter most.
+//! schedule (§6): sample one memory location every 40 k instructions
+//! during the first 750 M instructions of the interval, one every 20 k
+//! for the next 200 M, and one every 10 k for the last 50 M — denser
+//! sampling closer to the region, where reuses matter most. Sample
+//! positions are a pure function of the access index, drawn per phase
+//! before the scan, and the scan is the watchpoint profilers' shared
+//! [`walk_domains`]: it walks a page-disjoint line domain only while a
+//! sample is armed there and jumps to the domain's next sample otherwise.
 //!
 //! Two modeled inefficiencies are the point of comparison with DeLorean:
 //! most sampled reuses belong to PCs that never appear in the detailed
@@ -26,10 +32,11 @@ use delorean_cache::{Hierarchy, MachineConfig, MemLevel};
 use delorean_statmodel::per_pc::{PcPrediction, PcProfiles};
 use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{
-    CounterRng, InterestFilter, LineMap, MemAccess, Scale, Workload, CURSOR_BATCH,
+    walk_domains, CounterRng, InterestFilter, LineMap, MemAccess, Scale, Visit, Workload,
 };
-use delorean_virt::{CostModel, Trap, WatchSet, WorkKind};
+use delorean_virt::{CostModel, HostClock, Trap, WatchScanStats, WatchSet, WorkKind};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One phase of the adaptive sampling schedule.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,23 +79,60 @@ impl CoolSimConfig {
         }
     }
 
-    /// Sampling period (in accesses) at `offset` accesses into an interval
-    /// of `len` accesses, given the workload's instructions-per-access.
-    fn period_at(&self, offset: u64, len: u64, mem_period: u64) -> u64 {
-        let mut acc = 0u64;
-        let pos_permille = (offset * 1000).checked_div(len).unwrap_or(0);
-        for ph in &self.schedule {
-            acc += ph.span_permille as u64;
-            if pos_permille < acc {
-                return (ph.period_instrs / mem_period).max(1);
-            }
+    /// The schedule over an interval of `len` accesses, given the
+    /// workload's instructions-per-access: each phase's contiguous range
+    /// of offsets into the interval and its sampling period in accesses.
+    ///
+    /// Offset `o` is in the phase whose cumulative span first exceeds
+    /// `⌊o·1000/len⌋` per mille, so a phase ending at `acc` per mille
+    /// ends at offset `⌈acc·len/1000⌉`. Past the declared schedule the
+    /// last (densest) phase continues to `len`; an empty schedule samples
+    /// every access with period 1.
+    fn phases(&self, len: u64, mem_period: u64) -> Vec<(Range<u64>, u64)> {
+        let Some((last, body)) = self.schedule.split_last() else {
+            return vec![(0..len, 1)];
+        };
+        let period = |ph: &SchedulePhase| (ph.period_instrs / mem_period).max(1);
+        let mut phases = Vec::with_capacity(self.schedule.len());
+        let mut acc = 0u128;
+        let mut lo = 0u64;
+        for ph in body {
+            acc += u128::from(ph.span_permille);
+            let hi = (acc * u128::from(len)).div_ceil(1000).min(u128::from(len)) as u64;
+            phases.push((lo..hi, period(ph)));
+            lo = hi;
         }
-        // Past the declared schedule: keep the densest (last) phase.
-        self.schedule
-            .last()
-            .map(|p| (p.period_instrs / mem_period).max(1))
-            .unwrap_or(1)
+        phases.push((lo..len, period(last)));
+        phases
     }
+
+    /// The sample positions of the interval of access indices `interval`,
+    /// in increasing order: one [`CounterRng::one_in_positions`] pass per
+    /// schedule phase.
+    fn sample_positions(&self, interval: Range<u64>, mem_period: u64) -> Vec<u64> {
+        let rng = CounterRng::new(self.seed);
+        let first = interval.start;
+        let len = interval.end.saturating_sub(first);
+        self.phases(len, mem_period)
+            .into_iter()
+            .flat_map(|(offsets, period)| {
+                rng.one_in_positions(first + offsets.start..first + offsets.end, period)
+            })
+            .collect()
+    }
+}
+
+/// What CoolSim's warm-up interval scan produced for one region.
+#[derive(Clone, Debug)]
+pub struct IntervalProfile {
+    /// Per-PC reuse profiles: each resolved sample's reuse distance under
+    /// the reusing PC, each unresolved one as cold weight under the
+    /// sampled access's PC.
+    pub profiles: PcProfiles,
+    /// The scan's traps and the accesses its walk generated. CoolSim
+    /// watches exactly its pending samples, so every true hit resolves
+    /// one: `true_hits` is the number of reuse distances collected.
+    pub scan: WatchScanStats,
 }
 
 /// The CoolSim (randomized statistical warming) runner.
@@ -105,6 +149,87 @@ impl CoolSimRunner {
         CoolSimRunner { machine, config }
     }
 
+    /// Profile `region`'s warm-up interval with random watchpoints,
+    /// charging `clock` for the interval (under VFF, at represented
+    /// magnitude) and for each trap (at face value).
+    ///
+    /// The scan is [`walk_domains`] over the interval's line domains,
+    /// with no key lines: a domain is walked only while one of its
+    /// samples is armed. A resolved sample's PC is read through
+    /// `access_at`, the only access the scan materializes.
+    pub fn profile_interval(
+        &self,
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        region: &Region,
+        clock: &mut HostClock,
+    ) -> IntervalProfile {
+        let p = workload.mem_period();
+        let interval = region.warmup_interval(plan.config.spacing_instrs);
+        let first = interval.start.div_ceil(p);
+        let last = interval.end / p;
+        let len = last.saturating_sub(first);
+        let cost = CostModel::paper_host();
+        clock.charge(cost.instr_seconds(WorkKind::Vff, len * p * plan.config.work_multiplier()));
+
+        let mut profiles = PcProfiles::new();
+        let mut watch = WatchSet::new();
+        let mut pending: LineMap<u64> = LineMap::new();
+        // Interest prefilter over the watched pages: the dominant
+        // unwatched access is one hashed bit probe; the exact page table
+        // decides only on a filter hit.
+        let mut filter = InterestFilter::with_capacity_for(1024);
+        let mut scan = WatchScanStats {
+            accesses_scanned: len,
+            ..Default::default()
+        };
+        let samples = self.config.sample_positions(first..last, p);
+        let mut domains = workload.line_domains(first..last);
+        let held = vec![0; domains.count()];
+        scan.accesses_generated =
+            walk_domains(&mut *domains, &samples, &held, false, |k, line, arm| {
+                let mut step = Visit::default();
+                if filter.contains_page(line.page()) {
+                    match watch.classify_line(line) {
+                        Trap::None => {}
+                        Trap::FalsePositive => {
+                            scan.false_positives += 1;
+                            clock.charge(cost.trap_seconds);
+                        }
+                        Trap::Hit(line) => {
+                            scan.true_hits += 1;
+                            clock.charge(cost.trap_seconds);
+                            if let Some(set_at) = pending.remove(line) {
+                                // Reuse found: distance is the accesses
+                                // strictly between; attributed to the
+                                // reusing PC.
+                                let pc = workload.access_at(k).pc;
+                                profiles.record(pc, k - set_at - 1, 1.0);
+                                watch.unwatch_line(line);
+                                filter.remove_page(line.page());
+                                step.resolved = true;
+                            }
+                        }
+                    }
+                }
+                if arm && !pending.contains(line) {
+                    pending.insert(line, k);
+                    watch.watch_line(line);
+                    filter.insert_page(line.page());
+                    step.armed = true;
+                }
+                step
+            });
+        // Unresolved samples: reuse longer than the remaining interval.
+        // CoolSim has no better information than "very long"; attribute
+        // cold weight to the sampled access's PC.
+        for (_, set_at) in pending.drain() {
+            let pc = workload.access_at(set_at).pc;
+            profiles.record_cold(pc, 1.0);
+        }
+        IntervalProfile { profiles, scan }
+    }
+
     /// The per-region unit body. A pure function of `(index, region)` —
     /// each call owns its watchpoint set, pending-sample map, per-PC
     /// profiles and lukewarm hierarchy outright, and sampling decisions
@@ -113,80 +238,14 @@ impl CoolSimRunner {
     fn region_unit<'a>(
         &'a self,
         workload: &'a dyn Workload,
-        plan: &RegionPlan,
+        plan: &'a RegionPlan,
     ) -> impl Fn(u32, &Region) -> RegionUnit + Sync + 'a {
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let rng = CounterRng::new(self.config.seed);
-        let spacing = plan.config.spacing_instrs;
         let llc_lines = self.machine.hierarchy.llc.lines();
-        let trap_seconds = CostModel::paper_host().trap_seconds;
-
         move |_i: u32, region: &Region| {
             let mut driver = UnitDriver::new(workload);
-            // --- Profile the warm-up interval with random watchpoints. ---
-            let interval = region.warmup_interval(spacing);
-            let first = interval.start.div_ceil(p);
-            let last = interval.end / p;
-            let len = last.saturating_sub(first);
-            let mut profiles = PcProfiles::new();
-            let mut watch = WatchSet::new();
-            let mut pending: LineMap<u64> = LineMap::new();
-            // Interest prefilter over the watched pages: the dominant
-            // unwatched access is one hashed bit probe; the exact page
-            // table decides only on a filter hit.
-            let mut filter = InterestFilter::with_capacity_for(1024);
-
-            // The interval runs under VFF (charged at represented
-            // magnitude); traps are charged per event at face value. The
-            // scan consumes cursor-filled line slices directly — the
-            // watch classification is the whole loop body, so there is
-            // no per-access closure boundary left — and reads a PC only
-            // for a resolved sample, through `access_at`.
-            driver.charge_work(WorkKind::Vff, len * p * mult);
-            let mut cursor = workload.cursor(first..last);
-            let mut batch = Vec::with_capacity(CURSOR_BATCH);
-            let mut k = first;
-            while cursor.fill_lines(&mut batch, CURSOR_BATCH) > 0 {
-                for &line in &batch {
-                    if filter.contains_page(line.page()) {
-                        match watch.classify_line(line) {
-                            Trap::None => {}
-                            Trap::FalsePositive => driver.charge_seconds(trap_seconds),
-                            Trap::Hit(line) => {
-                                driver.charge_seconds(trap_seconds);
-                                if let Some(set_at) = pending.remove(line) {
-                                    // Reuse found: distance is the accesses
-                                    // strictly between; attributed to the
-                                    // reusing PC.
-                                    let pc = workload.access_at(k).pc;
-                                    profiles.record(pc, k - set_at - 1, 1.0);
-                                    driver.record_collected(1);
-                                    watch.unwatch_line(line);
-                                    filter.remove_page(line.page());
-                                }
-                            }
-                        }
-                    }
-                    // Random sampling decision at the schedule's current
-                    // rate.
-                    let period = self.config.period_at(k - first, len, p);
-                    if rng.chance_one_in(k, period) && !pending.contains(line) {
-                        pending.insert(line, k);
-                        watch.watch_line(line);
-                        filter.insert_page(line.page());
-                    }
-                    k += 1;
-                }
-            }
-            // Unresolved samples: reuse longer than the remaining interval.
-            // CoolSim has no better information than "very long"; attribute
-            // cold weight to the sampled access's PC.
-            for (line, set_at) in pending.drain() {
-                let pc = workload.access_at(set_at).pc;
-                profiles.record_cold(pc, 1.0);
-                watch.unwatch_line(line);
-            }
+            let interval = self.profile_interval(workload, plan, region, driver.clock());
+            driver.record_collected(interval.scan.true_hits);
+            let predictor = interval.profiles.predictor(llc_lines);
 
             // --- Lukewarm detailed warming + statistically-warmed region. ---
             let mut lukewarm = Hierarchy::new(&self.machine);
@@ -195,9 +254,9 @@ impl CoolSimRunner {
                 if simulated != MemLevel::Memory {
                     return simulated;
                 }
-                // Missed the lukewarm hierarchy: ask the statistical model
+                // Missed the lukewarm hierarchy: take the PC's verdict of
                 // whether a perfectly warm cache would have hit.
-                match profiles.predict(a.pc, llc_lines) {
+                match predictor.predict(a.pc) {
                     PcPrediction::Hit => MemLevel::Llc,
                     // No samples for this PC: predict pessimistically.
                     PcPrediction::Miss | PcPrediction::NoData => MemLevel::Memory,
@@ -269,13 +328,79 @@ mod tests {
     #[test]
     fn schedule_gets_denser_toward_the_region() {
         let cfg = CoolSimConfig::for_scale(Scale::paper());
-        let p = 3;
-        let len = 1_000_000;
-        let early = cfg.period_at(0, len, p);
-        let mid = cfg.period_at(800_000, len, p);
-        let late = cfg.period_at(990_000, len, p);
-        assert!(early > mid && mid > late, "{early} {mid} {late}");
-        assert_eq!(early, 40_000 / 3);
+        let phases = cfg.phases(1_000_000, 3);
+        assert_eq!(
+            phases,
+            vec![
+                (0..750_000, 40_000 / 3),
+                (750_000..950_000, 20_000 / 3),
+                (950_000..1_000_000, 10_000 / 3),
+            ]
+        );
+    }
+
+    /// The per-index rule the hoisted schedule replaces: the period of
+    /// the phase holding `⌊offset·1000/len⌋` per mille, or of the last
+    /// phase past the declared schedule, or 1 for an empty schedule.
+    fn period_at(cfg: &CoolSimConfig, offset: u64, len: u64, mem_period: u64) -> u64 {
+        let pos_permille = (offset * 1000).checked_div(len).unwrap_or(0);
+        let mut acc = 0u64;
+        for ph in &cfg.schedule {
+            acc += u64::from(ph.span_permille);
+            if pos_permille < acc {
+                return (ph.period_instrs / mem_period).max(1);
+            }
+        }
+        cfg.schedule
+            .last()
+            .map(|p| (p.period_instrs / mem_period).max(1))
+            .unwrap_or(1)
+    }
+
+    #[test]
+    fn hoisted_positions_match_the_per_index_rule() {
+        let spans = |spans: &[(u32, u64)]| CoolSimConfig {
+            schedule: spans
+                .iter()
+                .map(|&(span_permille, period_instrs)| SchedulePhase {
+                    span_permille,
+                    period_instrs,
+                })
+                .collect(),
+            seed: 0x5eed,
+        };
+        let schedules = [
+            CoolSimConfig::for_scale(Scale::tiny()),
+            CoolSimConfig::for_scale(Scale::demo()),
+            CoolSimConfig::for_scale(Scale::paper()),
+            spans(&[]),
+            // Spans summing to less than 1000: the last phase runs on.
+            spans(&[(300, 12), (100, 6), (5, 3)]),
+            // Spans summing to more than 1000: later phases are empty.
+            spans(&[(600, 12), (0, 9), (700, 6), (400, 3)]),
+        ];
+        let first = 12_345;
+        for cfg in &schedules {
+            for len in [0u64, 1, 7, 999, 1000, 1001, 65_537] {
+                for mem_period in [1, 3] {
+                    let rng = CounterRng::new(cfg.seed);
+                    let slow: Vec<u64> = (first..first + len)
+                        .filter(|&k| {
+                            rng.chance_one_in(k, period_at(cfg, k - first, len, mem_period))
+                        })
+                        .collect();
+                    let fast = cfg.sample_positions(first..first + len, mem_period);
+                    assert_eq!(fast, slow, "{cfg:?} len {len} mem_period {mem_period}");
+                    // The phase ranges tile the interval in order.
+                    let phases = cfg.phases(len, mem_period);
+                    assert_eq!(phases.first().map(|(r, _)| r.start), Some(0));
+                    assert_eq!(phases.last().map(|(r, _)| r.end), Some(len));
+                    for pair in phases.windows(2) {
+                        assert_eq!(pair[0].0.end, pair[1].0.start, "{cfg:?} len {len}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,11 @@ impl<'a> UnitDriver<'a> {
             .charge(CostModel::paper_host().instr_seconds(kind, instrs));
     }
 
+    /// The unit clock, for a pass that charges it per event itself.
+    pub fn clock(&mut self) -> &mut HostClock {
+        &mut self.clock
+    }
+
     /// Charge raw host seconds (per-event costs such as traps).
     pub fn charge_seconds(&mut self, seconds: f64) {
         self.clock.charge(seconds);

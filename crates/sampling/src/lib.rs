@@ -60,7 +60,7 @@ mod strategy;
 pub use chain::{ProxyStateSource, SpeculationExtras};
 pub use checkpoint::{CheckpointExtras, CheckpointWarmingRunner};
 pub use config::{Region, RegionPlan, SamplingConfig};
-pub use coolsim::{CoolSimConfig, CoolSimRunner};
+pub use coolsim::{CoolSimConfig, CoolSimRunner, IntervalProfile};
 pub use driver::{reduce_region_units, RegionUnit};
 pub use mrrl::MrrlRunner;
 pub use report::{RegionReport, SimulationReport};

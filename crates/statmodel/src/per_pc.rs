@@ -24,6 +24,25 @@ pub enum PcPrediction {
     NoData,
 }
 
+/// Per-PC verdicts decided by [`PcProfiles::predictor`] for one cache
+/// size.
+#[derive(Clone, Debug)]
+pub struct PcPredictor {
+    verdicts: PcMap<PcPrediction>,
+}
+
+impl PcPredictor {
+    /// The verdict for an access issued by `pc`: [`PcPrediction::NoData`]
+    /// when the PC has no sampled weight.
+    #[inline]
+    pub fn predict(&self, pc: Pc) -> PcPrediction {
+        self.verdicts
+            .get(pc)
+            .copied()
+            .unwrap_or(PcPrediction::NoData)
+    }
+}
+
 /// Reuse profiles keyed by program counter, plus a pooled global profile.
 ///
 /// The global profile drives the reuse→stack conversion (stack distance is
@@ -68,32 +87,37 @@ impl PcProfiles {
         self.global.total_weight()
     }
 
-    /// Predict whether an access issued by `pc` hits a fully-associative
+    /// The hit/miss verdict of every sampled PC for a fully-associative
     /// LRU cache of `cache_lines` lines, assuming a perfectly warm cache.
     ///
-    /// The per-PC reuse distribution is compared against the *global*
+    /// Each PC's reuse distribution is compared against the *global*
     /// critical reuse distance (the largest reuse whose expected stack
-    /// distance fits the cache): the access is predicted to miss when more
-    /// than half of the PC's sampled weight lies beyond it.
-    pub fn predict(&self, pc: Pc, cache_lines: u64) -> PcPrediction {
-        let Some(profile) = self.per_pc.get(pc) else {
-            return PcPrediction::NoData;
-        };
-        if profile.total_weight() == 0.0 {
-            return PcPrediction::NoData;
-        }
+    /// distance fits the cache), found once for all PCs: an access is
+    /// predicted to miss when more than half of its PC's sampled weight
+    /// lies beyond it. The profiles are final once sampling ends, so the
+    /// verdicts are decided here, once, and each later query is one
+    /// lookup.
+    pub fn predictor(&self, cache_lines: u64) -> PcPredictor {
         let d_crit = self.global.critical_reuse_distance(cache_lines);
-        let p_miss = if d_crit == u64::MAX {
-            profile.cold_fraction()
-        } else {
-            let reuse_part = 1.0 - profile.cold_fraction();
-            profile.cold_fraction() + reuse_part * profile.p_reuse_ge(d_crit.saturating_add(1))
-        };
-        if p_miss >= 0.5 {
-            PcPrediction::Miss
-        } else {
-            PcPrediction::Hit
+        let mut verdicts = PcMap::with_capacity(self.per_pc.len());
+        for (pc, profile) in self.per_pc.iter() {
+            if profile.total_weight() == 0.0 {
+                continue;
+            }
+            let p_miss = if d_crit == u64::MAX {
+                profile.cold_fraction()
+            } else {
+                let reuse_part = 1.0 - profile.cold_fraction();
+                profile.cold_fraction() + reuse_part * profile.p_reuse_ge(d_crit.saturating_add(1))
+            };
+            let verdict = if p_miss >= 0.5 {
+                PcPrediction::Miss
+            } else {
+                PcPrediction::Hit
+            };
+            verdicts.insert(pc, verdict);
         }
+        PcPredictor { verdicts }
     }
 
     /// Merge another profile set into this one.
@@ -112,7 +136,7 @@ mod tests {
     #[test]
     fn unknown_pc_yields_no_data() {
         let p = PcProfiles::new();
-        assert_eq!(p.predict(Pc(0x1000), 64), PcPrediction::NoData);
+        assert_eq!(p.predictor(64).predict(Pc(0x1000)), PcPrediction::NoData);
     }
 
     #[test]
@@ -126,8 +150,9 @@ mod tests {
             p.record(Pc(0x1), 4, 1.0);
             p.record(Pc(0x2), 5_000_000, 1.0);
         }
-        assert_eq!(p.predict(Pc(0x1), 1024), PcPrediction::Hit);
-        assert_eq!(p.predict(Pc(0x2), 1024), PcPrediction::Miss);
+        let predictor = p.predictor(1024);
+        assert_eq!(predictor.predict(Pc(0x1)), PcPrediction::Hit);
+        assert_eq!(predictor.predict(Pc(0x2)), PcPrediction::Miss);
     }
 
     #[test]
@@ -135,7 +160,68 @@ mod tests {
         let mut p = PcProfiles::new();
         p.record(Pc(0x3), 2, 1.0);
         p.record_cold(Pc(0x3), 9.0);
-        assert_eq!(p.predict(Pc(0x3), 1 << 30), PcPrediction::Miss);
+        assert_eq!(p.predictor(1 << 30).predict(Pc(0x3)), PcPrediction::Miss);
+    }
+
+    /// The global profile as bits: bins, reuse weight and total weight.
+    fn global_bits(p: &PcProfiles) -> (Vec<(u64, u64)>, u64, u64) {
+        let g = p.global();
+        let bins = g
+            .histogram()
+            .iter()
+            .map(|(d, w)| (d, w.to_bits()))
+            .collect();
+        (bins, g.reuse_weight().to_bits(), g.total_weight().to_bits())
+    }
+
+    #[test]
+    fn unit_weight_folds_are_order_free() {
+        // One multiset of unit-weight `record` (Some(distance)) and
+        // `record_cold` (None) calls over 13 PCs: the low PCs reuse
+        // short, the high ones long, and every fifth call is cold.
+        let calls: Vec<(Pc, Option<u64>)> = (0..2_000u64)
+            .map(|i| {
+                let pc = (i * 7) % 13;
+                let sample = if i % 5 == 0 {
+                    None
+                } else if pc < 6 {
+                    Some(1 + i % 40)
+                } else {
+                    Some(100_000 + i * 97)
+                };
+                (Pc(0x400 + pc * 4), sample)
+            })
+            .collect();
+        let fold = |order: &mut dyn Iterator<Item = &(Pc, Option<u64>)>| {
+            let mut p = PcProfiles::new();
+            for &(pc, sample) in order {
+                match sample {
+                    Some(d) => p.record(pc, d, 1.0),
+                    None => p.record_cold(pc, 1.0),
+                }
+            }
+            p
+        };
+        let forward = fold(&mut calls.iter());
+        let backward = fold(&mut calls.iter().rev());
+        // A stride permutation interleaves the two halves differently.
+        let strided = fold(&mut (0..calls.len()).map(|i| &calls[(i * 1_237) % calls.len()]));
+        assert_eq!(global_bits(&forward), global_bits(&backward));
+        assert_eq!(global_bits(&forward), global_bits(&strided));
+        let mut seen = Vec::new();
+        for cache_lines in [16, 1_024, 1 << 20] {
+            let a = forward.predictor(cache_lines);
+            let b = backward.predictor(cache_lines);
+            let c = strided.predictor(cache_lines);
+            for pc in (0..13).map(|pc| Pc(0x400 + pc * 4)) {
+                let verdict = a.predict(pc);
+                assert_eq!(verdict, b.predict(pc), "{pc:?} at {cache_lines} lines");
+                assert_eq!(verdict, c.predict(pc), "{pc:?} at {cache_lines} lines");
+                seen.push(verdict);
+            }
+        }
+        // The multiset exercises both verdicts.
+        assert!(seen.contains(&PcPrediction::Hit) && seen.contains(&PcPrediction::Miss));
     }
 
     #[test]

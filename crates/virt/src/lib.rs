@@ -17,8 +17,9 @@
 //!   trap on a watched page whose line is not watched) are an emergent
 //!   property of workload layout, exactly the effect that makes povray
 //!   expensive in the paper. The scans that drive it (the Explorers and
-//!   CoolSim's interval) live in the strategy crates, read cachelines
-//!   through `AccessCursor::fill_lines`, and report [`WatchScanStats`];
+//!   CoolSim's interval) live in the strategy crates, walk cachelines
+//!   through `delorean_trace::walk_domains`, and report
+//!   [`WatchScanStats`];
 //! * [`HostClock`] / [`RunCost`] — seconds-based cost accounting, with
 //!   pipelined wall-clock estimation for the multi-pass TT pipeline and
 //!   per-worker wall-clock modeling for the region-parallel runtime:
