@@ -36,8 +36,8 @@ pub fn run(opts: &ExpOptions) -> Table {
         ),
         (
             "L1-I".into(),
-            format!("{}", paper.l1i),
-            format!("{}", scaled.l1i),
+            "64 KiB 2-way LRU".into(),
+            "not simulated".into(),
         ),
         (
             "L1-D".into(),

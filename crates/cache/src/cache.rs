@@ -198,20 +198,6 @@ impl Cache {
         &self.tags[row..row + self.cfg.ways as usize]
     }
 
-    /// Touch the *host* cache lines holding this line's set metadata
-    /// (tags and replacement stamps) without observing them.
-    ///
-    /// A batched caller that knows the next few accesses can issue these
-    /// touches ahead of the simulation loop, overlapping the host-memory
-    /// latency of the tag arrays with the current access's work — a
-    /// lookahead the one-at-a-time API structurally cannot have.
-    #[inline]
-    pub fn prefetch_set(&self, line: LineAddr) {
-        let row = self.row(self.set_index(line));
-        std::hint::black_box(self.tags[row]);
-        std::hint::black_box(self.stamps[row]);
-    }
-
     /// Non-mutating lookup.
     #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {

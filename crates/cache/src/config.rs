@@ -127,11 +127,10 @@ impl fmt::Display for CacheConfig {
     }
 }
 
-/// Hierarchy geometry: the cache-side half of Table 1.
+/// Hierarchy geometry: the data-side half of Table 1. (Table 1's L1-I
+/// is not simulated: the traces carry data accesses only.)
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HierarchyConfig {
-    /// L1 instruction cache.
-    pub l1i: CacheConfig,
     /// L1 data cache.
     pub l1d: CacheConfig,
     /// Unified last-level cache.
@@ -157,7 +156,6 @@ impl HierarchyConfig {
     /// Table 1 scaled, with an explicit paper-scale LLC size.
     fn for_scale_with_llc(scale: Scale, llc_paper_bytes: u64) -> Self {
         HierarchyConfig {
-            l1i: CacheConfig::new(scale.bytes(64 << 10), 2),
             l1d: CacheConfig::new(scale.bytes(64 << 10), 2),
             llc: CacheConfig::new(scale.bytes(llc_paper_bytes), 8),
             l1d_mshrs: 8,
@@ -167,7 +165,6 @@ impl HierarchyConfig {
 
     /// Validate every level.
     pub fn validate(&self) -> Result<(), String> {
-        self.l1i.validate().map_err(|e| format!("l1i: {e}"))?;
         self.l1d.validate().map_err(|e| format!("l1d: {e}"))?;
         self.llc.validate().map_err(|e| format!("llc: {e}"))?;
         if self.l1d_mshrs == 0 {

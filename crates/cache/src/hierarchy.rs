@@ -1,5 +1,6 @@
-//! The Table 1 cache hierarchy: split L1s, unified LLC, L1-D MSHRs, and an
-//! optional LLC stride prefetcher.
+//! The Table 1 data-side cache hierarchy: L1-D, unified LLC, L1-D MSHRs,
+//! and an optional LLC stride prefetcher. (Table 1's L1-I is not
+//! simulated: the traces carry data accesses only.)
 //!
 //! # The two access paths
 //!
@@ -48,7 +49,6 @@ pub enum MemLevel {
 /// reported as [`MemLevel::Mshr`] — the delayed hits of the paper.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
-    l1i: Cache,
     l1d: Cache,
     llc: Cache,
     mshr_d: MshrFile,
@@ -57,13 +57,6 @@ pub struct Hierarchy {
     /// Reusable scratch for MSHR retirements: the deferred L1 fills of an
     /// access are collected here instead of a fresh `Vec` per access.
     retired: Vec<LineAddr>,
-    /// Adaptive batched-warm state: whether the recent L1-D miss rate is
-    /// high enough for LLC tag-row lookahead to pay off (see
-    /// [`Hierarchy::warm_slice`]). Not part of the architectural state.
-    warm_llc_lookahead: bool,
-    /// Data accesses and L1-D hits at the end of the previous warm batch,
-    /// for the adaptive miss-rate estimate.
-    warm_marker: (u64, u64),
 }
 
 impl Hierarchy {
@@ -76,15 +69,12 @@ impl Hierarchy {
         // lint:allow(no-unwrap): documented # Panics contract — construction fails fast on an invalid hierarchy
         cfg.hierarchy.validate().expect("invalid hierarchy config");
         Hierarchy {
-            l1i: Cache::new(cfg.hierarchy.l1i),
             l1d: Cache::new(cfg.hierarchy.l1d),
             llc: Cache::new(cfg.hierarchy.llc),
             mshr_d: MshrFile::new(cfg.hierarchy.l1d_mshrs, cfg.hierarchy.mshr_latency_accesses),
             prefetcher: cfg.prefetch.then(StridePrefetcher::paper_default),
             stats: HierarchyStats::default(),
             retired: Vec::new(),
-            warm_llc_lookahead: false,
-            warm_marker: (0, 0),
         }
     }
 
@@ -143,34 +133,9 @@ impl Hierarchy {
     /// outcomes are not materialized (warming consumes state and
     /// counters, not levels).
     pub fn warm_slice(&mut self, batch: &[MemAccess]) {
-        // Knowing the whole batch up front, the loop can touch the LLC
-        // set metadata of an access a few iterations ahead, overlapping
-        // the host-cache misses on the tag arrays with the simulation of
-        // the current access — a lookahead the one-at-a-time API
-        // structurally cannot have. The touches observe nothing, so
-        // equivalence with the per-access path is untouched. They only
-        // pay off when L1 misses actually reach the LLC arrays, so the
-        // lookahead adapts to the miss rate of the previous batch.
-        const LOOKAHEAD: usize = 8;
-        if self.warm_llc_lookahead {
-            for (i, a) in batch.iter().enumerate() {
-                if let Some(ahead) = batch.get(i + LOOKAHEAD) {
-                    self.llc.prefetch_set(ahead.addr.line());
-                }
-                self.access_data_inner(a.pc, a.addr.line(), a.index);
-            }
-        } else {
-            for a in batch {
-                self.access_data_inner(a.pc, a.addr.line(), a.index);
-            }
+        for a in batch {
+            self.access_data_inner(a.pc, a.addr.line(), a.index);
         }
-        let (seen, l1) = (self.stats.data_accesses(), self.stats.l1d_hits);
-        let delta = seen.saturating_sub(self.warm_marker.0);
-        let l1_delta = l1.saturating_sub(self.warm_marker.1);
-        // Hysteresis-free threshold: lookahead on when >1/16 of the
-        // batch's accesses left the L1.
-        self.warm_llc_lookahead = delta.saturating_sub(l1_delta) * 16 > delta;
-        self.warm_marker = (seen, l1);
     }
 
     /// Warm the hierarchy with the workload accesses in `accesses`,
@@ -236,11 +201,6 @@ impl Hierarchy {
         &mut self.llc
     }
 
-    /// The L1 instruction cache.
-    pub fn l1i(&self) -> &Cache {
-        &self.l1i
-    }
-
     /// Hierarchy-level statistics.
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats
@@ -249,13 +209,8 @@ impl Hierarchy {
     /// Zero the statistics, keeping all cache state.
     pub fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.llc.reset_stats();
-        // The adaptive-lookahead marker mirrors the counters it is
-        // diffed against.
-        self.warm_marker = (0, 0);
-        self.warm_llc_lookahead = false;
     }
 
     /// Fork the **complete** hierarchy state — caches, in-flight MSHRs,
@@ -273,13 +228,12 @@ impl Hierarchy {
         self.clone()
     }
 
-    /// Capture the full hierarchy state (all three caches) for
+    /// Capture the full hierarchy state (both caches) for
     /// checkpointed warming. Outstanding MSHRs are completed first — a
     /// checkpoint is taken at a quiesced boundary.
     pub fn snapshot(&mut self) -> HierarchySnapshot {
         self.drain_mshrs();
         HierarchySnapshot {
-            l1i: self.l1i.snapshot(),
             l1d: self.l1d.snapshot(),
             llc: self.llc.snapshot(),
         }
@@ -291,14 +245,13 @@ impl Hierarchy {
     ///
     /// Panics if any level's geometry does not match.
     pub fn restore(&mut self, snapshot: &HierarchySnapshot) {
-        self.l1i.restore(&snapshot.l1i);
         self.l1d.restore(&snapshot.l1d);
         self.llc.restore(&snapshot.llc);
         self.mshr_d.clear();
     }
 
     /// A cheap digest of the hierarchy's **behaviorally live** state:
-    /// a [`mix64`](delorean_trace::mix64) fold over all three caches
+    /// a [`mix64`](delorean_trace::mix64) fold over both caches
     /// (policy-aware, see [`Cache::state_digest`]), the in-flight L1-D
     /// MSHR entries, and the prefetcher streams if enabled.
     ///
@@ -312,11 +265,10 @@ impl Hierarchy {
     /// *directed warm-up window replayed from cold* reproduce the live
     /// state of a full sequential warm chain and commit against it.
     ///
-    /// Statistics, the MSHR-retirement scratch and the adaptive
-    /// batched-warm hints are not architectural state and are excluded.
+    /// Statistics and the MSHR-retirement scratch are not architectural
+    /// state and are excluded.
     pub fn state_digest(&self) -> u64 {
-        let mut d = self.l1i.state_digest(0x00d1_0c0d_e57a_7e00);
-        d = self.l1d.state_digest(d);
+        let mut d = self.l1d.state_digest(0x00d1_0c0d_e57a_7e00);
         d = self.llc.state_digest(d);
         d = self.mshr_d.state_digest(d);
         match &self.prefetcher {
@@ -336,7 +288,6 @@ impl Hierarchy {
     /// Panics if the two hierarchies were built from different machine
     /// configurations (geometry or MSHR shape).
     pub fn copy_state_from(&mut self, other: &Hierarchy) {
-        self.l1i.copy_state_from(&other.l1i);
         self.l1d.copy_state_from(&other.l1d);
         self.llc.copy_state_from(&other.llc);
         self.mshr_d.copy_state_from(&other.mshr_d);
@@ -346,8 +297,6 @@ impl Hierarchy {
         }
         self.stats = other.stats;
         self.retired.clear();
-        self.warm_llc_lookahead = other.warm_llc_lookahead;
-        self.warm_marker = other.warm_marker;
     }
 
     /// Drop outstanding MSHR state (e.g. at region boundaries).
@@ -367,7 +316,6 @@ impl Hierarchy {
 /// equivalence oracle of the batched warm path.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct HierarchySnapshot {
-    l1i: crate::cache::CacheSnapshot,
     l1d: crate::cache::CacheSnapshot,
     llc: crate::cache::CacheSnapshot,
 }
@@ -375,7 +323,7 @@ pub struct HierarchySnapshot {
 impl HierarchySnapshot {
     /// Live-points-style storage footprint of the checkpoint.
     pub fn storage_bytes(&self) -> u64 {
-        self.l1i.storage_bytes() + self.l1d.storage_bytes() + self.llc.storage_bytes()
+        self.l1d.storage_bytes() + self.llc.storage_bytes()
     }
 }
 
@@ -402,10 +350,9 @@ mod tests {
 
     #[test]
     fn llc_hit_after_l1_eviction() {
-        // Explicit geometry: 4 KiB L1s, 64 KiB LLC (16× larger).
+        // Explicit geometry: 4 KiB L1-D, 64 KiB LLC (16× larger).
         let cfg = MachineConfig {
             hierarchy: crate::config::HierarchyConfig {
-                l1i: crate::CacheConfig::new(4 << 10, 2),
                 l1d: crate::CacheConfig::new(4 << 10, 2),
                 llc: crate::CacheConfig::new(64 << 10, 8),
                 l1d_mshrs: 8,
@@ -502,8 +449,8 @@ mod tests {
         let w = spec_workload("mcf", Scale::tiny(), 1).unwrap();
         let mut h = Hierarchy::new(&machine());
         h.warm_range(&w, 0..5_000);
-        // Zeroing the counters mid-run must not desync the adaptive
-        // lookahead marker (a stale marker underflows the batch delta).
+        // Zeroing the counters mid-run keeps all cache state: the
+        // batched run still matches the per-access oracle.
         h.reset_stats();
         h.warm_range(&w, 5_000..10_000);
         let mut oracle = Hierarchy::new(&machine());

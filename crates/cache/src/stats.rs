@@ -57,8 +57,6 @@ pub struct HierarchyStats {
     pub llc_hits: u64,
     /// Data accesses served by memory.
     pub memory: u64,
-    /// Instruction fetches that missed the L1-I.
-    pub l1i_misses: u64,
     /// Prefetch requests issued.
     pub prefetches_issued: u64,
     /// Prefetch requests dropped because the line was already cached.
@@ -86,7 +84,6 @@ impl HierarchyStats {
         self.mshr_hits += other.mshr_hits;
         self.llc_hits += other.llc_hits;
         self.memory += other.memory;
-        self.l1i_misses += other.l1i_misses;
         self.prefetches_issued += other.prefetches_issued;
         self.prefetches_nullified += other.prefetches_nullified;
     }

@@ -26,7 +26,6 @@ fn machine(
 ) -> MachineConfig {
     MachineConfig {
         hierarchy: HierarchyConfig {
-            l1i: CacheConfig::new(4 << 10, 2),
             l1d: CacheConfig::new(4 << 10, 2),
             llc: CacheConfig::new(32 << 10, 8).with_replacement(llc_policy),
             l1d_mshrs: mshrs,

@@ -48,7 +48,6 @@ fn machine(policy: ReplacementPolicy, mshrs: (u32, u64), prefetch: bool) -> Mach
     let cache = |size: u64, ways: u32| CacheConfig::new(size, ways).with_replacement(policy);
     MachineConfig {
         hierarchy: HierarchyConfig {
-            l1i: cache(4 * 1024, 2),
             l1d: cache(4 * 1024, 2),
             llc: cache(32 * 1024, 4),
             l1d_mshrs: mshrs.0,

@@ -20,33 +20,24 @@
 //!
 //! # The scan
 //!
-//! A scan is the shared [`walk_domains`] over the workload's
-//! [`LineDomains`](delorean_trace::LineDomains): page-disjoint shares of
-//! the window (one per compiled stream for a
-//! [`PhasedWorkload`](delorean_trace::PhasedWorkload), the whole window
-//! for any other workload), each walked access by access only while it
-//! holds a watched line and jumped to its next vicinity sample otherwise.
-//! The walk's docs carry the exactness argument. Key watchpoints stay
-//! armed for the whole window, so each domain starts holding its key
-//! count, and a key line that no domain claims keeps every domain
-//! walking. Both explorer kinds share the one per-access visitor;
-//! [`WatchScanStats::accesses_generated`] counts the accesses the walk
-//! produced, against the `accesses_scanned` the cost model charges.
-//!
-//! Each visited access runs on the flat lookup substrate: a fused
-//! [`InterestFilter`] decides the dominant "nothing interesting here"
-//! access with a single hashed bit probe (watched pages for VDP, exact
-//! key/vicinity lines for the functional pass), and only filter hits fall
-//! through to the exact [`LineMap`] tables and the refcounted
-//! [`WatchSet`].
+//! Both explorer kinds run the one watchpoint scan,
+//! [`delorean_virt::profile_reuses`], over the window: the pending keys
+//! stay watched for the whole window and the vicinity samples arm at
+//! positions drawn before the scan. Explorer-1 scans in
+//! [`ScanMode::Functional`] (exact line membership, no traps), the VDP
+//! explorers in [`ScanMode::Vdp`]. The scan walks the workload's
+//! page-disjoint line domains, each only while it holds a watched line;
+//! [`WatchScanStats::accesses_generated`] counts the accesses it
+//! produced, against the `accesses_scanned` the cost model charges. An
+//! explorer folds what the scan returns: each key's last access into a
+//! resolved reuse distance, and the vicinity reuses plus the censored
+//! unresolved samples into its vicinity histogram.
 
 use crate::keyset::KeySet;
 use delorean_sampling::Region;
 use delorean_statmodel::ReuseProfile;
-use delorean_trace::{
-    walk_domains, CounterRng, InterestFilter, LineAddr, LineMap, Visit, Workload,
-};
-use delorean_virt::{CostModel, HostClock, Trap, WatchScanStats, WatchSet, WorkKind};
+use delorean_trace::{CounterRng, LineAddr, Workload};
+use delorean_virt::{profile_reuses, CostModel, HostClock, ScanMode, WatchScanStats, WorkKind};
 
 /// A key cacheline still waiting for its last prior access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -56,9 +47,6 @@ pub struct PendingKey {
     /// Global access index of its first access in the region.
     pub first_access_index: u64,
 }
-
-/// Sentinel for "no access to this key seen yet" in the fused key table.
-const NOT_SEEN: u64 = u64::MAX;
 
 /// What one explorer produced for one region.
 #[derive(Clone, Debug, Default)]
@@ -72,7 +60,7 @@ pub struct ExplorerOutcome {
     pub vicinity: ReuseProfile,
     /// Number of vicinity reuse distances recorded (non-cold).
     pub vicinity_count: u64,
-    /// Trap statistics (zero for the functional Explorer-1).
+    /// Scan statistics (no traps for the functional Explorer-1).
     pub scan: WatchScanStats,
 }
 
@@ -106,79 +94,38 @@ pub fn run_explorer(
     let first = workload.access_index_at_instr(start_instr);
     let end = workload.access_index_at_instr(end_instr);
     let p = workload.mem_period();
-    let functional = index == 0;
 
     // Cost: Explorer-1 interprets its window; later explorers VFF it and
     // pay per trap. (The pass-level VFF across the rest of the interval is
     // charged by the runner.)
-    let span_accesses = end.saturating_sub(first);
-    clock.charge(cost.instr_seconds(
-        if functional {
-            WorkKind::Functional
-        } else {
-            WorkKind::Vff
-        },
-        span_accesses * p * work_multiplier,
-    ));
-
-    let mut domains = workload.line_domains(first..end);
-    // Fused interest filter: one counting bitmap covering watched pages ∪
-    // key lines ∪ vicinity-pending lines, so the dominant "nothing
-    // interesting here" access is decided by a single hashed bit probe.
-    // One probe suffices because the two explorer kinds each need only
-    // one granularity: a VDP explorer watches every key and armed vicinity
-    // line, so the watched *pages* already cover all three sets (and the
-    // page test must fire on false-positive traps anyway); the
-    // functional Explorer-1 has no watchpoints, so only exact *line*
-    // membership matters.
-    let mut scan = Scan {
-        functional,
-        trap_seconds: cost.trap_seconds,
-        clock,
-        filter: InterestFilter::with_capacity_for(pending.len() + 1024),
-        // Key membership and last-seen tracking fused into one table: the
-        // cold path pays a single probe for both.
-        keys: LineMap::with_capacity(pending.len()),
-        watch: WatchSet::new(),
-        vicinity: ReuseProfile::new(),
-        vicinity_count: 0,
-        vicinity_pending: LineMap::new(),
-        stats: WatchScanStats {
-            accesses_scanned: span_accesses,
-            ..Default::default()
-        },
+    let (kind, mode) = if index == 0 {
+        (WorkKind::Functional, ScanMode::Functional)
+    } else {
+        let trap_seconds = cost.trap_seconds;
+        (WorkKind::Vff, ScanMode::Vdp { trap_seconds })
     };
-    // Key lines per domain: they stay watched for the whole window.
-    let mut keys_held = vec![0u32; domains.count()];
-    let mut walk_all = false;
-    for k in pending {
-        scan.keys.insert(k.line, NOT_SEEN);
-        scan.watch_line(k.line);
-        match domains.domain_of_line(k.line) {
-            Some(d) => keys_held[d] += 1,
-            None => walk_all = true,
-        }
-    }
+    let span_accesses = end.saturating_sub(first);
+    clock.charge(cost.instr_seconds(kind, span_accesses * p * work_multiplier));
 
+    let keys: Vec<LineAddr> = pending.iter().map(|k| k.line).collect();
     let rng = CounterRng::new(seed ^ ((index as u64 + 1) << 48) ^ region.index as u64);
     let positions: Vec<u64> = rng
         .one_in_positions(first..end, vicinity_period_accesses)
         .collect();
-    scan.stats.accesses_generated = walk_domains(
-        &mut *domains,
+    let mut vicinity = ReuseProfile::new();
+    let mut vicinity_count = 0;
+    let reuses = profile_reuses(
+        workload,
+        first..end,
+        &keys,
         &positions,
-        &keys_held,
-        walk_all,
-        |k, line, arm| scan.visit(k, line, arm),
+        mode,
+        clock,
+        |_, distance| {
+            vicinity.record(distance, 1.0);
+            vicinity_count += 1;
+        },
     );
-    let Scan {
-        keys,
-        mut vicinity,
-        vicinity_count,
-        mut vicinity_pending,
-        stats: scan,
-        ..
-    } = scan;
 
     // Vicinity samples with no reuse before the scan end are *censored*:
     // the reuse is at least as long as the remaining window. Record them
@@ -186,15 +133,15 @@ pub fn run_explorer(
     // treating them as infinite would inflate stack-distance estimates in
     // proportion to the censored fraction, which is large for the deep
     // explorers' exclusive windows.
-    for (_, set_at) in vicinity_pending.drain() {
+    for set_at in reuses.unresolved {
         vicinity.record(end.saturating_sub(set_at + 1).max(1), 1.0);
     }
 
     let mut resolved = Vec::new();
     let mut remaining = Vec::new();
-    for k in pending {
-        match keys.get(k.line) {
-            Some(&pos) if pos != NOT_SEEN && pos < k.first_access_index => {
+    for (k, last) in pending.iter().zip(reuses.last_key_access) {
+        match last {
+            Some(pos) if pos < k.first_access_index => {
                 resolved.push((k.line, k.first_access_index - pos - 1));
             }
             _ => remaining.push(*k),
@@ -205,91 +152,7 @@ pub fn run_explorer(
         remaining,
         vicinity,
         vicinity_count,
-        scan,
-    }
-}
-
-/// The state of one explorer scan, shared by every domain walk.
-struct Scan<'c> {
-    functional: bool,
-    trap_seconds: f64,
-    clock: &'c mut HostClock,
-    filter: InterestFilter,
-    keys: LineMap<u64>,
-    watch: WatchSet,
-    vicinity: ReuseProfile,
-    vicinity_count: u64,
-    vicinity_pending: LineMap<u64>,
-    stats: WatchScanStats,
-}
-
-impl Scan<'_> {
-    fn watch_line(&mut self, line: LineAddr) {
-        if self.functional {
-            self.filter.insert_line(line);
-        } else {
-            self.watch.watch_line(line);
-            self.filter.insert_page(line.page());
-        }
-    }
-
-    fn unwatch_line(&mut self, line: LineAddr) {
-        if self.functional {
-            self.filter.remove_line(line);
-        } else {
-            self.watch.unwatch_line(line);
-            self.filter.remove_page(line.page());
-        }
-    }
-
-    /// One access of the scan: traps, key tracking, vicinity resolution,
-    /// then arming a sample at a sample position.
-    #[inline(always)]
-    fn visit(&mut self, k: u64, line: LineAddr, arm: bool) -> Visit {
-        let mut step = Visit::default();
-        let interesting = if self.functional {
-            self.filter.contains_line(line)
-        } else {
-            self.filter.contains_page(line.page())
-        };
-        if interesting {
-            // Trap accounting (VDP explorers only): any access to a
-            // watched page costs a trap, watched line or not.
-            if !self.functional {
-                match self.watch.classify_line(line) {
-                    Trap::None => {}
-                    Trap::FalsePositive => {
-                        self.stats.false_positives += 1;
-                        self.clock.charge(self.trap_seconds);
-                    }
-                    Trap::Hit(_) => {
-                        self.stats.true_hits += 1;
-                        self.clock.charge(self.trap_seconds);
-                    }
-                }
-            }
-            // Key tracking: remember the latest access to each pending key.
-            if let Some(seen) = self.keys.get_mut(line) {
-                *seen = k;
-            }
-            // Vicinity: resolve an armed sample on reuse. The key
-            // watchpoint (if any) on the same line stays armed: watch
-            // references are refcounted, so disarming the vicinity side
-            // never drops a key that must live for the whole window.
-            if let Some(set_at) = self.vicinity_pending.remove(line) {
-                self.vicinity.record(k - set_at - 1, 1.0);
-                self.vicinity_count += 1;
-                self.unwatch_line(line);
-                step.resolved = true;
-            }
-        }
-        // Arm a new vicinity sample at a sample position.
-        if arm && !self.vicinity_pending.contains(line) {
-            self.vicinity_pending.insert(line, k);
-            self.watch_line(line);
-            step.armed = true;
-        }
-        step
+        scan: reuses.stats,
     }
 }
 
@@ -428,7 +291,7 @@ mod tests {
         assert_eq!(fr, vr);
         // Every scanned access to a key line must be a true hit: the key
         // stays watched even after an overlapping vicinity sample
-        // resolves. (The pre-refcount WatchSet dropped the key watch on
+        // resolves. (The pre-refcount watch set dropped the key watch on
         // vicinity resolution and undercounted these.)
         let first = w.access_index_at_instr(region.start_instr.saturating_sub(window));
         let end = w.access_index_at_instr(region.start_instr);

@@ -14,8 +14,8 @@
 //! for the next 200 M, and one every 10 k for the last 50 M — denser
 //! sampling closer to the region, where reuses matter most. Sample
 //! positions are a pure function of the access index, drawn per phase
-//! before the scan, and the scan is the watchpoint profilers' shared
-//! [`walk_domains`]: it walks a page-disjoint line domain only while a
+//! before the scan, and the scan is the watchpoint profilers' one
+//! [`profile_reuses`]: it walks a page-disjoint line domain only while a
 //! sample is armed there and jumps to the domain's next sample otherwise.
 //!
 //! Two modeled inefficiencies are the point of comparison with DeLorean:
@@ -31,30 +31,29 @@ use crate::strategy::{SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig, MemLevel};
 use delorean_statmodel::per_pc::{PcPrediction, PcProfiles};
 use delorean_trace::fault::FaultPolicy;
-use delorean_trace::{
-    walk_domains, CounterRng, InterestFilter, LineMap, MemAccess, Scale, Visit, Workload,
-};
-use delorean_virt::{CostModel, HostClock, Trap, WatchScanStats, WatchSet, WorkKind};
+use delorean_trace::{CounterRng, MemAccess, Scale, Workload};
+use delorean_virt::{profile_reuses, CostModel, HostClock, ScanMode, WatchScanStats, WorkKind};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One phase of the adaptive sampling schedule.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedulePhase {
+struct SchedulePhase {
     /// Share of the warm-up interval, in per mille (phases are laid out in
     /// order from the interval start).
-    pub span_permille: u32,
+    span_permille: u32,
     /// Sampling period: one sample per this many instructions.
-    pub period_instrs: u64,
+    period_instrs: u64,
 }
 
-/// CoolSim configuration.
+/// CoolSim configuration: the adaptive sampling schedule and its seed,
+/// built by [`CoolSimConfig::for_scale`].
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoolSimConfig {
     /// Adaptive schedule phases, covering the interval in order.
-    pub schedule: Vec<SchedulePhase>,
+    schedule: Vec<SchedulePhase>,
     /// Seed for sampling decisions.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl CoolSimConfig {
@@ -153,10 +152,11 @@ impl CoolSimRunner {
     /// charging `clock` for the interval (under VFF, at represented
     /// magnitude) and for each trap (at face value).
     ///
-    /// The scan is [`walk_domains`] over the interval's line domains,
-    /// with no key lines: a domain is walked only while one of its
-    /// samples is armed. A resolved sample's PC is read through
-    /// `access_at`, the only access the scan materializes.
+    /// The scan is [`profile_reuses`] in [`ScanMode::Vdp`] with no key
+    /// lines, at the schedule's sample positions. A resolved sample's
+    /// reuse goes to the reusing PC and an unresolved one's cold weight
+    /// to the sampled PC, each read through `access_at`, the only
+    /// accesses the profile materializes.
     pub fn profile_interval(
         &self,
         workload: &dyn Workload,
@@ -173,61 +173,23 @@ impl CoolSimRunner {
         clock.charge(cost.instr_seconds(WorkKind::Vff, len * p * plan.config.work_multiplier()));
 
         let mut profiles = PcProfiles::new();
-        let mut watch = WatchSet::new();
-        let mut pending: LineMap<u64> = LineMap::new();
-        // Interest prefilter over the watched pages: the dominant
-        // unwatched access is one hashed bit probe; the exact page table
-        // decides only on a filter hit.
-        let mut filter = InterestFilter::with_capacity_for(1024);
-        let mut scan = WatchScanStats {
-            accesses_scanned: len,
-            ..Default::default()
-        };
         let samples = self.config.sample_positions(first..last, p);
-        let mut domains = workload.line_domains(first..last);
-        let held = vec![0; domains.count()];
-        scan.accesses_generated =
-            walk_domains(&mut *domains, &samples, &held, false, |k, line, arm| {
-                let mut step = Visit::default();
-                if filter.contains_page(line.page()) {
-                    match watch.classify_line(line) {
-                        Trap::None => {}
-                        Trap::FalsePositive => {
-                            scan.false_positives += 1;
-                            clock.charge(cost.trap_seconds);
-                        }
-                        Trap::Hit(line) => {
-                            scan.true_hits += 1;
-                            clock.charge(cost.trap_seconds);
-                            if let Some(set_at) = pending.remove(line) {
-                                // Reuse found: distance is the accesses
-                                // strictly between; attributed to the
-                                // reusing PC.
-                                let pc = workload.access_at(k).pc;
-                                profiles.record(pc, k - set_at - 1, 1.0);
-                                watch.unwatch_line(line);
-                                filter.remove_page(line.page());
-                                step.resolved = true;
-                            }
-                        }
-                    }
-                }
-                if arm && !pending.contains(line) {
-                    pending.insert(line, k);
-                    watch.watch_line(line);
-                    filter.insert_page(line.page());
-                    step.armed = true;
-                }
-                step
-            });
+        let mode = ScanMode::Vdp {
+            trap_seconds: cost.trap_seconds,
+        };
+        let reuses = profile_reuses(workload, first..last, &[], &samples, mode, clock, |k, d| {
+            profiles.record(workload.access_at(k).pc, d, 1.0);
+        });
         // Unresolved samples: reuse longer than the remaining interval.
         // CoolSim has no better information than "very long"; attribute
         // cold weight to the sampled access's PC.
-        for (_, set_at) in pending.drain() {
-            let pc = workload.access_at(set_at).pc;
-            profiles.record_cold(pc, 1.0);
+        for set_at in reuses.unresolved {
+            profiles.record_cold(workload.access_at(set_at).pc, 1.0);
         }
-        IntervalProfile { profiles, scan }
+        IntervalProfile {
+            profiles,
+            scan: reuses.stats,
+        }
     }
 
     /// The per-region unit body. A pure function of `(index, region)` —

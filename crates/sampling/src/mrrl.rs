@@ -27,27 +27,19 @@ use delorean_virt::WorkKind;
 /// Accesses profiled per region to estimate the latency distribution.
 const PROFILE_ACCESSES: u64 = 50_000;
 
+/// Reuse-latency coverage target (the original work uses ~99.9%).
+const PERCENTILE: f64 = 0.999;
+
 /// The MRRL adaptive-functional-warming runner.
 #[derive(Clone, Debug)]
 pub struct MrrlRunner {
     machine: MachineConfig,
-    /// Reuse-latency coverage target (the original work uses ~99.9%).
-    percentile: f64,
 }
 
 impl MrrlRunner {
     /// A runner with Table 1 timing, paper-host costs and 99.9% coverage.
     pub fn new(machine: MachineConfig) -> Self {
-        MrrlRunner {
-            machine,
-            percentile: 0.999,
-        }
-    }
-
-    /// Override the coverage percentile.
-    pub fn with_percentile(mut self, percentile: f64) -> Self {
-        self.percentile = percentile.clamp(0.5, 1.0);
-        self
+        MrrlRunner { machine }
     }
 
     /// Estimate the warming window (in instructions) covering the target
@@ -65,7 +57,7 @@ impl MrrlRunner {
         if hist.is_empty() {
             return PROFILE_ACCESSES * p;
         }
-        hist.quantile(self.percentile)
+        hist.quantile(PERCENTILE)
     }
 
     /// The per-region unit body: a pure function of `(index, region)` —
@@ -181,25 +173,5 @@ mod tests {
         );
         let err = mrrl.cpi_error_vs(&smarts);
         assert!(err < 0.25, "MRRL error {err}");
-    }
-
-    #[test]
-    fn lower_percentile_means_shorter_warming() {
-        let (w, machine, plan) = setup();
-        let strict = MrrlRunner::new(machine).with_percentile(0.999);
-        let loose = MrrlRunner::new(machine).with_percentile(0.5);
-        let region_first = w.access_index_at_instr(plan.regions[0].detailed.start);
-        let ws = strict.warming_window(&w, region_first);
-        let wl = loose.warming_window(&w, region_first);
-        assert!(wl <= ws, "loose {wl} > strict {ws}");
-    }
-
-    #[test]
-    fn percentile_is_clamped() {
-        let (_, machine, _) = setup();
-        let r = MrrlRunner::new(machine).with_percentile(7.0);
-        assert_eq!(r.percentile, 1.0);
-        let r = MrrlRunner::new(machine).with_percentile(0.0);
-        assert_eq!(r.percentile, 0.5);
     }
 }

@@ -42,7 +42,7 @@
 //!
 //! | Scan | Reads | Output |
 //! |---|---|---|
-//! | Explorer-1 and the VDP explorers (`run_explorer`), CoolSim's watchpoint interval (PC via `access_at` on a resolved sample) | index, line | [`walk_domains`](crate::walk_domains) over [`Workload::line_domains`](crate::Workload::line_domains) (its one-domain default: `fill_lines`) |
+//! | Explorer-1 and the VDP explorers (`run_explorer`), CoolSim's watchpoint interval (PC via `access_at` on a resolved or unresolved sample), all through the one scan `delorean_virt::profile_reuses` | index, line | [`Workload::line_domains`](crate::Workload::line_domains) (its one-domain default: `fill_lines`) |
 //! | Scout lukewarm-replica warm loop | index, line | `fill_lines` |
 //! | MRRL reuse-latency profile | index, line | `fill_lines` |
 //! | Speculative-lane statmodel probe | line | `fill_lines` |

@@ -35,10 +35,11 @@
 //!   scans that ask only which cacheline each access touches take
 //!   lines ([`AccessCursor::fill_lines`], via
 //!   [`WorkloadExt::for_each_line`]), which skips generating the rest.
-//!   Watchpoint scans that can jump over whatever holds no watched line
-//!   run [`walk_domains`] over [`Workload::line_domains`] instead: the
-//!   range split into page-disjoint [`LineDomains`], one per compiled
-//!   stream of a [`PhasedWorkload`], each walkable from any index.
+//!   Watchpoint scans, which can jump over whatever holds no watched
+//!   line, walk [`Workload::line_domains`] instead: the range split into
+//!   page-disjoint [`LineDomains`], one per compiled stream of a
+//!   [`PhasedWorkload`], each walkable from any index. The one scan that
+//!   walks them is `delorean_virt::profile_reuses`.
 //! * **Tiled ingest** — [`TiledTrace`] over an on-disk [`tile`] file:
 //!   a memory-mapped binary trace whose fixed-size tiles decode
 //!   straight into [`MemAccess`] batches, so warm-loop `fill` calls
@@ -95,8 +96,8 @@ pub use collections::{
     FlatKey, FlatMap, FlatSet, InterestFilter, LineMap, LineSet, PageMap, PageSet, PcMap,
 };
 pub use cursor::{AccessCursor, IndexedCursor, CURSOR_BATCH};
+pub use domain::LineDomains;
 use domain::WholeRange;
-pub use domain::{walk_domains, LineDomains, Visit};
 pub use fault::{
     FaultKind, FaultPlan, FaultPolicy, FaultSite, InjectedFault, UnitFailure, UnitFault,
 };

@@ -16,10 +16,11 @@
 //!   registered per *line* but trap per *page*, so false positives (a
 //!   trap on a watched page whose line is not watched) are an emergent
 //!   property of workload layout, exactly the effect that makes povray
-//!   expensive in the paper. The scans that drive it (the Explorers and
-//!   CoolSim's interval) live in the strategy crates, walk cachelines
-//!   through `delorean_trace::walk_domains`, and report
-//!   [`WatchScanStats`];
+//!   expensive in the paper. One scan drives it, [`profile_reuses`]:
+//!   Explorer-1 ([`ScanMode::Functional`]), the VDP explorers and
+//!   CoolSim's warm-up interval ([`ScanMode::Vdp`]) all profile through
+//!   it, walking the workload's page-disjoint line domains and
+//!   reporting a [`ReuseScan`] with its [`WatchScanStats`];
 //! * [`HostClock`] / [`RunCost`] — seconds-based cost accounting, with
 //!   pipelined wall-clock estimation for the multi-pass TT pipeline and
 //!   per-worker wall-clock modeling for the region-parallel runtime:
@@ -44,4 +45,4 @@ mod watch;
 
 pub use clock::{HostClock, PassCost, RunCost, SpecUnit, UnitCost};
 pub use cost::{mips, CostModel, WorkKind};
-pub use watch::{Trap, WatchScanStats, WatchSet};
+pub use watch::{profile_reuses, ReuseScan, ScanMode, Trap, WatchScanStats, WatchSet};
