@@ -13,11 +13,6 @@
 //!   finalizer the workloads use. Keys are small `Copy` newtypes over
 //!   `u64` ([`FlatKey`]); the common aliases are [`LineMap`],
 //!   [`LineSet`], [`PageMap`] and [`PcMap`].
-//! * [`InterestFilter`] — a counting-bitmap prefilter that fuses several
-//!   membership questions ("is this page watched? is this line a key? is
-//!   a vicinity sample armed on it?") into one or two hashed bit probes.
-//!   The dominant *no-match* access falls out after a couple of loads and
-//!   branches; only filter hits fall through to the exact tables.
 //!
 //! All structures are deterministic: iteration order depends only on the
 //! sequence of insertions and removals, never on process-global state —
@@ -30,12 +25,6 @@ use crate::types::{LineAddr, PageAddr, Pc};
 /// Seed folded into every table hash (an arbitrary odd constant, fixed so
 /// results are reproducible across runs and processes).
 const TABLE_SEED: u64 = 0x9e6c_63d0_876a_3f6d;
-
-/// Tag mixed into line hashes by [`InterestFilter`].
-const FILTER_LINE_TAG: u64 = 0x1b87_3593_21c3_a6b9;
-
-/// Tag mixed into page hashes by [`InterestFilter`].
-const FILTER_PAGE_TAG: u64 = 0x60be_e2be_e120_fc15;
 
 #[inline]
 fn flat_hash(raw: u64) -> u64 {
@@ -462,108 +451,6 @@ impl<K: FlatKey> FromIterator<K> for FlatSet<K> {
     }
 }
 
-/// Counting-bitmap interest prefilter over line and page addresses.
-///
-/// The hot query ([`contains_line`](InterestFilter::contains_line) /
-/// [`contains_page`](InterestFilter::contains_page)) is one hash, one
-/// word load and one bit test against a compact bitmap; it may report
-/// false positives (the caller falls through to its exact tables) but
-/// never false negatives. Updates maintain per-bucket counts off the hot
-/// path, so members can be removed exactly — the property a Bloom filter
-/// lacks and the Explorer's vicinity arm/disarm traffic requires.
-///
-/// Lines and pages are salted with different tags, so one filter can
-/// cover "watched pages ∪ key lines ∪ vicinity-pending lines" at once —
-/// the fused per-access question of the time-travel loops.
-#[derive(Clone, Debug)]
-pub struct InterestFilter {
-    bits: Vec<u64>,
-    counts: Vec<u32>,
-    mask: u64,
-}
-
-impl InterestFilter {
-    /// Minimum bucket count (a 2 KiB bitmap: one L1 cacheline's worth of
-    /// hot words for typical watch densities).
-    const MIN_BUCKETS: usize = 1 << 14;
-    /// Maximum bucket count (a 2 MiB bitmap).
-    const MAX_BUCKETS: usize = 1 << 24;
-
-    /// A filter sized for roughly `expected` simultaneous members: ~8
-    /// buckets per member, clamped to \[2^14, 2^24\] buckets.
-    pub fn with_capacity_for(expected: usize) -> Self {
-        let buckets = (expected.saturating_mul(8))
-            .next_power_of_two()
-            .clamp(Self::MIN_BUCKETS, Self::MAX_BUCKETS);
-        InterestFilter {
-            bits: vec![0; buckets / 64],
-            counts: vec![0; buckets],
-            mask: (buckets - 1) as u64,
-        }
-    }
-
-    #[inline]
-    fn bucket(&self, tag: u64, raw: u64) -> usize {
-        (splitmix64(raw ^ tag) & self.mask) as usize
-    }
-
-    #[inline]
-    fn test(&self, bucket: usize) -> bool {
-        (self.bits[bucket >> 6] >> (bucket & 63)) & 1 != 0
-    }
-
-    fn add(&mut self, bucket: usize) {
-        self.counts[bucket] += 1;
-        self.bits[bucket >> 6] |= 1u64 << (bucket & 63);
-    }
-
-    fn sub(&mut self, bucket: usize) {
-        let c = &mut self.counts[bucket];
-        debug_assert!(*c > 0, "interest filter remove without matching add");
-        *c = c.saturating_sub(1);
-        if *c == 0 {
-            self.bits[bucket >> 6] &= !(1u64 << (bucket & 63));
-        }
-    }
-
-    /// `true` if `line` *may* be a member (exact tables decide); `false`
-    /// guarantees it is not.
-    #[inline]
-    pub fn contains_line(&self, line: LineAddr) -> bool {
-        self.test(self.bucket(FILTER_LINE_TAG, line.0))
-    }
-
-    /// `true` if `page` *may* be a member; `false` guarantees it is not.
-    #[inline]
-    pub fn contains_page(&self, page: PageAddr) -> bool {
-        self.test(self.bucket(FILTER_PAGE_TAG, page.0))
-    }
-
-    /// Register `line` as interesting (one call per logical member; pair
-    /// with exactly one [`remove_line`](InterestFilter::remove_line)).
-    pub fn insert_line(&mut self, line: LineAddr) {
-        self.add(self.bucket(FILTER_LINE_TAG, line.0));
-    }
-
-    /// Remove one prior [`insert_line`](InterestFilter::insert_line) of
-    /// `line`.
-    pub fn remove_line(&mut self, line: LineAddr) {
-        self.sub(self.bucket(FILTER_LINE_TAG, line.0));
-    }
-
-    /// Register `page` as interesting (one call per logical member; pair
-    /// with exactly one [`remove_page`](InterestFilter::remove_page)).
-    pub fn insert_page(&mut self, page: PageAddr) {
-        self.add(self.bucket(FILTER_PAGE_TAG, page.0));
-    }
-
-    /// Remove one prior [`insert_page`](InterestFilter::insert_page) of
-    /// `page`.
-    pub fn remove_page(&mut self, page: PageAddr) {
-        self.sub(self.bucket(FILTER_PAGE_TAG, page.0));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,61 +587,5 @@ mod tests {
         assert!(m.is_empty());
         m.insert(1, 2);
         assert_eq!(m.get(1), Some(&2));
-    }
-
-    #[test]
-    fn filter_has_no_false_negatives_under_churn() {
-        let mut f = InterestFilter::with_capacity_for(64);
-        let mut lines = Vec::new();
-        for step in 0..3000u64 {
-            if (step + 1).is_multiple_of(3) {
-                if let Some(l) = lines.pop() {
-                    f.remove_line(l);
-                    f.remove_page(LineAddr(l.0).page());
-                }
-            } else {
-                let l = LineAddr(mix64(0xf1, step) % 10_000);
-                f.insert_line(l);
-                f.insert_page(l.page());
-                if !lines.contains(&l) {
-                    lines.push(l);
-                }
-            }
-            for &l in &lines {
-                assert!(f.contains_line(l), "step {step}: line false negative");
-                assert!(
-                    f.contains_page(l.page()),
-                    "step {step}: page false negative"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn filter_clears_after_balanced_removal() {
-        let mut f = InterestFilter::with_capacity_for(8);
-        let l = LineAddr(1234);
-        f.insert_line(l);
-        f.insert_line(l);
-        f.remove_line(l);
-        assert!(f.contains_line(l), "one reference still live");
-        f.remove_line(l);
-        assert!(!f.contains_line(l), "all references removed");
-        // Pages and lines do not alias even for equal raw values.
-        f.insert_page(PageAddr(1234));
-        assert!(!f.contains_line(LineAddr(1234)));
-    }
-
-    #[test]
-    fn filter_false_positive_rate_is_low() {
-        let mut f = InterestFilter::with_capacity_for(256);
-        for i in 0..256u64 {
-            f.insert_line(LineAddr(mix64(0xabc, i)));
-        }
-        let fp = (0..100_000u64)
-            .filter(|&i| f.contains_line(LineAddr(mix64(0xdef, i))))
-            .count();
-        // 256 members in ≥ 2^14 buckets ⇒ ~1.6% expected.
-        assert!(fp < 5_000, "false positive count {fp}");
     }
 }

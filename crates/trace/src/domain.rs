@@ -3,7 +3,7 @@
 //! them is `delorean_virt::profile_reuses`.
 
 use crate::cursor::AccessCursor;
-use crate::types::LineAddr;
+use crate::types::{LineAddr, PageAddr};
 use crate::Workload;
 use std::ops::Range;
 
@@ -22,7 +22,10 @@ use std::ops::Range;
 /// * no page is touched by two domains, so every line belongs to at most
 ///   one domain ([`domain_of_line`](LineDomains::domain_of_line));
 /// * each domain's accesses can be produced in increasing index order
-///   from any starting index ([`fill`](LineDomains::fill)).
+///   from any starting index ([`fill`](LineDomains::fill));
+/// * a split with a bounded footprint reports the one page span its
+///   domains claim ([`page_span`](LineDomains::page_span)), so a scan
+///   can index its watched pages directly instead of hashing them.
 ///
 /// The default split is one domain holding the whole range and claiming
 /// every line, walked through the workload's own cursor. A [`PhasedWorkload`](crate::PhasedWorkload) returns one domain
@@ -38,6 +41,12 @@ pub trait LineDomains {
     /// The domain whose pages hold `line`, or `None` if no domain claims
     /// it (no access of any domain touches it).
     fn domain_of_line(&self, line: LineAddr) -> Option<usize>;
+
+    /// The pages the domains claim, as one span (guard pages between
+    /// domains included), or `None` if the split bounds no span (the
+    /// one domain claims every line). Every access of every domain
+    /// touches a page in the span.
+    fn page_span(&self) -> Option<Range<PageAddr>>;
 
     /// Clear `out` and push the domain of each access index in
     /// `indices`, all of which lie in the split's range.
@@ -94,6 +103,10 @@ impl<W: Workload + ?Sized> LineDomains for WholeRange<'_, W> {
         Some(0)
     }
 
+    fn page_span(&self) -> Option<Range<PageAddr>> {
+        None
+    }
+
     fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
         out.clear();
         out.resize(indices.len(), 0);
@@ -135,6 +148,7 @@ mod tests {
         let mut split = WholeRange::new(&w, 100..400);
         assert_eq!(split.count(), 1);
         assert_eq!(split.domain_of_line(LineAddr(12345)), Some(0));
+        assert_eq!(split.page_span(), None);
         let mut owners = Vec::new();
         split.domains_of(&[100, 250, 399], &mut owners);
         assert_eq!(owners, vec![0, 0, 0]);

@@ -56,9 +56,8 @@
 //!
 //! The crate also hosts the **flat lookup substrate** shared by every
 //! per-access hot loop: open-addressing [`FlatMap`]/[`FlatSet`] (aliases
-//! [`LineMap`], [`LineSet`], [`PageMap`], [`PcMap`]) and the
-//! [`InterestFilter`] counting-bitmap prefilter — see the collection
-//! types' docs for the probing and fusion rules.
+//! [`LineMap`], [`LineSet`], [`PageMap`], [`PcMap`]) — see the
+//! collection types' docs for the probing rules.
 //!
 //! # Quick example
 //!
@@ -92,9 +91,7 @@ pub mod tile;
 mod types;
 
 pub use branch::{BranchEvent, BranchModel};
-pub use collections::{
-    FlatKey, FlatMap, FlatSet, InterestFilter, LineMap, LineSet, PageMap, PageSet, PcMap,
-};
+pub use collections::{FlatKey, FlatMap, FlatSet, LineMap, LineSet, PageMap, PageSet, PcMap};
 pub use cursor::{AccessCursor, IndexedCursor, CURSOR_BATCH};
 pub use domain::LineDomains;
 use domain::WholeRange;

@@ -18,7 +18,7 @@ use crate::cursor::AccessCursor;
 use crate::domain::LineDomains;
 use crate::pattern::{Pattern, PatternCursor};
 use crate::rng::{mix64, CounterRng};
-use crate::types::{Addr, LineAddr, MemAccess, Pc, LINE_BYTES, PAGE_BYTES};
+use crate::types::{Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
 use crate::Workload;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -664,6 +664,13 @@ impl LineDomains for StreamDomains<'_> {
         (line.0 < self.domains[di].claim_end).then_some(di)
     }
 
+    fn page_span(&self) -> Option<Range<PageAddr>> {
+        let lines_per_page = PageAddr::lines_per_page();
+        let (first, last) = (self.domains.first()?, self.domains.last()?);
+        let (_, s) = self.stream(first);
+        Some(PageAddr(s.base_line / lines_per_page)..PageAddr(last.claim_end / lines_per_page))
+    }
+
     fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
         out.clear();
         out.extend(indices.iter().map(|&k| {
@@ -864,6 +871,7 @@ mod tests {
         ] {
             let mut split = w.line_domains(range.clone());
             assert_eq!(split.count(), 4);
+            let span = split.page_span().expect("a phased split bounds its pages");
             let mut seen = Vec::new();
             let mut buf = Vec::new();
             for d in 0..split.count() {
@@ -877,6 +885,7 @@ mod tests {
                         assert!(k >= from, "domain {d} went back to {k}");
                         assert_eq!(owner, d, "index {k}");
                         assert_eq!(split.domain_of_line(line), Some(d), "index {k}");
+                        assert!(span.contains(&line.page()), "index {k}");
                         seen.push((k, line));
                         from = k + 1;
                     }
@@ -899,6 +908,24 @@ mod tests {
             }
         }
         assert_eq!(w.line_domains(0..10).domain_of_line(LineAddr(0)), None);
+        // Every suite input: each domain's accesses stay on its own
+        // pages, inside the split's span.
+        for name in crate::SPEC2006_NAMES {
+            let w = crate::spec_workload(name, crate::Scale::tiny(), 1).unwrap();
+            let mut split = w.line_domains(0..20_000);
+            let span = split.page_span().expect("a phased split bounds its pages");
+            let mut buf = Vec::new();
+            for d in 0..split.count() {
+                let mut from = 0;
+                while split.fill(d, from, &mut buf, 512) > 0 {
+                    for &(k, line) in &buf {
+                        assert_eq!(split.domain_of_line(line), Some(d), "{name}: index {k}");
+                        assert!(span.contains(&line.page()), "{name}: index {k}");
+                    }
+                    from = buf[buf.len() - 1].0 + 1;
+                }
+            }
+        }
     }
 
     fn split_owner(split: &dyn LineDomains, k: u64) -> usize {

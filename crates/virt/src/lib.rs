@@ -12,15 +12,16 @@
 //!   charged at near-native VFF MIPS, while functional simulation (used
 //!   for functional warming and Explorer-1's directed profiling) is
 //!   charged at gem5-atomic-like speed;
-//! * [`WatchSet`] — virtualized directed profiling: watchpoints are
-//!   registered per *line* but trap per *page*, so false positives (a
-//!   trap on a watched page whose line is not watched) are an emergent
-//!   property of workload layout, exactly the effect that makes povray
-//!   expensive in the paper. One scan drives it, [`profile_reuses`]:
-//!   Explorer-1 ([`ScanMode::Functional`]), the VDP explorers and
-//!   CoolSim's warm-up interval ([`ScanMode::Vdp`]) all profile through
-//!   it, walking the workload's page-disjoint line domains and
-//!   reporting a [`ReuseScan`] with its [`WatchScanStats`];
+//! * [`profile_reuses`] — virtualized directed profiling: watchpoints
+//!   are registered per *line* but trap per *page*, so false positives
+//!   (a trap on a watched page whose line is not watched) are an
+//!   emergent property of workload layout, exactly the effect that makes
+//!   povray expensive in the paper. Explorer-1
+//!   ([`ScanMode::Functional`]), the VDP explorers and CoolSim's warm-up
+//!   interval ([`ScanMode::Vdp`]) all profile through this one scan,
+//!   walking the workload's page-disjoint line domains against one
+//!   watched-line mask per page and reporting a [`ReuseScan`] with its
+//!   [`WatchScanStats`];
 //! * [`HostClock`] / [`RunCost`] — seconds-based cost accounting, with
 //!   pipelined wall-clock estimation for the multi-pass TT pipeline and
 //!   per-worker wall-clock modeling for the region-parallel runtime:
@@ -45,4 +46,4 @@ mod watch;
 
 pub use clock::{HostClock, PassCost, RunCost, SpecUnit, UnitCost};
 pub use cost::{mips, CostModel, WorkKind};
-pub use watch::{profile_reuses, ReuseScan, ScanMode, Trap, WatchScanStats, WatchSet};
+pub use watch::{profile_reuses, ReuseScan, ScanMode, WatchScanStats};

@@ -8,21 +8,25 @@
 //! registered per line, lookups happen per page, and the distinction
 //! between a true hit and a false positive is reported per access.
 //!
-//! The table behind it is part of the flat lookup substrate (PR 3): a
-//! [`PageMap`] from page to a small inline list of `(line, refcount)`
-//! entries, so the per-access [`classify_line`](WatchSet::classify_line) probe is
-//! one open-addressing lookup plus a scan of at most a handful of inline
-//! slots — no nested `std` hashing. Watches are *refcounted*: a line
-//! watched both as a key cacheline and as a vicinity sample stays armed
-//! until both registrations are released, which keeps VDP trap accounting
-//! faithful when the two overlap.
+//! The table behind it holds one mask per page, one bit per line offset,
+//! so classifying an access is one mask load and one bit test: a zero
+//! mask does not trap, the line's own bit is a true hit, and any other
+//! bit is a false positive. A split that bounds its pages
+//! ([`LineDomains::page_span`]) keeps the masks of its whole span in one
+//! array indexed by page; the one-domain split hashes pages in a
+//! [`PageMap`]. Watches are *refcounted*: a line watched both as a key
+//! cacheline and as a vicinity sample stays armed until both
+//! registrations are released, which keeps VDP trap accounting faithful
+//! when the two overlap.
 //!
 //! Every watchpoint profiler — Explorer-1, the VDP explorers and
 //! CoolSim's warm-up interval — runs the one scan, [`profile_reuses`].
 
 use crate::clock::HostClock;
+use delorean_trace::cast::idx;
 use delorean_trace::{
-    InterestFilter, LineAddr, LineDomains, LineMap, PageAddr, PageMap, Workload, CURSOR_BATCH,
+    LineAddr, LineDomains, LineMap, PageAddr, PageMap, Workload, CURSOR_BATCH, LINE_BYTES,
+    PAGE_BYTES,
 };
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -56,200 +60,99 @@ impl WatchScanStats {
     }
 }
 
-/// Classification of one access against a [`WatchSet`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Trap {
-    /// Unwatched page: execution continues at native/VFF speed.
-    None,
-    /// Watched page, unwatched line: trap overhead with no information.
-    FalsePositive,
-    /// Watched page and watched line.
-    Hit(LineAddr),
+/// Lines per page: each owns one bit of its page's watch mask.
+const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
+const _: () = assert!(LINES_PER_PAGE == 64, "a page's lines fill one u64 mask");
+
+/// `line`'s bit in its page's watch mask.
+#[inline(always)]
+fn line_bit(line: LineAddr) -> u64 {
+    1 << (line.0 % LINES_PER_PAGE)
 }
 
-impl Trap {
-    /// `true` unless [`Trap::None`].
-    pub fn traps(&self) -> bool {
-        !matches!(self, Trap::None)
-    }
+/// The watched lines of one scan: a watch mask per page and a watch
+/// reference count per line.
+struct WatchMasks {
+    pages: PageMasks,
+    /// References per watched line (a key line armed as a sample holds
+    /// two); only [`watch`](WatchMasks::watch) and
+    /// [`unwatch`](WatchMasks::unwatch) touch it.
+    refs: LineMap<u32>,
 }
 
-/// Watched-line entries kept inline per page before spilling to the heap.
-/// Real key sets put 1–3 watched lines on a hot page; 6 inline slots
-/// cover that with room to spare inside one cacheline of entries.
-const INLINE_LINES: usize = 6;
-
-/// The watched lines of one protected page: `(line offset in page,
-/// refcount)` pairs, inline up to [`INLINE_LINES`] with a heap spill for
-/// pathological pages (up to the 64 lines a page holds).
-#[derive(Clone, Debug, Default)]
-struct PageLines {
-    len: u8,
-    inline: [(u8, u32); INLINE_LINES],
-    spill: Vec<(u8, u32)>,
+/// Where the page masks live.
+enum PageMasks {
+    /// A bounded split: every page of its span, indexed by `page − first`.
+    Dense { first: u64, masks: Vec<u64> },
+    /// The one-domain split: every page ever watched (0 once released).
+    Hashed(PageMap<u64>),
 }
 
-impl PageLines {
-    fn line_count(&self) -> usize {
-        self.len as usize + self.spill.len()
+impl WatchMasks {
+    /// Masks over `span`, or hashed if the split bounds none.
+    fn new(span: Option<Range<PageAddr>>) -> Self {
+        let pages = match span {
+            Some(span) => PageMasks::Dense {
+                first: span.start.0,
+                masks: vec![0; idx(span.end.0.saturating_sub(span.start.0))],
+            },
+            None => PageMasks::Hashed(PageMap::new()),
+        };
+        WatchMasks {
+            pages,
+            refs: LineMap::new(),
+        }
     }
 
-    #[inline]
-    fn contains(&self, offset: u8) -> bool {
-        self.inline[..self.len as usize]
-            .iter()
-            .any(|&(o, _)| o == offset)
-            || self.spill.iter().any(|&(o, _)| o == offset)
+    /// The watch mask of `line`'s page: 0 if the page is unprotected.
+    #[inline(always)]
+    fn mask(&self, line: LineAddr) -> u64 {
+        let page = line.0 / LINES_PER_PAGE;
+        match &self.pages {
+            // A page below the span wraps past its end.
+            PageMasks::Dense { first, masks } => masks
+                .get(idx(page.wrapping_sub(*first)))
+                .copied()
+                .unwrap_or(0),
+            PageMasks::Hashed(masks) => masks.get(PageAddr(page)).copied().unwrap_or(0),
+        }
     }
 
-    /// Add one watch reference; `true` if the line was not yet watched.
-    fn add(&mut self, offset: u8) -> bool {
-        for e in &mut self.inline[..self.len as usize] {
-            if e.0 == offset {
-                e.1 += 1;
-                return false;
+    /// The mask of `line`'s page, or `None` outside a bounded span (no
+    /// access touches such a page, so it needs no protection).
+    fn mask_mut(&mut self, line: LineAddr) -> Option<&mut u64> {
+        let page = line.0 / LINES_PER_PAGE;
+        match &mut self.pages {
+            PageMasks::Dense { first, masks } => masks.get_mut(idx(page.wrapping_sub(*first))),
+            PageMasks::Hashed(masks) => Some(masks.or_default(PageAddr(page))),
+        }
+    }
+
+    /// Add a watch reference on `line` (protecting its page).
+    fn watch(&mut self, line: LineAddr) {
+        let refs = self.refs.or_default(line);
+        *refs += 1;
+        if *refs == 1 {
+            if let Some(mask) = self.mask_mut(line) {
+                *mask |= line_bit(line);
             }
         }
-        for e in &mut self.spill {
-            if e.0 == offset {
-                e.1 += 1;
-                return false;
-            }
-        }
-        if (self.len as usize) < INLINE_LINES {
-            self.inline[self.len as usize] = (offset, 1);
-            self.len += 1;
-        } else {
-            self.spill.push((offset, 1));
-        }
-        true
     }
 
-    /// Drop one watch reference. Returns `(was_watched, line_released)`.
-    fn remove(&mut self, offset: u8) -> (bool, bool) {
-        for i in 0..self.len as usize {
-            if self.inline[i].0 == offset {
-                self.inline[i].1 -= 1;
-                if self.inline[i].1 > 0 {
-                    return (true, false);
-                }
-                // Keep the inline prefix dense: pull in the last entry
-                // (from the spill if one exists, else the inline tail).
-                if let Some(e) = self.spill.pop() {
-                    self.inline[i] = e;
-                } else {
-                    self.len -= 1;
-                    self.inline[i] = self.inline[self.len as usize];
-                }
-                return (true, true);
-            }
-        }
-        for i in 0..self.spill.len() {
-            if self.spill[i].0 == offset {
-                self.spill[i].1 -= 1;
-                if self.spill[i].1 > 0 {
-                    return (true, false);
-                }
-                self.spill.swap_remove(i);
-                return (true, true);
-            }
-        }
-        (false, false)
-    }
-}
-
-/// A set of line-granularity watchpoints with page-granularity triggering.
-///
-/// ```
-/// use delorean_virt::{Trap, WatchSet};
-/// use delorean_trace::LineAddr;
-///
-/// let mut w = WatchSet::new();
-/// w.watch_line(LineAddr(64)); // page 1 (64 lines/page)
-/// assert_eq!(w.classify_line(LineAddr(64)), Trap::Hit(LineAddr(64)));
-/// assert_eq!(w.classify_line(LineAddr(65)), Trap::FalsePositive);
-/// assert_eq!(w.classify_line(LineAddr(0)), Trap::None);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct WatchSet {
-    pages: PageMap<PageLines>,
-    lines: usize,
-}
-
-#[inline]
-fn line_offset(line: LineAddr) -> u8 {
-    (line.0 % PageAddr::lines_per_page()) as u8
-}
-
-impl WatchSet {
-    /// An empty watch set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Watch `line` (protects its whole page). Watches are refcounted:
-    /// watching an already-watched line adds a reference, and the line
-    /// stays armed until [`unwatch_line`](WatchSet::unwatch_line) has
-    /// been called once per reference — so a key watchpoint survives a
-    /// vicinity sample arming and disarming on the same line.
-    pub fn watch_line(&mut self, line: LineAddr) {
-        if self.pages.or_default(line.page()).add(line_offset(line)) {
-            self.lines += 1;
-        }
-    }
-
-    /// Drop one watch reference on `line`; the line disarms when its last
-    /// reference is dropped and the page unprotects once its last watched
-    /// line is removed. Returns whether the line was watched.
-    pub fn unwatch_line(&mut self, line: LineAddr) -> bool {
-        let page = line.page();
-        let Some(lines) = self.pages.get_mut(page) else {
+    /// Drop one watch reference on `line`; the line disarms with its last
+    /// reference. Returns whether the line was watched.
+    fn unwatch(&mut self, line: LineAddr) -> bool {
+        let Some(refs) = self.refs.get_mut(line) else {
             return false;
         };
-        let (was_watched, released) = lines.remove(line_offset(line));
-        if released {
-            self.lines -= 1;
-            if lines.line_count() == 0 {
-                self.pages.remove(page);
+        *refs -= 1;
+        if *refs == 0 {
+            self.refs.remove(line);
+            if let Some(mask) = self.mask_mut(line) {
+                *mask &= !line_bit(line);
             }
         }
-        was_watched
-    }
-
-    /// Number of watched lines (distinct lines, not references).
-    pub fn watched_lines(&self) -> usize {
-        self.lines
-    }
-
-    /// Number of protected pages.
-    pub fn watched_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// `true` if nothing is watched.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
-    /// Classify an access by its line address.
-    #[inline]
-    pub fn classify_line(&self, line: LineAddr) -> Trap {
-        match self.pages.get(line.page()) {
-            None => Trap::None,
-            Some(lines) => {
-                if lines.contains(line_offset(line)) {
-                    Trap::Hit(line)
-                } else {
-                    Trap::FalsePositive
-                }
-            }
-        }
-    }
-
-    /// Remove every watchpoint.
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.lines = 0;
+        true
     }
 }
 
@@ -296,10 +199,10 @@ const JUMP_BATCH: usize = 32;
 /// already is one; at its next access the sample resolves, and
 /// `on_reuse(index, distance)` receives the reusing access's index and
 /// the number of accesses strictly between the two. In
-/// [`ScanMode::Vdp`] every access to a watched page traps and charges
-/// `clock`; the key table and the samples are consulted only on a true
-/// hit. `stats.accesses_scanned` is the range length, which the caller
-/// charges.
+/// [`ScanMode::Vdp`] every access to a watched page traps, and `clock`
+/// is charged once per trap when the walk ends; the key table and the
+/// samples are consulted only on a true hit. `stats.accesses_scanned`
+/// is the range length, which the caller charges.
 ///
 /// The scan walks the workload's
 /// [`line_domains`](Workload::line_domains) one after another. Every
@@ -329,82 +232,67 @@ where
 {
     let mut domains = workload.line_domains(range.clone());
     let mut scan = Scan {
-        mode,
-        clock,
         on_reuse,
-        // Fused interest filter over the watched pages (VDP) or lines
-        // (functional): the dominant unwatched access is one hashed bit
-        // probe, and only filter hits reach the exact tables.
-        filter: InterestFilter::with_capacity_for(keys.len() + 1024),
         keys: LineMap::with_capacity(keys.len()),
-        watch: WatchSet::new(),
+        watch: WatchMasks::new(domains.page_span()),
         pending: LineMap::new(),
         held: 0,
         walk_all: false,
-        stats: WatchScanStats {
-            accesses_scanned: range.end.saturating_sub(range.start),
-            ..Default::default()
-        },
+        protected: 0,
+        watched: 0,
     };
     let mut keys_held = vec![0u32; domains.count()];
     for &line in keys {
         scan.keys.insert(line, NOT_SEEN);
-        scan.watch(line);
+        scan.watch.watch(line);
         match domains.domain_of_line(line) {
             Some(d) => keys_held[d] += 1,
             None => scan.walk_all = true,
         }
     }
-    scan.stats.accesses_generated = scan.walk(&mut *domains, samples, &keys_held);
+    let mut stats = WatchScanStats {
+        accesses_scanned: range.end.saturating_sub(range.start),
+        accesses_generated: scan.walk(&mut *domains, samples, &keys_held),
+        ..Default::default()
+    };
+    if let ScanMode::Vdp { trap_seconds } = mode {
+        stats.true_hits = scan.watched;
+        stats.false_positives = scan.protected - scan.watched;
+        // The scan holds the clock alone and every trap charges the same
+        // constant, so charging them all here adds the same sequence.
+        for _ in 0..stats.traps() {
+            clock.charge(trap_seconds);
+        }
+    }
     ReuseScan {
         last_key_access: keys
             .iter()
             .map(|&line| scan.keys.get(line).copied().filter(|&k| k != NOT_SEEN))
             .collect(),
         unresolved: scan.pending.drain().map(|(_, set_at)| set_at).collect(),
-        stats: scan.stats,
+        stats,
     }
 }
 
 /// The state of one [`profile_reuses`] scan, shared by every domain walk.
-struct Scan<'c, F> {
-    mode: ScanMode,
-    clock: &'c mut HostClock,
+struct Scan<F> {
     on_reuse: F,
-    filter: InterestFilter,
     /// Key membership and last access, fused into one table.
     keys: LineMap<u64>,
-    watch: WatchSet,
+    watch: WatchMasks,
     /// Armed samples: line → the index that armed it.
     pending: LineMap<u64>,
     /// Watched lines (keys and armed samples) of the domain being walked.
     held: u32,
     /// A key outside every domain: no domain may jump.
     walk_all: bool,
-    stats: WatchScanStats,
+    /// Accesses to a protected page: the traps of a VDP scan.
+    protected: u64,
+    /// Accesses to a watched line: the true hits of a VDP scan.
+    watched: u64,
 }
 
-impl<F: FnMut(u64, u64)> Scan<'_, F> {
-    fn watch(&mut self, line: LineAddr) {
-        match self.mode {
-            ScanMode::Functional => self.filter.insert_line(line),
-            ScanMode::Vdp { .. } => {
-                self.watch.watch_line(line);
-                self.filter.insert_page(line.page());
-            }
-        }
-    }
-
-    fn unwatch(&mut self, line: LineAddr) {
-        match self.mode {
-            ScanMode::Functional => self.filter.remove_line(line),
-            ScanMode::Vdp { .. } => {
-                self.watch.unwatch_line(line);
-                self.filter.remove_page(line.page());
-            }
-        }
-    }
-
+impl<F: FnMut(u64, u64)> Scan<F> {
     /// Whether the domain being walked can jump to its next sample.
     fn idle(&self) -> bool {
         self.held == 0 && !self.walk_all
@@ -412,28 +300,17 @@ impl<F: FnMut(u64, u64)> Scan<'_, F> {
 
     /// One access: trap, then (on a watched line) key tracking and
     /// sample resolution, then arming a sample at a sample position.
+    /// Returns whether a sample resolved, the only way a domain turns
+    /// idle.
     #[inline(always)]
-    fn visit(&mut self, k: u64, line: LineAddr, arm: bool) {
-        let watched = match self.mode {
-            ScanMode::Functional => self.filter.contains_line(line),
-            ScanMode::Vdp { trap_seconds } => {
-                self.filter.contains_page(line.page())
-                    && match self.watch.classify_line(line) {
-                        Trap::None => false,
-                        Trap::FalsePositive => {
-                            self.stats.false_positives += 1;
-                            self.clock.charge(trap_seconds);
-                            false
-                        }
-                        Trap::Hit(_) => {
-                            self.stats.true_hits += 1;
-                            self.clock.charge(trap_seconds);
-                            true
-                        }
-                    }
-            }
-        };
-        if watched {
+    fn visit(&mut self, k: u64, line: LineAddr, arm: bool) -> bool {
+        let mut resolved = false;
+        let mask = self.watch.mask(line);
+        // Counted without a branch: a third to two thirds of the
+        // accesses a scan generates trap.
+        self.protected += u64::from(mask != 0);
+        if mask & line_bit(line) != 0 {
+            self.watched += 1;
             if let Some(seen) = self.keys.get_mut(line) {
                 *seen = k;
             }
@@ -441,15 +318,17 @@ impl<F: FnMut(u64, u64)> Scan<'_, F> {
             // leaves the key watched.
             if let Some(set_at) = self.pending.remove(line) {
                 (self.on_reuse)(k, k - set_at - 1);
-                self.unwatch(line);
+                self.watch.unwatch(line);
                 self.held -= 1;
+                resolved = true;
             }
         }
         if arm && !self.pending.contains(line) {
             self.pending.insert(line, k);
-            self.watch(line);
+            self.watch.watch(line);
             self.held += 1;
         }
+        resolved
     }
 
     /// Walk every domain in domain order; `keys_held[d]` is the number of
@@ -502,15 +381,18 @@ impl<F: FnMut(u64, u64)> Scan<'_, F> {
             debug_assert_eq!(skipped, 0, "domain {d} skipped a sample position");
             next += skipped;
             let mut i = 0;
+            let mut sample = samples.get(next).copied();
             while i < got {
                 let (k, line) = buf[i];
                 i += 1;
-                let arm = samples.get(next) == Some(&k);
-                next += usize::from(arm);
-                self.visit(k, line, arm);
-                if self.idle() {
+                let arm = sample == Some(k);
+                if arm {
+                    next += 1;
+                    sample = samples.get(next).copied();
+                }
+                if self.visit(k, line, arm) && self.idle() {
                     // Nothing before the next sample can matter.
-                    let Some(&s) = samples.get(next) else {
+                    let Some(s) = sample else {
                         return generated;
                     };
                     while i < got && buf[i].0 < s {
@@ -527,7 +409,9 @@ impl<F: FnMut(u64, u64)> Scan<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delorean_trace::{BranchModel, MemAccess, Pc};
+    use delorean_trace::{mix64, BranchModel, MemAccess, Pc};
+    // lint:allow(no-std-hash): the churn oracle must not share the flat tables' code; it is probed and summed, never iterated in order
+    use std::collections::HashMap;
 
     /// A hand-built workload: access `k` touches line `self.0[k]`.
     struct Lines(Vec<u64>);
@@ -565,20 +449,25 @@ mod tests {
         samples: &[u64],
         mode: ScanMode,
     ) -> (ReuseScan, Vec<(u64, u64)>, f64) {
+        scan_over(w, w.0.len() as u64, keys, samples, mode)
+    }
+
+    /// [`scan`] over the first `n` accesses of any workload.
+    fn scan_over(
+        w: &dyn Workload,
+        n: u64,
+        keys: &[u64],
+        samples: &[u64],
+        mode: ScanMode,
+    ) -> (ReuseScan, Vec<(u64, u64)>, f64) {
         let keys: Vec<LineAddr> = keys.iter().map(|&l| LineAddr(l)).collect();
         let mut clock = HostClock::new();
         let mut reuses = Vec::new();
-        let out = profile_reuses(
-            w,
-            0..w.0.len() as u64,
-            &keys,
-            samples,
-            mode,
-            &mut clock,
-            |k, d| reuses.push((k, d)),
-        );
+        let out = profile_reuses(w, 0..n, &keys, samples, mode, &mut clock, |k, d| {
+            reuses.push((k, d))
+        });
         assert!(out.stats.accesses_generated <= out.stats.accesses_scanned);
-        assert_eq!(out.stats.accesses_scanned, w.0.len() as u64);
+        assert_eq!(out.stats.accesses_scanned, n);
         (out, reuses, clock.seconds())
     }
 
@@ -642,29 +531,177 @@ mod tests {
         );
     }
 
+    /// `w`'s accesses split into two page-disjoint domains with a
+    /// bounded span: pages 1–2 and pages 4–5, with page 3 as the guard.
+    struct TwoDomains<'w>(&'w Lines);
+
+    impl Workload for TwoDomains<'_> {
+        fn name(&self) -> &str {
+            "two domains"
+        }
+
+        fn mem_period(&self) -> u64 {
+            1
+        }
+
+        fn access_at(&self, k: u64) -> MemAccess {
+            self.0.access_at(k)
+        }
+
+        fn branch_model(&self) -> BranchModel {
+            BranchModel::new(0)
+        }
+
+        fn line_domains<'a>(&'a self, range: Range<u64>) -> Box<dyn LineDomains + 'a> {
+            Box::new(TwoDomainSplit(&self.0 .0, range))
+        }
+    }
+
+    struct TwoDomainSplit<'w>(&'w [u64], Range<u64>);
+
+    impl LineDomains for TwoDomainSplit<'_> {
+        fn count(&self) -> usize {
+            2
+        }
+
+        fn domain_of_line(&self, line: LineAddr) -> Option<usize> {
+            match line.0 / LINES_PER_PAGE {
+                1 | 2 => Some(0),
+                4 | 5 => Some(1),
+                _ => None,
+            }
+        }
+
+        fn page_span(&self) -> Option<Range<PageAddr>> {
+            Some(PageAddr(1)..PageAddr(6))
+        }
+
+        fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
+            out.clear();
+            out.extend(
+                indices
+                    .iter()
+                    .map(|&k| self.domain_of_line(LineAddr(self.0[k as usize])).unwrap()),
+            );
+        }
+
+        fn fill(
+            &mut self,
+            domain: usize,
+            from: u64,
+            out: &mut Vec<(u64, LineAddr)>,
+            max: usize,
+        ) -> usize {
+            out.clear();
+            out.extend(
+                (from.max(self.1.start)..self.1.end)
+                    .map(|k| (k, LineAddr(self.0[k as usize])))
+                    .filter(|&(_, line)| self.domain_of_line(line) == Some(domain))
+                    .take(max),
+            );
+            out.len()
+        }
+    }
+
+    #[test]
+    fn a_bounded_split_matches_the_hashed_path() {
+        // Domain 0 (pages 1–2) holds key 64; domain 1 (pages 4–5) holds
+        // only the sample at 4, on line 320.
+        //                 0   1    2   3    4    5   6    7    8    9   10   11  12
+        let w = Lines(vec![
+            64, 256, 65, 257, 320, 64, 321, 128, 320, 65, 257, 64, 258,
+        ]);
+        let split = TwoDomains(&w);
+        let n = w.0.len() as u64;
+        for mode in [VDP, ScanMode::Functional] {
+            let (hashed, mut h_reuses, h_seconds) = scan_over(&w, n, &[64], &[0, 4], mode);
+            let (dense, mut d_reuses, d_seconds) = scan_over(&split, n, &[64], &[0, 4], mode);
+            // Domains are walked one after another, so reuses arrive in
+            // domain order.
+            h_reuses.sort_unstable();
+            d_reuses.sort_unstable();
+            assert_eq!(d_reuses, vec![(5, 4), (8, 3)], "{mode:?}");
+            assert_eq!(d_reuses, h_reuses, "{mode:?}");
+            assert_eq!(dense.last_key_access, vec![Some(11)], "{mode:?}");
+            assert_eq!(dense.last_key_access, hashed.last_key_access);
+            assert!(dense.unresolved.is_empty() && hashed.unresolved.is_empty());
+            assert_eq!(d_seconds, h_seconds, "{mode:?}");
+            assert_eq!(
+                (dense.stats.true_hits, dense.stats.false_positives),
+                (hashed.stats.true_hits, hashed.stats.false_positives),
+                "{mode:?}"
+            );
+            // Domain 0 holds the key and walks all 6 of its accesses;
+            // idle domain 1 jumps to its sample at 4 and its first fill
+            // generates 4, 6, 8, 10 and 12, never 1 or 3.
+            assert_eq!(hashed.stats.accesses_generated, n, "{mode:?}");
+            assert_eq!(dense.stats.accesses_generated, 11, "{mode:?}");
+        }
+        let (out, _, seconds) = scan_over(&split, n, &[64], &[0, 4], VDP);
+        // True hits at 0, 5, 11 (the key, still watched after its sample
+        // resolves at 5) and 8; false positives on the key's page at 2
+        // and 9 and on the sample's page at 6; 7 is on unwatched page 2.
+        assert_eq!(out.stats.true_hits, 4);
+        assert_eq!(out.stats.false_positives, 3);
+        assert_eq!(seconds, 7.0 * 0.5);
+    }
+
+    /// How one access to `line` traps against `masks`.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    enum Trap {
+        None,
+        FalsePositive,
+        Hit,
+    }
+
+    fn classify(masks: &WatchMasks, line: LineAddr) -> Trap {
+        match masks.mask(line) {
+            0 => Trap::None,
+            m if m & line_bit(line) != 0 => Trap::Hit,
+            _ => Trap::FalsePositive,
+        }
+    }
+
+    fn watched_pages(masks: &WatchMasks) -> usize {
+        match &masks.pages {
+            PageMasks::Dense { masks, .. } => masks.iter().filter(|&&m| m != 0).count(),
+            PageMasks::Hashed(masks) => masks.values().filter(|&&m| m != 0).count(),
+        }
+    }
+
+    /// The hashed table and a dense one over pages 0–15.
+    fn both_tables() -> [WatchMasks; 2] {
+        [
+            WatchMasks::new(None),
+            WatchMasks::new(Some(PageAddr(0)..PageAddr(16))),
+        ]
+    }
+
     #[test]
     fn page_granularity_causes_false_positives() {
-        let mut w = WatchSet::new();
-        w.watch_line(LineAddr(128)); // page 2
-        assert_eq!(w.classify_line(LineAddr(129)), Trap::FalsePositive);
-        assert_eq!(w.classify_line(LineAddr(191)), Trap::FalsePositive);
-        assert_eq!(w.classify_line(LineAddr(192)), Trap::None); // page 3
-        assert_eq!(w.classify_line(LineAddr(128)), Trap::Hit(LineAddr(128)));
+        for mut w in both_tables() {
+            w.watch(LineAddr(128)); // page 2
+            assert_eq!(classify(&w, LineAddr(129)), Trap::FalsePositive);
+            assert_eq!(classify(&w, LineAddr(191)), Trap::FalsePositive);
+            assert_eq!(classify(&w, LineAddr(192)), Trap::None); // page 3
+            assert_eq!(classify(&w, LineAddr(128)), Trap::Hit);
+        }
     }
 
     #[test]
     fn unwatch_releases_page_when_empty() {
-        let mut w = WatchSet::new();
-        w.watch_line(LineAddr(0));
-        w.watch_line(LineAddr(1)); // same page
-        assert_eq!(w.watched_pages(), 1);
-        assert_eq!(w.watched_lines(), 2);
-        assert!(w.unwatch_line(LineAddr(0)));
-        assert_eq!(w.classify_line(LineAddr(5)), Trap::FalsePositive);
-        assert!(w.unwatch_line(LineAddr(1)));
-        assert_eq!(w.classify_line(LineAddr(5)), Trap::None);
-        assert!(w.is_empty());
-        assert!(!w.unwatch_line(LineAddr(1)), "double unwatch");
+        for mut w in both_tables() {
+            w.watch(LineAddr(0));
+            w.watch(LineAddr(1)); // same page
+            assert_eq!(watched_pages(&w), 1);
+            assert_eq!(w.refs.len(), 2);
+            assert!(w.unwatch(LineAddr(0)));
+            assert_eq!(classify(&w, LineAddr(5)), Trap::FalsePositive);
+            assert!(w.unwatch(LineAddr(1)));
+            assert_eq!(classify(&w, LineAddr(5)), Trap::None);
+            assert_eq!((watched_pages(&w), w.refs.len()), (0, 0));
+            assert!(!w.unwatch(LineAddr(1)), "double unwatch");
+        }
     }
 
     #[test]
@@ -687,72 +724,136 @@ mod tests {
     }
 
     #[test]
-    fn traps_helper() {
-        assert!(!Trap::None.traps());
-        assert!(Trap::FalsePositive.traps());
-        assert!(Trap::Hit(LineAddr(0)).traps());
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut w = WatchSet::new();
-        for i in 0..100 {
-            w.watch_line(LineAddr(i * 100));
-        }
-        assert!(w.watched_lines() == 100);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.watched_pages(), 0);
-        assert_eq!(w.watched_lines(), 0);
-    }
-
-    #[test]
     fn refcounted_watch_survives_one_unwatch() {
         // The Explorer key/vicinity clash: a line watched as a key and
         // again as a vicinity sample must stay armed after the vicinity
         // side disarms.
-        let mut w = WatchSet::new();
-        w.watch_line(LineAddr(64)); // key registration
-        w.watch_line(LineAddr(64)); // vicinity registration
-        assert_eq!(w.watched_lines(), 1, "refs are not extra lines");
-        assert!(w.unwatch_line(LineAddr(64)), "vicinity disarm");
-        assert_eq!(
-            w.classify_line(LineAddr(64)),
-            Trap::Hit(LineAddr(64)),
-            "key watchpoint must survive the vicinity disarm"
-        );
-        assert!(w.unwatch_line(LineAddr(64)), "key disarm");
-        assert_eq!(w.classify_line(LineAddr(64)), Trap::None);
-        assert!(w.is_empty());
+        for mut w in both_tables() {
+            w.watch(LineAddr(64)); // key registration
+            w.watch(LineAddr(64)); // vicinity registration
+            assert_eq!(w.refs.len(), 1, "refs are not extra lines");
+            assert!(w.unwatch(LineAddr(64)), "vicinity disarm");
+            assert_eq!(
+                classify(&w, LineAddr(64)),
+                Trap::Hit,
+                "key watchpoint must survive the vicinity disarm"
+            );
+            assert!(w.unwatch(LineAddr(64)), "key disarm");
+            assert_eq!(classify(&w, LineAddr(64)), Trap::None);
+            assert_eq!(watched_pages(&w), 0);
+        }
     }
 
     #[test]
     fn many_lines_on_one_page_spill_correctly() {
-        let mut w = WatchSet::new();
-        // All 64 lines of page 3, far beyond the inline capacity.
-        let base = 3 * PageAddr::lines_per_page();
-        for i in 0..64 {
-            w.watch_line(LineAddr(base + i));
+        for mut w in both_tables() {
+            // All 64 lines of page 3 fill the page's whole mask.
+            let base = 3 * LINES_PER_PAGE;
+            for i in 0..64 {
+                w.watch(LineAddr(base + i));
+            }
+            assert_eq!(watched_pages(&w), 1);
+            assert_eq!(w.refs.len(), 64);
+            for i in 0..64 {
+                assert_eq!(classify(&w, LineAddr(base + i)), Trap::Hit);
+            }
+            for i in (0..64).rev() {
+                assert!(w.unwatch(LineAddr(base + i)));
+                for j in 0..i {
+                    assert_eq!(
+                        classify(&w, LineAddr(base + j)),
+                        Trap::Hit,
+                        "line {j} lost after removing {i}"
+                    );
+                }
+            }
+            assert_eq!(watched_pages(&w), 0);
         }
-        assert_eq!(w.watched_pages(), 1);
-        assert_eq!(w.watched_lines(), 64);
-        for i in 0..64 {
-            assert_eq!(
-                w.classify_line(LineAddr(base + i)),
-                Trap::Hit(LineAddr(base + i))
-            );
+    }
+
+    /// Nested-map model of the mask table: page → line → refcount.
+    #[derive(Default)]
+    struct WatchOracle {
+        // lint:allow(no-std-hash): probed and summed, never iterated in order
+        pages: HashMap<u64, HashMap<LineAddr, u32>>,
+    }
+
+    impl WatchOracle {
+        fn watch(&mut self, line: LineAddr) {
+            *self
+                .pages
+                .entry(line.page().0)
+                .or_default()
+                .entry(line)
+                .or_default() += 1;
         }
-        // Remove in an order that exercises inline/spill compaction.
-        for i in (0..64).rev() {
-            assert!(w.unwatch_line(LineAddr(base + i)));
-            for j in 0..i {
-                assert_eq!(
-                    w.classify_line(LineAddr(base + j)),
-                    Trap::Hit(LineAddr(base + j)),
-                    "line {j} lost after removing {i}"
-                );
+
+        fn unwatch(&mut self, line: LineAddr) -> bool {
+            let Some(lines) = self.pages.get_mut(&line.page().0) else {
+                return false;
+            };
+            let Some(rc) = lines.get_mut(&line) else {
+                return false;
+            };
+            *rc -= 1;
+            if *rc == 0 {
+                lines.remove(&line);
+                if lines.is_empty() {
+                    self.pages.remove(&line.page().0);
+                }
+            }
+            true
+        }
+
+        fn classify(&self, line: LineAddr) -> Trap {
+            match self.pages.get(&line.page().0) {
+                None => Trap::None,
+                Some(lines) if lines.contains_key(&line) => Trap::Hit,
+                Some(_) => Trap::FalsePositive,
             }
         }
-        assert!(w.is_empty());
+
+        fn lines(&self) -> usize {
+            self.pages.values().map(|l| l.len()).sum()
+        }
+    }
+
+    #[test]
+    fn masks_match_refcount_oracle_under_churn() {
+        // Both tables; the dense one spans pages 0–7 only, so probes on
+        // pages 8 and 9 read outside it.
+        for mut watch in [
+            WatchMasks::new(None),
+            WatchMasks::new(Some(PageAddr(0)..PageAddr(8))),
+        ] {
+            let mut oracle = WatchOracle::default();
+            // A narrow line universe concentrates many lines per page and
+            // exercises double-watch refcounts.
+            for step in 0..8_000u64 {
+                let line = LineAddr(mix64(0x7a7c, step) % 512);
+                match mix64(0x0dd, step) % 5 {
+                    0..=2 => {
+                        watch.watch(line);
+                        oracle.watch(line);
+                    }
+                    3 => {
+                        assert_eq!(
+                            watch.unwatch(line),
+                            oracle.unwatch(line),
+                            "step {step}: unwatch({line})"
+                        );
+                    }
+                    _ => {}
+                }
+                let probe = LineAddr(mix64(0x9e9, step) % 600);
+                assert_eq!(
+                    classify(&watch, probe),
+                    oracle.classify(probe),
+                    "step {step}: classify({probe})"
+                );
+                assert_eq!(watch.refs.len(), oracle.lines(), "step {step}");
+                assert_eq!(watched_pages(&watch), oracle.pages.len(), "step {step}");
+            }
+        }
     }
 }

@@ -1,15 +1,14 @@
 //! Equivalence tests for the flat lookup substrate (PR 3): the
 //! open-addressing `FlatMap`/`FlatSet` are pinned against
-//! `std::collections` oracles under randomized churn, the refcounted
-//! `WatchSet` against a nested-map model, and the rewired time-travel
-//! loops against their own serial/pipelined determinism contract.
+//! `std::collections` oracles under randomized churn, and the rewired
+//! time-travel loops against their own serial/pipelined determinism
+//! contract.
 //!
 //! Cases are generated from the workspace's deterministic counter RNG
 //! (`mix64`), so any failure reproduces exactly by case index.
 
 use delorean::prelude::*;
 use delorean::trace::{mix64, FlatMap, FlatSet, LineAddr, LineMap, LineSet};
-use delorean::virt::{Trap, WatchSet};
 use std::collections::{HashMap, HashSet};
 
 /// Drive `ops` random insert/remove/get operations over a key universe of
@@ -123,88 +122,9 @@ fn line_tables_match_std_oracles_under_churn() {
     }
 }
 
-/// Oracle for the refcounted watch set: nested std maps of refcounts.
-#[derive(Default)]
-struct WatchOracle {
-    pages: HashMap<u64, HashMap<LineAddr, u32>>,
-}
-
-impl WatchOracle {
-    fn watch(&mut self, line: LineAddr) {
-        *self
-            .pages
-            .entry(line.page().0)
-            .or_default()
-            .entry(line)
-            .or_default() += 1;
-    }
-
-    fn unwatch(&mut self, line: LineAddr) -> bool {
-        let Some(lines) = self.pages.get_mut(&line.page().0) else {
-            return false;
-        };
-        let Some(rc) = lines.get_mut(&line) else {
-            return false;
-        };
-        *rc -= 1;
-        if *rc == 0 {
-            lines.remove(&line);
-            if lines.is_empty() {
-                self.pages.remove(&line.page().0);
-            }
-        }
-        true
-    }
-
-    fn classify(&self, line: LineAddr) -> Trap {
-        match self.pages.get(&line.page().0) {
-            None => Trap::None,
-            Some(lines) if lines.contains_key(&line) => Trap::Hit(line),
-            Some(_) => Trap::FalsePositive,
-        }
-    }
-
-    fn lines(&self) -> usize {
-        self.pages.values().map(|l| l.len()).sum()
-    }
-}
-
-#[test]
-fn watchset_matches_refcount_oracle_under_churn() {
-    let mut watch = WatchSet::new();
-    let mut oracle = WatchOracle::default();
-    // A narrow line universe concentrates many lines per page, spilling
-    // past the inline capacity and exercising double-watch refcounts.
-    for step in 0..8_000u64 {
-        let line = LineAddr(mix64(0x7a7c, step) % 512);
-        match mix64(0x0dd, step) % 5 {
-            0..=2 => {
-                watch.watch_line(line);
-                oracle.watch(line);
-            }
-            3 => {
-                assert_eq!(
-                    watch.unwatch_line(line),
-                    oracle.unwatch(line),
-                    "step {step}: unwatch({line})"
-                );
-            }
-            _ => {}
-        }
-        let probe = LineAddr(mix64(0x9e9, step) % 600);
-        assert_eq!(
-            watch.classify_line(probe),
-            oracle.classify(probe),
-            "step {step}: classify({probe})"
-        );
-        assert_eq!(watch.watched_lines(), oracle.lines(), "step {step}");
-        assert_eq!(watch.watched_pages(), oracle.pages.len(), "step {step}");
-    }
-}
-
 #[test]
 fn explorer_trap_counts_identical_serial_vs_pipelined() {
-    // The rewired explorer hot loop (interest filter + flat tables) must
+    // The rewired explorer hot loop (page masks + flat tables) must
     // keep the pipelined run bit-identical to the serial oracle, down to
     // the per-explorer resolution and trap counters.
     let scale = Scale::tiny();
