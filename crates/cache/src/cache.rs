@@ -105,28 +105,59 @@ impl Cache {
         line.0 & self.set_mask
     }
 
-    #[inline]
-    fn row(&self, set: u64) -> usize {
-        cast::idx(set * u64::from(self.cfg.ways))
+    /// Ways per set at set width `W`: the compile-time width, or the
+    /// configured associativity when `W = 0`. A nonzero `W` is only ever
+    /// instantiated for a cache whose configuration has exactly `W` ways
+    /// (the hierarchy picks the instantiation from the geometry).
+    #[inline(always)]
+    fn width<const W: usize>(&self) -> usize {
+        debug_assert!(
+            W == 0 || W == self.cfg.ways as usize,
+            "width-{W} body on a {}-way cache",
+            self.cfg.ways
+        );
+        if W == 0 {
+            self.cfg.ways as usize
+        } else {
+            W
+        }
     }
 
-    /// The one tag-probe loop every lookup path shares: scan the set's
-    /// tags for `tag` and return the matching way.
+    /// First array slot of `set` at set width `W`.
+    #[inline(always)]
+    fn row<const W: usize>(&self, set: u64) -> usize {
+        cast::idx(set) * self.width::<W>()
+    }
+
+    /// The `W` slots of the set starting at `row`, as a fixed-width array
+    /// (one bounds check; every per-way loop over it is unrolled).
+    #[inline(always)]
+    fn ways_at<const W: usize>(slots: &[u64], row: usize) -> &[u64; W] {
+        // lint:allow(no-unwrap): a `W`-long slice always converts to `[u64; W]`
+        slots[row..row + W].try_into().expect("slice is W long")
+    }
+
+    /// The one tag-probe loop every runtime-width lookup shares: scan the
+    /// set's tags for `tag` and return the matching way.
     ///
-    /// Dispatches on the associativity to a fixed-width branchless scan:
-    /// all ways are compared into a hit mask with no data-dependent
-    /// branch (an early-exit loop over effectively random tags
-    /// mispredicts on almost every probe), and the dispatch itself is
-    /// perfectly predicted — a given cache's associativity never changes.
-    /// Power-of-two widths up to 16 cover every Table 1 geometry.
+    /// This is the `W = 0` path, which the public methods and every
+    /// non-Table-1 geometry take. It dispatches on the associativity to a
+    /// fixed-width branchless scan: all ways are compared into a hit mask
+    /// with no data-dependent branch (an early-exit loop over effectively
+    /// random tags mispredicts on almost every probe), and the dispatch
+    /// itself is perfectly predicted — a given cache's associativity never
+    /// changes. The hierarchy's warm loop does not dispatch per access: it
+    /// picks a width-specialised instantiation once per batch (see
+    /// [`Hierarchy`](crate::Hierarchy)), which calls the fixed-width scan
+    /// directly.
     #[inline]
     fn find_way(set_tags: &[u64], tag: u64) -> Option<usize> {
         match set_tags.len() {
             1 => (set_tags[0] == tag).then_some(0),
-            2 => Self::find_way_fixed::<2>(set_tags, tag),
-            4 => Self::find_way_fixed::<4>(set_tags, tag),
-            8 => Self::find_way_fixed::<8>(set_tags, tag),
-            16 => Self::find_way_fixed::<16>(set_tags, tag),
+            2 => Self::find_way_fixed::<2>(Self::ways_at(set_tags, 0), tag),
+            4 => Self::find_way_fixed::<4>(Self::ways_at(set_tags, 0), tag),
+            8 => Self::find_way_fixed::<8>(Self::ways_at(set_tags, 0), tag),
+            16 => Self::find_way_fixed::<16>(Self::ways_at(set_tags, 0), tag),
             _ => set_tags.iter().position(|&t| t == tag),
         }
     }
@@ -134,10 +165,8 @@ impl Cache {
     /// Branchless fixed-associativity scan: compare every way, collect a
     /// hit mask, pick the lowest set bit (ways hold distinct tags, so at
     /// most one bit is ever set).
-    #[inline]
-    fn find_way_fixed<const N: usize>(set_tags: &[u64], tag: u64) -> Option<usize> {
-        // lint:allow(no-unwrap): the const-N dispatch passes exactly N tags, so the array conversion is infallible
-        let ways: &[u64; N] = set_tags.try_into().expect("dispatch guarantees width");
+    #[inline(always)]
+    fn find_way_fixed<const N: usize>(ways: &[u64; N], tag: u64) -> Option<usize> {
         let mut mask = 0u32;
         for (w, &t) in ways.iter().enumerate() {
             mask |= u32::from(t == tag) << w;
@@ -156,10 +185,10 @@ impl Cache {
     #[inline]
     fn scan_set(set_tags: &[u64], tag: u64) -> (Option<usize>, Option<usize>) {
         match set_tags.len() {
-            2 => Self::scan_set_fixed::<2>(set_tags, tag),
-            4 => Self::scan_set_fixed::<4>(set_tags, tag),
-            8 => Self::scan_set_fixed::<8>(set_tags, tag),
-            16 => Self::scan_set_fixed::<16>(set_tags, tag),
+            2 => Self::scan_set_fixed::<2>(Self::ways_at(set_tags, 0), tag),
+            4 => Self::scan_set_fixed::<4>(Self::ways_at(set_tags, 0), tag),
+            8 => Self::scan_set_fixed::<8>(Self::ways_at(set_tags, 0), tag),
+            16 => Self::scan_set_fixed::<16>(Self::ways_at(set_tags, 0), tag),
             _ => (
                 set_tags.iter().position(|&t| t == tag),
                 set_tags.iter().position(|&t| t == EMPTY),
@@ -168,13 +197,8 @@ impl Cache {
     }
 
     /// Branchless fused match + invalid scan at fixed associativity.
-    #[inline]
-    fn scan_set_fixed<const N: usize>(
-        set_tags: &[u64],
-        tag: u64,
-    ) -> (Option<usize>, Option<usize>) {
-        // lint:allow(no-unwrap): the const-N dispatch passes exactly N tags, so the array conversion is infallible
-        let ways: &[u64; N] = set_tags.try_into().expect("dispatch guarantees width");
+    #[inline(always)]
+    fn scan_set_fixed<const N: usize>(ways: &[u64; N], tag: u64) -> (Option<usize>, Option<usize>) {
         let mut hit_mask = 0u32;
         let mut empty_mask = 0u32;
         for (w, &t) in ways.iter().enumerate() {
@@ -191,10 +215,31 @@ impl Cache {
         (pick(hit_mask), pick(empty_mask))
     }
 
+    /// Tag-match way of the set at `row`, at set width `W`.
+    #[inline(always)]
+    fn find_way_at<const W: usize>(&self, row: usize, tag: u64) -> Option<usize> {
+        if W == 0 {
+            Self::find_way(&self.tags[row..row + self.width::<0>()], tag)
+        } else {
+            Self::find_way_fixed(Self::ways_at::<W>(&self.tags, row), tag)
+        }
+    }
+
+    /// Fused match + first-invalid scan of the set at `row`, at set
+    /// width `W`.
+    #[inline(always)]
+    fn scan_set_at<const W: usize>(&self, row: usize, tag: u64) -> (Option<usize>, Option<usize>) {
+        if W == 0 {
+            Self::scan_set(&self.tags[row..row + self.width::<0>()], tag)
+        } else {
+            Self::scan_set_fixed(Self::ways_at::<W>(&self.tags, row), tag)
+        }
+    }
+
     /// The tags of the line's set.
     #[inline]
     fn set_tags(&self, line: LineAddr) -> &[u64] {
-        let row = self.row(self.set_index(line));
+        let row = self.row::<0>(self.set_index(line));
         &self.tags[row..row + self.cfg.ways as usize]
     }
 
@@ -205,9 +250,8 @@ impl Cache {
     }
 
     /// Non-mutating combined probe: whether `line` is present, and
-    /// whether every way of its set holds a valid line — one scan instead
-    /// of a [`Cache::probe`] + [`Cache::set_is_full`] pair (the DSW
-    /// analyst consults both for every lukewarm miss).
+    /// whether every way of its set holds a valid line — one scan for the
+    /// two questions the DSW analyst asks of every lukewarm miss.
     #[inline]
     pub fn probe_set(&self, line: LineAddr) -> (bool, bool) {
         let tags = self.set_tags(line);
@@ -220,18 +264,6 @@ impl Cache {
         (present, used == tags.len())
     }
 
-    /// Number of valid ways in the line's set, and the associativity.
-    pub fn set_occupancy(&self, line: LineAddr) -> (u32, u32) {
-        let used = self.set_tags(line).iter().filter(|&&t| t != EMPTY).count() as u32;
-        (used, self.cfg.ways)
-    }
-
-    /// `true` if every way of the line's set holds a valid line.
-    pub fn set_is_full(&self, line: LineAddr) -> bool {
-        let (used, ways) = self.set_occupancy(line);
-        used == ways
-    }
-
     /// Fraction of the cache holding valid lines.
     pub fn warm_fraction(&self) -> f64 {
         self.valid_lines as f64 / (self.sets * self.cfg.ways as u64) as f64
@@ -240,18 +272,23 @@ impl Cache {
     /// Access `line`, updating replacement state and filling on a miss.
     #[inline]
     pub fn access(&mut self, line: LineAddr) -> AccessResult {
+        self.access_w::<0>(line)
+    }
+
+    /// [`Cache::access`] at set width `W` (`0`: the configured width).
+    #[inline(always)]
+    pub(crate) fn access_w<const W: usize>(&mut self, line: LineAddr) -> AccessResult {
         self.tick += 1;
         let set = self.set_index(line);
-        let row = self.row(set);
-        let ways = self.cfg.ways as usize;
-        let (hit, empty) = Self::scan_set(&self.tags[row..row + ways], line.0);
+        let row = self.row::<W>(set);
+        let (hit, empty) = self.scan_set_at::<W>(row, line.0);
         if let Some(w) = hit {
             self.stats.hits += 1;
             self.touch(set, row, w);
             return AccessResult::Hit;
         }
         self.stats.misses += 1;
-        let evicted = self.fill_into(set, row, empty, line);
+        let evicted = self.fill_into::<W>(set, row, empty, line);
         AccessResult::Miss { evicted }
     }
 
@@ -260,11 +297,16 @@ impl Cache {
     /// deferred behind an MSHR.
     #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> bool {
+        self.lookup_w::<0>(line)
+    }
+
+    /// [`Cache::lookup`] at set width `W` (`0`: the configured width).
+    #[inline(always)]
+    pub(crate) fn lookup_w<const W: usize>(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
         let set = self.set_index(line);
-        let row = self.row(set);
-        let ways = self.cfg.ways as usize;
-        if let Some(w) = Self::find_way(&self.tags[row..row + ways], line.0) {
+        let row = self.row::<W>(set);
+        if let Some(w) = self.find_way_at::<W>(row, line.0) {
             self.stats.hits += 1;
             self.touch(set, row, w);
             return true;
@@ -277,22 +319,26 @@ impl Cache {
     /// transplant). Returns the evicted victim, if any. No-op if present.
     #[inline]
     pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+        self.fill_w::<0>(line)
+    }
+
+    /// [`Cache::fill`] at set width `W` (`0`: the configured width).
+    #[inline(always)]
+    pub(crate) fn fill_w<const W: usize>(&mut self, line: LineAddr) -> Option<LineAddr> {
         self.tick += 1;
         let set = self.set_index(line);
-        let row = self.row(set);
-        let ways = self.cfg.ways as usize;
-        let (hit, empty) = Self::scan_set(&self.tags[row..row + ways], line.0);
+        let row = self.row::<W>(set);
+        let (hit, empty) = self.scan_set_at::<W>(row, line.0);
         if hit.is_some() {
             return None;
         }
-        self.fill_into(set, row, empty, line)
+        self.fill_into::<W>(set, row, empty, line)
     }
 
     /// Remove `line` if present; returns whether it was.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let row = self.row(self.set_index(line));
-        let ways = self.cfg.ways as usize;
-        if let Some(w) = Self::find_way(&self.tags[row..row + ways], line.0) {
+        let row = self.row::<0>(self.set_index(line));
+        if let Some(w) = self.find_way_at::<0>(row, line.0) {
             self.tags[row + w] = EMPTY;
             self.valid_lines -= 1;
             return true;
@@ -396,7 +442,7 @@ impl Cache {
         // of the set loop so the digest allocates at most once.
         let mut by_rank: Vec<(u64, u64)> = Vec::with_capacity(ways);
         for set in 0..self.sets {
-            let row = self.row(set);
+            let row = self.row::<0>(set);
             match self.cfg.replacement {
                 ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                     by_rank.clear();
@@ -468,24 +514,33 @@ impl Cache {
         }
     }
 
-    /// Choose a victim way in a full set.
+    /// Branchless oldest-stamp scan: conditional moves instead of a
+    /// data-dependent branch per way (ties keep the first minimum,
+    /// matching the historical scan order). Inlined over a `[u64; W]`,
+    /// the loop length is a constant and the scan unrolls.
+    #[inline(always)]
+    fn oldest(stamps: &[u64]) -> usize {
+        let mut best = 0usize;
+        let mut best_stamp = stamps[0];
+        for (w, &s) in stamps.iter().enumerate().skip(1) {
+            let better = s < best_stamp;
+            best = if better { w } else { best };
+            best_stamp = if better { s } else { best_stamp };
+        }
+        best
+    }
+
+    /// Choose a victim way in a full set, at set width `W`.
     #[inline]
-    fn victim(&mut self, set: u64, row: usize) -> usize {
-        let ways = self.cfg.ways as usize;
+    fn victim<const W: usize>(&mut self, set: u64, row: usize) -> usize {
+        let ways = self.width::<W>();
         match self.cfg.replacement {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                // Branchless oldest-stamp scan: conditional moves instead
-                // of a data-dependent branch per way (ties keep the first
-                // minimum, matching the historical scan order).
-                let stamps = &self.stamps[row..row + ways];
-                let mut best = 0usize;
-                let mut best_stamp = stamps[0];
-                for (w, &s) in stamps.iter().enumerate().skip(1) {
-                    let better = s < best_stamp;
-                    best = if better { w } else { best };
-                    best_stamp = if better { s } else { best_stamp };
+                if W == 0 {
+                    Self::oldest(&self.stamps[row..row + ways])
+                } else {
+                    Self::oldest(Self::ways_at::<W>(&self.stamps, row))
                 }
-                best
             }
             ReplacementPolicy::Random => {
                 self.rng = mix64(self.rng, self.tick);
@@ -524,14 +579,15 @@ impl Cache {
 
     /// Fill `line` into `set`: prefer the invalid way found by the fused
     /// miss scan, fall back to the policy victim in a full set.
-    fn fill_into(
+    #[inline]
+    fn fill_into<const W: usize>(
         &mut self,
         set: u64,
         row: usize,
         empty: Option<usize>,
         line: LineAddr,
     ) -> Option<LineAddr> {
-        let w = empty.unwrap_or_else(|| self.victim(set, row));
+        let w = empty.unwrap_or_else(|| self.victim::<W>(set, row));
         let old = self.tags[row + w];
         let evicted = if old == EMPTY {
             self.valid_lines += 1;
@@ -788,6 +844,19 @@ mod tests {
         assert_eq!(c.stats().hits, 1);
     }
 
+    /// Test oracle: valid ways in the line's set, and the associativity,
+    /// read straight from the tag array.
+    fn occupancy(c: &Cache, line: LineAddr) -> (u32, u32) {
+        let used = c.set_tags(line).iter().filter(|&&t| t != EMPTY).count();
+        (used as u32, c.cfg.ways)
+    }
+
+    /// Test oracle: every way of the line's set holds a valid line.
+    fn set_is_full(c: &Cache, line: LineAddr) -> bool {
+        let (used, ways) = occupancy(c, line);
+        used == ways
+    }
+
     #[test]
     fn probe_set_matches_probe_plus_set_is_full() {
         let mut c = tiny(2, ReplacementPolicy::Lru);
@@ -797,7 +866,7 @@ mod tests {
                 let line = LineAddr(l);
                 assert_eq!(
                     c.probe_set(line),
-                    (c.probe(line), c.set_is_full(line)),
+                    (c.probe(line), set_is_full(&c, line)),
                     "probe_set diverged on line {l} after {i} accesses"
                 );
             }
@@ -807,12 +876,12 @@ mod tests {
     #[test]
     fn occupancy_and_warm_fraction() {
         let mut c = tiny(2, ReplacementPolicy::Lru);
-        assert_eq!(c.set_occupancy(LineAddr(0)), (0, 2));
+        assert_eq!(occupancy(&c, LineAddr(0)), (0, 2));
         c.access(LineAddr(0));
-        assert_eq!(c.set_occupancy(LineAddr(0)), (1, 2));
-        assert!(!c.set_is_full(LineAddr(0)));
+        assert_eq!(occupancy(&c, LineAddr(0)), (1, 2));
+        assert!(!set_is_full(&c, LineAddr(0)));
         c.access(LineAddr(4));
-        assert!(c.set_is_full(LineAddr(0)));
+        assert!(set_is_full(&c, LineAddr(0)));
         assert!((c.warm_fraction() - 2.0 / 8.0).abs() < 1e-12);
     }
 

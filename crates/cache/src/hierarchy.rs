@@ -16,9 +16,24 @@
 //!   straight from [`AccessCursor::fill`](delorean_trace::AccessCursor)
 //!   with no per-access closure or virtual dispatch in between.
 //!
-//! Both paths run the **same** inlined access core, so they are
-//! bit-identical in cache state, MSHR state and statistics — pinned by
-//! the `batched_equivalence` property tests.
+//! Both paths run the **same** access core, so they are bit-identical in
+//! cache state, MSHR state and statistics — pinned by the
+//! `batched_equivalence` property tests.
+//!
+//! # The access core's instantiations
+//!
+//! The core is compiled per pair of set widths. At nonzero widths,
+//! `access_core::<L1W, LLW>` runs every L1-D lookup, LLC access, fill
+//! and LRU victim scan over fixed-width `[u64; W]` sets, with no
+//! per-access width dispatch and no run-time-length loop. Two
+//! instantiations exist: `(2, 8)`,
+//! Table 1's 2-way L1-D over an 8-way LLC, which every scaled Table 1
+//! machine builds at every scale and LLC size; and `(0, 0)`, which reads
+//! each level's width from its configuration and serves every other
+//! geometry. [`Hierarchy::warm_slice`] picks one per batch and
+//! [`Hierarchy::access_data`] per call, from the hierarchy's own
+//! geometry. The instantiations run the same operations in the same
+//! order, so they agree bit-for-bit (`instantiations_agree`).
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -80,8 +95,18 @@ impl Hierarchy {
 
     /// The access core shared by the per-access and batched paths: both
     /// must agree bit-for-bit, so there is exactly one implementation.
-    #[inline]
-    fn access_data_inner(&mut self, pc: Pc, line: LineAddr, now: u64) -> MemLevel {
+    ///
+    /// `L1W` and `LLW` are the L1-D and LLC set widths it is compiled
+    /// for; `0` reads a level's width from its configuration. Every
+    /// instantiation runs the same operations in the same order, so they
+    /// differ only in speed.
+    #[inline(always)]
+    fn access_core<const L1W: usize, const LLW: usize>(
+        &mut self,
+        pc: Pc,
+        line: LineAddr,
+        now: u64,
+    ) -> MemLevel {
         // Complete any fills whose latency has elapsed. `has_ready` is a
         // single compare, so the common nothing-to-retire case skips the
         // MSHR file entirely.
@@ -89,10 +114,10 @@ impl Hierarchy {
             self.retired.clear();
             self.mshr_d.retire_into(now, &mut self.retired);
             for &done in &self.retired {
-                self.l1d.fill(done);
+                self.l1d.fill_w::<L1W>(done);
             }
         }
-        if self.l1d.lookup(line) {
+        if self.l1d.lookup_w::<L1W>(line) {
             self.stats.l1d_hits += 1;
             return MemLevel::L1;
         }
@@ -102,16 +127,25 @@ impl Hierarchy {
                 MemLevel::Mshr
             }
             MshrOutcome::Allocated | MshrOutcome::Full => {
-                if self.llc.access(line).is_hit() {
+                if self.llc.access_w::<LLW>(line).is_hit() {
                     self.stats.llc_hits += 1;
                     MemLevel::Llc
                 } else {
                     self.stats.memory += 1;
-                    self.train_prefetcher(pc, line);
+                    self.train_prefetcher::<LLW>(pc, line);
                     MemLevel::Memory
                 }
             }
         }
+    }
+
+    /// `true` if this hierarchy has Table 1's set widths, a 2-way L1-D
+    /// over an 8-way LLC — the pair every scaled Table 1 machine builds,
+    /// whatever its scale or LLC size, and the one instantiation of the
+    /// access core compiled for fixed widths.
+    #[inline]
+    fn table1_widths(&self) -> bool {
+        (self.l1d.config().ways, self.llc.config().ways) == (2, 8)
     }
 
     /// Issue a data access at access-time `now`; returns the serving level.
@@ -121,7 +155,11 @@ impl Hierarchy {
     /// warm loops should use [`Hierarchy::warm_slice`] or
     /// [`Hierarchy::warm_range`] instead.
     pub fn access_data(&mut self, pc: Pc, line: LineAddr, now: u64) -> MemLevel {
-        self.access_data_inner(pc, line, now)
+        if self.table1_widths() {
+            self.access_core::<2, 8>(pc, line, now)
+        } else {
+            self.access_core::<0, 0>(pc, line, now)
+        }
     }
 
     /// Warm the hierarchy with a batch of consecutive accesses, using each
@@ -131,10 +169,21 @@ impl Hierarchy {
     /// Bit-identical to calling [`Hierarchy::access_data`]`(a.pc,
     /// a.line(), a.index)` for each element in order; only the per-access
     /// outcomes are not materialized (warming consumes state and
-    /// counters, not levels).
+    /// counters, not levels). The access core's instantiation is chosen
+    /// once for the whole batch.
     pub fn warm_slice(&mut self, batch: &[MemAccess]) {
+        if self.table1_widths() {
+            self.warm_slice_at::<2, 8>(batch);
+        } else {
+            self.warm_slice_at::<0, 0>(batch);
+        }
+    }
+
+    /// [`Hierarchy::warm_slice`] through one instantiation of the access
+    /// core.
+    fn warm_slice_at<const L1W: usize, const LLW: usize>(&mut self, batch: &[MemAccess]) {
         for a in batch {
-            self.access_data_inner(a.pc, a.addr.line(), a.index);
+            self.access_core::<L1W, LLW>(a.pc, a.addr.line(), a.index);
         }
     }
 
@@ -171,7 +220,7 @@ impl Hierarchy {
     /// Feed the prefetcher an LLC miss and apply the resulting fills.
     /// (DeLorean's analyst trains its own `StridePrefetcher` on
     /// *predicted* misses, §6.3.2.)
-    fn train_prefetcher(&mut self, pc: Pc, line: LineAddr) {
+    fn train_prefetcher<const LLW: usize>(&mut self, pc: Pc, line: LineAddr) {
         let Some(pf) = self.prefetcher.as_mut() else {
             return;
         };
@@ -181,7 +230,7 @@ impl Hierarchy {
                 // Already resident: nullified to save bandwidth (§6.3.2).
                 self.stats.prefetches_nullified += 1;
             } else {
-                self.llc.fill(l);
+                self.llc.fill_w::<LLW>(l);
             }
         }
     }
@@ -213,17 +262,11 @@ impl Hierarchy {
         self.llc.reset_stats();
     }
 
-    /// Fork the **complete** hierarchy state — caches, in-flight MSHRs,
-    /// prefetcher streams, statistics — as the seed of an independent
-    /// region unit.
-    ///
-    /// Unlike [`Hierarchy::snapshot`], forking does *not* quiesce: the
-    /// fork continues bit-for-bit exactly where this hierarchy stands,
-    /// outstanding misses included, which is what lets the region
-    /// scheduler hand a warm boundary state to a parallel measure body
-    /// while the warm lane keeps advancing the original. The cost is a
-    /// deep copy of the tag/stamp arrays (a few hundred KiB at demo
-    /// scale) — cheap next to warming even one region interval.
+    /// A copy of the **complete** hierarchy state — caches, in-flight
+    /// MSHRs, prefetcher streams, statistics. This is `clone()`: no
+    /// library code calls it, and it is kept only for simbench's
+    /// `cache.fork_us` stage, with which it retires (ROADMAP, direction
+    /// 1's lock rewrite).
     pub fn fork(&self) -> Hierarchy {
         self.clone()
     }
@@ -280,8 +323,8 @@ impl Hierarchy {
     /// Adopt `other`'s complete state in place, reusing this hierarchy's
     /// allocations (`clone_from` on every tag/stamp array) — the cheap
     /// restore path for code that repeatedly re-seeds a scratch
-    /// hierarchy, where [`Hierarchy::fork`] would allocate fresh arrays
-    /// per call. Behaviorally equivalent to `*self = other.fork()`.
+    /// hierarchy, where `clone()` would allocate fresh arrays
+    /// per call. Behaviorally equivalent to `*self = other.clone()`.
     ///
     /// # Panics
     ///
@@ -553,5 +596,68 @@ mod tests {
         });
         assert_eq!(streamed.stats(), looped.stats());
         assert_eq!(streamed.snapshot(), looped.snapshot());
+    }
+
+    /// Drive a Table 1 hierarchy through the `(2, 8)` and the `(0, 0)`
+    /// instantiations of the access core on the same stream, in slices,
+    /// and assert both reach the same statistics, live state and
+    /// snapshot.
+    fn assert_instantiations_agree(cfg: &MachineConfig, stream: &[MemAccess], what: &str) {
+        let mut fixed = Hierarchy::new(cfg);
+        let mut dynamic = Hierarchy::new(cfg);
+        assert!(fixed.table1_widths(), "{what}: not a Table 1 geometry");
+        for chunk in stream.chunks(CURSOR_BATCH / 4) {
+            fixed.warm_slice_at::<2, 8>(chunk);
+            dynamic.warm_slice_at::<0, 0>(chunk);
+        }
+        assert_eq!(fixed.stats(), dynamic.stats(), "{what}: counters");
+        assert_eq!(fixed.l1d().stats(), dynamic.l1d().stats(), "{what}: L1-D");
+        assert_eq!(fixed.llc().stats(), dynamic.llc().stats(), "{what}: LLC");
+        assert_eq!(
+            fixed.state_digest(),
+            dynamic.state_digest(),
+            "{what}: digest"
+        );
+        assert_eq!(fixed.snapshot(), dynamic.snapshot(), "{what}: snapshot");
+    }
+
+    #[test]
+    fn instantiations_agree() {
+        use delorean_trace::{mix64, spec_workload, Addr};
+        for name in ["hmmer", "mcf", "lbm"] {
+            let w = spec_workload(name, Scale::tiny(), 1).unwrap();
+            let mut stream = Vec::new();
+            let mut cursor = w.cursor(0..60_000);
+            let mut buf = Vec::new();
+            while cursor.fill(&mut buf, CURSOR_BATCH) > 0 {
+                stream.extend_from_slice(&buf);
+            }
+            assert_instantiations_agree(&machine(), &stream, name);
+        }
+        // A one-entry MSHR file with a long latency hands out `Full` on
+        // nearly every miss; a striding PC arms the prefetcher, so its
+        // LLC fills run through the core's width too.
+        let mut saturating = machine().with_prefetch(true);
+        saturating.hierarchy.l1d_mshrs = 1;
+        saturating.hierarchy.mshr_latency_accesses = 500;
+        let stream: Vec<MemAccess> = (0..40_000u64)
+            .map(|i| {
+                let (pc, line) = if i % 4 == 3 {
+                    (Pc(0x9990), (1 << 20) + i / 4)
+                } else {
+                    (Pc(0x400 + mix64(3, i) % 16 * 4), mix64(5, i) % 4_096)
+                };
+                MemAccess {
+                    index: i,
+                    icount: i * 3,
+                    pc,
+                    addr: Addr(line * 64),
+                }
+            })
+            .collect();
+        assert_instantiations_agree(&saturating, &stream, "saturating");
+        let mut h = Hierarchy::new(&saturating);
+        h.warm_slice(&stream);
+        assert!(h.stats().prefetches_issued > 0, "prefetcher never fired");
     }
 }

@@ -8,6 +8,11 @@
 //! (including streams that saturate the file into the `Full` outcome),
 //! prefetcher on/off, arbitrary batch-boundary splits, and region
 //! boundaries that `drain_mshrs` the file mid-stream.
+//!
+//! Every property runs on each of [`GEOMETRIES`]: Table 1's 2-way/8-way
+//! pair, which the hierarchy runs through its fixed-width access core,
+//! and two others (a 4-way L1 over a 16-way LLC, and a 6-way LLC that no
+//! fixed-width scan covers), which run through the configured-width core.
 
 use delorean_cache::{
     CacheConfig, Hierarchy, HierarchyConfig, MachineConfig, MshrFile, MshrOutcome,
@@ -15,24 +20,55 @@ use delorean_cache::{
 };
 use delorean_trace::{mix64, Addr, MemAccess, Pc};
 
-/// A small machine with explicit MSHR shape and LLC policy: 4 KiB 2-way
-/// L1s over a 32 KiB 8-way LLC keeps set pressure (and therefore MSHR
-/// churn, evictions and replacement decisions) high at test sizes.
-fn machine(
+/// Small cache geometries, `(L1-D bytes, L1-D ways, LLC bytes, LLC
+/// ways)`. Small caches keep set pressure (and therefore MSHR churn,
+/// evictions and replacement decisions) high at test sizes.
+const GEOMETRIES: [(u64, u32, u64, u32); 3] = [
+    // Table 1's widths: 4 KiB 2-way L1 over a 32 KiB 8-way LLC.
+    (4 << 10, 2, 32 << 10, 8),
+    // 4 KiB 4-way L1 (16 sets) over a 32 KiB 16-way LLC (32 sets).
+    (4 << 10, 4, 32 << 10, 16),
+    // 4 KiB 2-way L1 over a 48 KiB 6-way LLC (128 sets).
+    (4 << 10, 2, 48 << 10, 6),
+];
+
+/// A small machine of one of [`GEOMETRIES`] with explicit MSHR shape and
+/// LLC policy, or `None` where the policy cannot run on the geometry
+/// (tree-PLRU needs power-of-two ways).
+fn machine_of(
+    (l1_bytes, l1_ways, llc_bytes, llc_ways): (u64, u32, u64, u32),
     mshrs: u32,
     latency: u64,
     llc_policy: ReplacementPolicy,
     prefetch: bool,
-) -> MachineConfig {
-    MachineConfig {
+) -> Option<MachineConfig> {
+    let llc = CacheConfig {
+        replacement: llc_policy,
+        ..CacheConfig::new(llc_bytes, llc_ways)
+    };
+    llc.validate().ok()?;
+    Some(MachineConfig {
         hierarchy: HierarchyConfig {
-            l1d: CacheConfig::new(4 << 10, 2),
-            llc: CacheConfig::new(32 << 10, 8).with_replacement(llc_policy),
+            l1d: CacheConfig::new(l1_bytes, l1_ways),
+            llc,
             l1d_mshrs: mshrs,
             mshr_latency_accesses: latency,
         },
         prefetch,
-    }
+    })
+}
+
+/// [`machine_of`] on every geometry the policy can run on.
+fn machines(
+    mshrs: u32,
+    latency: u64,
+    llc_policy: ReplacementPolicy,
+    prefetch: bool,
+) -> Vec<MachineConfig> {
+    GEOMETRIES
+        .iter()
+        .filter_map(|&g| machine_of(g, mshrs, latency, llc_policy, prefetch))
+        .collect()
 }
 
 /// Deterministic access stream: `line_space` distinct lines, PCs drawn
@@ -118,10 +154,11 @@ fn assert_equivalent(cfg: &MachineConfig, accesses: &[MemAccess], batch: usize, 
 
 #[test]
 fn batch_splits_never_change_the_outcome() {
-    let cfg = machine(8, 64, ReplacementPolicy::Lru, false);
     let accesses = stream(1, 6_000, 900);
-    for batch in [1usize, 2, 7, 64, 1024, 6_000] {
-        assert_equivalent(&cfg, &accesses, batch, &[]);
+    for cfg in machines(8, 64, ReplacementPolicy::Lru, false) {
+        for batch in [1usize, 2, 7, 64, 1024, 6_000] {
+            assert_equivalent(&cfg, &accesses, batch, &[]);
+        }
     }
 }
 
@@ -135,9 +172,10 @@ fn equivalence_across_replacement_policies() {
         ReplacementPolicy::Nmru,
         ReplacementPolicy::Srrip,
     ] {
-        let cfg = machine(8, 64, policy, false);
         let accesses = stream(2, 4_000, 700);
-        assert_equivalent(&cfg, &accesses, 128, &[]);
+        for cfg in machines(8, 64, policy, false) {
+            assert_equivalent(&cfg, &accesses, 128, &[]);
+        }
     }
 }
 
@@ -154,9 +192,10 @@ fn equivalence_across_mshr_shapes_including_full() {
         (32, 0),
         (8, 10_000),
     ] {
-        let cfg = machine(mshrs, latency, ReplacementPolicy::Lru, false);
         let accesses = stream(3 + u64::from(mshrs), 5_000, 1_200);
-        assert_equivalent(&cfg, &accesses, 256, &[]);
+        for cfg in machines(mshrs, latency, ReplacementPolicy::Lru, false) {
+            assert_equivalent(&cfg, &accesses, 256, &[]);
+        }
     }
 }
 
@@ -179,25 +218,27 @@ fn full_outcome_actually_occurs_in_the_saturating_shape() {
 #[test]
 fn equivalence_with_prefetcher_enabled() {
     for seed in [5u64, 6, 7] {
-        let cfg = machine(8, 64, ReplacementPolicy::Lru, true);
         let accesses = stream(seed, 5_000, 600);
-        assert_equivalent(&cfg, &accesses, 512, &[]);
-        let h = {
-            let mut h = Hierarchy::new(&cfg);
-            h.warm_slice(&accesses);
-            h
-        };
-        // The stream's striding phases must actually engage the
-        // prefetcher, or this test exercises nothing.
-        assert!(h.stats().prefetches_issued > 0, "prefetcher never fired");
+        for cfg in machines(8, 64, ReplacementPolicy::Lru, true) {
+            assert_equivalent(&cfg, &accesses, 512, &[]);
+            let h = {
+                let mut h = Hierarchy::new(&cfg);
+                h.warm_slice(&accesses);
+                h
+            };
+            // The stream's striding phases must actually engage the
+            // prefetcher, or this test exercises nothing.
+            assert!(h.stats().prefetches_issued > 0, "prefetcher never fired");
+        }
     }
 }
 
 #[test]
 fn region_boundary_drains_are_honored_mid_batch() {
-    let cfg = machine(4, 64, ReplacementPolicy::Lru, false);
     let accesses = stream(8, 6_000, 800);
-    assert_equivalent(&cfg, &accesses, 1024, &[1_500, 1_501, 4_000]);
+    for cfg in machines(4, 64, ReplacementPolicy::Lru, false) {
+        assert_equivalent(&cfg, &accesses, 1024, &[1_500, 1_501, 4_000]);
+    }
 }
 
 #[test]
@@ -225,23 +266,34 @@ fn warm_range_equals_per_access_over_a_real_workload() {
 fn checkpoint_restore_equalizes_both_paths() {
     // A snapshot taken on the batched path must restore onto a hierarchy
     // driven per-access (and vice versa) with identical behavior after.
-    let cfg = machine(8, 64, ReplacementPolicy::PLru, false);
     let accesses = stream(9, 3_000, 500);
     let tail = stream(10, 1_000, 500);
+    // Tree-PLRU runs on the power-of-two geometries; the 6-way LLC
+    // checkpoints under LRU.
+    let cfgs = machines(8, 64, ReplacementPolicy::PLru, false)
+        .into_iter()
+        .chain(machine_of(
+            GEOMETRIES[2],
+            8,
+            64,
+            ReplacementPolicy::Lru,
+            false,
+        ));
+    for cfg in cfgs {
+        let mut batched = Hierarchy::new(&cfg);
+        batched.warm_slice(&accesses);
+        let snap = batched.snapshot();
 
-    let mut batched = Hierarchy::new(&cfg);
-    batched.warm_slice(&accesses);
-    let snap = batched.snapshot();
-
-    let mut restored = Hierarchy::new(&cfg);
-    restored.restore(&snap);
-    for a in &tail {
-        let via_restore = restored.access_data(a.pc, a.line(), a.index);
-        let via_batched = batched.access_data(a.pc, a.line(), a.index);
-        assert_eq!(
-            via_restore, via_batched,
-            "post-restore divergence at {}",
-            a.index
-        );
+        let mut restored = Hierarchy::new(&cfg);
+        restored.restore(&snap);
+        for a in &tail {
+            let via_restore = restored.access_data(a.pc, a.line(), a.index);
+            let via_batched = batched.access_data(a.pc, a.line(), a.index);
+            assert_eq!(
+                via_restore, via_batched,
+                "post-restore divergence at {}",
+                a.index
+            );
+        }
     }
 }
