@@ -7,9 +7,9 @@
 //! the missing ones. This module is the only owner of that record:
 //!
 //! * the entry payload — a hand-rolled little-endian encoding of
-//!   [`SimulationReport`] ([`encode_cell`]; the workspace's `serde` is a
-//!   marker-only shim, so there is no derived serialization to lean
-//!   on), which is also the shard wire's `CellDone` payload;
+//!   [`SimulationReport`] ([`encode_cell`]; the workspace derives no
+//!   serialization, so the codec is written out here), which is also
+//!   the shard wire's `CellDone` payload;
 //! * the region-unit payload of a shard `SpanDone` ([`encode_units`]),
 //!   which shares the cell codec's region encoder;
 //! * the journal *tag* binding a file to one sweep configuration

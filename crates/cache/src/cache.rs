@@ -657,7 +657,7 @@ impl Cache {
 /// Snapshots compare bit-for-bit (`PartialEq`), which is what the
 /// batched-vs-per-access equivalence oracle pins down: two hierarchies
 /// that took the same accesses must snapshot identically.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheSnapshot {
     tags: Vec<u64>,
     stamps: Vec<u64>,

@@ -1,11 +1,10 @@
 //! Cache and machine configuration (Table 1 of the paper).
 
 use delorean_trace::{Scale, LINE_BYTES};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Replacement policy of a [`Cache`](crate::Cache).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Least recently used (the paper's configuration).
     Lru,
@@ -38,7 +37,7 @@ impl fmt::Display for ReplacementPolicy {
 }
 
 /// Geometry and policy of one cache.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -129,7 +128,7 @@ impl fmt::Display for CacheConfig {
 
 /// Hierarchy geometry: the data-side half of Table 1. (Table 1's L1-I
 /// is not simulated: the traces carry data accesses only.)
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 data cache.
     pub l1d: CacheConfig,
@@ -178,7 +177,7 @@ impl HierarchyConfig {
 ///
 /// The CPU-side parameters (pipeline widths, predictor sizes) live in
 /// `delorean-cpu`; this struct is what the warming strategies need.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Cache hierarchy geometry.
     pub hierarchy: HierarchyConfig,

@@ -357,7 +357,7 @@ impl Hierarchy {
 /// A full-hierarchy checkpoint (the paper's Flex-point / Live-point /
 /// memory-hierarchy-state family, §7). Compares bit-for-bit — the
 /// equivalence oracle of the batched warm path.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HierarchySnapshot {
     l1d: crate::cache::CacheSnapshot,
     llc: crate::cache::CacheSnapshot,

@@ -17,10 +17,9 @@
 //! allocation.
 
 use delorean_trace::LineAddr;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of presenting a miss to the MSHR file.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MshrOutcome {
     /// A new entry was allocated: a genuine miss that goes to the next
     /// level.
@@ -43,7 +42,7 @@ pub enum MshrOutcome {
 /// assert_eq!(m.on_miss(LineAddr(1), 5), MshrOutcome::DelayedHit);
 /// assert_eq!(m.on_miss(LineAddr(1), 11), MshrOutcome::Allocated); // refilled
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MshrFile {
     entries: Vec<(LineAddr, u64)>, // (line, fill completion time)
     capacity: usize,

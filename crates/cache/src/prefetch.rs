@@ -11,12 +11,11 @@
 //! paper's point.
 
 use delorean_trace::{mix64, LineAddr, Pc};
-use serde::{Deserialize, Serialize};
 
 /// Confidence threshold to arm a stream.
 const ARM_THRESHOLD: u8 = 2;
 
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 struct Stream {
     pc: Pc,
     last_line: u64,
@@ -38,7 +37,7 @@ struct Stream {
 /// let req = p.on_trigger(pc, LineAddr(108));           // armed
 /// assert_eq!(req, vec![LineAddr(112), LineAddr(116)]);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StridePrefetcher {
     streams: Vec<Stream>,
     max_streams: usize,

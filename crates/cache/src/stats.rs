@@ -1,9 +1,7 @@
 //! Cache and hierarchy statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss counters of a single cache.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found their line.
     pub hits: u64,
@@ -47,7 +45,7 @@ impl CacheStats {
 }
 
 /// Per-level outcome counters of a [`Hierarchy`](crate::Hierarchy).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// Data accesses that hit in the L1-D.
     pub l1d_hits: u64,

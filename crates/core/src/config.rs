@@ -1,10 +1,9 @@
 //! DeLorean configuration.
 
 use delorean_trace::Scale;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the DSW + TT methodology.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeLoreanConfig {
     /// Explorer window lengths in instructions before the region start,
     /// shortest first (§3.3: 5 M, 50 M, 100 M, 1 B at paper scale).

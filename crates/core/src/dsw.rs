@@ -21,10 +21,9 @@ use delorean_cache::ReplacementPolicy;
 use delorean_statmodel::assoc::LimitedAssocModel;
 use delorean_statmodel::{ReuseProfile, StatCacheModel};
 use delorean_trace::{LineAddr, LineMap, Pc};
-use serde::{Deserialize, Serialize};
 
 /// Verdict for a lukewarm-missing access.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum DswVerdict {
     /// The lukewarm set was full: certain conflict miss.
     ConflictSetFull,
@@ -47,7 +46,7 @@ impl DswVerdict {
 }
 
 /// Per-verdict counters (reported by the analyst).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DswCounts {
     /// Set-full conflict misses.
     pub conflict_set_full: u64,

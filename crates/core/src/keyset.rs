@@ -1,10 +1,9 @@
 //! Key cachelines: the Scout's output.
 
 use delorean_trace::{LineAddr, LineMap, Pc};
-use serde::{Deserialize, Serialize};
 
 /// Metadata of one key cacheline.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct KeyInfo {
     /// Global access index of the line's first access in the detailed
     /// region — the position the backward key reuse distance is measured
@@ -18,7 +17,7 @@ pub struct KeyInfo {
 /// access in the region misses the lukewarm cache (§3.2 — the paper
 /// reports between 1 and 2,907 of them per 10 k-instruction region,
 /// 151 on average).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct KeySet {
     keys: LineMap<KeyInfo>,
 }

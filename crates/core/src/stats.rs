@@ -1,10 +1,9 @@
 //! Time-traveling statistics (Figures 7 and 8, plus key-set counts).
 
 use crate::MAX_EXPLORERS;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated statistics of one DeLorean run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TtStats {
     /// Regions evaluated.
     pub regions: u64,

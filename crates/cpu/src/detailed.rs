@@ -11,7 +11,6 @@ use crate::predictor::TournamentPredictor;
 use crate::timing::{IntervalCore, TimingConfig};
 use delorean_cache::MemLevel;
 use delorean_trace::{MemAccess, Workload, CURSOR_BATCH};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Supplies the serving level of each memory access during detailed
@@ -32,7 +31,7 @@ impl<F: FnMut(&MemAccess, u64) -> MemLevel> OutcomeSource for F {
 }
 
 /// Result of simulating one detailed region.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct DetailedResult {
     /// Instructions simulated.
     pub instructions: u64,

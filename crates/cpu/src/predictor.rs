@@ -7,7 +7,6 @@
 //! to warm, which is why the paper's lukewarm warming suffices for it.
 
 use delorean_trace::Pc;
-use serde::{Deserialize, Serialize};
 
 const LOCAL_ENTRIES: usize = 2 * 1024;
 const GLOBAL_ENTRIES: usize = 8 * 1024;
@@ -15,7 +14,7 @@ const CHOICE_ENTRIES: usize = 8 * 1024;
 const BTB_ENTRIES: usize = 4 * 1024;
 
 /// Prediction statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Dynamic branches observed.
     pub branches: u64,
@@ -49,7 +48,7 @@ impl BranchStats {
 /// }
 /// assert!(p.execute(Pc(0x40), true));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct TournamentPredictor {
     local: Vec<u8>,
     global: Vec<u8>,

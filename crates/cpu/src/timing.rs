@@ -1,10 +1,9 @@
 //! The out-of-order interval timing model.
 
 use delorean_cache::MemLevel;
-use serde::{Deserialize, Serialize};
 
 /// Timing parameters of the modeled core (CPU half of Table 1).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TimingConfig {
     /// Issue width (Table 1: 8).
     pub issue_width: u32,
@@ -55,7 +54,7 @@ impl Default for TimingConfig {
 }
 
 /// Cycle breakdown accumulated by [`IntervalCore`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct CpiBreakdown {
     /// Cycles from issue-width-limited retirement.
     pub base: f64,

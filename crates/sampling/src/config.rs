@@ -1,7 +1,6 @@
 //! Region placement.
 
 use delorean_trace::Scale;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Sampled-simulation layout parameters.
@@ -19,7 +18,7 @@ use std::ops::Range;
 /// reflect the *represented* work. Per-event costs (traps) and unscaled
 /// work (detailed regions) are charged at face value. At
 /// [`Scale::paper`] the multiplier is 1 and accounting is exact.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SamplingConfig {
     /// Number of detailed regions.
     pub regions: u32,
@@ -101,7 +100,7 @@ impl SamplingConfig {
 }
 
 /// One detailed region with its warming window.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Region {
     /// Region number (0-based).
     pub index: u32,
@@ -122,7 +121,7 @@ impl Region {
 }
 
 /// The materialized set of regions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionPlan {
     /// The generating configuration.
     pub config: SamplingConfig,

@@ -33,11 +33,10 @@ use delorean_statmodel::per_pc::{PcPrediction, PcProfiles};
 use delorean_trace::fault::FaultPolicy;
 use delorean_trace::{CounterRng, MemAccess, Scale, Workload};
 use delorean_virt::{profile_reuses, CostModel, HostClock, ScanMode, WatchScanStats, WorkKind};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One phase of the adaptive sampling schedule.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct SchedulePhase {
     /// Share of the warm-up interval, in per mille (phases are laid out in
     /// order from the interval start).
@@ -48,7 +47,7 @@ struct SchedulePhase {
 
 /// CoolSim configuration: the adaptive sampling schedule and its seed,
 /// built by [`CoolSimConfig::for_scale`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoolSimConfig {
     /// Adaptive schedule phases, covering the interval in order.
     schedule: Vec<SchedulePhase>,

@@ -2,10 +2,9 @@
 
 use delorean_cpu::DetailedResult;
 use delorean_virt::{mips, RunCost};
-use serde::{Deserialize, Serialize};
 
 /// Detailed result of a single region.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegionReport {
     /// Region number.
     pub region: u32,
@@ -19,7 +18,7 @@ pub struct RegionReport {
 /// `PartialEq` compares every field, cost accounting included — the
 /// region scheduler's determinism contract (*worker count never changes
 /// the report*) is asserted with plain `==`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimulationReport {
     /// Workload name.
     pub workload: String,

@@ -6,20 +6,22 @@
 //! addressable) execution and the region plan, so regions can be
 //! evaluated in any order — and therefore in parallel. [`RegionScheduler`]
 //! is the runtime for that observation: it partitions a strategy's
-//! sampling plan into per-region **units**, fans the units out across a
-//! rayon worker pool, and hands the results back **in plan order** so the
+//! sampling plan into per-region **units**, fans the units out across its
+//! workers, and hands the results back **in plan order** so the
 //! strategy's reduction (and hence its [`StrategyReport`]) is
 //! byte-identical for every worker count.
 //!
 //! Two unit shapes cover all five strategies, plus a third kept for
-//! measurement:
+//! measurement. All three run on one claim loop: every worker, the
+//! calling thread included, claims the next unit in plan order, and the
+//! calling thread consumes the results in plan order.
 //!
 //! * [`run_units`](RegionScheduler::run_units) — fully independent
 //!   units. CoolSim (per-region watchpoint profiling), MRRL (per-region
 //!   reuse-latency windows), checkpoint evaluation (restore + measure)
 //!   and DeLorean (Scout → Explorers → Analyst per region) each own
 //!   their cursor slices and per-region state outright, so every region
-//!   is one independent unit.
+//!   is one independent unit, and its result is taken as it arrives.
 //! * [`run_speculative`](RegionScheduler::run_speculative) — the
 //!   speculative warm lane for warm chains. SMARTS-style functional
 //!   warming cannot decouple regions by construction: the hierarchy
@@ -34,10 +36,9 @@
 //!   the in-place sequential chain step for step.
 //! * [`run_seeded`](RegionScheduler::run_seeded) — units seeded by a
 //!   sequential carried-state lane. The seed pass runs in plan order on
-//!   a producer lane, while the bodies fan out across the remaining
-//!   workers as their seeds become available — a producer/consumer
-//!   pipeline over the bounded channel shim. No strategy calls it; it
-//!   stays as the seed-lane handoff primitive `simbench` times.
+//!   the calling thread, then the bodies fan out with their seeds. No
+//!   strategy calls it; it stays as the seed-lane handoff primitive
+//!   `simbench` times.
 //!
 //! Determinism contract: unit bodies must be pure functions of
 //! `(unit index, region, seed)`. The scheduler never lets the worker
@@ -49,13 +50,10 @@
 //! [`StrategyReport`]: crate::StrategyReport
 
 use crate::config::Region;
-use crossbeam::channel::bounded;
 use delorean_trace::fault::{self, FaultPolicy, FaultSite, UnitFailure, UnitFault};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::sync_channel;
+use std::sync::{Mutex, PoisonError};
 
 /// The scheduler lost unit results it cannot explain: a worker
 /// terminated before sending in an unguarded run, where no fault policy
@@ -146,120 +144,41 @@ impl RegionScheduler {
     ///
     /// `unit` must be a pure function of `(index, region)` (plus
     /// captured immutable context); the scheduler guarantees the output
-    /// vector is identical for every worker count.
+    /// vector is identical for every worker count. It is
+    /// [`run_speculative`](Self::run_speculative) with a reconciler that
+    /// takes each result as it is, so a unit lost to a helper that died
+    /// unwinds the caller with a [`LostUnits`] naming it.
     pub fn run_units<R: Send>(
         &self,
         regions: &[Region],
         unit: impl Fn(u32, &Region) -> R + Sync,
     ) -> Vec<R> {
-        if self.workers <= 1 || regions.len() <= 1 {
-            return regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| unit(i as u32, r))
-                .collect();
-        }
-        let jobs: Vec<(u32, &Region)> = regions
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i as u32, r))
-            .collect();
-        // Building a pool per call is free with the offline rayon shim
-        // (its ThreadPool holds no threads — it only records the worker
-        // count that scoped parallel operations spawn). If the shim is
-        // swapped for the registry rayon, hoist the pool into the
-        // scheduler to avoid per-call thread churn.
-        ThreadPoolBuilder::new()
-            .num_threads(self.workers)
-            .build()
-            // lint:allow(no-unwrap): the offline rayon shim's pool build is infallible; with registry rayon a failure here is unrecoverable
-            .expect("region worker pool")
-            .install(|| jobs.par_iter().map(|&(i, r)| unit(i, r)).collect())
+        self.run_speculative(regions, unit, |_, _, r| r)
     }
 
     /// Evaluate units whose seeds come off a sequential carried-state
     /// lane: `seed` runs in plan order (it may fold mutable state across
     /// calls — the cumulative warm hierarchy), `body` runs on any worker
-    /// once its unit's seed exists. Results come back in plan order.
+    /// with its unit's seed. Results come back in plan order.
     ///
-    /// With more than one worker, the seed lane runs on a dedicated
-    /// producer thread and bodies drain from a bounded channel on the
-    /// remaining workers, so seed production overlaps body evaluation —
-    /// the region-granular analogue of the paper's pass pipeline. With
-    /// one worker the two interleave exactly like the classic sequential
-    /// driver: seed(0), body(0), seed(1), body(1), …
+    /// The whole seed lane runs first, on the calling thread; then the
+    /// bodies run on the claim loop [`run_units`](Self::run_units) uses,
+    /// each handed its own seed by value. Seeds therefore do not overlap
+    /// bodies, and with one worker the order is seed(0), …, seed(n−1),
+    /// body(0), …, body(n−1).
     pub fn run_seeded<S: Send, R: Send>(
         &self,
         regions: &[Region],
         mut seed: impl FnMut(u32, &Region) -> S + Send,
         body: impl Fn(u32, &Region, S) -> R + Sync,
     ) -> Vec<R> {
-        let n = regions.len();
-        if self.workers <= 1 || n <= 1 {
-            return regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let s = seed(i as u32, r);
-                    body(i as u32, r, s)
-                })
-                .collect();
-        }
-        let consumers = (self.workers - 1).min(n);
-        // The seed channel's bound is the pipeline depth: the producer
-        // lane may run at most one seed per consumer ahead of the
-        // slowest body, modeling a finite pipe buffer.
-        let (seed_tx, seed_rx) = bounded::<(u32, S)>(consumers.max(2));
-        let (done_tx, done_rx) = bounded::<(u32, R)>(n);
-        let seed_rx = Mutex::new(seed_rx);
-        let body = &body;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for (i, r) in regions.iter().enumerate() {
-                    let s = seed(i as u32, r);
-                    if seed_tx.send((i as u32, s)).is_err() {
-                        return; // consumers gone (a body panicked)
-                    }
-                }
-            });
-            for _ in 0..consumers {
-                let done_tx = done_tx.clone();
-                let seed_rx = &seed_rx;
-                scope.spawn(move || loop {
-                    // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
-                    let msg = seed_rx.lock().expect("seed channel lock").recv();
-                    match msg {
-                        Ok((i, s)) => {
-                            let out = body(i, &regions[i as usize], s);
-                            if done_tx.send((i, out)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => return, // producer done, channel drained
-                    }
-                });
-            }
-            drop(done_tx);
-            let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-            for (i, out) in done_rx.iter() {
-                slots[i as usize] = Some(out);
-            }
-            // A missing slot means a consumer died before reporting; name
-            // the units instead of failing anonymously (guarded runs
-            // classify the failure rather than panicking).
-            let mut lost = Vec::new();
-            let mut out = Vec::with_capacity(n);
-            for (i, s) in slots.into_iter().enumerate() {
-                match s {
-                    Some(r) => out.push(r),
-                    None => lost.push(i as u32),
-                }
-            }
-            if !lost.is_empty() {
-                std::panic::panic_any(LostUnits { units: lost });
-            }
-            out
-        })
+        let seeds = (0u32..).zip(regions).map(|(i, r)| seed(i, r)).collect();
+        let mut out = Vec::with_capacity(regions.len());
+        self.dispatch_speculative(regions, seeds, body, |_, _, r| {
+            out.push(r);
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// Evaluate **speculative** units: `spec` bodies are fully
@@ -270,9 +189,9 @@ impl RegionScheduler {
     /// commit vs re-measure for each unit as its speculation arrives.
     ///
     /// Every worker speculates: `workers − 1` spawned helpers claim
-    /// `spec` tasks from a shared counter, and the calling thread claims
-    /// them too whenever it has nothing to reconcile (see the private
-    /// `dispatch_speculative` loop). So at two
+    /// `spec` tasks in plan order from a shared claim, and the calling
+    /// thread claims them too whenever it has nothing to reconcile (see
+    /// the private `dispatch_speculative` loop). So at two
     /// workers two speculations run at once instead of one helper
     /// speculating every region serially while the reconciler idles.
     ///
@@ -292,21 +211,30 @@ impl RegionScheduler {
         mut reconcile: impl FnMut(u32, &Region, S) -> R,
     ) -> Vec<R> {
         let mut out = Vec::with_capacity(regions.len());
-        self.dispatch_speculative(regions, spec, |i, r, s| {
-            out.push(reconcile(i, r, s));
-            ControlFlow::Continue(())
-        });
+        let inputs = vec![(); regions.len()];
+        self.dispatch_speculative(
+            regions,
+            inputs,
+            |i, r, ()| spec(i, r),
+            |i, r, s| {
+                out.push(reconcile(i, r, s));
+                ControlFlow::Continue(())
+            },
+        );
         out
     }
 
-    /// The speculative lanes' shared dispatch loop. Returns how many
-    /// units were reconciled: all of them, unless `reconcile` broke the
-    /// chain.
+    /// The claim loop every runner shares. Returns how many units were
+    /// reconciled: all of them, unless `reconcile` broke the chain.
+    ///
+    /// `inputs` holds one value per region, in plan order; each is moved
+    /// into its unit's `spec` call, so a unit receives its input exactly
+    /// once whichever thread claims it.
     ///
     /// With one worker (or one unit) it interleaves spec(0),
     /// reconcile(0), spec(1), … on the calling thread. Otherwise it
     /// spawns `workers − 1` helpers (never more than `n − 1`) that claim
-    /// and run `spec` tasks in claim order, and the calling thread loops:
+    /// and run `spec` tasks in plan order, and the calling thread loops:
     ///
     /// 1. reconcile the ready plan-order prefix;
     /// 2. take any arrived results without blocking;
@@ -314,44 +242,48 @@ impl RegionScheduler {
     /// 4. only when nothing is left to claim, block on the channel.
     ///
     /// Which thread runs a `spec` task is timing-dependent, but `spec`
-    /// is a pure function of `(index, region)` and reconciliation stays
-    /// in plan order, so nothing `reconcile` observes depends on the
-    /// worker count. When `reconcile` returns [`ControlFlow::Break`]
+    /// is a pure function of `(index, region, input)` and reconciliation
+    /// stays in plan order, so nothing `reconcile` observes depends on
+    /// the worker count. When `reconcile` returns [`ControlFlow::Break`]
     /// the loop stops claiming and returns once the helpers drain. The
     /// helpers keep claiming, so above one worker every unit's `spec`
-    /// runs exactly once whether or not the chain broke.
-    fn dispatch_speculative<S: Send>(
+    /// runs exactly once whether or not the chain broke. If a helper
+    /// dies with a claimed unit unsent, the run unwinds with a
+    /// [`LostUnits`] naming the units that never arrived.
+    fn dispatch_speculative<I: Send, S: Send>(
         &self,
         regions: &[Region],
-        spec: impl Fn(u32, &Region) -> S + Sync,
+        inputs: Vec<I>,
+        spec: impl Fn(u32, &Region, I) -> S + Sync,
         mut reconcile: impl FnMut(u32, &Region, S) -> ControlFlow<()>,
     ) -> usize {
         let n = regions.len();
+        debug_assert_eq!(inputs.len(), n, "one input per region");
         if self.workers <= 1 || n <= 1 {
-            for (i, r) in regions.iter().enumerate() {
-                let s = spec(i as u32, r);
-                if reconcile(i as u32, r, s).is_break() {
-                    return i + 1;
+            for ((i, r), input) in (0u32..).zip(regions).zip(inputs) {
+                let s = spec(i, r, input);
+                if reconcile(i, r, s).is_break() {
+                    return i as usize + 1;
                 }
             }
             return n;
         }
         let helpers = (self.workers - 1).min(n - 1);
-        let next = AtomicUsize::new(0);
-        let (done_tx, done_rx) = bounded::<(u32, S)>(n);
-        let spec = &spec;
-        let next = &next;
+        // Claims hand out units in plan order, each with its input. A
+        // claim only advances the iterator, which cannot panic, so a
+        // poisoned lock still holds a consistent iterator.
+        let claims = Mutex::new(inputs.into_iter().enumerate());
+        let claim = || claims.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let run = |(i, input): (usize, I)| (i, spec(i as u32, &regions[i], input));
+        let (done_tx, done_rx) = sync_channel::<(usize, S)>(n);
         std::thread::scope(|scope| {
             for _ in 0..helpers {
                 let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    let s = spec(i as u32, &regions[i]);
-                    if done_tx.send((i as u32, s)).is_err() {
-                        return; // reconciler gone (a sibling panicked)
+                scope.spawn(move || {
+                    while let Some(task) = claim() {
+                        if done_tx.send(run(task)).is_err() {
+                            return; // reconciler gone (a sibling panicked)
+                        }
                     }
                 });
             }
@@ -370,16 +302,16 @@ impl RegionScheduler {
                     return n;
                 }
                 if let Ok((i, s)) = done_rx.try_recv() {
-                    pending[i as usize] = Some(s);
+                    pending[i] = Some(s);
                     continue;
                 }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i < n {
-                    pending[i] = Some(spec(i as u32, &regions[i]));
+                if let Some(task) = claim() {
+                    let (i, s) = run(task);
+                    pending[i] = Some(s);
                     continue;
                 }
                 match done_rx.recv() {
-                    Ok((i, s)) => pending[i as usize] = Some(s),
+                    Ok((i, s)) => pending[i] = Some(s),
                     // Every helper is gone with a claimed unit unsent.
                     Err(_) => std::panic::panic_any(LostUnits {
                         units: (reconciled..n)
@@ -468,7 +400,7 @@ impl RegionScheduler {
         };
         let n = regions.len();
         let reconcile_once = FaultPolicy { retry_budget: 0 };
-        let guarded_spec = |i: u32, r: &Region| -> Option<S> {
+        let guarded_spec = |i: u32, r: &Region, ()| -> Option<S> {
             fault::run_unit_guarded(i, policy, || {
                 fault::hit(FaultSite::UnitEntry, u64::from(i));
                 spec(i, r)
@@ -489,7 +421,8 @@ impl RegionScheduler {
         };
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         let mut failures = Vec::new();
-        let reconciled = self.dispatch_speculative(regions, guarded_spec, |i, r, s| {
+        let inputs = vec![(); n];
+        let reconciled = self.dispatch_speculative(regions, inputs, guarded_spec, |i, r, s| {
             match guarded_reconcile(i, r, s) {
                 Ok(v) => {
                     out.push(Some(v));
@@ -532,7 +465,7 @@ mod tests {
     use super::*;
     use crate::SamplingConfig;
     use delorean_trace::Scale;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn regions(n: u32) -> Vec<Region> {
@@ -575,6 +508,23 @@ mod tests {
                     acc
                 },
                 |_, _, s| s,
+            );
+            assert_eq!(got, reference, "workers={workers}");
+        }
+        // A non-`Copy` seed, the whole prefix so far: each body must get
+        // its own seed, moved to it exactly once.
+        for workers in [1, 2, 3, 8] {
+            let mut prefix = Vec::new();
+            let got = RegionScheduler::new(workers).run_seeded(
+                &rs,
+                move |_, r| {
+                    prefix.push(r.start_instr);
+                    prefix.clone()
+                },
+                |i, _, s: Vec<u64>| {
+                    assert_eq!(s.len(), i as usize + 1, "unit {i} got another unit's seed");
+                    s.iter().sum::<u64>()
+                },
             );
             assert_eq!(got, reference, "workers={workers}");
         }
@@ -755,6 +705,31 @@ mod tests {
             |_, _, met| met,
         );
         assert_eq!(got, [true, true], "the two spec bodies never overlapped");
+    }
+
+    #[test]
+    fn a_unit_lost_with_its_helper_is_named() {
+        let rs = regions(2);
+        // The two bodies meet, so each runs on its own thread; the one
+        // off the calling thread then dies, unguarded.
+        let caller = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        let dead = AtomicUsize::new(usize::MAX);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            RegionScheduler::new(2).run_units(&rs, |i, _| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                assert!(wait_for(|| arrived.load(Ordering::SeqCst) == 2));
+                if std::thread::current().id() != caller {
+                    dead.store(i as usize, Ordering::SeqCst);
+                    std::panic::panic_any(format!("unit {i} dies off the calling thread"));
+                }
+            })
+        }));
+        let payload = run.expect_err("a dead helper must unwind the run");
+        let lost = payload
+            .downcast::<LostUnits>()
+            .expect("the unwind names the lost unit");
+        assert_eq!(lost.units, [dead.load(Ordering::SeqCst) as u32]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! \[23\] of the paper).
 
 use delorean_trace::{FlatMap, LineAddr, Pc, PcMap};
-use serde::{Deserialize, Serialize};
 
 /// Effective number of cachelines usable by an access stream with a
 /// dominant stride of `stride_lines` lines, in a cache of `sets` sets ×
@@ -41,7 +40,7 @@ const MIN_OBSERVATIONS: u32 = 8;
 const DOMINANCE_PERMILLE: u32 = 600;
 
 /// Online dominant-stride detector for a single PC.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct StrideDetector {
     last_line: Option<u64>,
     deltas: FlatMap<i64, u32>,
@@ -90,7 +89,7 @@ impl StrideDetector {
 
 /// Per-PC limited-associativity model: detects dominant strides and shrinks
 /// the effective cache size used by capacity classification.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LimitedAssocModel {
     per_pc: PcMap<StrideDetector>,
 }

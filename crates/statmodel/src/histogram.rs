@@ -1,7 +1,5 @@
 //! Log-bucketed distance histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// Distances below this are stored exactly, one bucket per value.
 const EXACT_LIMIT: u64 = 128;
 /// Sub-buckets per octave above the exact range.
@@ -30,7 +28,7 @@ const NUM_BUCKETS: usize =
 /// assert_eq!(h.total(), 3.0);
 /// assert!(h.p_ge(4) > 0.3 && h.p_ge(4) < 0.4);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct LogHistogram {
     counts: Vec<f64>,
     total: f64,

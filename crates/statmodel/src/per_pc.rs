@@ -11,10 +11,9 @@
 
 use crate::reuse::ReuseProfile;
 use delorean_trace::{Pc, PcMap};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a per-PC miss prediction.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PcPrediction {
     /// The PC had samples; predicted hit.
     Hit,
@@ -48,7 +47,7 @@ impl PcPredictor {
 /// The global profile drives the reuse→stack conversion (stack distance is
 /// a property of the whole access stream), while the per-PC histograms
 /// drive the per-access hit/miss verdicts.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PcProfiles {
     per_pc: PcMap<ReuseProfile>,
     global: ReuseProfile,

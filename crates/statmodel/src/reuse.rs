@@ -1,7 +1,6 @@
 //! Reuse-distance profiles and the StatStack reuse→stack conversion.
 
 use crate::histogram::LogHistogram;
-use serde::{Deserialize, Serialize};
 
 /// A sampled reuse-distance distribution plus the StatStack machinery to
 /// turn it into stack distances and miss-ratio predictions.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p.miss_ratio(64) > 0.95);
 /// assert!(p.miss_ratio(128) < 0.05);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ReuseProfile {
     hist: LogHistogram,
     cold_weight: f64,

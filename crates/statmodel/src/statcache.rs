@@ -13,10 +13,9 @@
 //! evaluate DSW classification under random replacement too.
 
 use crate::reuse::ReuseProfile;
-use serde::{Deserialize, Serialize};
 
 /// Fixpoint solver for the random-replacement miss ratio.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct StatCacheModel {
     /// Maximum fixpoint iterations.
     pub max_iterations: u32,

@@ -16,7 +16,6 @@
 //! plugged in.
 
 use crate::reuse::ReuseProfile;
-use serde::{Deserialize, Serialize};
 
 /// One application's solo characterization.
 #[derive(Clone, Debug)]
@@ -34,7 +33,7 @@ pub struct StatCcApp {
 }
 
 /// Converged sharing prediction.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct StatCcSolution {
     /// Predicted CPI per application, input order.
     pub cpi: Vec<f64>,
@@ -47,7 +46,7 @@ pub struct StatCcSolution {
 }
 
 /// StatCC fixpoint solver.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct StatCc {
     /// Maximum fixpoint iterations.
     pub max_iterations: u32,

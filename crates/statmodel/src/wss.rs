@@ -8,10 +8,8 @@
 //! [`find_knees`] locates those fall-off points in a (cache size,
 //! miss-metric) series.
 
-use serde::{Deserialize, Serialize};
-
 /// A detected knee: the sweep step where the miss metric fell off.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Knee {
     /// Index into the sweep where the drop completes (the first size that
     /// enjoys the lower miss level).

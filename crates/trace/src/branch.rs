@@ -10,10 +10,9 @@
 
 use crate::rng::{mix64, CounterRng};
 use crate::types::Pc;
-use serde::{Deserialize, Serialize};
 
 /// One dynamic branch.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BranchEvent {
     /// Static branch address.
     pub pc: Pc,
@@ -22,7 +21,7 @@ pub struct BranchEvent {
 }
 
 /// Deterministic description of a workload's branch behaviour.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BranchModel {
     /// One instruction in `period` is a branch (≥ 2).
     pub period: u64,

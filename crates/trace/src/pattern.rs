@@ -14,7 +14,6 @@
 //! | [`Pattern::StridedScan`] | spike, but set-conflicting | limited-associativity outliers |
 
 use crate::rng::mix64;
-use serde::{Deserialize, Serialize};
 
 /// Cachelines per 4 KiB page.
 const LINES_PER_PAGE: u64 = crate::PAGE_BYTES / crate::LINE_BYTES;
@@ -23,7 +22,7 @@ const LINES_PER_PAGE: u64 = crate::PAGE_BYTES / crate::LINE_BYTES;
 ///
 /// All line offsets returned by [`Pattern::line_at`] lie in
 /// `[0, footprint_lines())`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Pattern {
     /// Sequential scan: access `j` touches line `(j * stride) % lines`.
     ///

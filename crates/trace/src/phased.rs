@@ -20,11 +20,10 @@ use crate::pattern::{Pattern, PatternCursor};
 use crate::rng::{mix64, CounterRng};
 use crate::types::{Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
 use crate::Workload;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One weighted access stream within a phase.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamSpec {
     /// The access pattern.
     pub pattern: Pattern,
@@ -53,7 +52,7 @@ impl StreamSpec {
 }
 
 /// One phase: a stream mix active for a span of accesses.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseSpec {
     /// Phase length in accesses (rounded up to a multiple of the phase's
     /// weight sum at build time).

@@ -11,26 +11,15 @@
 //! (30 k) lengths are intentionally *not* scaled — the paper argues small
 //! regions are the hard, interesting case.
 
-use serde::{Deserialize, Serialize};
-
 /// Scale factors applied to paper-scale instruction counts and sizes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Scale {
     /// Divide paper-scale instruction counts by this.
     pub instr_div: u64,
     /// Divide paper-scale byte sizes (footprints, cache sizes) by this.
     pub size_div: u64,
-    /// Preset name for reports (not serialized; deserialized scales read
-    /// back as "custom").
-    #[serde(skip, default = "custom_label")]
+    /// Preset name for reports.
     pub label: &'static str,
-}
-
-// Only referenced from the `#[serde(default)]` attribute, which the
-// offline serde shim parses but discards.
-#[allow(dead_code)]
-fn custom_label() -> &'static str {
-    "custom"
 }
 
 impl Scale {

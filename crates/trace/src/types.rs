@@ -1,6 +1,5 @@
 //! Core address and access-record types shared across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cacheline size in bytes (Table 1 of the paper: 64 B lines everywhere).
@@ -12,15 +11,15 @@ pub const LINE_BYTES: u64 = 64;
 pub const PAGE_BYTES: u64 = 4096;
 
 /// A byte address in the simulated address space.
-#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(pub u64);
 
 /// A cacheline address: byte address divided by [`LINE_BYTES`].
-#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineAddr(pub u64);
 
 /// A page address: byte address divided by [`PAGE_BYTES`].
-#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageAddr(pub u64);
 
 /// A program counter identifying the static load/store instruction.
@@ -28,7 +27,7 @@ pub struct PageAddr(pub u64);
 /// The statistical models in CoolSim (randomized statistical warming) are
 /// keyed per PC, which is why this is a first-class type rather than a bare
 /// integer.
-#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pc(pub u64);
 
 impl Addr {
@@ -116,7 +115,7 @@ hex_debug!(PageAddr, "PageAddr");
 hex_debug!(Pc, "Pc");
 
 /// One dynamic memory access of a [`Workload`](crate::Workload) execution.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Position of this access in the workload's access stream.
     pub index: u64,

@@ -1,9 +1,7 @@
 //! Host-time accounting: per-pass clocks and pipelined run costs.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated host seconds of one execution pass.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct HostClock {
     seconds: f64,
 }
@@ -29,7 +27,7 @@ impl HostClock {
 }
 
 /// Named cost of one pipeline pass (Scout, Explorer-k, Analyst, ...).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PassCost {
     /// Pass name for reports.
     pub name: String,
@@ -56,7 +54,7 @@ pub struct PassCost {
 /// checkpoint evaluation, DeLorean — record all their cost as
 /// `parallel_seconds`; the chained lane is what makes SMARTS-style
 /// functional warming resist region parallelism (§7's critique).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct UnitCost {
     /// Unit (region) index, in plan order.
     pub unit: u32,
@@ -80,7 +78,7 @@ impl UnitCost {
 /// already works on *m+1*. With enough cores the steady-state wall-clock
 /// is set by the slowest pass; the remaining passes only contribute the
 /// pipeline fill of roughly one region each.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunCost {
     passes: Vec<PassCost>,
     regions: u64,
@@ -320,7 +318,7 @@ impl RunCost {
 /// [`RunCost::speculative_wallclock`]. Kept *outside* [`RunCost`] so the
 /// simulation report (which embeds the cost) stays bitwise identical to
 /// the sequential run's.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SpecUnit {
     /// Unit (region) index, in plan order.
     pub unit: u32,

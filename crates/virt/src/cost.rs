@@ -1,9 +1,7 @@
 //! The host cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Kinds of per-instruction work, each with its own execution rate.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum WorkKind {
     /// Native execution on the host.
     Native,
@@ -21,7 +19,7 @@ pub enum WorkKind {
 /// These stand in for the dual-socket Xeon E5520 the paper measures on.
 /// Every simulated mechanism charges a [`HostClock`](crate::HostClock)
 /// through this model; reported speeds are `instructions / seconds`.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Native execution rate (≈ one IPC at 2.26 GHz).
     pub native_mips: f64,

@@ -28,11 +28,10 @@ use delorean_trace::{
     LineAddr, LineDomains, LineMap, PageAddr, PageMap, Workload, CURSOR_BATCH, LINE_BYTES,
     PAGE_BYTES,
 };
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Statistics of one watchpoint (VDP) scan.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WatchScanStats {
     /// Accesses in the scanned span: what the cost model charges.
     pub accesses_scanned: u64,
