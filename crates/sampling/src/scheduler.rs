@@ -127,11 +127,7 @@ impl RegionScheduler {
 
     /// A scheduler sized to the host's available parallelism.
     pub fn host() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        Self::new(delorean_trace::host_parallelism())
     }
 
     /// This scheduler's worker count.

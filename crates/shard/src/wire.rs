@@ -17,6 +17,12 @@
 //!
 //! Transports are anything `Read`/`Write`: worker child stdio, a Unix
 //! socket, or an in-process pipe pair in tests.
+//!
+//! [`WIRE_VERSION`] 2 checksums frames with the four-lane
+//! [`tile_checksum`] of tile format version 3 (version 1 used its single
+//! chain). The broker detaches a worker whose [`Message::Hello`] names
+//! another version; a version-1 peer's frames fail the new checksum,
+//! which detaches it too.
 
 use delorean_bench::journal::{push_bytes, push_str, push_u32, push_u8, Take};
 use delorean_trace::journal::{encode_entry_header, parse_entry_header, ENTRY_HEADER_BYTES};
@@ -25,7 +31,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Protocol version carried by [`Message::Hello`].
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 /// Fixed frame-header size: len + kind + payload checksum.
 pub const FRAME_HEADER_BYTES: usize = ENTRY_HEADER_BYTES;
 /// Upper bound on a frame payload; larger lengths are corruption.

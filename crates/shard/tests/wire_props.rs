@@ -5,7 +5,7 @@
 //! quarantined; and only decomposing strategies lease as region spans.
 
 use delorean_bench::journal::{decode_cell, decode_units, encode_cell, encode_units};
-use delorean_shard::wire::{self, Message, WireError, WireFault, FRAME_HEADER_BYTES};
+use delorean_shard::wire::{self, Message, WireError, WireFault, FRAME_HEADER_BYTES, WIRE_VERSION};
 use delorean_shard::{Broker, BrokerConfig, ShardRun, SweepSpec};
 use delorean_trace::fault::UnitFault;
 use delorean_trace::{Scale, TileError};
@@ -281,9 +281,39 @@ fn duplicate_deliveries_dedup_to_one_identical_report() {
     }
 }
 
+/// A worker that says Hello with the retired wire version 1 (whose
+/// frames carried the single-chain checksum) is detached: the broker
+/// hangs up on it and sends it nothing, while it is still running.
+#[test]
+fn a_worker_on_wire_version_one_is_detached() {
+    let broker = Broker::new(BrokerConfig::default());
+    let (mut worker_read, broker_write) = std::io::pipe().expect("pipe");
+    let (broker_read, mut worker_write) = std::io::pipe().expect("pipe");
+    broker.attach(broker_read, broker_write);
+    wire::send(&mut worker_write, &Message::Hello { version: 1 }).expect("hello");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(wire::recv(&mut worker_read).map(|m| m.is_some()));
+    });
+    // A broker that kept the worker would only write to it at shutdown.
+    let first = rx.recv_timeout(std::time::Duration::from_secs(60));
+    broker.shutdown();
+    assert!(
+        matches!(first, Ok(Ok(false))),
+        "expected a hang-up before shutdown, got {first:?}"
+    );
+    drop(worker_write);
+}
+
 fn duplicate_everything(mut read: impl std::io::Read, mut write: impl Write) {
     use delorean_bench::journal::encode_cell;
-    wire::send(&mut write, &Message::Hello { version: 1 }).expect("hello");
+    wire::send(
+        &mut write,
+        &Message::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .expect("hello");
     let mut job_ctx = None;
     loop {
         let msg = match wire::recv(&mut read) {
@@ -423,7 +453,13 @@ fn scripted_worker(
     mut write: impl Write,
     tamper: fn(&SweepSpec, &mut Message),
 ) -> Vec<Lease> {
-    wire::send(&mut write, &Message::Hello { version: 1 }).expect("hello");
+    wire::send(
+        &mut write,
+        &Message::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .expect("hello");
     let mut job_ctx = None;
     let mut leases = Vec::new();
     loop {

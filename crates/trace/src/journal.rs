@@ -11,12 +11,16 @@
 //!
 //! ```text
 //! file   := header entry*                      (little-endian)
-//! header (64 B): magic "DLRNJRNL", version u32, reserved u32,
+//! header (64 B): magic "DLRNJRNL", version u32 (= 2), reserved u32,
 //!     tag u64 (caller-defined binding), 32 B reserved,
 //!     checksum u64 over bytes 0..56
 //! entry  := len u32, kind u32, checksum u64 (over payload),
 //!     payload (len B)
 //! ```
+//!
+//! Version 2 is version 1 with the four-lane [`crate::tile::tile_checksum`]
+//! of tile format version 3; a version-1 journal is rejected with
+//! [`JournalError::UnsupportedVersion`] before any checksum is read.
 //!
 //! **Recovery semantics.** Structural damage to the header (bad magic,
 //! version, checksum) is a hard [`JournalError`] — the file is not a
@@ -44,7 +48,7 @@ use std::path::Path;
 /// Journal file magic: the first 8 bytes.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DLRNJRNL";
 /// Format version this module reads and writes.
-pub const JOURNAL_VERSION: u32 = 1;
+pub const JOURNAL_VERSION: u32 = 2;
 /// Fixed header size in bytes.
 pub const JOURNAL_HEADER_BYTES: usize = 64;
 /// Fixed per-entry header size in bytes (len + kind + checksum).
@@ -406,6 +410,24 @@ mod tests {
         assert!(matches!(
             JournalReader::open(&path, None),
             Err(JournalError::HeaderCorrupt { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_one_journal_is_rejected_by_its_version() {
+        // Version 1 checksummed with the single-chain digest; re-stamped
+        // here, so the version check is what fires.
+        let path = temp("version1");
+        write_three(&path);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let sum = tile_checksum(&bytes[..HEADER_CHECKSUM_AT]);
+        bytes[HEADER_CHECKSUM_AT..HEADER_CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            JournalReader::open(&path, None),
+            Err(JournalError::UnsupportedVersion { found: 1 })
         ));
         std::fs::remove_file(&path).unwrap();
     }

@@ -306,6 +306,13 @@ pub trait WorkloadExt: Workload {
 
 impl<W: Workload + ?Sized> WorkloadExt for W {}
 
+/// The host's available parallelism, at least 1: the one definition of
+/// a host-sized worker count (tile packing and verifying, and
+/// `delorean_sampling::RegionScheduler::host`).
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,20 +8,20 @@
 //! workload ([`pack_workload`]) and a captured trace pushed record by
 //! record ([`TileFileWriter::push`]) are both tile files.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! ```text
 //! file   := file-header tile*
 //! file-header (128 B, little-endian):
 //!     magic       [u8;8] = "DLRNTILE"
-//!     version     u32    = 2
+//!     version     u32    = 3
 //!     tile_records u32          records per full tile
 //!     mem_period  u64
 //!     record_count u64          total records in the file
 //!     branch      u64+u32+u32+u64   BranchModel{period,pcs,biased_permille,seed}
 //!     name_len    u32, name [u8;32]  workload name (UTF-8, ≤ 32 bytes)
 //!     reserved    [u8;28]       zeros
-//!     checksum    u64           over bytes 0..120
+//!     checksum    u64           tile_checksum of bytes 0..120
 //! tile   := tile-header payload
 //! tile-header (40 B):
 //!     magic       u32 = "TILE"
@@ -29,7 +29,7 @@
 //!     first_index u64           global index of the first record
 //!     start_instr u64           icount of the first record
 //!     end_instr   u64           icount one past the last record
-//!     checksum    u64           over the payload bytes
+//!     checksum    u64           tile_checksum of the payload bytes
 //! payload := record*            records × 16 B
 //! record := pc u64, addr u64
 //! ```
@@ -42,6 +42,34 @@
 //! size, so seeking to any record — and therefore to any per-region
 //! cursor slice a region-scheduler unit asks for — is O(1) pointer
 //! arithmetic into the map.
+//!
+//! # Checksum (version 3)
+//!
+//! [`tile_checksum`] runs four independent [`mix64`] lanes over
+//! 32-byte strides, so a payload is checked at memory speed rather than
+//! at the latency of one serial chain; the lanes fold in order at the
+//! end, and whatever the strides leave over chains onto the fold as
+//! version 2's single chain did:
+//!
+//! ```text
+//! seed   = 0x9e3779b97f4a7c15 ^ len
+//! lane_i = mix64(seed, i)                        i = 0..4
+//! for each whole 32-byte stride s:  lane_i = mix64(lane_i, word(s, i))
+//! h      = mix64(mix64(mix64(mix64(seed, lane_0), lane_1), lane_2), lane_3)
+//! for each 8-byte word left over:   h = mix64(h, word)
+//! if 1..=7 bytes remain:            h = mix64(h, tail zero-padded to 8 bytes)
+//! ```
+//!
+//! Words are little-endian. Version 2 files used the single chain and
+//! are rejected with [`TileError::UnsupportedVersion`].
+//!
+//! # Packing and verifying on every core
+//!
+//! [`pack_workload_with`] and [`TileFile::verify`] split the file into
+//! groups of whole tiles (about 1 MiB each) and run them on the host's
+//! available parallelism ([`crate::host_parallelism`]). A packed file is
+//! byte-identical at any worker count, and `verify` always reports the
+//! lowest-index bad tile.
 //!
 //! # Two consumers
 //!
@@ -83,7 +111,9 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// File magic: the first 8 bytes of every tile file.
@@ -91,7 +121,7 @@ pub const FILE_MAGIC: [u8; 8] = *b"DLRNTILE";
 /// Per-tile magic ("TILE", little-endian).
 pub const TILE_MAGIC: u32 = u32::from_le_bytes(*b"TILE");
 /// Format version this module reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Fixed file-header size in bytes.
 pub const FILE_HEADER_BYTES: usize = 128;
 /// Fixed tile-header size in bytes.
@@ -107,6 +137,9 @@ pub const NAME_BYTES: usize = 32;
 
 /// Offset of the header checksum field (it checks bytes `0..this`).
 const HEADER_CHECKSUM_AT: usize = 120;
+/// Target size of a tile group, the unit that packing and verifying
+/// hand to a worker: whole tiles, at least one.
+const GROUP_BYTES: usize = 1 << 20;
 
 /// What went wrong reading, writing, or decoding a tile file.
 #[derive(Debug)]
@@ -219,20 +252,28 @@ impl From<io::Error> for TileError {
     }
 }
 
-/// 64-bit content checksum: `mix64`-folded over 8-byte words (plus a
-/// zero-padded tail), seeded with the length so permuted-but-equal-sum
+/// 64-bit content checksum: four independent `mix64` lanes over 32-byte
+/// strides, folded in lane order, then the leftover words and a
+/// zero-padded tail chained onto the fold (see the module docs for the
+/// exact definition). Seeded with the length so permuted-but-equal-sum
 /// payloads and truncations both change the digest.
 pub fn tile_checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ bytes.len() as u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        // lint:allow(no-unwrap): chunks_exact(8) yields exactly 8-byte slices, so the array conversion is infallible
-        h = mix64(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    let seed = 0x9e37_79b9_7f4a_7c15u64 ^ bytes.len() as u64;
+    let mut lanes = [0u64, 1, 2, 3].map(|i| mix64(seed, i));
+    let (strides, rest) = bytes.as_chunks::<32>();
+    for stride in strides {
+        for (lane, word) in lanes.iter_mut().zip(stride.as_chunks::<8>().0) {
+            *lane = mix64(*lane, u64::from_le_bytes(*word));
+        }
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
+    let mut h = lanes.into_iter().fold(seed, mix64);
+    let (words, tail) = rest.as_chunks::<8>();
+    for word in words {
+        h = mix64(h, u64::from_le_bytes(*word));
+    }
+    if !tail.is_empty() {
         let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
+        last[..tail.len()].copy_from_slice(tail);
         h = mix64(h, u64::from_le_bytes(last));
     }
     h
@@ -273,6 +314,95 @@ fn encode_header(
     let sum = tile_checksum(&h[..HEADER_CHECKSUM_AT]);
     h[HEADER_CHECKSUM_AT..HEADER_CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
     h
+}
+
+/// The 40-byte header of the tile whose records start at global index
+/// `first`, stamped with `payload`'s record count and checksum: the one
+/// tile encoder [`TileFileWriter`] and [`pack_workload_with`] share.
+fn encode_tile_header(first: u64, mem_period: u64, payload: &[u8]) -> [u8; TILE_HEADER_BYTES] {
+    let records = crate::cast::u32_exact((payload.len() / RECORD_BYTES) as u64);
+    let mut h = [0u8; TILE_HEADER_BYTES];
+    h[0..4].copy_from_slice(&TILE_MAGIC.to_le_bytes());
+    h[4..8].copy_from_slice(&records.to_le_bytes());
+    h[8..16].copy_from_slice(&first.to_le_bytes());
+    h[16..24].copy_from_slice(&(first * mem_period).to_le_bytes());
+    h[24..32].copy_from_slice(&((first + u64::from(records)) * mem_period).to_le_bytes());
+    h[32..40].copy_from_slice(&tile_checksum(payload).to_le_bytes());
+    h
+}
+
+/// Reject writer parameters no reader could use.
+fn check_params(
+    name: &str,
+    mem_period: u64,
+    branch: &BranchModel,
+    tile_records: u32,
+) -> Result<(), TileError> {
+    let detail = if mem_period == 0 {
+        "mem_period must be ≥ 1".to_string()
+    } else if tile_records == 0 {
+        "tile_records must be ≥ 1".to_string()
+    } else if branch.period == 0 {
+        "branch period must be ≥ 1".to_string()
+    } else if name.len() > NAME_BYTES {
+        format!("name '{name}' exceeds {NAME_BYTES} bytes")
+    } else {
+        return Ok(());
+    };
+    Err(TileError::Invalid { detail })
+}
+
+/// Tiles per group: as many whole tiles as fit in [`GROUP_BYTES`], at
+/// least one.
+fn group_tiles(tile_records: u32) -> u32 {
+    let tile_bytes = TILE_HEADER_BYTES + tile_records as usize * RECORD_BYTES;
+    crate::cast::u32_exact((GROUP_BYTES / tile_bytes).max(1) as u64)
+}
+
+/// Run `body(state, g)` for every group `g` in `0..groups` on up to
+/// `workers` threads (the calling thread among them), each thread
+/// claiming groups in increasing order from one counter and building
+/// its `state` once. Returns the error of the **lowest** failing group,
+/// whatever the scheduling: every group below it is claimed before it,
+/// and a claim past the lowest failure seen so far is skipped.
+fn for_each_group<S>(
+    groups: usize,
+    workers: usize,
+    state: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, usize) -> Result<(), TileError> + Sync,
+) -> Result<(), TileError> {
+    // Both counters are `Relaxed`: they publish no other data (results
+    // come back through `join`), and a stale `lowest_bad` only costs a
+    // group of extra work.
+    let next = AtomicUsize::new(0);
+    let lowest_bad = AtomicUsize::new(usize::MAX);
+    let work = || {
+        let mut s = state();
+        loop {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            if g >= groups || g > lowest_bad.load(Ordering::Relaxed) {
+                return None;
+            }
+            if let Err(e) = body(&mut s, g) {
+                lowest_bad.fetch_min(g, Ordering::Relaxed);
+                return Some((g, e));
+            }
+        }
+    };
+    let failures: Vec<_> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(groups))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut failures = vec![work()];
+        for h in helpers {
+            failures.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        failures
+    });
+    match failures.into_iter().flatten().min_by_key(|&(g, _)| g) {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
 }
 
 /// Summary of a finished pack: what [`TileFileWriter::finish`] and
@@ -337,26 +467,7 @@ impl TileFileWriter {
         branch: BranchModel,
         tile_records: u32,
     ) -> Result<Self, TileError> {
-        if mem_period == 0 {
-            return Err(TileError::Invalid {
-                detail: "mem_period must be ≥ 1".into(),
-            });
-        }
-        if tile_records == 0 {
-            return Err(TileError::Invalid {
-                detail: "tile_records must be ≥ 1".into(),
-            });
-        }
-        if branch.period == 0 {
-            return Err(TileError::Invalid {
-                detail: "branch period must be ≥ 1".into(),
-            });
-        }
-        if name.len() > NAME_BYTES {
-            return Err(TileError::Invalid {
-                detail: format!("name '{name}' exceeds {NAME_BYTES} bytes"),
-            });
-        }
+        check_params(name, mem_period, &branch, tile_records)?;
         let path = path.as_ref().to_path_buf();
         let mut out = BufWriter::new(File::create(&path)?);
         // Placeholder header; the record count is patched in `finish`.
@@ -401,14 +512,8 @@ impl TileFileWriter {
             return Ok(());
         }
         let first = self.tile_first_index;
-        let mut h = [0u8; TILE_HEADER_BYTES];
-        h[0..4].copy_from_slice(&TILE_MAGIC.to_le_bytes());
-        h[4..8].copy_from_slice(&records.to_le_bytes());
-        h[8..16].copy_from_slice(&first.to_le_bytes());
-        h[16..24].copy_from_slice(&(first * self.mem_period).to_le_bytes());
-        h[24..32].copy_from_slice(&((first + records as u64) * self.mem_period).to_le_bytes());
-        h[32..40].copy_from_slice(&tile_checksum(&self.payload).to_le_bytes());
-        self.out.write_all(&h)?;
+        self.out
+            .write_all(&encode_tile_header(first, self.mem_period, &self.payload))?;
         self.out.write_all(&self.payload)?;
         self.payload.clear();
         self.tile_first_index = first + records as u64;
@@ -477,6 +582,12 @@ pub fn pack_workload(
 
 /// [`pack_workload`] with an explicit records-per-tile.
 ///
+/// The range is packed in groups of whole tiles on the host's available
+/// parallelism: each worker generates its group through the workload's
+/// cursor straight into the tile payloads and writes the group at its
+/// fixed offset; the file header goes last. The file is byte-identical
+/// to the same records pushed through a [`TileFileWriter`].
+///
 /// # Errors
 ///
 /// As [`pack_workload`].
@@ -486,21 +597,90 @@ pub fn pack_workload_with(
     path: impl AsRef<Path>,
     tile_records: u32,
 ) -> Result<PackSummary, TileError> {
-    let mut w = TileFileWriter::create_with(
-        path,
+    pack_on(
+        workload,
+        range,
+        path.as_ref(),
+        tile_records,
+        crate::host_parallelism(),
+    )
+}
+
+/// [`pack_workload_with`] on at most `workers` threads.
+pub(crate) fn pack_on(
+    workload: &dyn Workload,
+    range: Range<u64>,
+    path: &Path,
+    tile_records: u32,
+    workers: usize,
+) -> Result<PackSummary, TileError> {
+    let (name, mem_period, branch) = (
         workload.name(),
         workload.mem_period(),
         workload.branch_model(),
-        tile_records,
-    )?;
-    let mut cursor = workload.cursor(range);
-    let mut buf = Vec::with_capacity(crate::cursor::CURSOR_BATCH);
-    while cursor.fill(&mut buf, crate::cursor::CURSOR_BATCH) > 0 {
-        for a in &buf {
-            w.push(a.pc, a.addr)?;
-        }
+    );
+    check_params(name, mem_period, &branch, tile_records)?;
+    let records = range.end.saturating_sub(range.start);
+    if records == 0 {
+        return Err(TileError::EmptyTrace);
     }
-    w.finish()
+    let per_tile = u64::from(tile_records);
+    let tiles: u32 = records
+        .div_ceil(per_tile)
+        .try_into()
+        .map_err(|_| TileError::Invalid {
+            detail: "tile count overflows u32".into(),
+        })?;
+    // Bytes of the tiles holding `n` records from a tile boundary on.
+    let tiled_len =
+        |n: u64| n.div_ceil(per_tile) * TILE_HEADER_BYTES as u64 + n * RECORD_BYTES as u64;
+    let group_records = u64::from(group_tiles(tile_records)) * per_tile;
+    let file = File::create(path)?;
+    for_each_group(
+        crate::cast::idx(records.div_ceil(group_records)),
+        workers,
+        || (Vec::new(), Vec::with_capacity(crate::cursor::CURSOR_BATCH)),
+        |(bytes, batch): &mut (Vec<u8>, Vec<MemAccess>), g| {
+            let first = g as u64 * group_records;
+            let end = (first + group_records).min(records);
+            let mut cursor = workload.cursor(range.start + first..range.start + end);
+            // The group is its tiles back to back, each a header and its
+            // payload; every byte is overwritten, so a reused buffer
+            // needs no clearing.
+            bytes.resize(crate::cast::idx(tiled_len(end - first)), 0);
+            let tile_bytes = TILE_HEADER_BYTES + tile_records as usize * RECORD_BYTES;
+            for (tile_first, tile) in (first..end)
+                .step_by(crate::cast::idx(per_tile))
+                .zip(bytes.chunks_mut(tile_bytes))
+            {
+                let (header, payload) = tile.split_at_mut(TILE_HEADER_BYTES);
+                let mut slots = payload.chunks_exact_mut(RECORD_BYTES);
+                while slots.len() > 0 {
+                    if cursor.fill(batch, slots.len().min(crate::cursor::CURSOR_BATCH)) == 0 {
+                        return Err(TileError::Invalid {
+                            detail: format!("workload cursor ended before index {end}"),
+                        });
+                    }
+                    for (a, rec) in batch.iter().zip(&mut slots) {
+                        rec[..8].copy_from_slice(&a.pc.0.to_le_bytes());
+                        rec[8..].copy_from_slice(&a.addr.0.to_le_bytes());
+                    }
+                }
+                header.copy_from_slice(&encode_tile_header(tile_first, mem_period, payload));
+            }
+            file.write_all_at(bytes, FILE_HEADER_BYTES as u64 + tiled_len(first))?;
+            Ok(())
+        },
+    )?;
+    file.write_all_at(
+        &encode_header(name, mem_period, &branch, tile_records, records),
+        0,
+    )?;
+    Ok(PackSummary {
+        records,
+        tiles,
+        bytes: FILE_HEADER_BYTES as u64 + tiled_len(records),
+    })
 }
 
 /// A memory-mapped, seekable tile file.
@@ -730,16 +910,30 @@ impl TileFile {
 
     /// Checksum-validate every tile (the eager integrity pass), so the
     /// warm-loop hot path pays for the checksums exactly once, at open.
+    /// Groups of tiles are checked on the host's available parallelism.
     ///
     /// # Errors
     ///
-    /// The first [`TileError::TileCorrupt`] /
-    /// [`TileError::ChecksumMismatch`] encountered.
+    /// The [`TileError::TileCorrupt`] / [`TileError::ChecksumMismatch`]
+    /// of the lowest-index bad tile, at any worker count.
     pub fn verify(&self) -> Result<(), TileError> {
-        for t in 0..self.tile_count {
-            self.tile_payload(t)?;
-        }
-        Ok(())
+        self.verify_on(crate::host_parallelism())
+    }
+
+    /// [`verify`](TileFile::verify) on at most `workers` threads.
+    pub(crate) fn verify_on(&self, workers: usize) -> Result<(), TileError> {
+        let group = group_tiles(self.tile_records);
+        let groups = self.tile_count.div_ceil(group) as usize;
+        for_each_group(
+            groups,
+            workers,
+            || (),
+            |(), g| {
+                let first = crate::cast::u32_exact(g as u64) * group;
+                let end = first.saturating_add(group).min(self.tile_count);
+                (first..end).try_for_each(|t| self.tile_payload(t).map(drop))
+            },
+        )
     }
 
     /// Decode `n` records starting `within` records into `tile`,
@@ -1015,10 +1209,10 @@ mod tests {
             Err(TileError::BadMagic { .. })
         ));
 
-        // Unsupported versions, the retired 17-byte-record format 1
-        // among them (checksum re-stamped so the version check is what
-        // fires).
-        for version in [1u32, 99] {
+        // Unsupported versions, the retired 17-byte-record format 1 and
+        // the single-chain-checksum format 2 among them (checksum
+        // re-stamped so the version check is what fires).
+        for version in [1u32, 2, 99] {
             let mut bad = pristine.clone();
             bad[8..12].copy_from_slice(&version.to_le_bytes());
             let sum = tile_checksum(&bad[..HEADER_CHECKSUM_AT]);
@@ -1123,6 +1317,164 @@ mod tests {
         let mut tiled = Vec::new();
         t.for_each_access(50..2_950, |a| tiled.push(*a));
         assert_eq!(source, tiled);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `tile_checksum` as the module docs define it, one word at a time.
+    fn documented_checksum(bytes: &[u8]) -> u64 {
+        let seed = 0x9e37_79b9_7f4a_7c15u64 ^ bytes.len() as u64;
+        let mut padded = bytes.to_vec();
+        padded.resize(bytes.len().div_ceil(8) * 8, 0);
+        let words: Vec<u64> = padded
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let strided = bytes.len() / 32 * 4;
+        let mut lanes: Vec<u64> = (0..4).map(|i| mix64(seed, i)).collect();
+        for (k, &w) in words[..strided].iter().enumerate() {
+            lanes[k % 4] = mix64(lanes[k % 4], w);
+        }
+        let h = lanes.iter().fold(seed, |h, &l| mix64(h, l));
+        words[strided..].iter().fold(h, |h, &w| mix64(h, w))
+    }
+
+    fn sample_bytes(len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (mix64(0xc0ffee, i) & 0xff) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn checksum_matches_its_documented_definition() {
+        for len in (0..=200).chain([4_096, 65_536 + 13]) {
+            let bytes = sample_bytes(len);
+            assert_eq!(
+                tile_checksum(&bytes),
+                documented_checksum(&bytes),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_sees_swaps_flips_and_appended_zeros() {
+        let word_swapped = |a: usize, b: usize| {
+            let mut bytes = sample_bytes(128);
+            for i in 0..8 {
+                bytes.swap(a * 8 + i, b * 8 + i);
+            }
+            bytes
+        };
+        let base = tile_checksum(&sample_bytes(128));
+        // Words 0 and 4 feed lane 0 in consecutive strides; words 0 and 1
+        // (and 2 and 7) feed different lanes.
+        for (a, b) in [(0, 4), (1, 13), (0, 1), (2, 7), (3, 15)] {
+            assert_ne!(
+                tile_checksum(&word_swapped(a, b)),
+                base,
+                "swap of words {a} and {b}"
+            );
+        }
+        for len in 0..=72usize {
+            let bytes = sample_bytes(len);
+            let sum = tile_checksum(&bytes);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(tile_checksum(&flipped), sum, "len {len}, bit {bit}");
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(tile_checksum(&longer), sum, "len {len} + a zero byte");
+        }
+    }
+
+    /// The same records through [`TileFileWriter::push`], one at a time.
+    fn pushed(w: &dyn Workload, range: Range<u64>, tile_records: u32, path: &Path) -> Vec<u8> {
+        let mut out = TileFileWriter::create_with(
+            path,
+            w.name(),
+            w.mem_period(),
+            w.branch_model(),
+            tile_records,
+        )
+        .unwrap();
+        for k in range {
+            let a = w.access_at(k);
+            out.push(a.pc, a.addr).unwrap();
+        }
+        out.finish().unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    #[test]
+    fn packed_files_are_byte_identical_at_every_worker_count() {
+        let w = spec_workload("mcf", Scale::tiny(), 5).unwrap();
+        // Nonzero starts, short last tiles, and tile counts the group
+        // size does not divide (985 tiles of 64 records, or 15 of 4096,
+        // to a group); the last case is one short tile.
+        let g64 = u64::from(group_tiles(64));
+        let g4096 = u64::from(group_tiles(4096));
+        assert_eq!((g64, g4096), (985, 15));
+        for (tile_records, range) in [
+            (64u32, 1_000..1_000 + (2 * g64 + 7) * 64 + 13),
+            (4_096, 5..5 + (3 * g4096 + 4) * 4_096 + 100),
+            (4_096, 17..117),
+        ] {
+            let path = temp(&format!("bytes-{tile_records}-{}", range.start));
+            let expect = pushed(&w, range.clone(), tile_records, &path);
+            for workers in [1, 2, 3] {
+                let summary = pack_on(&w, range.clone(), &path, tile_records, workers).unwrap();
+                let got = std::fs::read(&path).unwrap();
+                assert!(
+                    got == expect,
+                    "tile {tile_records}, {workers} workers: bytes differ"
+                );
+                assert_eq!(summary.bytes, got.len() as u64);
+                assert_eq!(summary.records, range.end - range.start);
+                assert_eq!(summary.tiles, TileFile::open(&path).unwrap().tile_count());
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn verify_names_the_lowest_bad_tile_at_every_worker_count() {
+        let w = spec_workload("lbm", Scale::tiny(), 2).unwrap();
+        let path = temp("lowest");
+        let g = group_tiles(64);
+        pack_workload_with(&w, 0..u64::from(3 * g) * 64, &path, 64).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let tile_at =
+            |t: u32| FILE_HEADER_BYTES + t as usize * (TILE_HEADER_BYTES + 64 * RECORD_BYTES);
+        let payload_flip =
+            |bytes: &mut Vec<u8>, t: u32| bytes[tile_at(t) + TILE_HEADER_BYTES + 9] ^= 0x04;
+        let magic_flip = |bytes: &mut Vec<u8>, t: u32| bytes[tile_at(t)] ^= 0x01;
+
+        // Two bad tiles in different groups, the lower one a checksum
+        // mismatch; then two in one group, the lower one a bad header.
+        let mut apart = pristine.clone();
+        payload_flip(&mut apart, g + 5);
+        magic_flip(&mut apart, 2 * g + 1);
+        let mut together = pristine.clone();
+        magic_flip(&mut together, 3);
+        payload_flip(&mut together, g - 1);
+        let named = |r: Result<(), TileError>| match r {
+            Err(TileError::ChecksumMismatch { tile, .. }) => ("checksum", tile),
+            Err(TileError::TileCorrupt { tile, .. }) => ("header", tile),
+            other => panic!("unexpected {other:?}"),
+        };
+        for (bytes, lowest) in [(apart, ("checksum", g + 5)), (together, ("header", 3))] {
+            std::fs::write(&path, &bytes).unwrap();
+            let file = TileFile::open(&path).unwrap();
+            for workers in [1, 2] {
+                assert_eq!(named(file.verify_on(workers)), lowest, "{workers} workers");
+            }
+        }
+        std::fs::write(&path, &pristine).unwrap();
+        for workers in [1, 2, 3] {
+            TileFile::open(&path).unwrap().verify_on(workers).unwrap();
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }
