@@ -42,7 +42,7 @@
 //!
 //! | Scan | Reads | Output |
 //! |---|---|---|
-//! | Explorer-1 and the VDP explorers (`run_explorer`), CoolSim's watchpoint interval (PC via `access_at` on a resolved or unresolved sample), all through the one scan `delorean_virt::profile_reuses` | index, line | [`Workload::line_domains`](crate::Workload::line_domains) (its one-domain default: `fill_lines`) |
+//! | Explorer-1 and the VDP explorers (`run_explorer`), CoolSim's watchpoint interval (PC via `access_at` on a resolved or unresolved sample), all through the one scan `delorean_virt::profile_reuses` | page runs: first index, ordinal, first line, length | [`Workload::line_domains`](crate::Workload::line_domains) → [`LineDomains::fill`](crate::LineDomains::fill) (stride-1 streams in runs of up to 64, all else in runs of 1; its one-domain default: `fill_lines`, in runs of 1) |
 //! | Scout lukewarm-replica warm loop | index, line | `fill_lines` |
 //! | MRRL reuse-latency profile | index, line | `fill_lines` |
 //! | Speculative-lane statmodel probe | line | `fill_lines` |

@@ -38,8 +38,13 @@
 //!   Watchpoint scans, which can jump over whatever holds no watched
 //!   line, walk [`Workload::line_domains`] instead: the range split into
 //!   page-disjoint [`LineDomains`], one per compiled stream of a
-//!   [`PhasedWorkload`], each walkable from any index. The one scan that
-//!   walks them is `delorean_virt::profile_reuses`.
+//!   [`PhasedWorkload`], each walkable from any index. A domain yields
+//!   its accesses in page runs ([`LineRun`]): consecutive accesses of
+//!   the domain that touch consecutive lines of one page, up to 64 for
+//!   a stride-1 stream and one otherwise. While the watch set does not
+//!   change, every access of a run traps or none does, so a scan counts
+//!   a run's traps in one step. The one scan that walks them is
+//!   `delorean_virt::profile_reuses`.
 //! * **Tiled ingest** — [`TiledTrace`] over an on-disk [`tile`] file:
 //!   a memory-mapped binary trace whose fixed-size tiles decode
 //!   straight into [`MemAccess`] batches, so warm-loop `fill` calls
@@ -93,8 +98,8 @@ mod types;
 pub use branch::{BranchEvent, BranchModel};
 pub use collections::{FlatKey, FlatMap, FlatSet, LineMap, LineSet, PageMap, PageSet, PcMap};
 pub use cursor::{AccessCursor, IndexedCursor, CURSOR_BATCH};
-pub use domain::LineDomains;
 use domain::WholeRange;
+pub use domain::{LineDomains, LineRun};
 pub use fault::{
     FaultKind, FaultPlan, FaultPolicy, FaultSite, InjectedFault, UnitFailure, UnitFault,
 };

@@ -341,6 +341,52 @@ impl PatternCursor {
     }
 }
 
+impl PatternCursor {
+    /// The stream-local index of the next access.
+    pub(crate) fn position(&self) -> u64 {
+        self.j
+    }
+
+    /// Whether [`next_run`](Self::next_run) can yield more than one
+    /// access: a `Stream` whose step is one line.
+    pub(crate) fn runs(&self) -> bool {
+        matches!(self.state, PatternState::Stream { step: 1, .. })
+    }
+
+    /// The next stretch of up to `max` (≥ 1) accesses that touch
+    /// consecutive line offsets of one 64-line block of the footprint:
+    /// its first offset and its length, advancing the cursor past it.
+    /// Byte-identical to that many [`next_line`](Self::next_line) calls.
+    ///
+    /// A `Stream` whose step is one line yields up to `max`, ending at a
+    /// block end or where the footprint wraps; every other pattern yields
+    /// one access. A footprint placed page-aligned (as a
+    /// [`PhasedWorkload`](crate::PhasedWorkload)'s streams are) has its
+    /// blocks on pages.
+    #[inline(always)]
+    pub(crate) fn next_run(&mut self, max: u64) -> (u64, u64) {
+        match &mut self.state {
+            PatternState::Stream {
+                cur,
+                step: 1,
+                lines,
+            } => {
+                let first = *cur;
+                let len = max
+                    .min(LINES_PER_PAGE - first % LINES_PER_PAGE)
+                    .min(*lines - first);
+                self.j += len;
+                *cur += len;
+                if *cur == *lines {
+                    *cur = 0;
+                }
+                (first, len)
+            }
+            _ => (self.next_line(), 1),
+        }
+    }
+}
+
 /// Map a uniform 64-bit value into `[0, bound)` without modulo bias.
 #[inline]
 fn mul_bound(x: u64, bound: u64) -> u64 {
@@ -404,6 +450,49 @@ mod tests {
         };
         for j in 0..300 {
             assert_eq!(p.line_at(0, j), j % 100);
+        }
+    }
+
+    #[test]
+    fn runs_expand_to_the_line_sequence() {
+        // Stride 1 (runs up to a block end or the wrap; footprints under
+        // 64 lines and not a multiple of 64), a stride that steps one line
+        // modulo the footprint, and kinds that run in ones.
+        for p in [
+            Pattern::Stream {
+                lines: 40,
+                stride_lines: 1,
+            },
+            Pattern::Stream {
+                lines: 200,
+                stride_lines: 1,
+            },
+            Pattern::Stream {
+                lines: 7,
+                stride_lines: 8,
+            },
+            Pattern::Stream {
+                lines: 200,
+                stride_lines: 3,
+            },
+            Pattern::PermutationWalk { lines: 97 },
+            Pattern::RandomUniform { lines: 300 },
+        ] {
+            for start in [0u64, 5, 63, 199, 1_000_001] {
+                let mut runs = p.cursor(9, start);
+                let mut j = start;
+                for max in (1..=70u64).cycle().take(120) {
+                    let (first, len) = runs.next_run(max);
+                    assert!((1..=max).contains(&len), "{p:?}");
+                    assert_eq!(first / LINES_PER_PAGE, (first + len - 1) / LINES_PER_PAGE);
+                    for o in 0..len {
+                        assert_eq!(first + o, p.line_at(9, j), "{p:?} from {start}, j {j}");
+                        j += 1;
+                    }
+                }
+                // The cursor stays in step with `next_line`.
+                assert_eq!(runs.next_line(), p.line_at(9, j), "{p:?}");
+            }
         }
     }
 

@@ -12,10 +12,20 @@
 //! an Explorer (backward window), the Analyst, or a functional warming
 //! baseline — that is the paper's "same execution across passes" invariant
 //! that KVM checkpointing provides on real hardware.
+//!
+//! A watchpoint scan walks a workload's [`line_domains`](Workload::line_domains):
+//! one domain per compiled stream, whose builder gives each stream its own
+//! page-aligned footprint. A domain numbers its accesses by their
+//! stream-local index `j` and yields them in page runs
+//! ([`LineRun`]): a stride-1 `Stream` touches consecutive lines for
+//! consecutive `j`, so it yields runs of up to 64 in O(1) each, ending at
+//! a page end, where the footprint wraps, or at the range end; every other
+//! pattern yields runs of 1. A run's `j + o` maps back to its global
+//! index with the slot arithmetic a seek uses.
 
 use crate::branch::BranchModel;
 use crate::cursor::AccessCursor;
-use crate::domain::LineDomains;
+use crate::domain::{LineDomains, LineRun};
 use crate::pattern::{Pattern, PatternCursor};
 use crate::rng::{mix64, CounterRng};
 use crate::types::{Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
@@ -536,6 +546,20 @@ struct StreamDomain {
     claim_end: u64,
     /// This stream's slice of [`StreamDomains::inverse`].
     inverse: Range<usize>,
+    /// Stream-local index of the stream's first access at or past the
+    /// split's range end: a walk stops before it.
+    end_j: u64,
+}
+
+/// Where one of a stream's accesses sits in the phase's slot schedule.
+#[derive(Copy, Clone, Debug)]
+struct SlotPos {
+    /// Global index of the access's period's first slot.
+    period_base: u64,
+    /// Period within the current repetition of the phase.
+    period: u64,
+    /// The stream's occurrence within the period.
+    occ: usize,
 }
 
 /// Incremental walk over one stream's accesses in global index order.
@@ -544,13 +568,112 @@ struct StreamWalk {
     /// One past the last index produced (or the seek target): a `fill`
     /// from here continues the walk.
     floor: u64,
-    /// Global index of the current period's first slot.
-    period_base: u64,
-    /// Period within the current repetition of the phase.
-    period: u64,
-    /// The stream's occurrence within the period.
-    occ: usize,
+    /// The next access's slot.
+    at: SlotPos,
+    /// The pattern at the next access; its position is the stream-local
+    /// index `j` of that access.
     pattern: PatternCursor,
+}
+
+/// One domain's stream as its walks read it.
+struct Stream<'a> {
+    base_line: u64,
+    /// The domain's slot positions, one per occurrence in a period.
+    inverse: &'a [u32],
+    phase: &'a CompiledPhase,
+    /// From the slot after a repetition's last period to the next
+    /// repetition's first.
+    rep_gap: u64,
+    /// The split's range end, and the stream-local index of the
+    /// stream's first access at or past it: a walk stops there.
+    end: u64,
+    end_j: u64,
+}
+
+impl Stream<'_> {
+    /// Global index of the access at `at`.
+    #[inline(always)]
+    fn index(&self, at: &SlotPos) -> u64 {
+        at.period_base + u64::from(self.inverse[at.occ])
+    }
+
+    /// Move `at` to the stream's next access.
+    #[inline(always)]
+    fn step(&self, at: &mut SlotPos) {
+        at.occ += 1;
+        if at.occ == self.inverse.len() {
+            at.occ = 0;
+            at.period += 1;
+            at.period_base += self.phase.weight_sum;
+            if at.period == self.phase.periods_per_rep {
+                at.period = 0;
+                at.period_base += self.rep_gap;
+            }
+        }
+    }
+
+    /// Move `at` `n` accesses on, in O(1).
+    fn skip(&self, at: &mut SlotPos, n: u64) {
+        let weight = self.inverse.len() as u64;
+        let occ = at.occ as u64 + n;
+        if occ < weight {
+            at.occ = crate::cast::idx(occ);
+            return;
+        }
+        let period = at.period + occ / weight;
+        at.occ = crate::cast::idx(occ % weight);
+        at.period_base += (period - at.period) * self.phase.weight_sum;
+        at.period = period % self.phase.periods_per_rep;
+        at.period_base += period / self.phase.periods_per_rep * self.rep_gap;
+    }
+
+    /// Fill `out` with up to `max` runs of 1 from `walk`: the loop of a
+    /// pattern that cannot run, kept as tight as a line fill.
+    /// [`fill_runs`](Self::fill_runs) yields the same runs for such a
+    /// pattern, but costs more per run of 1, and hashed domains walk
+    /// nearly one run per access.
+    fn fill_singles(&self, walk: &mut StreamWalk, out: &mut Vec<LineRun>, max: usize) -> usize {
+        while out.len() < max {
+            let index = self.index(&walk.at);
+            if index >= self.end {
+                break;
+            }
+            out.push(LineRun {
+                index,
+                ordinal: walk.pattern.position(),
+                line: LineAddr(self.base_line + walk.pattern.next_line()),
+                len: 1,
+            });
+            walk.floor = index + 1;
+            self.step(&mut walk.at);
+        }
+        out.len()
+    }
+
+    /// Fill `out` with the runs of up to `max` accesses from `walk`, for
+    /// a pattern that runs (a stride-1 `Stream`).
+    fn fill_runs(&self, walk: &mut StreamWalk, out: &mut Vec<LineRun>, max: usize) -> usize {
+        let mut produced = 0;
+        while produced < max && walk.pattern.position() < self.end_j {
+            let index = self.index(&walk.at);
+            let ordinal = walk.pattern.position();
+            let left = (max - produced) as u64;
+            let (offset, len) = walk.pattern.next_run(left.min(self.end_j - ordinal));
+            if len > 1 {
+                self.skip(&mut walk.at, len - 1);
+            }
+            walk.floor = self.index(&walk.at) + 1;
+            self.step(&mut walk.at);
+            out.push(LineRun {
+                index,
+                ordinal,
+                line: LineAddr(self.base_line + offset),
+                len: crate::cast::u32_exact(len),
+            });
+            produced += crate::cast::idx(len);
+        }
+        produced
+    }
 }
 
 /// The per-stream split of a [`PhasedWorkload`] range: one domain per
@@ -561,6 +684,10 @@ struct StreamWalk {
 /// `(rep, period, occ)` decompose `j` as in `access_at` and `slot` is the
 /// position of the stream's `occ`-th occurrence in the slot table. The
 /// inverse slot table holding those positions is built here, per split.
+///
+/// A domain's ordinals are its stream-local indices, so a run covers
+/// consecutive values of `j`, and [`index_of`](LineDomains::index_of)
+/// is the slot arithmetic above.
 #[derive(Debug)]
 struct StreamDomains<'w> {
     w: &'w PhasedWorkload,
@@ -595,18 +722,23 @@ impl<'w> StreamDomains<'w> {
                     claim_end: s.base_line
                         + s.pattern.footprint_lines().div_ceil(lines_per_page) * lines_per_page,
                     inverse: at..inverse.len(),
+                    end_j: 0,
                 });
             }
         }
         let walks = domains.iter().map(|_| None).collect();
-        StreamDomains {
+        let mut split = StreamDomains {
             w,
             range,
             phase_domain,
             domains,
             inverse,
             walks,
+        };
+        for di in 0..split.domains.len() {
+            split.domains[di].end_j = split.local_at(di, split.range.end);
         }
+        split
     }
 
     fn stream(&self, d: &StreamDomain) -> (&CompiledPhase, &CompiledStream) {
@@ -614,35 +746,67 @@ impl<'w> StreamDomains<'w> {
         (phase, &phase.streams[d.stream])
     }
 
-    /// The walk of domain `di` positioned at its first access with
-    /// index `≥ from`.
-    fn seek(&self, di: usize, from: u64) -> StreamWalk {
+    /// Domain `di`'s stream as its walks read it.
+    fn view(&self, di: usize) -> Stream<'_> {
+        let d = &self.domains[di];
+        let (phase, s) = self.stream(d);
+        Stream {
+            base_line: s.base_line,
+            inverse: &self.inverse[d.inverse.clone()],
+            phase,
+            rep_gap: self.w.cycle_len - phase.periods_per_rep * phase.weight_sum,
+            end: self.range.end,
+            end_j: d.end_j,
+        }
+    }
+
+    /// Stream-local index of domain `di`'s first access with global
+    /// index `≥ k`.
+    fn local_at(&self, di: usize, k: u64) -> u64 {
         let w = self.w;
         let d = &self.domains[di];
         let (phase, s) = self.stream(d);
-        let inverse = &self.inverse[d.inverse.clone()];
-        let weight = s.weight;
-        let per_rep = phase.periods_per_rep * weight;
+        let per_rep = phase.periods_per_rep * s.weight;
         let phase_start = w.phase_starts[d.phase];
-        let rep = from / w.cycle_len;
-        let pos = from % w.cycle_len;
-        let j = if pos < phase_start {
+        let rep = k / w.cycle_len;
+        let pos = k % w.cycle_len;
+        if pos < phase_start {
             rep * per_rep
         } else if pos - phase_start >= phase.periods_per_rep * phase.weight_sum {
             (rep + 1) * per_rep
         } else {
             let local = pos - phase_start;
             let slot = local % phase.weight_sum;
+            let inverse = &self.inverse[d.inverse.clone()];
             let consumed = inverse.partition_point(|&p| u64::from(p) < slot) as u64;
-            (rep * phase.periods_per_rep + local / phase.weight_sum) * weight + consumed
-        };
+            (rep * phase.periods_per_rep + local / phase.weight_sum) * s.weight + consumed
+        }
+    }
+
+    /// The slot of domain `di`'s stream-local access `j`.
+    fn slot_of(&self, di: usize, j: u64) -> SlotPos {
+        let d = &self.domains[di];
+        let (phase, s) = self.stream(d);
+        let per_rep = phase.periods_per_rep * s.weight;
         let (rep, within) = (j / per_rep, j % per_rep);
-        let period = within / weight;
+        let period = within / s.weight;
+        SlotPos {
+            period_base: rep * self.w.cycle_len
+                + self.w.phase_starts[d.phase]
+                + period * phase.weight_sum,
+            period,
+            occ: crate::cast::idx(within % s.weight),
+        }
+    }
+
+    /// The walk of domain `di` positioned at its first access with
+    /// index `≥ from`.
+    fn seek(&self, di: usize, from: u64) -> StreamWalk {
+        let j = self.local_at(di, from);
+        let (_, s) = self.stream(&self.domains[di]);
         StreamWalk {
             floor: from,
-            period_base: rep * w.cycle_len + phase_start + period * phase.weight_sum,
-            period,
-            occ: crate::cast::idx(within % weight),
+            at: self.slot_of(di, j),
             pattern: s.pattern.cursor(s.seed, j),
         }
     }
@@ -670,59 +834,57 @@ impl LineDomains for StreamDomains<'_> {
         Some(PageAddr(s.base_line / lines_per_page)..PageAddr(last.claim_end / lines_per_page))
     }
 
-    fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
+    /// The ordinal is the stream-local index `j`, as `access_at`
+    /// derives it.
+    fn domains_of(&self, indices: &[u64], out: &mut Vec<(usize, u64)>) {
         out.clear();
         out.extend(indices.iter().map(|&k| {
-            let pi = self.w.phase_at(k);
-            let phase = &self.w.phases[pi];
-            let local = k % self.w.cycle_len - self.w.phase_starts[pi];
+            let w = self.w;
+            let pi = w.phase_at(k);
+            let phase = &w.phases[pi];
+            let local = k % w.cycle_len - w.phase_starts[pi];
             let slot = &phase.slots[crate::cast::idx(local % phase.weight_sum)];
-            self.phase_domain[pi] + slot.stream as usize
+            let s = &phase.streams[slot.stream as usize];
+            let period = k / w.cycle_len * phase.periods_per_rep + local / phase.weight_sum;
+            (
+                self.phase_domain[pi] + slot.stream as usize,
+                period * s.weight + u64::from(slot.occ),
+            )
         }));
     }
 
-    fn fill(
-        &mut self,
-        domain: usize,
-        from: u64,
-        out: &mut Vec<(u64, LineAddr)>,
-        max: usize,
-    ) -> usize {
+    /// Stride-1 `Stream` patterns walk in runs of up to 64, each ending
+    /// at a page end, the footprint wrap, the range end or `max`; every
+    /// other pattern walks in runs of 1.
+    fn fill(&mut self, domain: usize, from: u64, out: &mut Vec<LineRun>, max: usize) -> usize {
         out.clear();
         let from = from.max(self.range.start);
-        if !matches!(&self.walks[domain], Some(walk) if walk.floor == from) {
-            let walk = self.seek(domain, from);
-            self.walks[domain] = Some(walk);
-        }
-        let Some(walk) = self.walks[domain].as_mut() else {
-            return 0;
+        let mut walk = match self.walks[domain].take() {
+            Some(walk) if walk.floor == from => walk,
+            _ => self.seek(domain, from),
         };
-        let d = &self.domains[domain];
-        let phase = &self.w.phases[d.phase];
-        let base_line = phase.streams[d.stream].base_line;
-        let inverse = &self.inverse[d.inverse.clone()];
-        // From the slot after a repetition's last period to the next
-        // repetition's first.
-        let rep_gap = self.w.cycle_len - phase.periods_per_rep * phase.weight_sum;
-        while out.len() < max {
-            let k = walk.period_base + u64::from(inverse[walk.occ]);
-            if k >= self.range.end {
-                break;
-            }
-            out.push((k, LineAddr(base_line + walk.pattern.next_line())));
-            walk.floor = k + 1;
-            walk.occ += 1;
-            if walk.occ == inverse.len() {
-                walk.occ = 0;
-                walk.period += 1;
-                walk.period_base += phase.weight_sum;
-                if walk.period == phase.periods_per_rep {
-                    walk.period = 0;
-                    walk.period_base += rep_gap;
-                }
-            }
+        let stream = self.view(domain);
+        let got = if walk.pattern.runs() {
+            stream.fill_runs(&mut walk, out, max)
+        } else {
+            stream.fill_singles(&mut walk, out, max)
+        };
+        self.walks[domain] = Some(walk);
+        got
+    }
+
+    fn index_of(&self, domain: usize, ordinal: u64) -> u64 {
+        self.view(domain).index(&self.slot_of(domain, ordinal))
+    }
+
+    fn run_indices(&self, domain: usize, run: &LineRun, out: &mut Vec<u64>) {
+        out.clear();
+        let stream = self.view(domain);
+        let mut at = self.slot_of(domain, run.ordinal);
+        for _ in 0..run.len {
+            out.push(stream.index(&at));
+            stream.step(&mut at);
         }
-        out.len()
     }
 }
 
@@ -877,10 +1039,11 @@ mod tests {
                 // Odd batches, so continuations land mid-period.
                 let mut from = range.start;
                 while split.fill(d, from, &mut buf, 7) > 0 {
+                    let accesses = expand(&*split, d, &buf);
                     let mut owners = Vec::new();
-                    let indices: Vec<u64> = buf.iter().map(|&(k, _)| k).collect();
+                    let indices: Vec<u64> = accesses.iter().map(|&(k, _)| k).collect();
                     split.domains_of(&indices, &mut owners);
-                    for (&(k, line), &owner) in buf.iter().zip(&owners) {
+                    for (&(k, line), &(owner, _)) in accesses.iter().zip(&owners) {
                         assert!(k >= from, "domain {d} went back to {k}");
                         assert_eq!(owner, d, "index {k}");
                         assert_eq!(split.domain_of_line(line), Some(d), "index {k}");
@@ -901,7 +1064,7 @@ mod tests {
                         .iter()
                         .map(|&(k, _)| k)
                         .find(|&k| k >= from && split_owner(&*split, k) == d);
-                    let got = (split.fill(d, from, &mut buf, 1) > 0).then(|| buf[0].0);
+                    let got = (split.fill(d, from, &mut buf, 1) > 0).then(|| buf[0].index);
                     assert_eq!(got, next, "domain {d} from {from}");
                 }
             }
@@ -917,11 +1080,11 @@ mod tests {
             for d in 0..split.count() {
                 let mut from = 0;
                 while split.fill(d, from, &mut buf, 512) > 0 {
-                    for &(k, line) in &buf {
+                    for (k, line) in expand(&*split, d, &buf) {
                         assert_eq!(split.domain_of_line(line), Some(d), "{name}: index {k}");
                         assert!(span.contains(&line.page()), "{name}: index {k}");
+                        from = k + 1;
                     }
-                    from = buf[buf.len() - 1].0 + 1;
                 }
             }
         }
@@ -930,7 +1093,180 @@ mod tests {
     fn split_owner(split: &dyn LineDomains, k: u64) -> usize {
         let mut out = Vec::new();
         split.domains_of(&[k], &mut out);
-        out[0]
+        out[0].0
+    }
+
+    /// Every access of `runs`, which `split` produced for domain `d`, as
+    /// `(index, line)` pairs, checking each run's shape on the way: 1 to
+    /// 64 accesses on one page, indices rising from `index`, each
+    /// access's ordinal agreeing with `domains_of`, and `run_indices`
+    /// agreeing with `index_of`.
+    fn expand(split: &dyn LineDomains, d: usize, runs: &[LineRun]) -> Vec<(u64, LineAddr)> {
+        let mut out: Vec<(u64, LineAddr)> = Vec::new();
+        let mut owner = Vec::new();
+        let mut indices = Vec::new();
+        for run in runs {
+            split.run_indices(d, run, &mut indices);
+            let each: Vec<u64> = (0..u64::from(run.len))
+                .map(|o| split.index_of(d, run.ordinal + o))
+                .collect();
+            assert_eq!(indices, each, "{run:?}");
+            assert!((1..=64).contains(&run.len), "{run:?}");
+            let end = LineAddr(run.line.0 + u64::from(run.len) - 1);
+            assert_eq!(run.line.page(), end.page(), "{run:?} crosses a page");
+            assert_eq!(split.index_of(d, run.ordinal), run.index, "{run:?}");
+            for o in 0..u64::from(run.len) {
+                let k = split.index_of(d, run.ordinal + o);
+                split.domains_of(&[k], &mut owner);
+                assert_eq!(owner, vec![(d, run.ordinal + o)], "{run:?}");
+                if let Some(&(prev, _)) = out.last() {
+                    assert!(k > prev, "{run:?}: index {k} after {prev}");
+                }
+                out.push((k, LineAddr(run.line.0 + o)));
+            }
+        }
+        out
+    }
+
+    /// Every domain of `w`'s split of `range`, walked in batches of
+    /// `max` accesses and expanded run by run, must produce exactly the
+    /// `(index, line)` pairs `access_at` gives its accesses; a seek from
+    /// each of `seeks` must produce the domain's accesses from there.
+    /// Returns `(runs, accesses)` over the walks.
+    fn check_runs(w: &PhasedWorkload, range: Range<u64>, max: usize, seeks: u64) -> (u64, u64) {
+        let mut split = w.line_domains(range.clone());
+        let indices: Vec<u64> = range.clone().collect();
+        let mut owners = Vec::new();
+        split.domains_of(&indices, &mut owners);
+        let mut buf = Vec::new();
+        let (mut runs, mut accesses) = (0, 0);
+        for d in 0..split.count() {
+            let expected: Vec<(u64, LineAddr)> = indices
+                .iter()
+                .zip(&owners)
+                .filter(|&(_, &(o, _))| o == d)
+                .map(|(&k, _)| (k, w.access_at(k).line()))
+                .collect();
+            let mut seen = Vec::new();
+            let mut from = range.start;
+            loop {
+                let got = split.fill(d, from, &mut buf, max);
+                if got == 0 {
+                    break;
+                }
+                let batch = expand(&*split, d, &buf);
+                assert_eq!(batch.len(), got, "{}: domain {d}", w.name());
+                assert!(got <= max);
+                runs += buf.len() as u64;
+                from = batch[batch.len() - 1].0 + 1;
+                seen.extend(batch);
+            }
+            accesses += seen.len() as u64;
+            assert_eq!(seen, expected, "{}: domain {d} of {range:?}", w.name());
+            // Seeks from arbitrary indices, in and out of the domain.
+            let step = (range.end - range.start) / seeks.max(1) + 1;
+            for from in (range.start..range.end + 2).step_by(crate::cast::idx(step)) {
+                let at = expected.partition_point(|&(k, _)| k < from);
+                let got = split.fill(d, from, &mut buf, max);
+                assert_eq!(
+                    expand(&*split, d, &buf),
+                    expected[at..(at + max).min(expected.len())].to_vec(),
+                    "{}: domain {d} from {from}",
+                    w.name()
+                );
+                assert_eq!(got, (expected.len() - at).min(max));
+            }
+        }
+        (runs, accesses)
+    }
+
+    #[test]
+    fn runs_expand_to_access_at() {
+        // Every pattern kind, stride-1 footprints under 64 lines and not a
+        // multiple of 64, a stride that steps one line modulo its
+        // footprint (8 mod 7), weights above 1, and three phases so each
+        // stream's repetition leaves a gap.
+        let stream = |lines, stride_lines| Pattern::Stream {
+            lines,
+            stride_lines,
+        };
+        let w = PhasedWorkloadBuilder::new("runs", 13)
+            .phase(
+                300,
+                vec![
+                    StreamSpec::new(stream(40, 1), 3),
+                    StreamSpec::new(stream(200, 1), 2),
+                    StreamSpec::new(stream(130, 3), 1),
+                    StreamSpec::new(stream(7, 8), 1),
+                ],
+            )
+            .phase(
+                240,
+                vec![
+                    StreamSpec::new(stream(129, 1), 1),
+                    StreamSpec::new(
+                        Pattern::StridedScan {
+                            lines: 9,
+                            stride_lines: 5,
+                        },
+                        2,
+                    ),
+                    StreamSpec::new(Pattern::PermutationWalk { lines: 61 }, 1),
+                ],
+            )
+            .phase(
+                200,
+                vec![
+                    StreamSpec::new(stream(64, 1), 4),
+                    StreamSpec::new(Pattern::RandomUniform { lines: 128 }, 1),
+                    StreamSpec::new(
+                        Pattern::HotCold {
+                            hot_lines: 4,
+                            cold_lines: 700,
+                            hot_permille: 900,
+                        },
+                        2,
+                    ),
+                    StreamSpec::new(
+                        Pattern::PagedHotCold {
+                            pages: 3,
+                            hot_permille: 500,
+                        },
+                        1,
+                    ),
+                ],
+            )
+            .build()
+            .unwrap();
+        let cycle = w.cycle_len_accesses();
+        let (mut runs, mut accesses) = (0, 0);
+        for range in [
+            0..3 * cycle + 17,
+            280..320,
+            cycle - 25..2 * cycle + 25,
+            1_000_003..1_004_403,
+            500..501,
+            77..77,
+        ] {
+            for max in [1, 7, 64, 100, crate::CURSOR_BATCH] {
+                let (r, a) = check_runs(&w, range.clone(), max, 37);
+                if max >= 64 {
+                    runs += r;
+                    accesses += a;
+                }
+            }
+        }
+        // In batches of 64 and up, the stride-1 streams walk in runs
+        // longer than one access.
+        assert!(runs * 2 < accesses, "{runs} runs for {accesses} accesses");
+        // Every suite input, from its start and across its cycle wrap.
+        for name in crate::SPEC2006_NAMES {
+            let w = crate::spec_workload(name, crate::Scale::tiny(), 1).unwrap();
+            let cycle = w.cycle_len_accesses();
+            for range in [0..12_000, cycle - 6_000..cycle + 6_000] {
+                check_runs(&w, range, crate::CURSOR_BATCH, 5);
+            }
+        }
     }
 
     #[test]

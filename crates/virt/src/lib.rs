@@ -21,7 +21,12 @@
 //!   interval ([`ScanMode::Vdp`]) all profile through this one scan,
 //!   walking the workload's page-disjoint line domains against one
 //!   watched-line mask per page and reporting a [`ReuseScan`] with its
-//!   [`WatchScanStats`];
+//!   [`WatchScanStats`]. It takes each domain in page runs, consecutive
+//!   accesses on consecutive lines of one page: until a watched line is
+//!   touched or a sample arms, the watch set does not change, so a run
+//!   traps as a whole or not at all, and `protected += len · (mask ≠ 0)`
+//!   counts its traps exactly; the scan goes access by access only at
+//!   those events;
 //! * [`HostClock`] / [`RunCost`] — seconds-based cost accounting, with
 //!   pipelined wall-clock estimation for the multi-pass TT pipeline and
 //!   per-worker wall-clock modeling for the region-parallel runtime:

@@ -21,11 +21,24 @@
 //!
 //! Every watchpoint profiler — Explorer-1, the VDP explorers and
 //! CoolSim's warm-up interval — runs the one scan, [`profile_reuses`].
+//!
+//! The scan takes its accesses in *page runs* ([`LineRun`]): stretches of
+//! one line domain's accesses that touch consecutive lines of one page,
+//! up to 64 for a stride-1 stream and 1 for everything else. One mask
+//! test `mask & bits(run's lines)` classifies a whole run. Between two
+//! *events* — an access to a watched line, and a sample position — the
+//! watch set does not change, and every access of the run is on the
+//! same page, so either all of them trap or none does:
+//! `protected += len · (mask ≠ 0)` counts them exactly, and no access
+//! before the event is a true hit. The scan splits a run only at its
+//! events and takes each event access by access, as it takes every
+//! access of a run of 1; so every trap count, clock charge, key access
+//! and reuse is the one an access-by-access walk finds.
 
 use crate::clock::HostClock;
-use delorean_trace::cast::idx;
+use delorean_trace::cast::{idx, u32_exact};
 use delorean_trace::{
-    LineAddr, LineDomains, LineMap, PageAddr, PageMap, Workload, CURSOR_BATCH, LINE_BYTES,
+    LineAddr, LineDomains, LineMap, LineRun, PageAddr, PageMap, Workload, CURSOR_BATCH, LINE_BYTES,
     PAGE_BYTES,
 };
 use std::ops::Range;
@@ -214,9 +227,13 @@ const JUMP_BATCH: usize = 32;
 /// can trap or resolve, and the walk jumps to its next sample position
 /// (positions are a pure function of the index, drawn before the scan by
 /// [`CounterRng::one_in_positions`](delorean_trace::CounterRng::one_in_positions)).
-/// A key that no domain claims keeps every domain walking. The only
-/// dynamic call is one [`LineDomains::fill`] per batch, and
-/// `stats.accesses_generated` counts what the fills produced.
+/// A key that no domain claims keeps every domain walking. A domain is
+/// walked in page runs (see the module docs): one mask test per run,
+/// and access by access only at an event. The dynamic calls are one
+/// [`LineDomains::fill`] per batch and, at an event inside a longer run,
+/// one [`LineDomains::index_of`] (or one [`LineDomains::run_indices`]
+/// once most of the run is watched); `stats.accesses_generated` counts
+/// the accesses the fills' runs hold.
 pub fn profile_reuses<F>(
     workload: &dyn Workload,
     range: Range<u64>,
@@ -239,6 +256,7 @@ where
         walk_all: false,
         protected: 0,
         watched: 0,
+        indices: Vec::new(),
     };
     let mut keys_held = vec![0u32; domains.count()];
     for &line in keys {
@@ -289,6 +307,60 @@ struct Scan<F> {
     protected: u64,
     /// Accesses to a watched line: the true hits of a VDP scan.
     watched: u64,
+    /// The indices of a run taken access by access.
+    indices: Vec<u64>,
+}
+
+/// One domain's sample positions, each with its ordinal in the domain,
+/// and the next one not yet reached.
+struct Samples<'s> {
+    at: &'s [(u64, u64)],
+    next: usize,
+    /// `at[next]`'s position, or `u64::MAX` (no index) once all are
+    /// passed.
+    index: u64,
+}
+
+impl<'s> Samples<'s> {
+    fn new(at: &'s [(u64, u64)]) -> Self {
+        let mut samples = Samples {
+            at,
+            next: 0,
+            index: 0,
+        };
+        samples.pass(0);
+        samples
+    }
+
+    /// The next sample position and its ordinal, if any is left.
+    #[inline(always)]
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.at.get(self.next).copied()
+    }
+
+    /// Pass `n` sample positions.
+    #[inline(always)]
+    fn pass(&mut self, n: usize) {
+        self.next += n;
+        self.index = self.peek().map_or(u64::MAX, |(s, _)| s);
+    }
+
+    /// Whether `k` is the next sample position, passing it if so.
+    #[inline(always)]
+    fn take(&mut self, k: u64) -> bool {
+        let arm = self.index == k;
+        if arm {
+            self.pass(1);
+        }
+        arm
+    }
+}
+
+/// The bits of `n` (1 to 64) consecutive line offsets from `lo`, with
+/// `lo + n ≤ 64`, in a page's watch mask.
+#[inline(always)]
+fn line_bits(lo: u32, n: u32) -> u64 {
+    (u64::MAX >> (64 - n)) << lo
 }
 
 impl<F: FnMut(u64, u64)> Scan<F> {
@@ -330,14 +402,103 @@ impl<F: FnMut(u64, u64)> Scan<F> {
         resolved
     }
 
+    /// One page run of domain `d` longer than one access. Between
+    /// events the watch set does not change and every access of the run
+    /// is on one page, so the accesses before the next event all trap or
+    /// none does, and are counted in one step. An event is the first
+    /// access to a watched line or the next sample position; each is
+    /// taken through [`visit`](Self::visit). Once more than half the
+    /// run's lines ahead are watched, nearly every access is an event,
+    /// and the rest of the run is taken access by access. Returns whether
+    /// a sample resolved. Kept out of line, so the loop over runs of 1
+    /// that calls it stays small.
+    #[inline(never)]
+    fn visit_run(
+        &mut self,
+        domains: &dyn LineDomains,
+        d: usize,
+        run: &LineRun,
+        samples: &mut Samples<'_>,
+    ) -> bool {
+        let lo = u32_exact(run.line.0 % LINES_PER_PAGE);
+        let mut resolved = false;
+        // Offsets before `start` are done.
+        let mut start = 0;
+        while start < run.len {
+            let mask = self.watch.mask(run.line);
+            let watched = mask & line_bits(lo + start, run.len - start);
+            if 2 * watched.count_ones() > run.len - start {
+                // Mostly watched: nearly every access is an event.
+                return self.visit_each(domains, d, run, start, samples) || resolved;
+            }
+            let hit = if watched == 0 {
+                run.len
+            } else {
+                watched.trailing_zeros() - lo
+            };
+            // A sample in the run sits at its ordinal's offset.
+            let sample = samples.peek().and_then(|(s, o)| {
+                let offset = o.wrapping_sub(run.ordinal);
+                (offset < u64::from(run.len) && offset <= u64::from(hit))
+                    .then(|| (u32_exact(offset), s))
+            });
+            let (split, k) = match sample {
+                Some(at) => at,
+                None if hit == run.len => (hit, 0),
+                None if hit == 0 => (0, run.index),
+                None => (hit, domains.index_of(d, run.ordinal + u64::from(hit))),
+            };
+            self.protected += u64::from(split - start) * u64::from(mask != 0);
+            if split == run.len {
+                break;
+            }
+            let arm = samples.take(k);
+            if self.visit(k, LineAddr(run.line.0 + u64::from(split)), arm) {
+                resolved = true;
+                if self.idle() && samples.peek().is_none() {
+                    // Nothing left in this domain can matter.
+                    break;
+                }
+            }
+            start = split + 1;
+        }
+        resolved
+    }
+
+    /// The accesses of `run` from offset `start` on, one by one. Returns
+    /// whether a sample resolved.
+    fn visit_each(
+        &mut self,
+        domains: &dyn LineDomains,
+        d: usize,
+        run: &LineRun,
+        start: u32,
+        samples: &mut Samples<'_>,
+    ) -> bool {
+        let mut indices = std::mem::take(&mut self.indices);
+        domains.run_indices(d, run, &mut indices);
+        let mut resolved = false;
+        for (line, &k) in (run.line.0..).zip(&indices).skip(idx(u64::from(start))) {
+            let arm = samples.take(k);
+            if self.visit(k, LineAddr(line), arm) {
+                resolved = true;
+                if self.idle() && samples.peek().is_none() {
+                    break;
+                }
+            }
+        }
+        self.indices = indices;
+        resolved
+    }
+
     /// Walk every domain in domain order; `keys_held[d]` is the number of
     /// keys domain `d` holds. Returns the number of accesses generated.
     fn walk(&mut self, domains: &mut dyn LineDomains, samples: &[u64], keys_held: &[u32]) -> u64 {
         let mut owner = Vec::with_capacity(samples.len());
         domains.domains_of(samples, &mut owner);
         let mut grouped = vec![Vec::new(); keys_held.len()];
-        for (&k, d) in samples.iter().zip(owner) {
-            grouped[d].push(k);
+        for (&k, (d, ordinal)) in samples.iter().zip(owner) {
+            grouped[d].push((k, ordinal));
         }
         let mut buf = Vec::with_capacity(CURSOR_BATCH);
         let mut generated = 0;
@@ -349,22 +510,22 @@ impl<F: FnMut(u64, u64)> Scan<F> {
     }
 
     /// Walk domain `d` from the start of the range, given its own sample
-    /// positions.
+    /// positions, run by run.
     fn walk_one(
         &mut self,
         domains: &mut dyn LineDomains,
         d: usize,
-        samples: &[u64],
-        buf: &mut Vec<(u64, LineAddr)>,
+        samples: &[(u64, u64)],
+        buf: &mut Vec<LineRun>,
     ) -> u64 {
         let mut generated = 0;
-        let mut next = 0usize;
+        let mut samples = Samples::new(samples);
         // A split clamps `from` to its range, so 0 asks for its first access.
         let mut from = 0;
         let mut batch = CURSOR_BATCH;
         loop {
             if self.idle() {
-                let Some(&s) = samples.get(next) else { break };
+                let Some((s, _)) = samples.peek() else { break };
                 from = s;
                 batch = JUMP_BATCH;
             }
@@ -376,30 +537,35 @@ impl<F: FnMut(u64, u64)> Scan<F> {
             batch = (batch * 2).min(CURSOR_BATCH);
             // A split never skips one of its own sample positions; if one
             // did, drop the sample rather than jump back to it forever.
-            let skipped = samples[next..].partition_point(|&s| s < buf[0].0);
+            let skipped = samples.at[samples.next..].partition_point(|&(s, _)| s < buf[0].index);
             debug_assert_eq!(skipped, 0, "domain {d} skipped a sample position");
-            next += skipped;
+            samples.pass(skipped);
             let mut i = 0;
-            let mut sample = samples.get(next).copied();
-            while i < got {
-                let (k, line) = buf[i];
+            while i < buf.len() {
+                let run = &buf[i];
                 i += 1;
-                let arm = sample == Some(k);
-                if arm {
-                    next += 1;
-                    sample = samples.get(next).copied();
-                }
-                if self.visit(k, line, arm) && self.idle() {
+                let resolved = if run.len == 1 {
+                    let arm = samples.take(run.index);
+                    self.visit(run.index, run.line, arm)
+                } else {
+                    self.visit_run(&*domains, d, run, &mut samples)
+                };
+                if resolved && self.idle() {
                     // Nothing before the next sample can matter.
-                    let Some(s) = sample else {
+                    let Some((_, ordinal)) = samples.peek() else {
                         return generated;
                     };
-                    while i < got && buf[i].0 < s {
+                    while i < buf.len() && buf[i].ordinal + u64::from(buf[i].len) <= ordinal {
                         i += 1;
                     }
                 }
             }
-            from = buf[got - 1].0 + 1;
+            // The next fill continues from the last access's index.
+            let last = &buf[buf.len() - 1];
+            from = 1 + match last.len {
+                1 => last.index,
+                len => domains.index_of(d, last.ordinal + u64::from(len) - 1),
+            };
         }
         generated
     }
@@ -408,7 +574,10 @@ impl<F: FnMut(u64, u64)> Scan<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delorean_trace::{mix64, BranchModel, MemAccess, Pc};
+    use delorean_trace::{
+        mix64, AccessCursor, BranchModel, MemAccess, Pattern, Pc, PhasedWorkload,
+        PhasedWorkloadBuilder, StreamSpec,
+    };
     // lint:allow(no-std-hash): the churn oracle must not share the flat tables' code; it is probed and summed, never iterated in order
     use std::collections::HashMap;
 
@@ -575,27 +744,20 @@ mod tests {
             Some(PageAddr(1)..PageAddr(6))
         }
 
-        fn domains_of(&self, indices: &[u64], out: &mut Vec<usize>) {
+        fn domains_of(&self, indices: &[u64], out: &mut Vec<(usize, u64)>) {
             out.clear();
-            out.extend(
-                indices
-                    .iter()
-                    .map(|&k| self.domain_of_line(LineAddr(self.0[k as usize])).unwrap()),
-            );
+            out.extend(indices.iter().map(|&k| {
+                let d = self.domain_of_line(LineAddr(self.0[k as usize])).unwrap();
+                (d, k)
+            }));
         }
 
-        fn fill(
-            &mut self,
-            domain: usize,
-            from: u64,
-            out: &mut Vec<(u64, LineAddr)>,
-            max: usize,
-        ) -> usize {
+        fn fill(&mut self, domain: usize, from: u64, out: &mut Vec<LineRun>, max: usize) -> usize {
             out.clear();
             out.extend(
                 (from.max(self.1.start)..self.1.end)
-                    .map(|k| (k, LineAddr(self.0[k as usize])))
-                    .filter(|&(_, line)| self.domain_of_line(line) == Some(domain))
+                    .map(|k| LineRun::single(k, LineAddr(self.0[k as usize])))
+                    .filter(|run| self.domain_of_line(run.line) == Some(domain))
                     .take(max),
             );
             out.len()
@@ -643,6 +805,116 @@ mod tests {
         assert_eq!(out.stats.true_hits, 4);
         assert_eq!(out.stats.false_positives, 3);
         assert_eq!(seconds, 7.0 * 0.5);
+    }
+
+    /// Two streams over a period of three slots, `A B A`: stream A
+    /// sweeps the 16 lines of one page in stride-1 runs, and stream B
+    /// steps 3 lines at a time round 8 lines of its own page (runs of 1).
+    /// A's access `j` sits at index `3·(j / 2) + 2·(j % 2)` and touches
+    /// its page's line `j % 16`; B's access `j` sits at `3·j + 1` and
+    /// touches its line `3·j % 8`.
+    fn page_runs() -> PhasedWorkload {
+        let stream = |lines, stride_lines| Pattern::Stream {
+            lines,
+            stride_lines,
+        };
+        PhasedWorkloadBuilder::new("page runs", 1)
+            .mem_period(1)
+            .phase(
+                3,
+                vec![
+                    StreamSpec::new(stream(16, 1), 2),
+                    StreamSpec::new(stream(8, 3), 1),
+                ],
+            )
+            .build()
+            .unwrap()
+    }
+
+    /// `w` behind only the required methods and `cursor`: the
+    /// one-domain walk, in runs of 1 against hashed masks.
+    struct OneDomain<'a>(&'a PhasedWorkload);
+
+    impl Workload for OneDomain<'_> {
+        fn name(&self) -> &str {
+            "one domain"
+        }
+
+        fn mem_period(&self) -> u64 {
+            1
+        }
+
+        fn access_at(&self, k: u64) -> MemAccess {
+            self.0.access_at(k)
+        }
+
+        fn branch_model(&self) -> BranchModel {
+            BranchModel::new(0)
+        }
+
+        fn cursor<'c>(&'c self, range: Range<u64>) -> Box<dyn AccessCursor + 'c> {
+            self.0.cursor(range)
+        }
+    }
+
+    #[test]
+    fn a_page_run_splits_at_its_sample_and_its_watched_lines() {
+        let w = page_runs();
+        let n = 192; // A's j < 128, B's j < 64
+        let a = |j: u64| 3 * (j / 2) + 2 * (j % 2);
+        let line_a = w.access_at(0).line().0;
+        // A's second sweep of its page is one run: j 16..32.
+        let mut split = w.line_domains(0..n);
+        assert!(split.page_span().is_some(), "a bounded split");
+        let mut runs = Vec::new();
+        split.fill(0, a(16), &mut runs, 64);
+        assert_eq!(
+            runs[0],
+            LineRun {
+                index: a(16),
+                ordinal: 16,
+                line: LineAddr(line_a),
+                len: 16
+            }
+        );
+        // The key is A's line 5. Sample S1 arms A's line 10 at j 10 (index
+        // 15). Inside the j 16..32 run: S2 arms line 2 at j 18 (index 27),
+        // the key is touched at j 21 (index 32), and S1's reuse resolves at
+        // j 26 (index 39). S2 resolves at j 34 (index 51). Sample S0 arms
+        // B's line 0 at its j 0 (index 1); B holds no key, so its walk
+        // starts there and ends when B's j 8 (index 25) reuses the line.
+        let keys = [line_a + 5];
+        let samples = [1, a(10), a(18)];
+        assert_eq!(samples, [1, 15, 27]);
+        for (workload, one_domain) in [(&w as &dyn Workload, false), (&OneDomain(&w), true)] {
+            let (out, mut reuses, seconds) = scan_over(workload, n, &keys, &samples, VDP);
+            // Domains are walked one after another, so reuses arrive in
+            // domain order.
+            reuses.sort_unstable();
+            assert_eq!(reuses, vec![(25, 23), (39, 23), (51, 23)], "{one_domain}");
+            // The key's last access: A's j 117.
+            assert_eq!(out.last_key_access, vec![Some(a(117))], "{one_domain}");
+            assert_eq!(a(117), 176);
+            assert!(out.unresolved.is_empty());
+            // A's page is protected throughout (the key), so all 128 of
+            // its accesses trap: 8 on the key and the 2 reuses hit. B's
+            // page is protected while S0 is armed: its j 1..7 are false
+            // positives and j 8 hits.
+            assert_eq!(out.stats.true_hits, 8 + 2 + 1, "{one_domain}");
+            assert_eq!(out.stats.false_positives, 118 + 7, "{one_domain}");
+            assert_eq!(seconds, 136.0 * 0.5, "{one_domain}");
+            // The one domain holds the key and walks everything. Split, A
+            // walks its 128 accesses and B one jump batch of 32.
+            let generated = if one_domain { n } else { 128 + 32 };
+            assert_eq!(out.stats.accesses_generated, generated, "{one_domain}");
+            // Interpreted, the same reuses and key accesses, no traps.
+            let (functional, mut f_reuses, f_seconds) =
+                scan_over(workload, n, &keys, &samples, ScanMode::Functional);
+            f_reuses.sort_unstable();
+            assert_eq!((f_reuses, f_seconds), (reuses, 0.0));
+            assert_eq!(functional.last_key_access, out.last_key_access);
+            assert_eq!(functional.stats.traps(), 0);
+        }
     }
 
     /// How one access to `line` traps against `masks`.
