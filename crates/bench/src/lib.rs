@@ -39,7 +39,7 @@ mod table;
 
 pub use options::ExpOptions;
 pub use runs::{
-    compare_all, compare_one, headline_strategies, plan_for, BatchExecutor, BenchmarkComparison,
-    MatrixRun, StrategyOutputs,
+    compare_all, headline_strategies, plan_for, BatchExecutor, BenchmarkComparison, MatrixRun,
+    StrategyOutputs,
 };
 pub use table::Table;

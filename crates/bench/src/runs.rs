@@ -1,9 +1,10 @@
 //! The parallel strategy-execution layer of the experiment harness.
 //!
 //! [`BatchExecutor`] fans a `&[Box<dyn SamplingStrategy>]` × workload
-//! matrix out across worker threads: every (strategy, workload) cell is
-//! an independent, deterministic region evaluation, so cells execute in
-//! any order and results are collected back in input order — output is
+//! matrix out across worker threads on the library's one claim loop,
+//! [`run_in_order`]: every (strategy, workload) cell is an independent,
+//! deterministic region evaluation, so cells execute in any order and
+//! results are consumed in input order — output is
 //! byte-identical for any worker count (asserted by
 //! `tests/strategy_layer.rs`). All experiment drivers and the
 //! `run_all`/figure binaries funnel through this one code path.
@@ -16,24 +17,26 @@ use delorean_sampling::{
     CoolSimConfig, CoolSimRunner, FaultPolicy, RegionPlan, SamplingConfig, SamplingStrategy,
     SimulationReport, SmartsRunner, StrategyReport, UnitFailure,
 };
+use delorean_trace::claim::run_in_order;
 use delorean_trace::fault::{self, FaultSite};
-use delorean_trace::{spec2006, JournalError, Scale, Workload};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
+use delorean_trace::{host_parallelism, spec2006, JournalError, Scale, Workload};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
-/// Executes (strategy × workload) batches on a worker pool.
+/// Executes (strategy × workload) batches, several cells at once.
 ///
 /// Every cell runs through [`SamplingStrategy::run`], so it fans its
 /// regions across the strategy's own
-/// [`internal_parallelism`] workers. The default executor sizes its
-/// pool to the machine divided by the batch's maximum
+/// [`internal_parallelism`] workers. The default executor runs as many
+/// cells at once as [`host_parallelism`] divided by the batch's maximum
 /// `internal_parallelism`, so running one cell per core does not
-/// oversubscribe the host; [`with_threads`] bounds the pool explicitly
+/// oversubscribe the host; [`with_threads`] bounds the width explicitly
 /// (1 = serial reference execution, used by the determinism tests).
-/// The pool size is pure scheduling — results are byte-identical for
-/// every value.
+/// The width is pure scheduling — results are byte-identical for every
+/// value. A cell that panics unguarded on a helper thread unwinds the
+/// caller with a [`LostUnits`](delorean_sampling::LostUnits) naming
+/// its flat cell index.
 ///
 /// [`internal_parallelism`]: SamplingStrategy::internal_parallelism
 /// [`with_threads`]: BatchExecutor::with_threads
@@ -139,10 +142,6 @@ impl BatchExecutor {
         let journal = Mutex::new(journal);
         let resumed_cells = restored.iter().filter(|r| r.is_some()).count();
 
-        // Execute the missing cells, each as one guarded, retryable
-        // fault unit; append to the journal the moment a cell completes
-        // (completion order is racy, but entries are keyed by cell
-        // index, so the resume assembly below is order-independent).
         let pending: Vec<(u32, &dyn SamplingStrategy, &W)> = jobs
             .iter()
             .enumerate()
@@ -150,26 +149,6 @@ impl BatchExecutor {
             .map(|(cell, &(s, w))| (cell as u32, s, w))
             .collect();
         let executed_cells = pending.len();
-        let executed: Vec<(u32, Result<StrategyReport, UnitFailure>)> =
-            self.pool_for(&jobs).install(|| {
-                pending
-                    .par_iter()
-                    .map(|&(cell, strategy, workload)| {
-                        let result = fault::run_unit_guarded(cell, policy, || {
-                            fault::hit(FaultSite::UnitEntry, u64::from(cell));
-                            strategy.run(workload, plan)
-                        });
-                        if let Ok(report) = result.as_ref() {
-                            let payload = encode_cell(cell, &report.report);
-                            journal
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .append(&payload);
-                        }
-                        (cell, result)
-                    })
-                    .collect()
-            });
 
         // Assemble in cell order: journaled cells verbatim (no extras),
         // executed cells with their extras, quarantined cells as None.
@@ -178,12 +157,36 @@ impl BatchExecutor {
             .map(|r| r.map(StrategyReport::new))
             .collect();
         let mut quarantined = Vec::new();
-        for (cell, result) in executed {
-            match result {
-                Ok(report) => slots[cell as usize] = Some(report),
-                Err(failure) => quarantined.push(failure),
-            }
-        }
+        // Execute the missing cells, each as one guarded, retryable
+        // fault unit, and append each to the journal inside its unit the
+        // moment it completes (completion order is racy, but entries
+        // are keyed by cell index, so a resume is order-independent).
+        run_in_order(
+            self.width(&jobs),
+            pending.into_iter(),
+            || (),
+            |(), _, (cell, strategy, workload)| {
+                let result = fault::run_unit_guarded(cell, policy, || {
+                    fault::hit(FaultSite::UnitEntry, u64::from(cell));
+                    strategy.run(workload, plan)
+                });
+                if let Ok(report) = result.as_ref() {
+                    let payload = encode_cell(cell, &report.report);
+                    journal
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .append(&payload);
+                }
+                (cell, result)
+            },
+            |_, (cell, result)| {
+                match result {
+                    Ok(report) => slots[cell as usize] = Some(report),
+                    Err(failure) => quarantined.push(failure),
+                }
+                ControlFlow::Continue(())
+            },
+        );
         let mut rows = Vec::with_capacity(workloads.len());
         let mut it = slots.into_iter();
         for _ in workloads {
@@ -201,34 +204,39 @@ impl BatchExecutor {
         })
     }
 
-    /// Evaluate a flat list of (strategy, workload) cells on the pool.
+    /// Evaluate a flat list of (strategy, workload) cells, results in
+    /// `jobs` order.
     fn run_cells<W: Workload>(
         &self,
         jobs: Vec<(&dyn SamplingStrategy, &W)>,
         plan: &RegionPlan,
     ) -> Vec<StrategyReport> {
-        self.pool_for(&jobs).install(|| {
-            jobs.par_iter()
-                .map(|&(strategy, workload)| strategy.run(workload, plan))
-                .collect()
-        })
+        let mut out = Vec::with_capacity(jobs.len());
+        run_in_order(
+            self.width(&jobs),
+            jobs.iter(),
+            || (),
+            |(), _, &(strategy, workload)| strategy.run(workload, plan),
+            |_, report| {
+                out.push(report);
+                ControlFlow::Continue(())
+            },
+        );
+        out
     }
 
-    /// The worker pool for a cell list, leaving room for each cell's own
-    /// region-scheduler workers (its strategy's `internal_parallelism`).
-    fn pool_for<W: Workload>(&self, jobs: &[(&dyn SamplingStrategy, &W)]) -> rayon::ThreadPool {
-        let workers = self.threads.unwrap_or_else(|| {
+    /// How many cells of `jobs` run at once: the explicit bound, or the
+    /// host divided by the largest `internal_parallelism` among the
+    /// cells, leaving room for each cell's own region-scheduler workers.
+    fn width<W: Workload>(&self, jobs: &[(&dyn SamplingStrategy, &W)]) -> usize {
+        self.threads.unwrap_or_else(|| {
             let nested = jobs
                 .iter()
                 .map(|&(s, _)| s.internal_parallelism())
                 .max()
                 .unwrap_or(1);
-            (rayon::current_num_threads() / nested).max(1)
-        });
-        ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .expect("worker pool")
+            (host_parallelism() / nested).max(1)
+        })
     }
 }
 
@@ -329,20 +337,6 @@ fn group_outputs(reports: Vec<StrategyReport>) -> StrategyOutputs {
     }
 }
 
-/// Run SMARTS, CoolSim and DeLorean on one workload at a given LLC size
-/// (paper-scale bytes), fanning the strategies out in parallel.
-pub fn compare_one(
-    opts: &ExpOptions,
-    workload: &dyn Workload,
-    plan: &RegionPlan,
-    llc_paper_bytes: u64,
-) -> StrategyOutputs {
-    let machine =
-        MachineConfig::for_scale(opts.scale).with_llc_paper_bytes(opts.scale, llc_paper_bytes);
-    let strategies = headline_strategies(opts.scale, machine);
-    group_outputs(BatchExecutor::new().run_strategies(&strategies, &workload, plan))
-}
-
 /// Run the three-strategy comparison over the (filtered) suite: the full
 /// strategy × workload matrix through the batch executor.
 pub fn compare_all(opts: &ExpOptions, llc_paper_bytes: u64) -> Vec<BenchmarkComparison> {
@@ -368,6 +362,76 @@ pub fn compare_all(opts: &ExpOptions, llc_paper_bytes: u64) -> Vec<BenchmarkComp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delorean_sampling::{LostUnits, MrrlRunner};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// Poll `flag` for about ten seconds; `true` once it holds.
+    fn wait_for(flag: impl Fn() -> bool) -> bool {
+        for _ in 0..10_000 {
+            if flag() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        flag()
+    }
+
+    /// MRRL, except that its two cells first meet, so each runs on its
+    /// own thread, and the one off the calling thread then dies,
+    /// unguarded.
+    struct MeetThenDie {
+        caller: ThreadId,
+        arrived: AtomicUsize,
+        dead: Mutex<Option<String>>,
+    }
+
+    impl SamplingStrategy for MeetThenDie {
+        fn name(&self) -> &str {
+            "meet-then-die"
+        }
+
+        fn execute(
+            &self,
+            workload: &dyn Workload,
+            plan: &RegionPlan,
+            workers: usize,
+            policy: Option<&FaultPolicy>,
+        ) -> StrategyReport {
+            self.arrived.fetch_add(1, Ordering::SeqCst);
+            assert!(wait_for(|| self.arrived.load(Ordering::SeqCst) == 2));
+            if std::thread::current().id() != self.caller {
+                *self.dead.lock().unwrap() = Some(workload.name().to_string());
+                std::panic::panic_any(format!("{} dies off the calling thread", workload.name()));
+            }
+            let machine = MachineConfig::for_scale(Scale::tiny());
+            MrrlRunner::new(machine).execute(workload, plan, workers, policy)
+        }
+    }
+
+    #[test]
+    fn a_cell_lost_with_its_helper_is_named() {
+        let plan = SamplingConfig::for_scale(Scale::tiny())
+            .with_regions(2)
+            .plan();
+        let workloads: Vec<_> = spec2006(Scale::tiny(), 3).into_iter().take(2).collect();
+        let strategy = MeetThenDie {
+            caller: std::thread::current().id(),
+            arrived: AtomicUsize::new(0),
+            dead: Mutex::new(None),
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            BatchExecutor::with_threads(2).run_strategy_over(&strategy, &workloads, &plan)
+        }));
+        let payload = run.expect_err("a dead helper must unwind the sweep");
+        let lost = payload
+            .downcast::<LostUnits>()
+            .expect("the unwind names the lost cell");
+        let dead = strategy.dead.lock().unwrap().clone().expect("a cell died");
+        let cell = workloads.iter().position(|w| w.name() == dead).unwrap();
+        assert_eq!(lost.units, [cell as u32]);
+    }
 
     #[test]
     fn tiny_comparison_produces_all_strategies() {

@@ -12,9 +12,10 @@
 //! byte-identical for every worker count.
 //!
 //! Two unit shapes cover all five strategies, plus a third kept for
-//! measurement. All three run on one claim loop: every worker, the
-//! calling thread included, claims the next unit in plan order, and the
-//! calling thread consumes the results in plan order.
+//! measurement. All three run on the library's one claim loop,
+//! [`delorean_trace::claim::run_in_order`]: every worker, the calling
+//! thread included, claims the next unit in plan order, and the calling
+//! thread consumes the results in plan order.
 //!
 //! * [`run_units`](RegionScheduler::run_units) — fully independent
 //!   units. CoolSim (per-region watchpoint profiling), MRRL (per-region
@@ -50,37 +51,12 @@
 //! [`StrategyReport`]: crate::StrategyReport
 
 use crate::config::Region;
+use delorean_trace::claim::run_in_order;
+pub use delorean_trace::claim::LostUnits;
 use delorean_trace::fault::{self, FaultPolicy, FaultSite, UnitFailure, UnitFault};
 use std::ops::ControlFlow;
-use std::sync::mpsc::sync_channel;
-use std::sync::{Mutex, PoisonError};
-
-/// The scheduler lost unit results it cannot explain: a worker
-/// terminated before sending in an unguarded run, where no fault policy
-/// would have classified the failure. Raised as a typed panic payload
-/// (via `std::panic::panic_any`) so the report names exactly which
-/// units are missing instead of the old anonymous
-/// `expect("every unit completed")`.
-#[derive(Debug)]
-pub struct LostUnits {
-    /// Plan indices of the units whose results never arrived.
-    pub units: Vec<u32>,
-}
-
-impl std::fmt::Display for LostUnits {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "region scheduler lost the result of unit(s) {:?}: a worker \
-             terminated before sending (body panicked or was killed); run \
-             the plan with a fault policy (SamplingStrategy::execute) to \
-             capture the per-unit fault instead",
-            self.units
-        )
-    }
-}
-
-impl std::error::Error for LostUnits {}
+#[cfg(test)]
+use std::sync::Mutex; // the tests' thread log
 
 /// Split guarded per-unit results into plan-ordered slots and the list
 /// of quarantined failures.
@@ -168,12 +144,18 @@ impl RegionScheduler {
         mut seed: impl FnMut(u32, &Region) -> S + Send,
         body: impl Fn(u32, &Region, S) -> R + Sync,
     ) -> Vec<R> {
-        let seeds = (0u32..).zip(regions).map(|(i, r)| seed(i, r)).collect();
+        let seeds: Vec<S> = (0u32..).zip(regions).map(|(i, r)| seed(i, r)).collect();
         let mut out = Vec::with_capacity(regions.len());
-        self.dispatch_speculative(regions, seeds, body, |_, _, r| {
-            out.push(r);
-            ControlFlow::Continue(())
-        });
+        run_in_order(
+            self.workers,
+            regions.iter().zip(seeds),
+            || (),
+            |(), i, (r, s)| body(i as u32, r, s),
+            |_, r| {
+                out.push(r);
+                ControlFlow::Continue(())
+            },
+        );
         out
     }
 
@@ -184,12 +166,9 @@ impl RegionScheduler {
     /// order**, folding the sequential carried state and deciding
     /// commit vs re-measure for each unit as its speculation arrives.
     ///
-    /// Every worker speculates: `workers − 1` spawned helpers claim
-    /// `spec` tasks in plan order from a shared claim, and the calling
-    /// thread claims them too whenever it has nothing to reconcile (see
-    /// the private `dispatch_speculative` loop). So at two
-    /// workers two speculations run at once instead of one helper
-    /// speculating every region serially while the reconciler idles.
+    /// Every worker speculates, the calling thread included whenever it
+    /// has nothing to reconcile ([`run_in_order`]), so at two workers
+    /// two speculations run at once.
     ///
     /// Out-of-order speculation results are buffered until the
     /// reconciler catches up, so `reconcile(i, …)` always observes units
@@ -207,117 +186,17 @@ impl RegionScheduler {
         mut reconcile: impl FnMut(u32, &Region, S) -> R,
     ) -> Vec<R> {
         let mut out = Vec::with_capacity(regions.len());
-        let inputs = vec![(); regions.len()];
-        self.dispatch_speculative(
-            regions,
-            inputs,
-            |i, r, ()| spec(i, r),
-            |i, r, s| {
-                out.push(reconcile(i, r, s));
+        run_in_order(
+            self.workers,
+            regions.iter(),
+            || (),
+            |(), i, r| spec(i as u32, r),
+            |i, s| {
+                out.push(reconcile(i as u32, &regions[i], s));
                 ControlFlow::Continue(())
             },
         );
         out
-    }
-
-    /// The claim loop every runner shares. Returns how many units were
-    /// reconciled: all of them, unless `reconcile` broke the chain.
-    ///
-    /// `inputs` holds one value per region, in plan order; each is moved
-    /// into its unit's `spec` call, so a unit receives its input exactly
-    /// once whichever thread claims it.
-    ///
-    /// With one worker (or one unit) it interleaves spec(0),
-    /// reconcile(0), spec(1), … on the calling thread. Otherwise it
-    /// spawns `workers − 1` helpers (never more than `n − 1`) that claim
-    /// and run `spec` tasks in plan order, and the calling thread loops:
-    ///
-    /// 1. reconcile the ready plan-order prefix;
-    /// 2. take any arrived results without blocking;
-    /// 3. otherwise claim the next unclaimed `spec` task and run it;
-    /// 4. only when nothing is left to claim, block on the channel.
-    ///
-    /// Which thread runs a `spec` task is timing-dependent, but `spec`
-    /// is a pure function of `(index, region, input)` and reconciliation
-    /// stays in plan order, so nothing `reconcile` observes depends on
-    /// the worker count. When `reconcile` returns [`ControlFlow::Break`]
-    /// the loop stops claiming and returns once the helpers drain. The
-    /// helpers keep claiming, so above one worker every unit's `spec`
-    /// runs exactly once whether or not the chain broke. If a helper
-    /// dies with a claimed unit unsent, the run unwinds with a
-    /// [`LostUnits`] naming the units that never arrived.
-    fn dispatch_speculative<I: Send, S: Send>(
-        &self,
-        regions: &[Region],
-        inputs: Vec<I>,
-        spec: impl Fn(u32, &Region, I) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, S) -> ControlFlow<()>,
-    ) -> usize {
-        let n = regions.len();
-        debug_assert_eq!(inputs.len(), n, "one input per region");
-        if self.workers <= 1 || n <= 1 {
-            for ((i, r), input) in (0u32..).zip(regions).zip(inputs) {
-                let s = spec(i, r, input);
-                if reconcile(i, r, s).is_break() {
-                    return i as usize + 1;
-                }
-            }
-            return n;
-        }
-        let helpers = (self.workers - 1).min(n - 1);
-        // Claims hand out units in plan order, each with its input. A
-        // claim only advances the iterator, which cannot panic, so a
-        // poisoned lock still holds a consistent iterator.
-        let claims = Mutex::new(inputs.into_iter().enumerate());
-        let claim = || claims.lock().unwrap_or_else(PoisonError::into_inner).next();
-        let run = |(i, input): (usize, I)| (i, spec(i as u32, &regions[i], input));
-        let (done_tx, done_rx) = sync_channel::<(usize, S)>(n);
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Some(task) = claim() {
-                        if done_tx.send(run(task)).is_err() {
-                            return; // reconciler gone (a sibling panicked)
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-            let mut pending: Vec<Option<S>> = (0..n).map(|_| None).collect();
-            let mut reconciled = 0;
-            loop {
-                while let Some(s) = pending.get_mut(reconciled).and_then(Option::take) {
-                    let flow = reconcile(reconciled as u32, &regions[reconciled], s);
-                    reconciled += 1;
-                    if flow.is_break() {
-                        return reconciled;
-                    }
-                }
-                if reconciled == n {
-                    return n;
-                }
-                if let Ok((i, s)) = done_rx.try_recv() {
-                    pending[i] = Some(s);
-                    continue;
-                }
-                if let Some(task) = claim() {
-                    let (i, s) = run(task);
-                    pending[i] = Some(s);
-                    continue;
-                }
-                match done_rx.recv() {
-                    Ok((i, s)) => pending[i] = Some(s),
-                    // Every helper is gone with a claimed unit unsent.
-                    Err(_) => std::panic::panic_any(LostUnits {
-                        units: (reconciled..n)
-                            .filter(|&k| pending[k].is_none())
-                            .map(|k| k as u32)
-                            .collect(),
-                    }),
-                }
-            }
-        })
     }
 
     /// [`run_units`](Self::run_units) with the guard chosen by
@@ -396,13 +275,6 @@ impl RegionScheduler {
         };
         let n = regions.len();
         let reconcile_once = FaultPolicy { retry_budget: 0 };
-        let guarded_spec = |i: u32, r: &Region, ()| -> Option<S> {
-            fault::run_unit_guarded(i, policy, || {
-                fault::hit(FaultSite::UnitEntry, u64::from(i));
-                spec(i, r)
-            })
-            .ok()
-        };
         let mut guarded_reconcile = |i: u32, r: &Region, s: Option<S>| -> Result<R, UnitFailure> {
             // Injection gate first: it faults before reconcile mutates
             // anything, so the retry loop is sound here...
@@ -417,9 +289,19 @@ impl RegionScheduler {
         };
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         let mut failures = Vec::new();
-        let inputs = vec![(); n];
-        let reconciled = self.dispatch_speculative(regions, inputs, guarded_spec, |i, r, s| {
-            match guarded_reconcile(i, r, s) {
+        let reconciled = run_in_order(
+            self.workers,
+            regions.iter(),
+            || (),
+            |(), i, r| {
+                let i = i as u32;
+                fault::run_unit_guarded(i, policy, || {
+                    fault::hit(FaultSite::UnitEntry, u64::from(i));
+                    spec(i, r)
+                })
+                .ok()
+            },
+            |i, s| match guarded_reconcile(i as u32, &regions[i], s) {
                 Ok(v) => {
                     out.push(Some(v));
                     ControlFlow::Continue(())
@@ -429,8 +311,8 @@ impl RegionScheduler {
                     failures.push(f);
                     ControlFlow::Break(())
                 }
-            }
-        });
+            },
+        );
         // A dead reconciler broke the chain at unit `reconciled − 1`:
         // every later unit is poisoned and never reconciled.
         for iu in reconciled as u32..n as u32 {

@@ -144,9 +144,9 @@ pub trait SamplingStrategy: Send + Sync {
 
     /// The region-scheduler worker count [`run`](SamplingStrategy::run)
     /// uses, and so the number of threads one `run` call spawns (1 by
-    /// default; DeLorean sizes it to the host). Batch executors divide
-    /// their worker pools by the batch's maximum so nested parallelism
-    /// does not oversubscribe the host.
+    /// default; DeLorean sizes it to the host). Batch executors run the
+    /// host's parallelism divided by the batch's maximum in cells at
+    /// once, so nested parallelism does not oversubscribe the host.
     fn internal_parallelism(&self) -> usize {
         1
     }

@@ -81,6 +81,7 @@
 
 mod branch;
 pub mod cast;
+pub mod claim;
 mod collections;
 mod cursor;
 mod domain;
@@ -312,8 +313,9 @@ pub trait WorkloadExt: Workload {
 impl<W: Workload + ?Sized> WorkloadExt for W {}
 
 /// The host's available parallelism, at least 1: the one definition of
-/// a host-sized worker count (tile packing and verifying, and
-/// `delorean_sampling::RegionScheduler::host`).
+/// a host-sized worker count for [`claim::run_in_order`] (tile packing
+/// and verifying, `delorean_sampling::RegionScheduler::host`, and the
+/// default width of `delorean_bench::BatchExecutor`).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -67,9 +67,11 @@
 //!
 //! [`pack_workload_with`] and [`TileFile::verify`] split the file into
 //! groups of whole tiles (about 1 MiB each) and run them on the host's
-//! available parallelism ([`crate::host_parallelism`]). A packed file is
-//! byte-identical at any worker count, and `verify` always reports the
-//! lowest-index bad tile.
+//! available parallelism ([`crate::host_parallelism`]) through
+//! [`crate::claim::run_in_order`], each thread packing into one reused
+//! group buffer. Results are taken in group order up to the first
+//! error, so a packed file is byte-identical at any worker count, and
+//! `verify` always reports the lowest-index bad tile.
 //!
 //! # Two consumers
 //!
@@ -102,6 +104,7 @@
 //! ```
 
 use crate::branch::BranchModel;
+use crate::claim::run_in_order;
 use crate::cursor::AccessCursor;
 use crate::rng::mix64;
 use crate::types::{Addr, LineAddr, MemAccess, Pc};
@@ -110,10 +113,10 @@ use memmap2::Mmap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::ops::ControlFlow;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// File magic: the first 8 bytes of every tile file.
@@ -359,49 +362,15 @@ fn group_tiles(tile_records: u32) -> u32 {
     crate::cast::u32_exact((GROUP_BYTES / tile_bytes).max(1) as u64)
 }
 
-/// Run `body(state, g)` for every group `g` in `0..groups` on up to
-/// `workers` threads (the calling thread among them), each thread
-/// claiming groups in increasing order from one counter and building
-/// its `state` once. Returns the error of the **lowest** failing group,
-/// whatever the scheduling: every group below it is claimed before it,
-/// and a claim past the lowest failure seen so far is skipped.
-fn for_each_group<S>(
-    groups: usize,
-    workers: usize,
-    state: impl Fn() -> S + Sync,
-    body: impl Fn(&mut S, usize) -> Result<(), TileError> + Sync,
-) -> Result<(), TileError> {
-    // Both counters are `Relaxed`: they publish no other data (results
-    // come back through `join`), and a stale `lowest_bad` only costs a
-    // group of extra work.
-    let next = AtomicUsize::new(0);
-    let lowest_bad = AtomicUsize::new(usize::MAX);
-    let work = || {
-        let mut s = state();
-        loop {
-            let g = next.fetch_add(1, Ordering::Relaxed);
-            if g >= groups || g > lowest_bad.load(Ordering::Relaxed) {
-                return None;
-            }
-            if let Err(e) = body(&mut s, g) {
-                lowest_bad.fetch_min(g, Ordering::Relaxed);
-                return Some((g, e));
-            }
-        }
-    };
-    let failures: Vec<_> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers.min(groups))
-            .map(|_| scope.spawn(work))
-            .collect();
-        let mut failures = vec![work()];
-        for h in helpers {
-            failures.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        failures
-    });
-    match failures.into_iter().flatten().min_by_key(|&(g, _)| g) {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
+/// The consumer of a run of tile groups: keep `group`'s result in
+/// `slot` and stop at the first error, which in group order is the
+/// lowest bad group's.
+fn stop_at_err(slot: &mut Result<(), TileError>, group: Result<(), TileError>) -> ControlFlow<()> {
+    *slot = group;
+    if slot.is_ok() {
+        ControlFlow::Continue(())
+    } else {
+        ControlFlow::Break(())
     }
 }
 
@@ -636,11 +605,12 @@ pub(crate) fn pack_on(
         |n: u64| n.div_ceil(per_tile) * TILE_HEADER_BYTES as u64 + n * RECORD_BYTES as u64;
     let group_records = u64::from(group_tiles(tile_records)) * per_tile;
     let file = File::create(path)?;
-    for_each_group(
-        crate::cast::idx(records.div_ceil(group_records)),
+    let mut packed = Ok(());
+    run_in_order(
         workers,
+        0..crate::cast::idx(records.div_ceil(group_records)),
         || (Vec::new(), Vec::with_capacity(crate::cursor::CURSOR_BATCH)),
-        |(bytes, batch): &mut (Vec<u8>, Vec<MemAccess>), g| {
+        |(bytes, batch): &mut (Vec<u8>, Vec<MemAccess>), _, g| {
             let first = g as u64 * group_records;
             let end = (first + group_records).min(records);
             let mut cursor = workload.cursor(range.start + first..range.start + end);
@@ -671,7 +641,9 @@ pub(crate) fn pack_on(
             file.write_all_at(bytes, FILE_HEADER_BYTES as u64 + tiled_len(first))?;
             Ok(())
         },
-    )?;
+        |_, group| stop_at_err(&mut packed, group),
+    );
+    packed?;
     file.write_all_at(
         &encode_header(name, mem_period, &branch, tile_records, records),
         0,
@@ -923,17 +895,19 @@ impl TileFile {
     /// [`verify`](TileFile::verify) on at most `workers` threads.
     pub(crate) fn verify_on(&self, workers: usize) -> Result<(), TileError> {
         let group = group_tiles(self.tile_records);
-        let groups = self.tile_count.div_ceil(group) as usize;
-        for_each_group(
-            groups,
+        let mut verified = Ok(());
+        run_in_order(
             workers,
+            0..self.tile_count.div_ceil(group) as usize,
             || (),
-            |(), g| {
+            |(), _, g| {
                 let first = crate::cast::u32_exact(g as u64) * group;
                 let end = first.saturating_add(group).min(self.tile_count);
                 (first..end).try_for_each(|t| self.tile_payload(t).map(drop))
             },
-        )
+            |_, group| stop_at_err(&mut verified, group),
+        );
+        verified
     }
 
     /// Decode `n` records starting `within` records into `tile`,
@@ -1476,5 +1450,60 @@ mod tests {
             TileFile::open(&path).unwrap().verify_on(workers).unwrap();
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A workload whose cursors stop at index `ends`, whatever range
+    /// they are asked for.
+    struct EndsEarly<W> {
+        inner: W,
+        ends: u64,
+    }
+
+    impl<W: Workload> Workload for EndsEarly<W> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn mem_period(&self) -> u64 {
+            self.inner.mem_period()
+        }
+
+        fn access_at(&self, k: u64) -> MemAccess {
+            self.inner.access_at(k)
+        }
+
+        fn branch_model(&self) -> BranchModel {
+            self.inner.branch_model()
+        }
+
+        fn cursor<'a>(&'a self, range: Range<u64>) -> Box<dyn AccessCursor + 'a> {
+            let end = range.end.min(self.ends).max(range.start);
+            self.inner.cursor(range.start..end)
+        }
+    }
+
+    #[test]
+    fn a_cursor_that_ends_early_names_the_lowest_short_group() {
+        let mcf = spec_workload("mcf", Scale::tiny(), 5).unwrap();
+        let group_records = u64::from(group_tiles(64)) * 64;
+        let path = temp("short");
+        // Every group from the one holding `ends` on comes up short; the
+        // error names the lowest of them by its end index.
+        for (ends, lowest_end) in [
+            (group_records + 100, 2 * group_records),
+            (10, group_records),
+        ] {
+            let w = EndsEarly { inner: &mcf, ends };
+            for workers in [1, 2, 3] {
+                match pack_on(&w, 0..3 * group_records + 5, &path, 64, workers) {
+                    Err(TileError::Invalid { detail }) => assert!(
+                        detail.ends_with(&format!("before index {lowest_end}")),
+                        "{workers} workers: {detail}"
+                    ),
+                    other => panic!("{workers} workers: unexpected {other:?}"),
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
