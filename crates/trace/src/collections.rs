@@ -383,9 +383,6 @@ impl<K: FlatKey> Default for FlatSet<K> {
 /// Flat set of cacheline addresses.
 pub type LineSet = FlatSet<LineAddr>;
 
-/// Flat set of page addresses.
-pub type PageSet = FlatSet<PageAddr>;
-
 impl<K: FlatKey> FlatSet<K> {
     /// An empty set (no allocation until the first insert).
     pub fn new() -> Self {

@@ -118,16 +118,6 @@ pub trait LineDomains {
         let _ = domain;
         ordinal
     }
-
-    /// Clear `out` and push the global index of each access of `run`, a
-    /// run of `domain`: [`index_of`](LineDomains::index_of) of each of its
-    /// ordinals, which a split may walk incrementally.
-    fn run_indices(&self, domain: usize, run: &LineRun, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(
-            (run.ordinal..run.ordinal + u64::from(run.len)).map(|o| self.index_of(domain, o)),
-        );
-    }
 }
 
 /// The one-domain split: the whole range, claiming every line, walked

@@ -49,15 +49,15 @@
 //!   a memory-mapped binary trace whose fixed-size tiles decode
 //!   straight into [`MemAccess`] batches, so warm-loop `fill` calls
 //!   become plain `memcpy`s. This is the production ingest path and
-//!   the only materialized trace: captured accesses are written with
-//!   [`TileFileWriter::push`] or [`pack_workload`]. See the [`tile`]
-//!   module docs for the format.
+//!   the only materialized trace, and [`pack_workload`] is its one
+//!   writer: any [`Workload`], captured or synthetic, packs. See the
+//!   [`tile`] module docs for the format.
 //!
-//! Both paths are pinned byte-identical by property tests; custom
-//! [`Workload`] implementors get a correct (indexed) cursor for free and
-//! should override [`Workload::cursor`] only when sequential generation
-//! can share work between neighbouring indices — see the [`cursor`
-//! module](AccessCursor) docs for guidance.
+//! All three paths are pinned byte-identical to [`Workload::access_at`]
+//! by property tests; custom [`Workload`] implementors get a correct
+//! (indexed) cursor for free and should override [`Workload::cursor`]
+//! only when sequential generation can share work between neighbouring
+//! indices — see the [`cursor` module](AccessCursor) docs for guidance.
 //!
 //! The crate also hosts the **flat lookup substrate** shared by every
 //! per-access hot loop: open-addressing [`FlatMap`]/[`FlatSet`] (aliases
@@ -97,7 +97,7 @@ pub mod tile;
 mod types;
 
 pub use branch::{BranchEvent, BranchModel};
-pub use collections::{FlatKey, FlatMap, FlatSet, LineMap, LineSet, PageMap, PageSet, PcMap};
+pub use collections::{FlatKey, FlatMap, FlatSet, LineMap, LineSet, PageMap, PcMap};
 pub use cursor::{AccessCursor, IndexedCursor, CURSOR_BATCH};
 use domain::WholeRange;
 pub use domain::{LineDomains, LineRun};
@@ -112,8 +112,7 @@ pub use rng::{mix64, CounterRng};
 pub use scale::Scale;
 pub use spec::{spec2006, spec_workload, SPEC2006_NAMES};
 pub use tile::{
-    pack_workload, pack_workload_with, PackSummary, TileError, TileFile, TileFileWriter,
-    TiledCursor, TiledTrace,
+    pack_workload, pack_workload_with, PackSummary, TileError, TileFile, TiledCursor, TiledTrace,
 };
 pub use types::{Addr, LineAddr, MemAccess, PageAddr, Pc, LINE_BYTES, PAGE_BYTES};
 

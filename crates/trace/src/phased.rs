@@ -876,16 +876,6 @@ impl LineDomains for StreamDomains<'_> {
     fn index_of(&self, domain: usize, ordinal: u64) -> u64 {
         self.view(domain).index(&self.slot_of(domain, ordinal))
     }
-
-    fn run_indices(&self, domain: usize, run: &LineRun, out: &mut Vec<u64>) {
-        out.clear();
-        let stream = self.view(domain);
-        let mut at = self.slot_of(domain, run.ordinal);
-        for _ in 0..run.len {
-            out.push(stream.index(&at));
-            stream.step(&mut at);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1099,18 +1089,11 @@ mod tests {
     /// Every access of `runs`, which `split` produced for domain `d`, as
     /// `(index, line)` pairs, checking each run's shape on the way: 1 to
     /// 64 accesses on one page, indices rising from `index`, each
-    /// access's ordinal agreeing with `domains_of`, and `run_indices`
-    /// agreeing with `index_of`.
+    /// access's ordinal agreeing with `domains_of`.
     fn expand(split: &dyn LineDomains, d: usize, runs: &[LineRun]) -> Vec<(u64, LineAddr)> {
         let mut out: Vec<(u64, LineAddr)> = Vec::new();
         let mut owner = Vec::new();
-        let mut indices = Vec::new();
         for run in runs {
-            split.run_indices(d, run, &mut indices);
-            let each: Vec<u64> = (0..u64::from(run.len))
-                .map(|o| split.index_of(d, run.ordinal + o))
-                .collect();
-            assert_eq!(indices, each, "{run:?}");
             assert!((1..=64).contains(&run.len), "{run:?}");
             let end = LineAddr(run.line.0 + u64::from(run.len) - 1);
             assert_eq!(run.line.page(), end.page(), "{run:?} crosses a page");

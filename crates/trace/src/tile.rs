@@ -4,9 +4,9 @@
 //! This module materializes them: a compact binary **tile file** on
 //! disk, memory-mapped on open, whose decoded tiles feed the warm loops
 //! with plain `memcpy`s, so access *generation* stops being a cost at
-//! all. It is the only materialized trace format: a packed synthetic
-//! workload ([`pack_workload`]) and a captured trace pushed record by
-//! record ([`TileFileWriter::push`]) are both tile files.
+//! all. It is the only materialized trace format, and
+//! [`pack_workload`] (or [`pack_workload_with`]) is its one writer: any
+//! [`Workload`] packs, a captured trace as well as a synthetic one.
 //!
 //! # File format (version 3)
 //!
@@ -112,11 +112,11 @@ use crate::Workload;
 use memmap2::Mmap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io;
 use std::ops::ControlFlow;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// File magic: the first 8 bytes of every tile file.
@@ -197,7 +197,8 @@ pub enum TileError {
     },
     /// The file (or the range being packed) contains no records.
     EmptyTrace,
-    /// Invalid construction parameters (writer side).
+    /// Invalid packing parameters, or a workload that ends short of the
+    /// range being packed.
     Invalid {
         /// Human-readable description of the invalid parameter.
         detail: String,
@@ -320,8 +321,7 @@ fn encode_header(
 }
 
 /// The 40-byte header of the tile whose records start at global index
-/// `first`, stamped with `payload`'s record count and checksum: the one
-/// tile encoder [`TileFileWriter`] and [`pack_workload_with`] share.
+/// `first`, stamped with `payload`'s record count and checksum.
 fn encode_tile_header(first: u64, mem_period: u64, payload: &[u8]) -> [u8; TILE_HEADER_BYTES] {
     let records = crate::cast::u32_exact((payload.len() / RECORD_BYTES) as u64);
     let mut h = [0u8; TILE_HEADER_BYTES];
@@ -374,8 +374,7 @@ fn stop_at_err(slot: &mut Result<(), TileError>, group: Result<(), TileError>) -
     }
 }
 
-/// Summary of a finished pack: what [`TileFileWriter::finish`] and
-/// [`pack_workload`] report.
+/// Summary of a finished pack: what [`pack_workload`] reports.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PackSummary {
     /// Records written.
@@ -384,149 +383,6 @@ pub struct PackSummary {
     pub tiles: u32,
     /// Total file size in bytes.
     pub bytes: u64,
-}
-
-/// Streaming writer producing a tile file record by record.
-///
-/// Records are buffered into tile payloads and flushed with their header
-/// (record count, instruction range, checksum) as each tile fills; the
-/// file header is patched with the final record count on
-/// [`finish`](TileFileWriter::finish).
-#[derive(Debug)]
-pub struct TileFileWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-    name: String,
-    mem_period: u64,
-    branch: BranchModel,
-    tile_records: u32,
-    payload: Vec<u8>,
-    tile_first_index: u64,
-    total: u64,
-    tiles: u32,
-}
-
-impl TileFileWriter {
-    /// Create a tile file at `path` with the default tile size.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError::Invalid`] for a zero `mem_period` or branch period or
-    /// a name longer than [`NAME_BYTES`]; [`TileError::Io`] if the file
-    /// cannot be created.
-    pub fn create(
-        path: impl AsRef<Path>,
-        name: &str,
-        mem_period: u64,
-        branch: BranchModel,
-    ) -> Result<Self, TileError> {
-        Self::create_with(path, name, mem_period, branch, DEFAULT_TILE_RECORDS)
-    }
-
-    /// Create a tile file with an explicit records-per-tile.
-    ///
-    /// # Errors
-    ///
-    /// As [`create`](Self::create), plus [`TileError::Invalid`] for a
-    /// zero `tile_records`.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        name: &str,
-        mem_period: u64,
-        branch: BranchModel,
-        tile_records: u32,
-    ) -> Result<Self, TileError> {
-        check_params(name, mem_period, &branch, tile_records)?;
-        let path = path.as_ref().to_path_buf();
-        let mut out = BufWriter::new(File::create(&path)?);
-        // Placeholder header; the record count is patched in `finish`.
-        out.write_all(&encode_header(name, mem_period, &branch, tile_records, 0))?;
-        Ok(TileFileWriter {
-            out,
-            path,
-            name: name.to_string(),
-            mem_period,
-            branch,
-            tile_records,
-            payload: Vec::with_capacity(tile_records as usize * RECORD_BYTES),
-            tile_first_index: 0,
-            total: 0,
-            tiles: 0,
-        })
-    }
-
-    /// Path this writer is producing.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one record.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError::Io`] if flushing a completed tile fails.
-    pub fn push(&mut self, pc: Pc, addr: Addr) -> Result<(), TileError> {
-        self.payload.extend_from_slice(&pc.0.to_le_bytes());
-        self.payload.extend_from_slice(&addr.0.to_le_bytes());
-        self.total += 1;
-        if self.payload.len() >= self.tile_records as usize * RECORD_BYTES {
-            self.flush_tile()?;
-        }
-        Ok(())
-    }
-
-    fn flush_tile(&mut self) -> Result<(), TileError> {
-        let records = (self.payload.len() / RECORD_BYTES) as u32;
-        if records == 0 {
-            return Ok(());
-        }
-        let first = self.tile_first_index;
-        self.out
-            .write_all(&encode_tile_header(first, self.mem_period, &self.payload))?;
-        self.out.write_all(&self.payload)?;
-        self.payload.clear();
-        self.tile_first_index = first + records as u64;
-        self.tiles = self
-            .tiles
-            .checked_add(1)
-            .ok_or_else(|| TileError::Invalid {
-                detail: "tile count overflows u32".into(),
-            })?;
-        Ok(())
-    }
-
-    /// Flush the final (possibly short) tile, patch the header with the
-    /// record count, and close the file.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError::EmptyTrace`] if no records were pushed;
-    /// [`TileError::Io`] on write failure.
-    pub fn finish(mut self) -> Result<PackSummary, TileError> {
-        if self.total == 0 {
-            return Err(TileError::EmptyTrace);
-        }
-        self.flush_tile()?;
-        self.out.flush()?;
-        let mut file = self
-            .out
-            .into_inner()
-            .map_err(|e| TileError::Io(io::Error::other(e.to_string())))?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&encode_header(
-            &self.name,
-            self.mem_period,
-            &self.branch,
-            self.tile_records,
-            self.total,
-        ))?;
-        let bytes = file.seek(SeekFrom::End(0))?;
-        Ok(PackSummary {
-            records: self.total,
-            tiles: self.tiles,
-            bytes,
-        })
-    }
 }
 
 /// Pack the accesses of `workload` with indices in `range` into a tile
@@ -539,8 +395,10 @@ impl TileFileWriter {
 ///
 /// # Errors
 ///
-/// [`TileError::EmptyTrace`] for an empty range, plus anything
-/// [`TileFileWriter`] can return.
+/// [`TileError::Invalid`] for a zero `mem_period` or branch period or a
+/// name longer than [`NAME_BYTES`], or if the workload's cursor ends
+/// before `range.end`; [`TileError::EmptyTrace`] for an empty range;
+/// [`TileError::Io`] if the file cannot be written.
 pub fn pack_workload(
     workload: &dyn Workload,
     range: Range<u64>,
@@ -555,11 +413,12 @@ pub fn pack_workload(
 /// parallelism: each worker generates its group through the workload's
 /// cursor straight into the tile payloads and writes the group at its
 /// fixed offset; the file header goes last. The file is byte-identical
-/// to the same records pushed through a [`TileFileWriter`].
+/// at any worker count.
 ///
 /// # Errors
 ///
-/// As [`pack_workload`].
+/// As [`pack_workload`], plus [`TileError::Invalid`] for a zero
+/// `tile_records`.
 pub fn pack_workload_with(
     workload: &dyn Workload,
     range: Range<u64>,
@@ -1117,6 +976,7 @@ impl TiledCursor {
 mod tests {
     use super::*;
     use crate::{spec_workload, Scale, WorkloadExt};
+    use std::path::PathBuf;
 
     fn temp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("delorean-tile-{}-{tag}.dlt", std::process::id()))
@@ -1248,33 +1108,72 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// `inner`'s accesses under another name, memory period and branch
+    /// period.
+    struct Relabelled<'w> {
+        inner: &'w dyn Workload,
+        name: String,
+        mem_period: u64,
+        branch_period: u64,
+    }
+
+    impl Workload for Relabelled<'_> {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn mem_period(&self) -> u64 {
+            self.mem_period
+        }
+
+        fn access_at(&self, k: u64) -> MemAccess {
+            self.inner.access_at(k)
+        }
+
+        fn branch_model(&self) -> BranchModel {
+            BranchModel {
+                period: self.branch_period,
+                ..self.inner.branch_model()
+            }
+        }
+    }
+
     #[test]
-    fn writer_rejects_invalid_parameters_and_empty_traces() {
-        let path = temp("invalid");
-        assert!(matches!(
-            TileFileWriter::create(&path, "x", 0, BranchModel::new(1)),
-            Err(TileError::Invalid { .. })
-        ));
-        assert!(matches!(
-            TileFileWriter::create_with(&path, "x", 1, BranchModel::new(1), 0),
-            Err(TileError::Invalid { .. })
-        ));
-        let no_branches = BranchModel {
-            period: 0,
-            ..BranchModel::new(1)
+    fn packing_rejects_invalid_parameters_and_empty_ranges() {
+        let mcf = spec_workload("mcf", Scale::tiny(), 5).unwrap();
+        let (period, branch) = (mcf.mem_period(), mcf.branch_model().period);
+        let relabel = |name: &str, mem_period, branch_period| Relabelled {
+            inner: &mcf,
+            name: name.to_string(),
+            mem_period,
+            branch_period,
         };
-        assert!(matches!(
-            TileFileWriter::create(&path, "x", 1, no_branches),
-            Err(TileError::Invalid { .. })
-        ));
+        let path = temp("invalid");
         let long = "n".repeat(NAME_BYTES + 1);
-        assert!(matches!(
-            TileFileWriter::create(&path, &long, 1, BranchModel::new(1)),
-            Err(TileError::Invalid { .. })
-        ));
-        let w = TileFileWriter::create(&path, "x", 1, BranchModel::new(1)).unwrap();
-        assert!(matches!(w.finish(), Err(TileError::EmptyTrace)));
-        let _ = std::fs::remove_file(&path);
+        for (w, tile_records, says) in [
+            (relabel("x", 0, branch), 64, "mem_period must be"),
+            (relabel("x", period, branch), 0, "tile_records must be"),
+            (relabel("x", period, 0), 64, "branch period must be"),
+            (relabel(&long, period, branch), 64, "exceeds 32 bytes"),
+        ] {
+            match pack_workload_with(&w, 0..100, &path, tile_records) {
+                Err(TileError::Invalid { detail }) => assert!(detail.contains(says), "{detail}"),
+                other => panic!("{says}: unexpected {other:?}"),
+            }
+            assert!(!path.exists(), "{says}: a rejected pack creates no file");
+        }
+        for range in [0..0, 100..100] {
+            assert!(matches!(
+                pack_workload_with(&mcf, range.clone(), &path, 64),
+                Err(TileError::EmptyTrace)
+            ));
+            assert!(!path.exists(), "{range:?}: an empty pack creates no file");
+        }
+        // A name of exactly `NAME_BYTES` packs and reopens.
+        let full = relabel(&"n".repeat(NAME_BYTES), period, branch);
+        pack_workload_with(&full, 0..100, &path, 64).unwrap();
+        assert_eq!(TiledTrace::open(&path).unwrap().name(), full.name());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1363,50 +1262,59 @@ mod tests {
         }
     }
 
-    /// The same records through [`TileFileWriter::push`], one at a time.
-    fn pushed(w: &dyn Workload, range: Range<u64>, tile_records: u32, path: &Path) -> Vec<u8> {
-        let mut out = TileFileWriter::create_with(
-            path,
-            w.name(),
-            w.mem_period(),
-            w.branch_model(),
-            tile_records,
-        )
-        .unwrap();
-        for k in range {
-            let a = w.access_at(k);
-            out.push(a.pc, a.addr).unwrap();
-        }
-        out.finish().unwrap();
-        std::fs::read(path).unwrap()
-    }
-
     #[test]
     fn packed_files_are_byte_identical_at_every_worker_count() {
         let w = spec_workload("mcf", Scale::tiny(), 5).unwrap();
         // Nonzero starts, short last tiles, and tile counts the group
         // size does not divide (985 tiles of 64 records, or 15 of 4096,
-        // to a group); the last case is one short tile.
+        // to a group); the last case is one short tile. Each file's
+        // `tile_checksum` digest pins its bytes.
         let g64 = u64::from(group_tiles(64));
         let g4096 = u64::from(group_tiles(4096));
         assert_eq!((g64, g4096), (985, 15));
-        for (tile_records, range) in [
-            (64u32, 1_000..1_000 + (2 * g64 + 7) * 64 + 13),
-            (4_096, 5..5 + (3 * g4096 + 4) * 4_096 + 100),
-            (4_096, 17..117),
+        for (tile_records, range, digest) in [
+            (
+                64u32,
+                1_000..1_000 + (2 * g64 + 7) * 64 + 13,
+                0xbe73_e4be_b083_25a6,
+            ),
+            (
+                4_096,
+                5..5 + (3 * g4096 + 4) * 4_096 + 100,
+                0x7169_d687_a73d_a451,
+            ),
+            (4_096, 17..117, 0xb83d_6c12_3136_bfa1),
         ] {
             let path = temp(&format!("bytes-{tile_records}-{}", range.start));
-            let expect = pushed(&w, range.clone(), tile_records, &path);
+            let mut first = None;
             for workers in [1, 2, 3] {
                 let summary = pack_on(&w, range.clone(), &path, tile_records, workers).unwrap();
                 let got = std::fs::read(&path).unwrap();
+                assert_eq!(
+                    tile_checksum(&got),
+                    digest,
+                    "tile {tile_records}, {workers} workers"
+                );
+                let first = first.get_or_insert_with(|| got.clone());
                 assert!(
-                    got == expect,
+                    got == *first,
                     "tile {tile_records}, {workers} workers: bytes differ"
                 );
                 assert_eq!(summary.bytes, got.len() as u64);
                 assert_eq!(summary.records, range.end - range.start);
                 assert_eq!(summary.tiles, TileFile::open(&path).unwrap().tile_count());
+            }
+            // Record by record, the file holds the range re-based to 0.
+            let tiled = TiledTrace::open(&path).unwrap();
+            assert_eq!(tiled.recorded_len(), range.end - range.start);
+            for (k, src) in (range.clone()).enumerate() {
+                let src = w.access_at(src);
+                let got = tiled.access_at(k as u64);
+                assert_eq!(
+                    (got.index, got.icount, got.pc, got.addr),
+                    (k as u64, k as u64 * w.mem_period(), src.pc, src.addr),
+                    "tile {tile_records}, record {k}"
+                );
             }
             std::fs::remove_file(&path).unwrap();
         }

@@ -231,9 +231,8 @@ const JUMP_BATCH: usize = 32;
 /// walked in page runs (see the module docs): one mask test per run,
 /// and access by access only at an event. The dynamic calls are one
 /// [`LineDomains::fill`] per batch and, at an event inside a longer run,
-/// one [`LineDomains::index_of`] (or one [`LineDomains::run_indices`]
-/// once most of the run is watched); `stats.accesses_generated` counts
-/// the accesses the fills' runs hold.
+/// one [`LineDomains::index_of`]; `stats.accesses_generated` counts the
+/// accesses the fills' runs hold.
 pub fn profile_reuses<F>(
     workload: &dyn Workload,
     range: Range<u64>,
@@ -256,7 +255,6 @@ where
         walk_all: false,
         protected: 0,
         watched: 0,
-        indices: Vec::new(),
     };
     let mut keys_held = vec![0u32; domains.count()];
     for &line in keys {
@@ -307,8 +305,6 @@ struct Scan<F> {
     protected: u64,
     /// Accesses to a watched line: the true hits of a VDP scan.
     watched: u64,
-    /// The indices of a run taken access by access.
-    indices: Vec<u64>,
 }
 
 /// One domain's sample positions, each with its ordinal in the domain,
@@ -407,11 +403,11 @@ impl<F: FnMut(u64, u64)> Scan<F> {
     /// is on one page, so the accesses before the next event all trap or
     /// none does, and are counted in one step. An event is the first
     /// access to a watched line or the next sample position; each is
-    /// taken through [`visit`](Self::visit). Once more than half the
-    /// run's lines ahead are watched, nearly every access is an event,
-    /// and the rest of the run is taken access by access. Returns whether
-    /// a sample resolved. Kept out of line, so the loop over runs of 1
-    /// that calls it stays small.
+    /// taken through [`visit`](Self::visit), at the index
+    /// [`LineDomains::index_of`] gives its ordinal, however many of the
+    /// run's lines are watched. Returns whether a sample resolved. Kept
+    /// out of line, so the loop over runs of 1 that calls it stays
+    /// small.
     #[inline(never)]
     fn visit_run(
         &mut self,
@@ -427,10 +423,6 @@ impl<F: FnMut(u64, u64)> Scan<F> {
         while start < run.len {
             let mask = self.watch.mask(run.line);
             let watched = mask & line_bits(lo + start, run.len - start);
-            if 2 * watched.count_ones() > run.len - start {
-                // Mostly watched: nearly every access is an event.
-                return self.visit_each(domains, d, run, start, samples) || resolved;
-            }
             let hit = if watched == 0 {
                 run.len
             } else {
@@ -462,32 +454,6 @@ impl<F: FnMut(u64, u64)> Scan<F> {
             }
             start = split + 1;
         }
-        resolved
-    }
-
-    /// The accesses of `run` from offset `start` on, one by one. Returns
-    /// whether a sample resolved.
-    fn visit_each(
-        &mut self,
-        domains: &dyn LineDomains,
-        d: usize,
-        run: &LineRun,
-        start: u32,
-        samples: &mut Samples<'_>,
-    ) -> bool {
-        let mut indices = std::mem::take(&mut self.indices);
-        domains.run_indices(d, run, &mut indices);
-        let mut resolved = false;
-        for (line, &k) in (run.line.0..).zip(&indices).skip(idx(u64::from(start))) {
-            let arm = samples.take(k);
-            if self.visit(k, LineAddr(line), arm) {
-                resolved = true;
-                if self.idle() && samples.peek().is_none() {
-                    break;
-                }
-            }
-        }
-        self.indices = indices;
         resolved
     }
 
@@ -913,6 +879,44 @@ mod tests {
             f_reuses.sort_unstable();
             assert_eq!((f_reuses, f_seconds), (reuses, 0.0));
             assert_eq!(functional.last_key_access, out.last_key_access);
+            assert_eq!(functional.stats.traps(), 0);
+        }
+    }
+
+    #[test]
+    fn a_mostly_watched_page_run_takes_every_event() {
+        let w = page_runs();
+        let n = 192; // A's j < 128, B's j < 64
+        let a = |j: u64| 3 * (j / 2) + 2 * (j % 2);
+        let line_a = w.access_at(0).line().0;
+        // Keys on 9 of A's 16 lines, 2..=10, so every one of A's runs of
+        // 16 is mostly watched. The one sample arms A's line 12 at j 28
+        // (index 42) and resolves at j 44 (index 66). B holds no key and
+        // no sample, so its page is never protected.
+        let keys: Vec<u64> = (2..=10).map(|o| line_a + o).collect();
+        let samples = [a(28)];
+        assert_eq!((a(28), a(44)), (42, 66));
+        for (workload, one_domain) in [(&w as &dyn Workload, false), (&OneDomain(&w), true)] {
+            let (out, reuses, seconds) = scan_over(workload, n, &keys, &samples, VDP);
+            assert_eq!(reuses, vec![(66, 23)], "{one_domain}");
+            // Each key's last access is in A's last sweep, j 112..128.
+            let last: Vec<Option<u64>> = (2..=10).map(|o| Some(a(112 + o))).collect();
+            assert_eq!(out.last_key_access, last, "{one_domain}");
+            assert!(out.unresolved.is_empty());
+            // All 128 of A's accesses trap: 8 sweeps × 9 keys and the reuse
+            // hit; the sample's own access at j 28 is a false positive.
+            assert_eq!(out.stats.true_hits, 8 * 9 + 1, "{one_domain}");
+            assert_eq!(out.stats.false_positives, 128 - 73, "{one_domain}");
+            assert_eq!(seconds, 128.0 * 0.5, "{one_domain}");
+            // Split, A walks its 128 accesses and idle B none.
+            let generated = if one_domain { n } else { 128 };
+            assert_eq!(out.stats.accesses_generated, generated, "{one_domain}");
+            // Interpreted, the same reuses and key accesses, no traps.
+            let (functional, f_reuses, f_seconds) =
+                scan_over(workload, n, &keys, &samples, ScanMode::Functional);
+            assert_eq!((f_reuses, f_seconds), (reuses, 0.0));
+            assert_eq!(functional.last_key_access, out.last_key_access);
+            assert!(functional.unresolved.is_empty());
             assert_eq!(functional.stats.traps(), 0);
         }
     }
